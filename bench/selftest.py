@@ -45,9 +45,12 @@ class PrintedMetrics(unittest.TestCase):
                     self.assertEqual(res["failed"], 0)
                     # workers=2 runs only where the workload defines it
                     w2 = name in ("verify_suite", "crossing_rademacher")
-                    self.assertEqual(res["attempted"], 2 if trace or w2 else 1)
-                    self.assertEqual(any(line.startswith("wall_w2_s = ") for line in lines),
-                                     w2 and not trace)
+                    self.assertEqual(res["attempted"],
+                                     2 if trace else 1 + (run.W2_CALLS if w2 else 0))
+                    printed = {line.split(" = ")[0] for line in lines if " = " in line}
+                    self.assertEqual("wall_w2_s" in printed, w2 and not trace)
+                    if not trace:
+                        self.assertLessEqual({"wall_s", "cells_per_s"}, printed)
                     self.assertEqual({k: v["unit"] for k, v in res["metrics"].items()}, want)
                     for k, v in res["metrics"].items():
                         self.assertIsInstance(v["value"], (int, float), k)
