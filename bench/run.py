@@ -53,7 +53,7 @@ DEFAULT_SEED = 20260826
 SETUP_PROBES = 3
 W2_CALLS = 2
 NOTE = ("caches are not dropped, CPUs are not pinned and no machine setting "
-        "is changed, because the sandbox rules forbid it")
+        "is changed: the run acts only on its own processes and files")
 
 
 def _read(path: str) -> str:
@@ -156,8 +156,9 @@ def _repeat(seconds: float, one_round) -> None:
 def reference_s() -> float:
     """Wall time of a fixed kernel with the engine's mix of work: Philox
     draws, a cumulative sum, a table lookup and an interpreted loop. Timed
-    right after each call, it tracks how fast the shared machine is running
-    at that moment, which drifts by 10-50 % over minutes."""
+    right after each call, it tracks how fast the machine is running at that
+    moment; on a shared machine that can drift by tens of percent within
+    minutes."""
     t0 = time.perf_counter()
     rng = numpy.random.Generator(numpy.random.Philox(12345))
     d = rng.integers(0, 2, size=(82, 32768)).astype(float) * 2.0 - 1.0
