@@ -3,19 +3,20 @@
     python3 bench/run.py --workload NAME [--seed N] [--seconds S] [--trace 0|1]
 
 NAME is one of the workloads in BENCHMARK.json, or `all` to run each in a
-fresh process. Run from the repository root; selfnorm is imported from
-`src/` next to this directory and nowhere else.
+fresh process; S defaults to its `run_seconds`. Run from the repository
+root; selfnorm is imported from `src/` next to this directory and nowhere
+else.
 
 With `--trace 0` the run repeats the workload for S seconds at workers=1,
 times a fixed reference kernel right after each call, makes two workers=2
 calls where the workload defines them, and reports the end-to-end metrics;
 set-up time is the median over fresh processes that import selfnorm and
-build the inputs. With `--trace 1` it alternates untraced and traced
-workers=1 calls, reports the per-layer metrics, and writes the spans to
-`bench/out/`. Every call is checked; a call that raises, fails a check, or
-gives output whose digest differs from the run's first counts as failed.
-The last line of standard output is one JSON object: correct, attempted,
-failed, metrics.
+build the inputs, rescaled by the reference kernel's time like the wall
+time. With `--trace 1` it alternates untraced and traced workers=1 calls,
+reports the per-layer metrics, and writes the spans to `bench/out/`. Every
+call is checked; a call that raises, fails a check, or gives output whose
+digest differs from the run's first counts as failed. The last line of
+standard output is one JSON object: correct, attempted, failed, metrics.
 
 Caches are not dropped, CPUs are not pinned and no machine setting is
 changed: the numbers are for a shared machine as it is.
@@ -52,6 +53,12 @@ import workloads  # noqa: E402
 DEFAULT_SEED = 20260826
 SETUP_PROBES = 3
 W2_CALLS = 2
+# After each timed call the reference kernel runs until its time adds up to
+# this share of the call's: one 0.2 s sample varies by about 15 % with the
+# machine's sub-second jitter, which a call of several seconds averages out.
+REFERENCE_SHARE = 0.1
+# setup_s is given at the machine speed at which reference_s() takes this long.
+REFERENCE_NOMINAL_S = 0.2
 NOTE = ("caches are not dropped, CPUs are not pinned and no machine setting "
         "is changed: the run acts only on its own processes and files")
 
@@ -171,6 +178,14 @@ def reference_s() -> float:
     return time.perf_counter() - t0
 
 
+def references_after(wall: float) -> list[float]:
+    """Reference times, at least one, adding up to REFERENCE_SHARE * wall."""
+    refs = [reference_s()]
+    while sum(refs) < REFERENCE_SHARE * wall:
+        refs.append(reference_s())
+    return refs
+
+
 def end_to_end(args, wl, ops):
     setup = setup_probe_times(args)
     walls, refs = [], []
@@ -182,18 +197,22 @@ def end_to_end(args, wl, ops):
             rss_mb.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         if wall is not None:
             walls.append(wall)
-            refs.append(reference_s())
+            refs.append(references_after(wall))
 
     _repeat(args.seconds, one_round)
     w1 = _median(walls)
-    metrics = {"setup_s": _median(setup),
-               "wall_per_ref": _median([w / r for w, r in zip(walls, refs)]),
-               "peak_rss_mb": rss_mb[0]}
     # Raw times follow the machine's drift, which no bound can absorb, so
-    # they are printed and only their ratio to the reference is gated.
-    info = {"wall_s": (w1, "s"),
+    # they are printed and only their ratio to the reference is gated;
+    # set-up time is rescaled by the run's median reference time.
+    all_refs = [r for after in refs for r in after]
+    metrics = {"setup_s": (_median(setup) * REFERENCE_NOMINAL_S / _median(all_refs)
+                           if refs else None),
+               "wall_per_ref": _median([w / statistics.mean(r)
+                                        for w, r in zip(walls, refs)]),
+               "peak_rss_mb": rss_mb[0]}
+    info = {"setup_raw_s": (_median(setup), "s"), "wall_s": (w1, "s"),
             "cells_per_s": (wl.cells / w1 if w1 else None, "1/s")}
-    samples = {"setup_s": setup, "wall_s": walls, "reference_s": refs}
+    samples = {"setup_raw_s": setup, "wall_s": walls, "reference_s": refs}
     if wl.w2:
         # workers=2 calls come after the timed ones: alternating them with
         # workers=1 calls made those less steady, and two threads on a small
@@ -262,10 +281,12 @@ def run_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.NAMES + ("all",))
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--tiny", action="store_true",
                     help="shrink the inputs (self-test only)")
@@ -275,8 +296,6 @@ def main(argv=None) -> int:
     if args.workload == "all":
         return run_all(args)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
     units = {m["name"]: m["unit"]
              for m in spec["per_layer" if args.trace else "end_to_end"]}
     os.makedirs(OUT, exist_ok=True)

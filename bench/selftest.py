@@ -50,7 +50,7 @@ class PrintedMetrics(unittest.TestCase):
                     printed = {line.split(" = ")[0] for line in lines if " = " in line}
                     self.assertEqual("wall_w2_s" in printed, w2 and not trace)
                     if not trace:
-                        self.assertLessEqual({"wall_s", "cells_per_s"}, printed)
+                        self.assertLessEqual({"setup_raw_s", "wall_s", "cells_per_s"}, printed)
                     self.assertEqual({k: v["unit"] for k, v in res["metrics"].items()}, want)
                     for k, v in res["metrics"].items():
                         self.assertIsInstance(v["value"], (int, float), k)

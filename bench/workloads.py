@@ -173,9 +173,12 @@ def build(name: str, seed: int, tiny: bool, scratch: str):
     if name == "verify_suite":
         return VerifySuite(seed, tiny, scratch)
     if name == "crossing_rademacher":
+        # 574 paths are 14 chunks of 41, an equal share for each of two
+        # workers, and enough that the fixed boundary table stays a minor
+        # share of the call next to per-cell lookup and accumulation.
         if tiny:
             return Crossing(processes.Rademacher(), 40, 10**4, (10**2, 10**3, 10**4), seed, True)
-        return Crossing(processes.Rademacher(), 246, 10**5, (10**3, 10**4, 10**5), seed, True)
+        return Crossing(processes.Rademacher(), 574, 10**5, (10**3, 10**4, 10**5), seed, True)
     if name == "crossing_lognormal":
         spec = processes.ScaledSymmetric(law="lognormal", mu=0.0, sigma=1.0)
         if tiny:
