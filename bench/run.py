@@ -7,16 +7,17 @@ fresh process; S defaults to its `run_seconds`. Run from the repository
 root; selfnorm is imported from `src/` next to this directory and nowhere
 else.
 
-With `--trace 0` the run repeats the workload for S seconds at workers=1,
-times a fixed reference kernel right after each call, makes two workers=2
-calls where the workload defines them, and reports the end-to-end metrics;
-set-up time is the median over fresh processes that import selfnorm and
-build the inputs, rescaled by the reference kernel's time like the wall
-time. With `--trace 1` it alternates untraced and traced workers=1 calls,
-reports the per-layer metrics, and writes the spans to `bench/out/`. Every
-call is checked; a call that raises, fails a check, or gives output whose
-digest differs from the run's first counts as failed. The last line of
-standard output is one JSON object: correct, attempted, failed, metrics.
+With `--trace 0` the run makes one untimed warm-up call, repeats the
+workload for S seconds at workers=1 with a fixed reference kernel timed
+between the calls, makes one workers=2 call where the workload defines it,
+and reports the end-to-end metrics; set-up time is measured in fresh
+processes that import selfnorm and build the inputs, each followed by a
+fresh process that imports only numpy and scipy. With `--trace 1` it warms
+up likewise, then alternates untraced and traced workers=1 calls, reports the
+per-layer metrics, and writes the spans to `bench/out/`. Every call is
+checked; a call that raises, fails a check, or gives output whose digest
+differs from the run's first counts as failed. The last line of standard
+output is one JSON object: correct, attempted, failed, metrics.
 
 Caches are not dropped, CPUs are not pinned and no machine setting is
 changed: the numbers are for a shared machine as it is.
@@ -52,13 +53,20 @@ import workloads  # noqa: E402
 
 DEFAULT_SEED = 20260826
 SETUP_PROBES = 3
-W2_CALLS = 2
-# After each timed call the reference kernel runs until its time adds up to
-# this share of the call's: one 0.2 s sample varies by about 15 % with the
-# machine's sub-second jitter, which a call of several seconds averages out.
-REFERENCE_SHARE = 0.1
-# setup_s is given at the machine speed at which reference_s() takes this long.
-REFERENCE_NOMINAL_S = 0.2
+# Each timed call sits between two blocks of reference-kernel samples, each
+# block as long as this share of the call: one 0.2 s sample varies by 15-30 %
+# with the machine's sub-second jitter, and the samples right after a call
+# run up to 25 % slower than later ones, so a call is divided by the median
+# of the blocks on both sides of it.
+REFERENCE_SHARE = 0.2
+# Set-up time is mostly the import of numpy and scipy, which drifts with the
+# machine by tens of percent over minutes. Each set-up probe is paired with a
+# fresh process that imports just these, and setup_s is the median ratio of
+# the two, given at the machine speed at which this import takes
+# BASELINE_NOMINAL_S.
+BASELINE_IMPORT = ("import numpy, scipy.integrate, scipy.interpolate, scipy.linalg, "
+                   "scipy.optimize, scipy.stats")
+BASELINE_NOMINAL_S = 1.0
 NOTE = ("caches are not dropped, CPUs are not pinned and no machine setting "
         "is changed: the run acts only on its own processes and files")
 
@@ -137,15 +145,18 @@ def _median(xs):
     return statistics.median(xs) if xs else None
 
 
-def setup_probe_times(args) -> list[float]:
+def setup_probe_times(args) -> tuple[list[float], list[float]]:
+    """Wall times of fresh set-up processes, each followed by a fresh
+    process that only imports the libraries selfnorm's modules import."""
     cmd = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
            "--seed", str(args.seed), "--setup-probe"] + (["--tiny"] if args.tiny else [])
-    times = []
+    probes, baselines = [], []
     for _ in range(SETUP_PROBES):
-        t0 = time.perf_counter()
-        subprocess.run(cmd, check=True, timeout=120)
-        times.append(time.perf_counter() - t0)
-    return times
+        for argv, times in ((cmd, probes), ([sys.executable, "-c", BASELINE_IMPORT], baselines)):
+            t0 = time.perf_counter()
+            subprocess.run(argv, check=True, timeout=120)
+            times.append(time.perf_counter() - t0)
+    return probes, baselines
 
 
 def _repeat(seconds: float, one_round) -> None:
@@ -163,7 +174,7 @@ def _repeat(seconds: float, one_round) -> None:
 def reference_s() -> float:
     """Wall time of a fixed kernel with the engine's mix of work: Philox
     draws, a cumulative sum, a table lookup and an interpreted loop. Timed
-    right after each call, it tracks how fast the machine is running at that
+    around each call, it tracks how fast the machine is running at that
     moment; on a shared machine that can drift by tens of percent within
     minutes."""
     t0 = time.perf_counter()
@@ -178,7 +189,7 @@ def reference_s() -> float:
     return time.perf_counter() - t0
 
 
-def references_after(wall: float) -> list[float]:
+def references(wall: float) -> list[float]:
     """Reference times, at least one, adding up to REFERENCE_SHARE * wall."""
     refs = [reference_s()]
     while sum(refs) < REFERENCE_SHARE * wall:
@@ -186,42 +197,49 @@ def references_after(wall: float) -> list[float]:
     return refs
 
 
+def warm_up(ops) -> float:
+    """One checked, untimed call, for its wall time or 0: the first call in a
+    process runs 7-19 % slower than the next ones while lazy set-up finishes
+    and fresh memory is touched."""
+    return ops.run(1)[0] or 0.0
+
+
 def end_to_end(args, wl, ops):
-    setup = setup_probe_times(args)
-    walls, refs = [], []
-    rss_mb = []
+    setup, baseline = setup_probe_times(args)
+    last_wall = warm_up(ops)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    blocks = [references(last_wall)]
+    walls, per_ref = [], []
 
     def one_round():
+        nonlocal last_wall
         wall, _ = ops.run(1)
-        if not rss_mb:
-            rss_mb.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+        last_wall = wall or last_wall
+        blocks.append(references(last_wall))
         if wall is not None:
             walls.append(wall)
-            refs.append(references_after(wall))
+            per_ref.append(wall / statistics.median(blocks[-2] + blocks[-1]))
 
     _repeat(args.seconds, one_round)
     w1 = _median(walls)
     # Raw times follow the machine's drift, which no bound can absorb, so
-    # they are printed and only their ratio to the reference is gated;
-    # set-up time is rescaled by the run's median reference time.
-    all_refs = [r for after in refs for r in after]
-    metrics = {"setup_s": (_median(setup) * REFERENCE_NOMINAL_S / _median(all_refs)
-                           if refs else None),
-               "wall_per_ref": _median([w / statistics.mean(r)
-                                        for w, r in zip(walls, refs)]),
-               "peak_rss_mb": rss_mb[0]}
+    # they are printed and only their ratios to the reference kernel and to
+    # the baseline import are gated.
+    metrics = {"setup_s": BASELINE_NOMINAL_S * _median([p / b for p, b in zip(setup, baseline)]),
+               "wall_per_ref": _median(per_ref),
+               "peak_rss_mb": rss_mb}
     info = {"setup_raw_s": (_median(setup), "s"), "wall_s": (w1, "s"),
             "cells_per_s": (wl.cells / w1 if w1 else None, "1/s")}
-    samples = {"setup_raw_s": setup, "wall_s": walls, "reference_s": refs}
+    samples = {"setup_raw_s": setup, "baseline_import_s": baseline,
+               "wall_s": walls, "reference_s": blocks}
     if wl.w2:
-        # workers=2 calls come after the timed ones: alternating them with
+        # The workers=2 call comes after the timed ones: alternating them with
         # workers=1 calls made those less steady, and two threads on a small
-        # shared machine time too unsteadily to gate on. Their output must
+        # shared machine time too unsteadily to gate on. Its output must
         # still match workers=1.
-        w2 = [w for w in (ops.run(2)[0] for _ in range(W2_CALLS)) if w is not None]
-        samples["wall_w2_s"] = w2
-        info["wall_w2_s"] = (_median(w2), "s")
-        info["speedup_w2"] = (w1 / _median(w2) if w1 and w2 else None, "ratio")
+        w2, _ = ops.run(2)
+        info["wall_w2_s"] = (w2, "s")
+        info["speedup_w2"] = (w1 / w2 if w1 and w2 else None, "ratio")
     return metrics, info, samples
 
 
@@ -245,6 +263,7 @@ def per_layer(args, wl, ops, prov):
                 layers.append(tracing.layer_metrics(tracer, op, wl.cells, files, wall))
         order.reverse()
 
+    warm_up(ops)
     start = time.perf_counter()
     _repeat(args.seconds, one_round)
     metrics = {k: _median([m[k] for m in layers]) for k in (layers[0] if layers else ())}

@@ -46,7 +46,7 @@ class PrintedMetrics(unittest.TestCase):
                     # workers=2 runs only where the workload defines it
                     w2 = name in ("verify_suite", "crossing_rademacher")
                     self.assertEqual(res["attempted"],
-                                     2 if trace else 1 + (run.W2_CALLS if w2 else 0))
+                                     3 if trace else 2 + w2)
                     printed = {line.split(" = ")[0] for line in lines if " = " in line}
                     self.assertEqual("wall_w2_s" in printed, w2 and not trace)
                     if not trace:
