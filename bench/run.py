@@ -52,7 +52,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 DEFAULT_SEED = 20260826
-SETUP_PROBES = 3
+SETUP_PROBES = 2
 # Each timed call sits between two blocks of reference-kernel samples, each
 # block as long as this share of the call: one 0.2 s sample varies by 15-30 %
 # with the machine's sub-second jitter, and the samples right after a call
