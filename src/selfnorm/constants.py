@@ -174,7 +174,12 @@ def _log_l(t, log_alpha: float, delta: float):
 
 
 def unnormalized_integral(alpha: float, delta: float) -> float:
-    """int_1^inf dx / (x * l(x + alpha)) with l the product of iterated logs.
+    """int_1^inf dx / (x * l(x + alpha)) with l the product of iterated logs."""
+    return _integral_with_error(alpha, delta)[0]
+
+
+def _integral_with_error(alpha: float, delta: float) -> tuple[float, float]:
+    """unnormalized_integral and the sum of the quadrature error estimates.
 
     Split as an exact closed-form piece plus a fast-converging correction:
       int_1^inf dx/(x l(x+a)) = int_{1+a}^inf dy/(y l(y))
@@ -196,27 +201,26 @@ def unnormalized_integral(alpha: float, delta: float) -> float:
         return math.exp(la - np.logaddexp(s, la) - _log_l(s, la, delta))
 
     pts = [0.0] + [la + k for k in (-20.0, -5.0, 0.0, 5.0, 20.0, 40.0) if la + k > 0.0]
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = integrate.quad(corr_integrand, a, b, epsabs=1e-15, epsrel=1e-12, limit=400)
+    total, err = 0.0, 0.0
+    for a, b in zip(pts, pts[1:] + [np.inf]):
+        val, e = integrate.quad(corr_integrand, a, b, epsabs=1e-15, epsrel=1e-12, limit=400)
         total += val
-    tail, _ = integrate.quad(corr_integrand, pts[-1], np.inf, epsabs=1e-15, epsrel=1e-12, limit=400)
-    total += tail
-    return main + total
+        err += e
+    return main + total, err
 
 
 def normalize_L(alpha: float = DEFAULT_ALPHA, delta: float = DEFAULT_DELTA) -> LConfig:
     """Find beta making int_1^inf dx/(x L(x)) = 1/2 and certify the growth bounds.
 
-    Raises NormalizationError unless l_growth_violations proves, for every
-    y > 0 and c >= 1, that L(cy) <= 3c L(y) and L(y^2) <= 3 L(y).
+    Raises NormalizationError when the quadrature's summed error estimates
+    exceed 1e-8 of the integral, and unless l_growth_violations proves, for
+    every y > 0 and c >= 1, that L(cy) <= 3c L(y) and L(y^2) <= 3 L(y).
     """
-    integral = unnormalized_integral(alpha, delta)
-    beta = 2.0 * integral
-    cfg = LConfig(alpha=alpha, delta=delta, beta=beta)
-    check = integral / beta
-    if abs(check - 0.5) > 1e-8:
-        raise NormalizationError(f"normalization residual {check - 0.5:.3e}")
+    integral, err = _integral_with_error(alpha, delta)
+    if not err <= 1e-8 * integral:
+        raise NormalizationError(
+            f"quadrature error estimate {err:.3e} exceeds 1e-8 of the integral {integral:.6g}")
+    cfg = LConfig(alpha=alpha, delta=delta, beta=2.0 * integral)
     violations = l_growth_violations(cfg)
     if violations:
         raise NormalizationError(

@@ -26,10 +26,9 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, moment_bound_cor22,
                      moment_bound_thm21, tail_bound_cor22)
 from .mixture import (BracketError, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
-from .processes import (Bernstein, BoundedBelow, Counterexample56,
-                        Counterexample65, MvBrownianGrid, ProcessSpec,
-                        TruncatedCentering, check_lambda, chunk_rng,
-                        spec_to_json)
+from .processes import (Bernstein, Counterexample56, Counterexample65,
+                        MvBrownianGrid, ProcessSpec, TruncatedCentering,
+                        WeightedIID, check_lambda, chunk_rng, spec_to_json)
 
 _BLOCK = 32768
 _MAX_CHUNK_PATHS = 16384
@@ -109,23 +108,47 @@ def _map_chunks(fn, n_chunks: int, workers: int) -> list:
         return list(ex.map(fn, range(n_chunks)))
 
 
-def _scan(spec, rng, n_paths, horizon, visit):
-    """Block-scan one chunk: visit(n_idx, d, ca, cb, cv) receives the global
-    step indices of a block plus cumulative A, B^r and V^2 arrays."""
+def _scalar_layout(cfg) -> list[int]:
+    """Chunk layout of an experiment on the scalar state (A, B^r, V^2), after
+    rejecting, before any draw, the specs the scalar scan cannot run."""
+    if isinstance(cfg.spec, MvBrownianGrid):
+        raise DomainError("MvBrownianGrid has a vector state; only "
+                          "crossing_frequency with a GaussianMixture accepts it")
+    if isinstance(cfg.spec, WeightedIID) and cfg.spec.weights != "ones":
+        raise DomainError("the engine does not apply WeightedIID factorial weights")
+    return _chunk_layout(cfg.paths, cfg.horizon)
+
+
+def _scan(cfg, ci, n_paths, visit, b=True, v=False):
+    """Block-scan chunk ci: visit(n_idx, ca, cb, cv) receives the global step
+    indices of a block and the cumulative sums its caller reads: A always,
+    B^r unless b is False, V^2 = sum d^2 only if v (else cb, cv are None).
+    b=True takes the spec's own B^r increments; if `spec.b_deterministic`,
+    they come from one path and cb is one 1-D row shared by all paths. Any
+    other b is a per-cell rule b(d, n_idx)."""
+    spec, rng = cfg.spec, chunk_rng(cfg.seed, ci)
+    row = b is True and spec.b_deterministic
+    if b is True:
+        b = spec.b_increments
     a = np.zeros(n_paths)
-    b = np.zeros(n_paths)
-    v = np.zeros(n_paths)
-    for lo in range(0, horizon, _BLOCK):
-        hi = min(lo + _BLOCK, horizon)
+    b_end = np.zeros(() if row else n_paths)
+    v_end = np.zeros(n_paths)
+    cb = cv = None
+    for lo in range(0, cfg.horizon, _BLOCK):
+        hi = min(lo + _BLOCK, cfg.horizon)
         d = spec.draw(rng, lo, hi, n_paths)
         n_idx = np.arange(lo + 1, hi + 1)
-        ca = a[:, None] + np.cumsum(d, axis=1)
-        cb = b[:, None] + np.cumsum(spec.b_increments(d, n_idx), axis=1)
-        cv = v[:, None] + np.cumsum(d * d, axis=1)
-        visit(n_idx, d, ca, cb, cv)
+        if b:
+            inc = b(d[:1], n_idx)[0] if row else b(d, n_idx)
+            cb = b_end[..., None] + np.cumsum(inc, axis=-1)
+            b_end = cb[..., -1].copy()
+        if v:
+            cv = v_end[:, None] + np.cumsum(d * d, axis=1)
+            v_end = cv[:, -1].copy()
+        ca = np.cumsum(d, axis=1, out=d)  # the draws are not read again
+        ca += a[:, None]
         a = ca[:, -1].copy()
-        b = cb[:, -1].copy()
-        v = cv[:, -1].copy()
+        visit(n_idx, ca, cb, cv)
 
 
 def _fsum_cells(parts: list[np.ndarray]) -> np.ndarray:
@@ -164,26 +187,25 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
     cks = cfg.checkpoints or (cfg.horizon,)
     for lam in lams:
         check_lambda(cfg.spec, lam)
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
     L, K = len(lams), len(cks)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         s1 = np.zeros((L, K))
         s2 = np.zeros((L, K))
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             for k, n in enumerate(cks):
                 if not n_idx[0] <= n <= n_idx[-1]:
                     continue
                 col = n - n_idx[0]
-                a, b = ca[:, col], cb[:, col]
+                a, b = ca[:, col], cb[..., col]
                 for j, lam in enumerate(lams):
                     w = np.exp(np.minimum(_log_weight_vec(cfg.spec, lam, a, b), 709.0))
                     s1[j, k] += float(np.sum(w))
                     s2[j, k] += float(np.sum(w * w))
 
-        _scan(cfg.spec, rng, layout[ci], cfg.horizon, visit)
+        _scan(cfg, ci, layout[ci], visit)
         return s1, s2
 
     parts = _map_chunks(chunk, len(layout), workers)
@@ -206,25 +228,24 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _final_state(cfg, workers):
-    """Per-path (A, B^r, V^2) at the horizon, assembled in chunk order."""
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    """Per-path (A, B^r) at the horizon, assembled in chunk order."""
+    layout = _scalar_layout(cfg)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         out = {}
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             if n_idx[-1] == cfg.horizon:
-                out["fin"] = (ca[:, -1].copy(), cb[:, -1].copy(), cv[:, -1].copy())
+                out["fin"] = (ca[:, -1].copy(),
+                              np.broadcast_to(cb[..., -1], len(ca)).copy())
 
-        _scan(cfg.spec, rng, layout[ci], cfg.horizon, visit)
+        _scan(cfg, ci, layout[ci], visit)
         return out["fin"]
 
     parts = _map_chunks(chunk, len(layout), resolve_workers(workers))
     a = np.concatenate([p[0] for p in parts])
     b = np.concatenate([p[1] for p in parts])
-    v = np.concatenate([p[2] for p in parts])
-    return a, b, v
+    return a, b
 
 
 def validate_tail_bound(cfg: ExperimentConfig, y: float,
@@ -236,7 +257,7 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
     cert = cfg.spec.certification
     if cert is None or cert[0] != "all":
         raise DomainError("tail bound requires certification over all real lambda")
-    a, b, _ = _final_state(cfg, workers)
+    a, b = _final_state(cfg, workers)
     b2 = b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r)
     stat = np.abs(a) / np.sqrt((b2 + y) * (1.0 + 0.5 * np.log1p(b2 / y)))
     reports = []
@@ -258,7 +279,7 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
     cert = cfg.spec.certification
     if cert is None or cert[0] != "all":
         raise DomainError("moment bounds require certification over all real lambda")
-    a, b, _ = _final_state(cfg, workers)
+    a, b = _final_state(cfg, workers)
     b2 = b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r)
     bb = np.sqrt(b2)
     eb = math.fsum(bb.tolist()) / cfg.paths
@@ -318,25 +339,25 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     if mixture.lambda0 > cert[1] * (1.0 + 1e-12):
         raise DomainError("mixture support exceeds the certified lambda range")
     cks = cfg.checkpoints or (cfg.horizon,)
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
     beta = _boundary_interpolant(mixture, c, cfg.spec.r,
                                  1e-4, 16.0 * cfg.horizon)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         P = layout[ci]
         crossed = np.zeros(P, dtype=bool)
         counts = np.zeros(len(cks), dtype=np.int64)
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
+            # beta runs once per step when cb is one row for all paths
             hit = ca >= beta(np.maximum(cb, 1e-4))
-            ever = np.logical_or.accumulate(hit, axis=1)
             for k, n in enumerate(cks):
                 if n_idx[0] <= n <= n_idx[-1]:
-                    counts[k] += int(np.count_nonzero(crossed | ever[:, n - n_idx[0]]))
-            crossed[:] |= ever[:, -1]
+                    ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
+                    counts[k] += int(np.count_nonzero(crossed | ever))
+            crossed[:] |= hit.any(axis=1)
 
-        _scan(cfg.spec, rng, P, cfg.horizon, visit)
+        _scan(cfg, ci, P, visit)
         return counts
 
     parts = _map_chunks(chunk, len(layout), workers)
@@ -459,7 +480,7 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
                         if kind == "universal" else math.inf)
     s_det = (np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
              if kind == "conditional_variance" else None)
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
 
     def stat_block(n_idx, ca, cb, cv):
         if kind == "conditional_variance":
@@ -486,27 +507,27 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
         return np.where(guard, val, -np.inf)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         P = layout[ci]
         run_max = np.full(P, -np.inf)
         maxima = np.full((P, len(cks)), -np.inf)
         values = np.full((P, len(cks)), np.nan)
         exceeded = np.zeros(P, dtype=bool)
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             nonlocal run_max
             val = stat_block(n_idx, ca, cb, cv)
-            cmax = np.maximum.accumulate(np.column_stack([run_max, val]), axis=1)[:, 1:]
+            # running maxima are read only at checkpoints and block ends
             for k, n in enumerate(cks):
                 if n_idx[0] <= n <= n_idx[-1]:
                     col = n - n_idx[0]
-                    maxima[:, k] = cmax[:, col]
+                    maxima[:, k] = np.maximum(run_max, val[:, :col + 1].max(axis=1))
                     values[:, k] = val[:, col]
-            run_max = cmax[:, -1]
+            run_max = np.maximum(run_max, val.max(axis=1))
             if math.isfinite(limsup_bound):
                 exceeded[:] |= run_max > limsup_bound * (1.0 + margin)
 
-        _scan(cfg.spec, rng, P, cfg.horizon, visit)
+        _scan(cfg, ci, P, visit, b=kind == "lil",
+              v=kind in ("uncentered", "universal"))
         return maxima, values, exceeded
 
     parts = _map_chunks(chunk, len(layout), workers)
@@ -536,23 +557,22 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     edges = np.linspace(-2.0, 2.0, bins + 1)
     floor = DEFAULT_LOG_FLOOR
     r = cfg.spec.r
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
     half = cfg.horizon // 2
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         all_c = np.zeros(bins, dtype=np.int64)
         late_c = np.zeros(bins, dtype=np.int64)
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             bn = np.maximum(cb, 0.0) ** (1.0 / r)
             val = ca / (np.maximum(bn, floor) * _loglog(bn, floor) ** ((r - 1.0) / r))
-            ok = bn >= floor
+            ok = np.broadcast_to(bn >= floor, val.shape)
             all_c[:] += np.histogram(val[ok], bins=edges)[0]
             late = ok & (n_idx[None, :] > half)
             late_c[:] += np.histogram(val[late], bins=edges)[0]
 
-        _scan(cfg.spec, rng, layout[ci], cfg.horizon, visit)
+        _scan(cfg, ci, layout[ci], visit)
         return all_c, late_c
 
     parts = _map_chunks(chunk, len(layout), workers)
@@ -579,16 +599,17 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
     r = cfg.spec.r
     floor = DEFAULT_LOG_FLOOR
     half = max(1, cfg.horizon // 2)
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
+    # order r reads the plain sum of |d|^r, without the variant's constant
+    b_rule = False if r == 2.0 else (lambda d, n_idx: np.abs(d) ** r)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         P = layout[ci]
         run = np.full(P, -np.inf)
         at_half = np.zeros(P)
         at_end = np.zeros(P)
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             nonlocal run
             if r == 2.0:
                 den_sq = cv * _loglog(cv, floor)
@@ -600,17 +621,13 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
                 val = np.exp(np.minimum(alpha * core * core, 709.0))
             else:
                 val = np.maximum(core, 0.0)
-            crm = np.maximum.accumulate(np.column_stack([run, val]), axis=1)[:, 1:]
             if n_idx[0] <= half <= n_idx[-1]:
-                at_half[:] = crm[:, half - n_idx[0]]
-            run = crm[:, -1]
+                at_half[:] = np.maximum(run, val[:, :half - n_idx[0] + 1].max(axis=1))
+            run = np.maximum(run, val.max(axis=1))
             if n_idx[-1] == cfg.horizon:
                 at_end[:] = run
 
-        if r != 2.0:
-            _scan_r(cfg.spec, rng, P, cfg.horizon, visit)
-        else:
-            _scan(cfg.spec, rng, P, cfg.horizon, visit)
+        _scan(cfg, ci, P, visit, b=b_rule, v=r == 2.0)
         return at_half, at_end
 
     parts = _map_chunks(chunk, len(layout), workers)
@@ -629,23 +646,6 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
                               "relative_change": rel})
 
 
-def _scan_r(spec, rng, n_paths, horizon, visit):
-    """Like _scan but cb carries the plain sum of |d|^r (no variant constant),
-    for the order-r sup-moment statistic."""
-    a = np.zeros(n_paths)
-    b = np.zeros(n_paths)
-    v = np.zeros(n_paths)
-    for lo in range(0, horizon, _BLOCK):
-        hi = min(lo + _BLOCK, horizon)
-        d = spec.draw(rng, lo, hi, n_paths)
-        n_idx = np.arange(lo + 1, hi + 1)
-        ca = a[:, None] + np.cumsum(d, axis=1)
-        cb = b[:, None] + np.cumsum(np.abs(d) ** spec.r, axis=1)
-        cv = v[:, None] + np.cumsum(d * d, axis=1)
-        visit(n_idx, d, ca, cb, cv)
-        a, b, v = ca[:, -1].copy(), cb[:, -1].copy(), cv[:, -1].copy()
-
-
 def growth_rate_diagnostic(cfg: ExperimentConfig,
                            workers: int | None = None) -> dict:
     """For the heavy-downside counterexample: medians of the statistic
@@ -657,15 +657,14 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
     cks = cfg.checkpoints or (cfg.horizon,)
     floor = DEFAULT_LOG_FLOOR
     s_det = np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
-    layout = _chunk_layout(cfg.paths, cfg.horizon)
+    layout = _scalar_layout(cfg)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
         P = layout[ci]
         stat_v = np.zeros((P, len(cks)))
         stat_s = np.zeros((P, len(cks)))
 
-        def visit(n_idx, d, ca, cb, cv):
+        def visit(n_idx, ca, cb, cv):
             for k, n in enumerate(cks):
                 if not n_idx[0] <= n <= n_idx[-1]:
                     continue
@@ -677,7 +676,7 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
                 stat_s[:, k] = ca[:, col] / (max(s, floor)
                                              * math.sqrt(math.log(math.log(max(s, floor)))))
 
-        _scan(cfg.spec, rng, P, cfg.horizon, visit)
+        _scan(cfg, ci, P, visit, b=False, v=True)
         return stat_v, stat_s
 
     parts = _map_chunks(chunk, len(layout), workers)

@@ -2,6 +2,10 @@
 processes, exposing the running state (A_n, B_n^r, V_n^2, truncated-mean sums)
 and the exponential supermartingale weights each variant certifies.
 
+Each variant's `b_deterministic` says whether its B^r increments are a
+function of n alone, not of the draws; the engine then carries one B^r curve
+shared by all paths instead of one per path.
+
 Reproducibility: streams are Philox counter-based. A single-path handle uses
 the substream SeedSequence(seed, spawn_key=(0, path)); the experiment engine
 uses per-chunk substreams SeedSequence(seed, spawn_key=(1, chunk)). Identical
@@ -87,6 +91,7 @@ class Rademacher:
     """Fair +-1 signs; conditionally symmetric, certified for all real lambda."""
     r: float = 2.0
     certification = ("all", math.inf)
+    b_deterministic = True  # d^2 = 1
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         return rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0
@@ -115,6 +120,7 @@ class ScaledSymmetric:
     xm: float = 1.0
     r: float = 2.0
     certification = ("all", math.inf)
+    b_deterministic = False
 
     def __post_init__(self):
         if self.law not in ("lognormal", "pareto"):
@@ -155,6 +161,7 @@ class BoundedAbove:
     m_bound: float = 1.0
     lambda0: float = 1.0
     r: float = 2.0
+    b_deterministic = True
 
     def __post_init__(self):
         if self.m_bound <= 0.0:
@@ -196,6 +203,7 @@ class Bernstein:
     conditional-variance weight exp{lam*A - lam^2 V^2 / (2(1 - M*lam))}."""
     m_bound: float = 1.0
     r: float = 2.0
+    b_deterministic = True
 
     def __post_init__(self):
         if self.m_bound <= 0.0:
@@ -237,6 +245,7 @@ class BoundedBelow:
     m_bound: float = 1.0
     gamma: float = 0.5
     r: float = 2.0
+    b_deterministic = False
 
     def __post_init__(self):
         if self.m_bound <= 0.0:
@@ -271,6 +280,7 @@ class BrownianGrid:
     times: tuple[float, ...]
     r: float = 2.0
     certification = ("all", math.inf)
+    b_deterministic = True
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -371,6 +381,7 @@ class Counterexample56:
     uncentered self-normalized sum grows without bound."""
     r: float = 2.0
     certification = None
+    b_deterministic = False
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         return _cx56_draw(rng, n_lo, n_hi, n_paths)
@@ -402,6 +413,7 @@ class Counterexample65:
     s_n^2 = sum E(X_i^2 | F) to contrast the two growth diagnostics."""
     r: float = 2.0
     certification = None
+    b_deterministic = False
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         return _cx56_draw(rng, n_lo, n_hi, n_paths)
@@ -427,6 +439,7 @@ class TruncatedCentering:
     d1: float = 1.0
     d2: float = 1.0
     r: float = 2.0
+    b_deterministic = False
 
     def __post_init__(self):
         if self.base not in ("normal", "heavy"):
@@ -502,6 +515,12 @@ class WeightedIID:
     def __post_init__(self):
         if self.weights not in ("ones", "factorial"):
             raise DomainError(f"unknown weight rule {self.weights!r}")
+
+    @property
+    def b_deterministic(self) -> bool:
+        # one unit-weight B^r row serves only unit weights; the engine
+        # refuses factorial ones
+        return self.weights == "ones"
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         y = rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0

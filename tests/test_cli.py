@@ -212,3 +212,11 @@ class TestLilCommand:
         assert doc["statistic"] == "lil"
         assert doc["limsup_bound"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert len(doc["median_running_max"]) == 2
+
+    def test_vector_spec_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "mv_brownian_grid", "dim": 2,
+                                   "t0": 0.01, "rho": 1.2, "horizon": 100.0},
+                          "seed": 4, "paths": 10, "horizon": 40})
+        assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        assert "DomainError" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from selfnorm import constants
 from selfnorm.constants import (DEFAULT_ALPHA, DEFAULT_DELTA, DomainError,
                                 LConfig, L_eval, NormalizationError, c_gamma,
                                 c_gamma_r, c_r, c_r_gamma_part, c_r_upper_bound,
@@ -171,9 +172,26 @@ class TestLNormalization:
         assert beta == pytest.approx(2.72612588701258254698, rel=1e-9)
 
     def test_round_trip(self):
+        # int_1^inf dx/(x L(x)) = 1/2 by a quadrature independent of the
+        # closed-form split: L_eval in s = log x up to S = log a + 60, where
+        # L(e^s) = beta s log s (loglog s)^(1+delta) to relative e^-60, and
+        # the exact tail (loglog S)^-delta / (delta beta) beyond it
         cfg = normalize_L(BIG_ALPHA, 1.0)
-        again = unnormalized_integral(cfg.alpha, cfg.delta) / cfg.beta
-        assert abs(again - 0.5) <= 1e-8
+        S = math.log(cfg.alpha) + 60.0
+        pts = np.linspace(0.0, S, 41)
+        head = sum(integrate.quad(lambda s: 1.0 / L_eval(math.exp(s), cfg), a, b,
+                                  epsabs=0.0, epsrel=1e-13)[0]
+                   for a, b in zip(pts[:-1], pts[1:]))
+        tail = math.log(math.log(S)) ** -cfg.delta / (cfg.delta * cfg.beta)
+        assert head + tail == pytest.approx(0.5, rel=1e-10)
+
+    def test_quadrature_error_estimate_is_checked(self, monkeypatch):
+        # a quadrature that reports a large error must not yield a config
+        quad = constants.integrate.quad
+        monkeypatch.setattr(constants.integrate, "quad",
+                            lambda *a, **k: (quad(*a, **k)[0], 1e-6))
+        with pytest.raises(NormalizationError, match="quadrature error"):
+            normalize_L(BIG_ALPHA, 1.0)
 
     def test_default_alpha_fails_growth_check(self):
         # the square growth bound is violated for the shift e^{e^e}; the

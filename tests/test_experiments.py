@@ -14,7 +14,7 @@ from selfnorm.experiments import (BoundReport, ExperimentConfig, _chunk_layout,
 from selfnorm.mixture import GaussianMixture, PointMasses, RobbinsSiegmund
 from selfnorm.processes import (Bernstein, BoundedAbove, Counterexample56,
                                 Counterexample65, MvBrownianGrid, Rademacher,
-                                TruncatedCentering)
+                                TruncatedCentering, WeightedIID)
 
 
 def rad_cfg(**kw):
@@ -254,3 +254,47 @@ class TestReports:
         rows = report_rows(reps)
         assert all({"label", "analytic_bound", "estimate", "std_error",
                     "paths", "pass"} <= set(rows[0]) for _ in rows)
+
+
+MV_GRID = MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=100.0)
+
+# every experiment on the scalar state (A, B^r, V^2)
+SCALAR_ENTRY_POINTS = {
+    "supermartingale_mean": check_supermartingale_mean,
+    "tail_bound": lambda cfg: validate_tail_bound(cfg, 1.0),
+    "moment_bound": validate_moment_bound,
+    "crossing": lambda cfg: crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=10.0),
+    "lil_track": lil_track,
+    "cluster_set": cluster_set_diagnostic,
+    "sup_moment": lambda cfg: sup_moment_estimate(cfg, p=2.0),
+    "growth_rate": growth_rate_diagnostic,
+}
+
+
+class TestScalarSpecRejection:
+    """Specs the scalar scan cannot run are refused before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk stream was opened")
+        monkeypatch.setattr("selfnorm.experiments.chunk_rng", refuse)
+
+    @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+    def test_mv_brownian_grid(self, entry):
+        cfg = ExperimentConfig(spec=MV_GRID, seed=1, paths=10, horizon=40)
+        with pytest.raises(DomainError):
+            SCALAR_ENTRY_POINTS[entry](cfg)
+
+    @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+    def test_factorial_weights(self, entry):
+        # the engine would run them as unit weights; only ProcessHandle
+        # applies the factorial rescaling
+        cfg = ExperimentConfig(spec=WeightedIID(weights="factorial"), seed=1,
+                               paths=10, horizon=40)
+        with pytest.raises(DomainError):
+            SCALAR_ENTRY_POINTS[entry](cfg)
+
+    def test_factorial_weights_never_deterministic(self):
+        assert WeightedIID(weights="ones").b_deterministic
+        assert not WeightedIID(weights="factorial").b_deterministic

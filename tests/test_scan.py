@@ -1,0 +1,106 @@
+"""The block scan behind every scalar experiment: the one-row B^r path of
+draw-independent normalizers against the per-cell path, and worker-count
+invariance with B^r, V^2 and the running statistics carried across many
+small blocks and chunks."""
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selfnorm import experiments
+from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
+                                  cluster_set_diagnostic, crossing_frequency,
+                                  lil_track, validate_tail_bound)
+from selfnorm.mixture import PointMasses
+from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid,
+                                Rademacher, ScaledSymmetric, WeightedIID)
+
+# lambda0 = 1 fits every certification below; its table is cheap to build
+MIXTURE = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
+C = 5.0
+HORIZON = 60
+
+DETERMINISTIC = {
+    "rademacher": Rademacher(),
+    "bounded_above": BoundedAbove(m_bound=0.5, lambda0=1.0),
+    "bernstein": Bernstein(m_bound=0.5),
+    "brownian_grid": BrownianGrid(times=tuple(0.25 * k * k for k in range(1, HORIZON + 1))),
+    "weighted_iid_ones": WeightedIID(weights="ones"),
+}
+
+
+def per_cell(spec):
+    """The same spec with its B^r increments declared draw-dependent, which
+    sends the scan down the general per-cell path. The subclass keeps the
+    name, which report labels carry."""
+    cls = type(type(spec).__name__, (type(spec),), {"b_deterministic": False})
+    return cls(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})
+
+
+def canonical(out):
+    """Reports and lil dictionaries as values comparable with ==, arrays by
+    their bytes."""
+    if isinstance(out, list):
+        return [canonical(o) for o in out]
+    if isinstance(out, dict):
+        return {k: canonical(v) for k, v in out.items()}
+    if isinstance(out, np.ndarray):
+        return (out.dtype.str, out.shape, out.tobytes())
+    if hasattr(out, "to_dict"):
+        return out.to_dict()
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return canonical(fn(*args, **kwargs))
+    except Exception as exc:  # an error must be the same error on every path
+        return type(exc).__name__, str(exc)
+
+
+EXPERIMENTS = {
+    "crossing": lambda cfg, w=1: crossing_frequency(cfg, mixture=MIXTURE, c=C, workers=w),
+    "lil_track": lambda cfg, w=1: lil_track(cfg, workers=w),
+    "supermartingale_mean": lambda cfg, w=1: check_supermartingale_mean(cfg, workers=w),
+    "cluster_set": lambda cfg, w=1: cluster_set_diagnostic(cfg, workers=w),
+    "tail_bound": lambda cfg, w=1: validate_tail_bound(cfg, 1.0, workers=w),
+}
+
+
+# the tail bound needs a certification over all real lambda
+CASES = [(v, e) for v in sorted(DETERMINISTIC) for e in sorted(EXPERIMENTS)
+         if e != "tail_bound" or DETERMINISTIC[v].certification[0] == "all"]
+
+
+@pytest.mark.parametrize("variant, experiment", CASES)
+def test_one_row_matches_per_cell(variant, experiment, monkeypatch):
+    # blocks of 7 steps and chunks of 11 paths: B^r is carried across
+    # blocks, and the row is shared by chunks of unequal size
+    monkeypatch.setattr(experiments, "_BLOCK", 7)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 11 * HORIZON)
+    spec = DETERMINISTIC[variant]
+    assert spec.b_deterministic
+    kw = dict(seed=3, paths=25, horizon=HORIZON, checkpoints=(1, 20, 33, HORIZON),
+              lambda_grid=(0.0, 0.4, 1.0))
+    fn = EXPERIMENTS[experiment]
+    fast = outcome(fn, ExperimentConfig(spec=spec, **kw))
+    general = outcome(fn, ExperimentConfig(spec=per_cell(spec), **kw))
+    assert not isinstance(fast, tuple), fast  # the experiment ran to the end
+    assert fast == general
+
+
+@settings(max_examples=60)
+@given(paths=st.integers(1, 30), horizon=st.integers(1, 50),
+       block=st.integers(1, 12), chunk_paths=st.integers(1, 12),
+       variant=st.sampled_from(["rademacher", "scaled_symmetric"]))
+def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, variant):
+    spec = Rademacher() if variant == "rademacher" else ScaledSymmetric()
+    cks = tuple(sorted({1, (horizon + 1) // 2, horizon}))
+    cfg = ExperimentConfig(spec=spec, seed=paths * 1000 + horizon, paths=paths,
+                           horizon=horizon, checkpoints=cks)
+    with mock.patch.multiple(experiments, _BLOCK=block,
+                             _TARGET_CELLS=chunk_paths * horizon):
+        for experiment in ("crossing", "lil_track"):
+            fn = EXPERIMENTS[experiment]
+            assert outcome(fn, cfg, 1) == outcome(fn, cfg, 2)
