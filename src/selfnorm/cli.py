@@ -115,16 +115,16 @@ def cmd_boundary(args) -> int:
     if args.c <= 0.0:
         raise CliError("c must be positive")
     vg = np.geomspace(args.v_min, args.v_max, args.v_points)
+    betas = boundary(vg, args.c, F, args.r)
     rows = []
-    for v in vg:
-        beta = boundary(float(v), args.c, F, args.r)
-        row = {"v": float(v), "beta": beta,
-               "psi_roundtrip": psi(beta, float(v), F, args.r)}
+    for v, beta, back in zip(vg.tolist(), betas.tolist(),
+                             psi(betas, vg, F, args.r).tolist()):
+        row = {"v": v, "beta": beta, "psi_roundtrip": back}
         if args.asymptotic == "rs":
-            asy = rs_asymptotic(float(v), args.c, args.delta)
+            asy = rs_asymptotic(v, args.c, args.delta)
             row.update({"asymptotic": asy, "ratio": beta / asy})
         elif args.asymptotic == "general":
-            asy = general_r_asymptotic(float(v), args.r)
+            asy = general_r_asymptotic(v, args.r)
             row.update({"asymptotic": asy, "ratio": beta / asy})
         rows.append(row)
     cols = sorted({k for r in rows for k in r})

@@ -24,8 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from .constants import DomainError, lil_constants
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, moment_bound_cor22,
                      moment_bound_thm21, tail_bound_cor22)
-from .mixture import (BracketError, GaussianMixture, MixtureMeasure, boundary,
-                      crossing_bound)
+from .mixture import GaussianMixture, MixtureMeasure, boundary, crossing_bound
 from .processes import (Bernstein, Counterexample56, Counterexample65,
                         MvBrownianGrid, ProcessSpec, TruncatedCentering,
                         WeightedIID, check_lambda, chunk_rng, spec_to_json)
@@ -304,14 +303,17 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
 
 def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
                           v_lo: float, v_hi: float, nodes: int = 160):
+    """beta_F(v, c) by PCHIP in log v over a geometric table of `nodes` points
+    on [v_lo, v_hi], built in one `boundary` call; a v outside the table is
+    solved exactly, so every value is a function of its own v alone."""
     vg = np.geomspace(v_lo, v_hi, nodes)
-    bg = np.array([boundary(v, c, F, r) for v in vg])
-    interp = PchipInterpolator(np.log(vg), bg, extrapolate=False)
+    interp = PchipInterpolator(np.log(vg), boundary(vg, c, F, r), extrapolate=False)
 
     def beta(v):
         out = interp(np.log(v))
-        if np.any(np.isnan(out)):
-            raise BracketError("realized B^r left the precomputed boundary grid")
+        outside = np.isnan(out)
+        if np.any(outside):
+            out[outside] = boundary(v[outside], c, F, r)
         return out
 
     return beta

@@ -7,17 +7,29 @@ roam over u without overflowing.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, linalg, optimize
+from scipy import integrate, linalg
 
 from .constants import DomainError
 
 QUAD_REL_TOL = 1e-9
+RESIDUAL_TOL = 2e-9
+NEWTON_MAX_STEPS = 100
+
+# Robbins-Siegmund rule: 20-node Gauss-Legendre panels of width 1/4 in
+# w = log(1/lambda). The first panel is split geometrically into _GRADED + 1
+# panels, down to width 1/1024, for the layer of width about 1/(lambda0 u)
+# at lambda0 = e^-2 when u is large. Rows run in slabs of _SLAB_ROWS to bound
+# the (rows, nodes, panels) arrays.
+_PANEL = 0.25
+_GRADED = 8
+_SLAB_ROWS = 16
 
 
 class QuadratureError(RuntimeError):
@@ -48,9 +60,16 @@ class PointMasses:
     def total_mass(self) -> float:
         return math.fsum(w for _, w in self.atoms)
 
-    @property
-    def b_f(self) -> float:
-        return min(lam for lam, _ in self.atoms)
+    def log_psi(self, u: np.ndarray, v: np.ndarray, r: float):
+        """Exact log-sum-exp over the atoms, and the tilted mean of lambda."""
+        exps = [math.log(w) + lam * u - lam**r * v / r for lam, w in self.atoms]
+        m = np.max(exps, axis=0)
+        total = moment = 0.0
+        for (lam, _), e in zip(self.atoms, exps):
+            t = np.exp(e - m)
+            total = total + t
+            moment = moment + lam * t
+        return m + np.log(total), moment / total
 
 
 @dataclass(frozen=True)
@@ -75,9 +94,31 @@ class Density:
             raise QuadratureError(f"density mass integral failed: {val} (err {err})")
         return val
 
-    @property
-    def b_f(self) -> float:
-        return self.support_low
+    def log_psi(self, u: np.ndarray, v: np.ndarray, r: float):
+        """Adaptive quadrature (relative target 1e-10) for each element: f is
+        a user callable that need not be smooth, so no fixed rule is assumed
+        to fit it."""
+        lp, slope = np.empty(u.shape), np.empty(u.shape)
+        for i in np.ndindex(u.shape):
+            lp[i], slope[i] = self._log_psi_one(float(u[i]), float(v[i]), r)
+        return lp, slope
+
+    def _log_psi_one(self, u: float, v: float, r: float):
+        m = _max_exponent(u, v, r, self.lambda0)
+
+        def tilted(lam):
+            return np.exp(lam * u - lam**r * v / r - m) * self.f(lam)
+
+        lam_star = (u / v) ** (1.0 / (r - 1.0)) if u > 0 else 0.0
+        pts = sorted({self.support_low, self.lambda0,
+                      *(x for x in (lam_star,) if self.support_low < x < self.lambda0)})
+        total = moment = 0.0
+        for a, b in zip(pts[:-1], pts[1:]):
+            total += _quad(tilted, a, b)
+            moment += _quad(lambda lam: lam * tilted(lam), a, b)
+        if total <= 0.0:
+            raise QuadratureError("psi integral evaluated to a nonpositive value")
+        return m + math.log(total), moment / total
 
 
 @dataclass(frozen=True)
@@ -98,9 +139,42 @@ class RobbinsSiegmund:
     def total_mass(self) -> float:
         return math.log(2.0) ** (-self.delta) / self.delta
 
-    @property
-    def b_f(self) -> float:
-        return 0.0
+    def log_psi(self, u: np.ndarray, v: np.ndarray, r: float):
+        """One fixed composite rule: w = log(1/lambda) turns the measure into
+        dw / (w (log w)^(1+delta)) on (2, inf), integrated by 20-node
+        Gauss-Legendre panels of width 1/4 (the first one graded towards
+        w = 2) from 2 to W, the first panel edge at or past
+        50 + log max(v, |u|, 1). Past W, exp(lambda u - lambda^r v/r) is 1 to
+        machine precision, so the tail mass (log W)^(-delta)/delta enters in
+        closed form, as an atom at lambda = 0. Exponents are shifted by their
+        largest value over the nodes and that atom, and the sums run in one
+        fixed order, so each element is the same bits in any batch."""
+        u1, v1 = u.reshape(-1), v.reshape(-1)
+        lp, slope = np.empty(u1.shape), np.empty(u1.shape)
+        for s in range(0, u1.size, _SLAB_ROWS):
+            rows = slice(s, s + _SLAB_ROWS)
+            lp[rows], slope[rows] = self._log_psi_rows(u1[rows], v1[rows], r)
+        return lp.reshape(u.shape), slope.reshape(u.shape)
+
+    def _log_psi_rows(self, u: np.ndarray, v: np.ndarray, r: float):
+        panels = np.ceil((48.0 + np.log(np.maximum(np.maximum(v, np.abs(u)), 1.0)))
+                         / _PANEL) + _GRADED
+        edges = 2.0 + _PANEL * np.concatenate(
+            ([0.0], 0.5 ** np.arange(_GRADED, 0, -1), np.arange(1.0, panels.max() - _GRADED + 1)))
+        half = 0.5 * np.diff(edges)
+        gl_x, gl_w = _gauss_legendre()
+        w = edges[:-1] + half * (1.0 + gl_x)                  # (nodes, panels)
+        lam = np.exp(-w)
+        t = lam * u[:, None, None]                            # (rows, nodes, panels)
+        t -= np.exp(-r * w) * v[:, None, None] / r
+        np.copyto(t, -np.inf, where=np.arange(len(half)) >= panels[:, None, None])
+        m = np.maximum(t.max(axis=(1, 2)), 0.0)              # 0: the tail atom
+        t -= m[:, None, None]
+        np.exp(t, out=t)
+        t *= half * gl_w / (w * np.log(w) ** (1.0 + self.delta))
+        tail = np.log(edges[panels.astype(int)]) ** (-self.delta) / self.delta
+        total = _ordered_sum(t) + tail * np.exp(-m)
+        return m + np.log(total), _ordered_sum(t * lam) / total
 
 
 MixtureMeasure = PointMasses | Density | RobbinsSiegmund
@@ -145,125 +219,102 @@ def _max_exponent(u: float, v: float, r: float, lambda0: float) -> float:
     return max(0.0, e(min(lam_star, lambda0)))
 
 
-def log_psi(u: float, v: float, F: MixtureMeasure, r: float = 2.0) -> float:
-    """log of psi(u, v) = int exp(lambda*u - lambda^r v/r) dF(lambda).
+def _quad(g, a: float, b: float) -> float:
+    val, _ = integrate.quad(g, a, b, epsabs=0.0, epsrel=QUAD_REL_TOL * 0.1, limit=400)
+    if not math.isfinite(val):
+        raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
+    return val
 
-    Exact log-sum-exp for point masses; adaptive quadrature (relative target
-    1e-9) with an exponent shift for densities. Strictly increasing in u and
-    strictly decreasing in v.
+
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1],
+    made on first use: the eigensolver behind them costs every process that
+    imports selfnorm 0.7 MB of memory."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    return x[:, None], w[:, None]
+
+
+def _ordered_sum(t: np.ndarray) -> np.ndarray:
+    """Sum of t over its last two axes (nodes, panels) in one fixed order,
+    node by node within each panel and then panel by panel, so that a row's
+    total is the same bits in any batch (numpy's pairwise sum and BLAS kernels
+    choose their order by array shape)."""
+    s = t[..., 0, :].copy()
+    for j in range(1, t.shape[-2]):
+        s += t[..., j, :]
+    return np.cumsum(s, axis=-1)[..., -1]
+
+
+def log_psi(u, v, F: MixtureMeasure, r: float = 2.0):
+    """log psi(u, v) = log int exp(lambda*u - lambda^r v/r) dF(lambda) and its
+    u-derivative, the mean of lambda under F tilted by that exponential, as
+    two arrays broadcast over u and v (0-d for scalars).
+
+    Point masses: exact log-sum-exp. Robbins-Siegmund: a fixed composite
+    Gauss-Legendre rule with a closed-form tail (`RobbinsSiegmund.log_psi`).
+    Density: adaptive quadrature per element. log psi is convex and strictly
+    increasing in u, and strictly decreasing in v.
     """
-    if v <= 0.0:
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if not np.all(v > 0.0):
         raise DomainError("v must be positive")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
-
-    if isinstance(F, PointMasses):
-        exps = [math.log(w) + lam * u - lam**r * v / r for lam, w in F.atoms]
-        m = max(exps)
-        return m + math.log(math.fsum(math.exp(e - m) for e in exps))
-
-    if isinstance(F, RobbinsSiegmund):
-        return _log_psi_rs(u, v, F, r)
-
-    return _log_psi_density(u, v, F, r)
+    return F.log_psi(u, v, r)
 
 
-def _log_psi_rs(u: float, v: float, F: RobbinsSiegmund, r: float) -> float:
-    """Substituting w = log(1/lambda) turns the measure into dw/(w (log w)^(1+d))
-    on (2, inf); past W with exp(-W)(|u|+v) ~ 0 the exponential factor is 1 to
-    machine precision, so the tail mass (log W)^(-d)/d is added in closed form."""
-    d = F.delta
-    m = _max_exponent(u, v, r, F.lambda0)
-    W = max(4.0, math.log(max(abs(u), v, 1.0)) + 40.0)
-
-    def integrand(w):
-        lam = np.exp(-w)
-        e = lam * u - lam**r * v / r - m
-        return np.exp(e) / (w * np.log(w) ** (1.0 + d))
-
-    total = 0.0
-    pts = sorted({2.0, min(6.0, W), min(15.0, W), W})
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b <= a:
-            continue
-        val, err = integrate.quad(integrand, a, b, epsabs=0.0,
-                                  epsrel=QUAD_REL_TOL * 0.1, limit=400)
-        if not math.isfinite(val):
-            raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
-        total += val
-    tail_mass = math.log(W) ** (-d) / d
-    total += math.exp(-m) * tail_mass if m < 700.0 else 0.0
-    if total <= 0.0:
-        raise QuadratureError("psi integral evaluated to a nonpositive value")
-    return m + math.log(total)
+def psi(u, v, F: MixtureMeasure, r: float = 2.0):
+    """psi(u, v) = int_0^lambda0 exp(lambda*u - lambda^r v/r) dF(lambda),
+    broadcast over u and v; a float for scalars, inf past e^709."""
+    lp, _ = log_psi(u, v, F, r)
+    out = np.where(lp > 709.0, np.inf, np.exp(np.minimum(lp, 709.0)))
+    return float(out) if out.ndim == 0 else out
 
 
-def _log_psi_density(u: float, v: float, F: Density, r: float) -> float:
-    m = _max_exponent(u, v, r, F.lambda0)
+def boundary(v, c: float, F: MixtureMeasure, r: float = 2.0):
+    """The unique u with psi(u, v) = c, for each element of v: a float for a
+    scalar v, else an array of v's shape.
 
-    def integrand(lam):
-        return np.exp(lam * u - lam**r * v / r - m) * F.f(lam)
-
-    lam_star = (u / v) ** (1.0 / (r - 1.0)) if u > 0 else 0.0
-    pts = sorted({F.support_low, F.lambda0,
-                  *(x for x in (lam_star,) if F.support_low < x < F.lambda0)})
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, err = integrate.quad(integrand, a, b, epsabs=0.0,
-                                  epsrel=QUAD_REL_TOL * 0.1, limit=400)
-        if not math.isfinite(val):
-            raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
-        total += val
-    if total <= 0.0:
-        raise QuadratureError("psi integral evaluated to a nonpositive value")
-    return m + math.log(total)
-
-
-def psi(u: float, v: float, F: MixtureMeasure, r: float = 2.0) -> float:
-    """psi(u, v) = int_0^lambda0 exp(lambda*u - lambda^r v/r) dF(lambda)."""
-    lp = log_psi(u, v, F, r)
-    return math.inf if lp > 709.0 else math.exp(lp)
-
-
-def boundary(v: float, c: float, F: MixtureMeasure, r: float = 2.0) -> float:
-    """The unique u with psi(u, v) = c, by geometric bracket expansion from
-    u = 0 followed by Brent's method on log psi; |psi - c| <= 1e-9 * c."""
+    Newton's method on log psi(u, v) - log c from u = 0. log psi is convex
+    and strictly increasing in u, so the first step lands at or right of the
+    root and the iterates then fall monotonically to it. Each element stops
+    on its own test: its step is at most 4 ulp of u, or, after the first
+    step, no longer moves u left (rounding or quadrature noise at the root).
+    A stopped element keeps the last u evaluated, and no element depends on
+    the others. The residual |log psi - log c| there must be at most 2e-9
+    plus the rounding of u carried by the slope, 4 eps |u| d(log psi)/du;
+    otherwise QuadratureError. A step that leaves the finite range, or more
+    than 100 steps, raises BracketError.
+    """
     if c <= 0.0:
         raise DomainError("c must be positive")
+    v = np.asarray(v, dtype=float)
+    flat = v.reshape(-1)
     target = math.log(c)
-
-    def f(u: float) -> float:
-        return log_psi(u, v, F, r) - target
-
-    if isinstance(F, PointMasses) and len(F.atoms) == 1:
-        lam, w = F.atoms[0]
-        return (math.log(c / w) + lam**r * v / r) / lam
-
-    lo, hi = 0.0, 0.0
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return 0.0
-    step = max(1.0, v ** (1.0 / r))
-    if f0 < 0.0:
-        hi = step
-        for _ in range(200):
-            if f(hi) > 0.0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise BracketError(f"no upper bracket for boundary(v={v}, c={c})")
-    else:
-        lo = -step
-        for _ in range(200):
-            if f(lo) < 0.0:
-                break
-            hi, lo = lo, lo * 2.0
-        else:
-            raise BracketError(f"no lower bracket for boundary(v={v}, c={c})")
-    u = optimize.brentq(f, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
-    if abs(f(u)) > 2e-9:
-        raise QuadratureError(f"boundary root residual too large at v={v}, c={c}")
-    return float(u)
+    eps = np.finfo(float).eps
+    u = np.zeros(flat.shape)
+    rows = np.arange(flat.size)
+    for n in range(NEWTON_MAX_STEPS):
+        if not rows.size:
+            break
+        lp, slope = log_psi(u[rows], flat[rows], F, r)
+        f = lp - target
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = f / slope
+        if not np.all(np.isfinite(step)):
+            raise BracketError(f"Newton step for boundary(c={c}) left the finite range "
+                               f"at v={flat[rows][~np.isfinite(step)][0]}")
+        ur = u[rows]
+        stop = (np.abs(step) <= 4.0 * eps * np.abs(ur)) | ((n > 0) & (step <= 0.0))
+        if np.any(stop & (np.abs(f) > RESIDUAL_TOL + 4.0 * eps * np.abs(ur * slope))):
+            raise QuadratureError(f"boundary root residual too large, c={c}")
+        u[rows[~stop]] = ur[~stop] - step[~stop]
+        rows = rows[~stop]
+    if rows.size:
+        raise BracketError(f"boundary(c={c}) did not settle in {NEWTON_MAX_STEPS} "
+                           f"Newton steps at v={flat[rows[0]]}")
+    return float(u[0]) if v.ndim == 0 else u.reshape(v.shape)
 
 
 def rs_asymptotic(v: float, c: float, delta: float) -> float:

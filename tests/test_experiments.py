@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from selfnorm import experiments
 from selfnorm.constants import DomainError
-from selfnorm.experiments import (BoundReport, ExperimentConfig, _chunk_layout,
+from selfnorm.experiments import (BoundReport, ExperimentConfig,
+                                  _boundary_interpolant, _chunk_layout,
                                   check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
                                   growth_rate_diagnostic, lil_track,
                                   report_rows, resolve_workers,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
-from selfnorm.mixture import GaussianMixture, PointMasses, RobbinsSiegmund
+from selfnorm.mixture import (GaussianMixture, PointMasses, RobbinsSiegmund,
+                              boundary)
 from selfnorm.processes import (Bernstein, BoundedAbove, Counterexample56,
                                 Counterexample65, MvBrownianGrid, Rademacher,
-                                TruncatedCentering, WeightedIID)
+                                ScaledSymmetric, TruncatedCentering, WeightedIID)
 
 
 def rad_cfg(**kw):
@@ -165,6 +168,64 @@ class TestCrossing:
     def test_c_validation(self):
         with pytest.raises(DomainError):
             crossing_frequency(rad_cfg(), mixture=RobbinsSiegmund(1.0), c=-1.0)
+
+
+def count_boundary_calls(monkeypatch):
+    calls = []
+    real = experiments.boundary
+
+    def counted(v, *args):
+        calls.append(np.shape(v))
+        return real(v, *args)
+
+    monkeypatch.setattr(experiments, "boundary", counted)
+    return calls
+
+
+class TestBoundaryTable:
+    TWO_ATOMS = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
+
+    def test_one_boundary_call_per_crossing_call(self, monkeypatch):
+        # the whole 160-node table is one array call, not one call per node
+        calls = count_boundary_calls(monkeypatch)
+        crossing_frequency(rad_cfg(paths=50, horizon=100, checkpoints=(100,)),
+                           mixture=RobbinsSiegmund(1.0), c=10.0)
+        assert calls == [(160,)]
+
+    def test_cells_outside_the_table_are_solved_exactly(self):
+        F, c = self.TWO_ATOMS, 5.0
+        beta = _boundary_interpolant(F, c, 2.0, 1e-4, 100.0)
+        v = np.array([[0.5, 150.0], [1e3, 99.0]])
+        out = beta(v)
+        assert out[0, 1] == boundary(150.0, c, F)
+        assert out[1, 0] == boundary(1e3, c, F)
+        # cells inside the table keep their interpolated values
+        assert np.array_equal(beta(np.array([0.5, 99.0])), out[[0, 1], [0, 1]])
+        assert out[0, 0] == pytest.approx(boundary(0.5, c, F), rel=1e-6)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5, 20])
+    def test_lognormal_normalizer_past_the_table(self, horizon, monkeypatch):
+        # one lognormal step has d^2 > 16 with probability about 0.08, so B^r
+        # leaves the table, which ends at 16 x horizon, on some paths
+        calls = count_boundary_calls(monkeypatch)
+        cfg = ExperimentConfig(spec=ScaledSymmetric(), seed=7, paths=200,
+                               horizon=horizon, checkpoints=(horizon,))
+        w1 = crossing_frequency(cfg, mixture=self.TWO_ATOMS, c=5.0, workers=1)
+        assert len(calls) > 1
+        w2 = crossing_frequency(cfg, mixture=self.TWO_ATOMS, c=5.0, workers=2)
+        assert [r.to_dict() for r in w1] == [r.to_dict() for r in w2]
+
+    def test_pareto_normalizer_past_the_table(self, monkeypatch):
+        calls = count_boundary_calls(monkeypatch)
+        F = RobbinsSiegmund(1.0)
+        cfg = ExperimentConfig(spec=ScaledSymmetric(law="pareto", shape=2.0),
+                               seed=11, paths=200, horizon=200,
+                               checkpoints=(20, 200))
+        w1 = crossing_frequency(cfg, mixture=F, c=10.0 * F.total_mass, workers=1)
+        assert len(calls) > 1
+        assert all(r.passed for r in w1)
+        w2 = crossing_frequency(cfg, mixture=F, c=10.0 * F.total_mass, workers=2)
+        assert [r.to_dict() for r in w1] == [r.to_dict() for r in w2]
 
 
 class TestLilTrack:

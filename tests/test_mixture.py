@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from selfnorm.constants import DomainError
-from selfnorm.mixture import (Density, GaussianMixture, PointMasses,
+from selfnorm.mixture import (BracketError, Density, GaussianMixture, PointMasses,
                               RobbinsSiegmund, boundary, crossing_bound,
-                              general_r_asymptotic, measure_from_json,
+                              general_r_asymptotic, log_psi, measure_from_json,
                               measure_to_json, mv_boundary_test, mv_statistic,
                               psi, rs_asymptotic)
 
@@ -41,6 +42,35 @@ class TestPsi:
         # with an analytic tail), frozen
         F = RobbinsSiegmund(1.0)
         assert psi(0.0, 1.0, F) == pytest.approx(1.44001136121338569, rel=1e-9)
+
+    def test_rs_golden_value_to_fixed_rule_precision(self):
+        # the same frozen oracle, held to the accuracy of the fixed
+        # Gauss-Legendre rule rather than the adaptive target
+        F = RobbinsSiegmund(1.0)
+        assert psi(0.0, 1.0, F) == pytest.approx(1.44001136121338569, rel=1e-13)
+
+    @pytest.mark.parametrize("F", [
+        PointMasses(atoms=((0.1, 1.0), (0.4, 0.5))),
+        RobbinsSiegmund(1.0),
+        Density(f=lambda lam: np.ones_like(lam), lambda0=1.0),
+    ], ids=["point_masses", "robbins_siegmund", "density"])
+    def test_slope_is_u_derivative(self, F):
+        for u, v in ((-3.0, 0.5), (2.0, 10.0), (40.0, 1e3)):
+            h = 1e-4 * max(1.0, abs(u))
+            up, _ = log_psi(u + h, v, F)
+            down, _ = log_psi(u - h, v, F)
+            _, slope = log_psi(u, v, F)
+            assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+
+    def test_broadcasts_over_u_and_v(self):
+        F = RobbinsSiegmund(1.0)
+        us, vs = np.array([[0.0], [3.0]]), np.array([1.0, 50.0, 1e4])
+        lp, slope = log_psi(us, vs, F)
+        assert lp.shape == slope.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one, one_slope = log_psi(us[i, 0], vs[j], F)
+                assert (lp[i, j], slope[i, j]) == (one, one_slope)
 
     def test_rs_total_mass(self):
         assert RobbinsSiegmund(1.0).total_mass == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
@@ -110,6 +140,102 @@ class TestBoundary:
         assert got6 == pytest.approx(0.8983209309291558, rel=1e-9)
         assert got8 == pytest.approx(0.9285842734315176, rel=1e-9)
         assert got_r == pytest.approx(1.2231034869333133, rel=1e-9)
+
+
+def reference_log_psi_rs(u, v, delta, r):
+    """log psi for the Robbins-Siegmund density by adaptive quadrature in
+    w = log(1/lambda), split around the peak of the integrand, plus the tail
+    mass past W, where the exponential factor is 1 to machine precision."""
+    lam_star = min((u / v) ** (1.0 / (r - 1.0)), math.exp(-2.0)) if u > 0 else 0.0
+    m = lam_star * u - lam_star**r * v / r
+    big_w = 60.0 + math.log(max(v, abs(u), 1.0))
+    w_star = -math.log(lam_star) if lam_star > 0 else big_w
+
+    def g(w):
+        lam = math.exp(-w)
+        return math.exp(lam * u - lam**r * v / r - m) / (w * math.log(w) ** (1.0 + delta))
+
+    pts = sorted({2.0, big_w} | {w_star + k for k in (-4.0, -1.0, 0.0, 1.0, 4.0)
+                                  if 2.0 < w_star + k < big_w})
+    total = math.fsum(integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                      for a, b in zip(pts, pts[1:]))
+    total += math.exp(-m) * math.log(big_w) ** -delta / delta
+    return m + math.log(total)
+
+
+def reference_log_psi_atoms(u, v, atoms, r):
+    exps = [math.log(w) + lam * u - lam**r * v / r for lam, w in atoms]
+    m = max(exps)
+    return m + math.log(math.fsum(math.exp(e - m) for e in exps))
+
+
+def reference_root(f, near):
+    """brentq on f in a bracket of relative width 1e-6 around `near`; a root
+    outside it makes brentq raise."""
+    half = 1e-6 * (1.0 + abs(near))
+    return optimize.brentq(f, near - half, near + half, xtol=1e-13, rtol=1e-15,
+                           maxiter=200)
+
+
+class TestBoundaryArray:
+    CASES = [(RobbinsSiegmund(1.0), 10.0 / math.log(2.0), 2.0),
+             (RobbinsSiegmund(0.5), 2.0, 1.5),
+             (PointMasses(atoms=((0.3, 0.5), (1.0, 0.5))), 5.0, 2.0)]
+
+    @pytest.mark.parametrize("F, c, r", CASES, ids=["rs", "rs_order_r", "point_masses"])
+    def test_batch_invariance(self, F, c, r):
+        # 37 v's across several row slabs and panel counts: each element is the
+        # same bits alone, in the batch, reversed, and in a 2-D array
+        vs = np.geomspace(1e-4, 1e12, 37)
+        batch = boundary(vs, c, F, r)
+        assert batch.shape == vs.shape
+        for v, b in zip(vs, batch):
+            assert boundary(float(v), c, F, r) == b
+        assert np.array_equal(boundary(vs[::-1], c, F, r)[::-1], batch)
+        square = np.geomspace(1e-4, 1e12, 36).reshape(6, 6)
+        assert np.array_equal(boundary(square, c, F, r),
+                              boundary(square.ravel(), c, F, r).reshape(6, 6))
+
+    def test_scalar_in_float_out(self):
+        F = RobbinsSiegmund(1.0)
+        assert isinstance(boundary(10.0, 5.0, F), float)
+        assert boundary(np.array([]), 5.0, F).shape == (0,)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_rs_matches_adaptive_reference(self, delta, r):
+        F = RobbinsSiegmund(delta)
+        vs = np.array([1e-4, 1.0, 1e4, 1e10, 1e20])
+        # c = 1e150 puts a layer of width ~1/(lambda0 u) at w = 2 for small v
+        for c in (0.5 * F.total_mass, 10.0 * F.total_mass, 1e150):
+            got = boundary(vs, c, F, r)
+            for v, u in zip(vs, got):
+                want = reference_root(
+                    lambda x: reference_log_psi_rs(x, v, delta, r) - math.log(c), u)
+                assert u == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_point_masses_match_reference(self):
+        atoms = ((0.3, 0.5), (1.0, 0.5))
+        F = PointMasses(atoms=atoms)
+        vs = np.geomspace(1e-4, 1e8, 13)
+        for c in (0.4, 5.0, 1e3):
+            got = boundary(vs, c, F)
+            for v, u in zip(vs, got):
+                want = reference_root(
+                    lambda x: reference_log_psi_atoms(x, v, atoms, 2.0) - math.log(c), u)
+                assert u == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_density_residual(self):
+        D = Density(f=lambda lam: np.ones_like(lam), lambda0=1.0)
+        vs = np.array([1e-2, 10.0, 1e4])
+        us = boundary(vs, 10.0, D)
+        lp, _ = log_psi(us, vs, D)
+        assert np.all(np.abs(lp - math.log(10.0)) <= 2e-9)
+
+    def test_unreachable_level_raises(self):
+        # psi(u, 1) = 0.05 needs loglog|u| near 20: no double reaches it
+        with pytest.raises(BracketError):
+            boundary(1.0, 0.05, RobbinsSiegmund(1.0))
 
 
 class TestAsymptotics:
