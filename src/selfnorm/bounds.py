@@ -1,9 +1,17 @@
 """Deterministic evaluators for the explicit tail/moment bounds and the
-self-normalized statistics they control. All functions are pure."""
+self-normalized statistics they control. All functions are pure.
+
+Each normalized statistic is one broadcasting numpy expression
+(`thm21_normalized`, `cor22_normalized`, `lil_normalized`, `v_normalized`)
+that checks nothing, because the Monte Carlo engine applies it to whole
+blocks of paths and meets B = 0 there. The public statistics validate their
+scalar inputs and evaluate the same expression."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import DomainError, gamma_fn
 
@@ -66,26 +74,61 @@ def moment_bound_cor22(p: float) -> float:
     return 2.0 ** (p / 2.0) + 2.0 ** ((p - 2.0) / 2.0) * p * gamma_fn(p / 2.0)
 
 
+def iterated_log(x, floor: float = DEFAULT_LOG_FLOOR):
+    """(x v floor, loglog(x v floor)); the floor e^2 keeps the iterated
+    logarithm at least log 2."""
+    x = np.maximum(x, floor)
+    return x, np.log(np.log(x))
+
+
+def thm21_normalized(a, b_sq, y):
+    """|A| / sqrt(B^2 + y), the Thm 2.1 ratio (y = (EB)^2); unchecked."""
+    return np.abs(a) / np.sqrt(b_sq + y)
+
+
+def cor22_normalized(a, b_sq, y):
+    """|A| / sqrt((B^2 + y)(1 + log(B^2/y + 1)/2)); unchecked."""
+    return np.abs(a) / np.sqrt((b_sq + y) * (1.0 + 0.5 * np.log1p(b_sq / y)))
+
+
+def lil_normalized(a, b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
+    """a / {(b v floor) (loglog(b v floor))^((r-1)/r)}; unchecked. The
+    denominator is a function of b alone, so a 1-D b broadcast against a
+    (paths, steps) block of a is evaluated once per step."""
+    bb, ll = iterated_log(b, floor)
+    return a / (bb * ll ** ((r - 1.0) / r))
+
+
+def v_normalized(s, centering, v, floor: float = DEFAULT_LOG_FLOOR):
+    """(s - centering) / {(v v floor) (loglog(v v floor))^(1/2)}; unchecked.
+    Normalizes by V_n (universal, centering 0 for uncentered) or by a
+    deterministic s_n (conditional variance)."""
+    vv, ll = iterated_log(v, floor)
+    return (s - centering) / (vv * np.sqrt(ll))
+
+
+def _check_floor(floor: float) -> None:
+    if floor < math.e**2 - 1e-12:
+        raise DomainError("floor must be at least e^2")
+
+
 def cor22_statistic(s: SelfNormSample, y: float) -> float:
     """|A| / sqrt((B^2 + y)(1 + log(B^2/y + 1)/2)); tail controlled by
     tail_bound_cor22. Invariant under (a, b, sqrt(y)) -> (ta, tb, t*sqrt(y))."""
     if y <= 0.0:
         raise DomainError("y must be positive")
-    b2 = s.b * s.b
-    return abs(s.a) / math.sqrt((b2 + y) * (1.0 + 0.5 * math.log1p(b2 / y)))
+    return float(cor22_normalized(s.a, s.b * s.b, y))
 
 
 def lil_statistic(a: float, b: float, r: float = 2.0,
                   floor: float = DEFAULT_LOG_FLOOR) -> float:
     """a / {(b v floor) * (loglog(b v floor))^((r-1)/r)} with an iterated-log floor."""
-    if floor < math.e**2 - 1e-12:
-        raise DomainError("floor must be at least e^2")
+    _check_floor(floor)
     if b <= 0.0:
         raise DomainError("b must be positive")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
-    bb = max(b, floor)
-    return a / (bb * math.log(math.log(bb)) ** ((r - 1.0) / r))
+    return float(lil_normalized(a, b, r, floor))
 
 
 def universal_statistic(s_n: float, truncated_mean_sum: float, v_n: float,
@@ -95,9 +138,7 @@ def universal_statistic(s_n: float, truncated_mean_sum: float, v_n: float,
     The almost-sure limsup of this statistic is b_lambda when the centering is
     the running truncated-mean sum at levels (-lam*v_n, a_lam*v_n).
     """
-    if floor < math.e**2 - 1e-12:
-        raise DomainError("floor must be at least e^2")
+    _check_floor(floor)
     if v_n <= 0.0:
         raise DomainError("v_n must be positive")
-    vv = max(v_n, floor)
-    return (s_n - truncated_mean_sum) / (vv * math.sqrt(math.log(math.log(vv))))
+    return float(v_normalized(s_n, truncated_mean_sum, v_n, floor))

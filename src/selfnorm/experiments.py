@@ -18,16 +18,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import stats
 from scipy.interpolate import PchipInterpolator
 
 from .constants import DomainError, lil_constants
-from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, moment_bound_cor22,
-                     moment_bound_thm21, tail_bound_cor22)
+from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
+                     lil_normalized, moment_bound_cor22, moment_bound_thm21,
+                     tail_bound_cor22, thm21_normalized, v_normalized)
 from .mixture import GaussianMixture, MixtureMeasure, boundary, crossing_bound
-from .processes import (Bernstein, Counterexample56, Counterexample65,
-                        MvBrownianGrid, ProcessSpec, TruncatedCentering,
-                        WeightedIID, check_lambda, chunk_rng, spec_to_json)
+from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec,
+                        WeightedIID, chunk_rng, log_supermartingale,
+                        spec_to_json)
 
 _BLOCK = 32768
 _MAX_CHUNK_PATHS = 16384
@@ -157,12 +157,6 @@ def _fsum_cells(parts: list[np.ndarray]) -> np.ndarray:
     return out.reshape(parts[0].shape)
 
 
-def _log_weight_vec(spec, lam, a, b_pow_r):
-    if isinstance(spec, Bernstein):
-        return lam * a - lam * lam * b_pow_r / (2.0 * (1.0 - spec.m_bound * lam))
-    return lam * a - lam ** spec.r * b_pow_r / spec.r
-
-
 def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0)
@@ -184,9 +178,9 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
     workers = resolve_workers(workers)
     lams = cfg.lambda_grid or (0.5,)
     cks = cfg.checkpoints or (cfg.horizon,)
-    for lam in lams:
-        check_lambda(cfg.spec, lam)
     layout = _scalar_layout(cfg)
+    for lam in lams:  # certify each lambda, and its weight, before any draw
+        log_supermartingale(cfg.spec, lam, 0.0, 0.0)
     L, K = len(lams), len(cks)
 
     def chunk(ci):
@@ -200,7 +194,7 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
                 col = n - n_idx[0]
                 a, b = ca[:, col], cb[..., col]
                 for j, lam in enumerate(lams):
-                    w = np.exp(np.minimum(_log_weight_vec(cfg.spec, lam, a, b), 709.0))
+                    w = np.exp(np.minimum(cfg.spec.log_weight(lam, a, b), 709.0))
                     s1[j, k] += float(np.sum(w))
                     s2[j, k] += float(np.sum(w * w))
 
@@ -258,7 +252,7 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
         raise DomainError("tail bound requires certification over all real lambda")
     a, b = _final_state(cfg, workers)
     b2 = b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r)
-    stat = np.abs(a) / np.sqrt((b2 + y) * (1.0 + 0.5 * np.log1p(b2 / y)))
+    stat = cor22_normalized(a, b2, y)
     reports = []
     for x in (cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)):
         if x < SQRT2:
@@ -283,8 +277,8 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
     bb = np.sqrt(b2)
     eb = math.fsum(bb.tolist()) / cfg.paths
     y = eb * eb
-    s_thm = np.abs(a) / np.sqrt(b2 + y)
-    s_cor = np.abs(a) / np.sqrt((b2 + y) * (1.0 + 0.5 * np.log1p(b2 / y)))
+    s_thm = thm21_normalized(a, b2, y)
+    s_cor = cor22_normalized(a, b2, y)
     reports = []
     for p in (p_list or cfg.p_list or (1.0, 2.0, 4.0)):
         for tag, s, bound in (("ratio_moment", s_thm, moment_bound_thm21(p)),
@@ -419,46 +413,20 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
 # iterated-logarithm running statistics
 # ---------------------------------------------------------------------------
 
-def _vector_mu(spec: TruncatedCentering, v_n: np.ndarray) -> np.ndarray:
-    """Vectorized per-step truncated mean mu(-lam*v_n, a_lam*v_n)."""
-    k = lil_constants(spec.lam)
-    c = -spec.lam * v_n
-    d = k.a_lambda * v_n
-    if spec.base == "normal":
-        return stats.norm.pdf(c) - stats.norm.pdf(d)
-
-    def piece(a, b, dcoef):
-        y0 = spec.y0
-        a = np.maximum(a, y0)
-        al = spec.alpha
-        val = dcoef * al / (1.0 - al) * (b ** (1.0 - al) - a ** (1.0 - al))
-        return np.where(b > a, val, 0.0)
-
-    return piece(np.zeros_like(d), d, spec.d1) - piece(np.zeros_like(c), -c, spec.d2)
-
-
-def _loglog(x: np.ndarray, floor: float) -> np.ndarray:
-    return np.log(np.log(np.maximum(x, floor)))
-
-
-def _select_statistic(cfg):
-    """Return (kind, normalizer_power) for the lil statistic family."""
-    if cfg.statistic != "auto":
-        return cfg.statistic
-    if isinstance(cfg.spec, Counterexample65):
-        return "conditional_variance"
-    if isinstance(cfg.spec, Counterexample56):
-        return "uncentered"
-    if isinstance(cfg.spec, TruncatedCentering):
-        return "universal"
-    return "lil"
+def _lil_block(ca, cb, r):
+    """The lil statistic of a block and where B_n >= e^2 (B_n = (B^r)^(1/r));
+    a 1-D cb gives one denominator per step."""
+    bn = np.maximum(cb, 0.0) ** (1.0 / r)
+    return lil_normalized(ca, bn, r), bn >= DEFAULT_LOG_FLOOR
 
 
 def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
               workers: int | None = None) -> dict:
     """Running maxima of the selected normalized statistic.
 
-    Statistics ('auto' resolves by variant):
+    Statistics ('auto' resolves to the variant's `statistic`; 'lil' and
+    'uncentered' apply to every variant, 'universal' and
+    'conditional_variance' only to the variant that declares one):
       lil      A_n / {B_n (loglog B_n)^{(r-1)/r}},  B_n = (B_n^r)^{1/r}
       uncentered  S_n / {(V_n v e^2) (loglog(V_n v e^2))^{1/2}} (no guard;
                   used for laws whose V_n stays below e^2 forever)
@@ -470,43 +438,36 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
     per-path running maxima and point values at each checkpoint, medians,
     and the fraction of paths ever exceeding the limsup bound * (1+margin).
     """
+    layout = _scalar_layout(cfg)
+    spec = cfg.spec
+    kind = spec.statistic if cfg.statistic == "auto" else cfg.statistic
+    if kind not in ("lil", "uncentered", spec.statistic):
+        raise DomainError(f"{type(spec).__name__} has no {kind!r} statistic; "
+                          f"choose 'auto', 'lil', 'uncentered' or {spec.statistic!r}")
     workers = resolve_workers(workers)
-    kind = _select_statistic(cfg)
     cks = cfg.checkpoints or (cfg.horizon,)
-    r = cfg.spec.r
+    r = spec.r
     floor = DEFAULT_LOG_FLOOR
     if kind == "lil":
         limsup_bound = (r / (r - 1.0)) ** ((r - 1.0) / r)
     else:
-        limsup_bound = (lil_constants(cfg.spec.lam).b_lambda
+        limsup_bound = (lil_constants(spec.lam).b_lambda
                         if kind == "universal" else math.inf)
-    s_det = (np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
+    s_det = (np.sqrt(np.maximum(spec.s_n_sq(cfg.horizon), 0.0))
              if kind == "conditional_variance" else None)
-    layout = _scalar_layout(cfg)
 
     def stat_block(n_idx, ca, cb, cv):
+        if kind == "lil":
+            val, guard = _lil_block(ca, cb, r)
+            return np.where(guard, val, -np.inf)
         if kind == "conditional_variance":
-            s = s_det[n_idx - 1][None, :]
-            den = np.maximum(s, floor) * np.sqrt(_loglog(s, floor))
-            val = ca / den
-            guard = s >= floor
-        elif kind == "uncentered":
-            vn = np.sqrt(cv)
-            val = ca / (np.maximum(vn, floor) * np.sqrt(_loglog(vn, floor)))
-            guard = np.ones_like(val, dtype=bool)
-        elif kind == "universal":
-            vn = np.sqrt(cv)
-            ll = _loglog(vn, floor)
-            v_small = np.maximum(vn, floor) * ll ** -0.5
-            mu = _vector_mu(cfg.spec, v_small) * n_idx[None, :]
-            val = (ca - mu) / (np.maximum(vn, floor) * np.sqrt(ll))
-            guard = vn >= floor
-        else:
-            bn = cb if r == 2.0 else np.abs(cb)
-            bn = np.maximum(bn, 0.0) ** (1.0 / r)
-            val = ca / (np.maximum(bn, floor) * _loglog(bn, floor) ** ((r - 1.0) / r))
-            guard = bn >= floor
-        return np.where(guard, val, -np.inf)
+            s = s_det[n_idx - 1]
+            return np.where(s >= floor, v_normalized(ca, 0.0, s), -np.inf)
+        vn = np.sqrt(cv)
+        if kind == "uncentered":
+            return v_normalized(ca, 0.0, vn)
+        return np.where(vn >= floor, v_normalized(ca, spec.centering(n_idx, vn), vn),
+                        -np.inf)
 
     def chunk(ci):
         P = layout[ci]
@@ -557,8 +518,6 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     interior bins should all be visited)."""
     workers = resolve_workers(workers)
     edges = np.linspace(-2.0, 2.0, bins + 1)
-    floor = DEFAULT_LOG_FLOOR
-    r = cfg.spec.r
     layout = _scalar_layout(cfg)
     half = cfg.horizon // 2
 
@@ -567,9 +526,8 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
         late_c = np.zeros(bins, dtype=np.int64)
 
         def visit(n_idx, ca, cb, cv):
-            bn = np.maximum(cb, 0.0) ** (1.0 / r)
-            val = ca / (np.maximum(bn, floor) * _loglog(bn, floor) ** ((r - 1.0) / r))
-            ok = np.broadcast_to(bn >= floor, val.shape)
+            val, ok = _lil_block(ca, cb, cfg.spec.r)
+            ok = np.broadcast_to(ok, val.shape)
             all_c[:] += np.histogram(val[ok], bins=edges)[0]
             late = ok & (n_idx[None, :] > half)
             late_c[:] += np.histogram(val[late], bins=edges)[0]
@@ -599,7 +557,6 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
         raise DomainError("alpha must lie in (0, 1/2)")
     workers = resolve_workers(workers)
     r = cfg.spec.r
-    floor = DEFAULT_LOG_FLOOR
     half = max(1, cfg.horizon // 2)
     layout = _scalar_layout(cfg)
     # order r reads the plain sum of |d|^r, without the variant's constant
@@ -614,10 +571,10 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
         def visit(n_idx, ca, cb, cv):
             nonlocal run
             if r == 2.0:
-                den_sq = cv * _loglog(cv, floor)
+                den_sq = cv * iterated_log(cv)[1]
                 core = ca / np.sqrt(np.maximum(den_sq, 1e-300))
             else:
-                den = (np.maximum(cb, 1.0) * _loglog(cb, floor) ** (r - 1.0)) ** (1.0 / r)
+                den = (np.maximum(cb, 1.0) * iterated_log(cb)[1] ** (r - 1.0)) ** (1.0 / r)
                 core = ca / den
             if alpha is not None:
                 val = np.exp(np.minimum(alpha * core * core, 709.0))
@@ -657,7 +614,6 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
         raise DomainError("growth_rate_diagnostic requires a Counterexample65 spec")
     workers = resolve_workers(workers)
     cks = cfg.checkpoints or (cfg.horizon,)
-    floor = DEFAULT_LOG_FLOOR
     s_det = np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
     layout = _scalar_layout(cfg)
 
@@ -671,12 +627,8 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
                 if not n_idx[0] <= n <= n_idx[-1]:
                     continue
                 col = n - n_idx[0]
-                vn = np.sqrt(cv[:, col])
-                stat_v[:, k] = ca[:, col] / (np.maximum(vn, floor)
-                                             * np.sqrt(_loglog(vn, floor)))
-                s = s_det[n - 1]
-                stat_s[:, k] = ca[:, col] / (max(s, floor)
-                                             * math.sqrt(math.log(math.log(max(s, floor)))))
+                stat_v[:, k] = v_normalized(ca[:, col], 0.0, np.sqrt(cv[:, col]))
+                stat_s[:, k] = v_normalized(ca[:, col], 0.0, s_det[n - 1])
 
         _scan(cfg, ci, P, visit, b=False, v=True)
         return stat_v, stat_s

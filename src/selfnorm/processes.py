@@ -2,9 +2,25 @@
 processes, exposing the running state (A_n, B_n^r, V_n^2, truncated-mean sums)
 and the exponential supermartingale weights each variant certifies.
 
-Each variant's `b_deterministic` says whether its B^r increments are a
-function of n alone, not of the draws; the engine then carries one B^r curve
-shared by all paths instead of one per path.
+Variant protocol. Each scalar variant is a frozen dataclass whose fields are
+its JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
+through these members (defaults on the shared base `_Variant`):
+  draw(rng, n_lo, n_hi, n_paths)  increments d for steps n_lo+1..n_hi, shape
+                                  (n_paths, n_hi - n_lo); no default.
+  b_increments(d, n_idx)          the B^r increments of d; default d*d.
+  b_deterministic                 True if those increments are a function of n
+                                  alone, not of the draws; the engine then
+                                  carries one B^r row shared by all paths.
+                                  Default False.
+  log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
+                                  default lam*A - lam^r B^r / r (Bernstein
+                                  overrides it and refuses lam >= 1/M).
+  certification                   ("all", inf), ("nonneg", lam0) or None.
+  truncated_mean(n, c, d)         mu(c, d) = E[d_n 1(c <= d_n < d)]; no default.
+  statistic                       the lil_track kind 'auto' resolves to;
+                                  default 'lil'.
+MvBrownianGrid has a vector state: it implements `draw`, and its
+`log_weight` refuses, since the scalar weight does not apply.
 
 Reproducibility: streams are Philox counter-based. A single-path handle uses
 the substream SeedSequence(seed, spawn_key=(0, path)); the experiment engine
@@ -16,15 +32,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 from scipy import stats
 
+from .bounds import iterated_log
 from .constants import DomainError, c_gamma, c_gamma_r, lil_constants
 
 _BUFFER = 1024
-LOG_FLOOR = math.e**2
 
 
 class CertificationError(RuntimeError):
@@ -60,18 +75,17 @@ def _lognormal_partial_mean(a: float, b: float, mu: float, sigma: float) -> floa
     return s * (hi - lo)
 
 
-def _pareto_partial_mean(a: float, b: float, shape: float, xm: float) -> float:
-    """E[Z 1(a < Z <= b)] for Pareto(shape, x_min=xm)."""
-    a = max(a, xm)
-    if b <= a:
-        return 0.0
-    if shape == 1.0:
-        return xm * (math.log(b) - math.log(a)) if b < math.inf else math.inf
-    c = shape * xm**shape / (shape - 1.0)
-    top = 0.0 if b == math.inf and shape > 1.0 else b ** (1.0 - shape)
-    if b == math.inf and shape < 1.0:
-        return math.inf
-    return c * (a ** (1.0 - shape) - top)
+def _pareto_partial_mean(a, b, shape: float, lo: float, mass: float):
+    """E[Z 1(a < Z <= b)] for a Pareto tail P(Z > z) = mass * z^(-shape) on
+    z >= lo (mass = lo^shape for a Pareto law with minimum lo); broadcasts,
+    and is +inf for b = inf and shape <= 1."""
+    a, b = np.maximum(a, lo), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # b <= a, masked below
+        if shape == 1.0:
+            val = mass * (np.log(b) - np.log(a))
+        else:
+            val = mass * shape / (1.0 - shape) * (b ** (1.0 - shape) - a ** (1.0 - shape))
+    return np.where((b > a) & (mass > 0.0), val, 0.0)
 
 
 def _symmetric_truncated_mean(partial_mean, c: float, d: float) -> float:
@@ -86,8 +100,23 @@ def _symmetric_truncated_mean(partial_mean, c: float, d: float) -> float:
 # variant specs
 # ---------------------------------------------------------------------------
 
+class _Variant:
+    """Defaults of the variant protocol (see the module docstring); no
+    dataclass fields, so `spec_to_json` is unchanged."""
+    b_deterministic = False
+    statistic = "lil"
+
+    def b_increments(self, d, n_idx):
+        return d * d
+
+    def log_weight(self, lam, a, b_pow_r):
+        """lam*A - lam^r B^r / r, the log of the canonical certified weight;
+        broadcasts over (a, b_pow_r) and checks nothing."""
+        return lam * a - lam ** self.r * b_pow_r / self.r
+
+
 @dataclass(frozen=True)
-class Rademacher:
+class Rademacher(_Variant):
     """Fair +-1 signs; conditionally symmetric, certified for all real lambda."""
     r: float = 2.0
     certification = ("all", math.inf)
@@ -95,9 +124,6 @@ class Rademacher:
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         return rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0
-
-    def b_increments(self, d, n_idx):
-        return d * d
 
     def truncated_mean(self, n, c, d):
         if not c < d:
@@ -111,7 +137,7 @@ class Rademacher:
 
 
 @dataclass(frozen=True)
-class ScaledSymmetric:
+class ScaledSymmetric(_Variant):
     """d_i = eps_i * Z_i with fair signs and positive i.i.d. scales Z_i."""
     law: str = "lognormal"
     mu: float = 0.0
@@ -120,7 +146,6 @@ class ScaledSymmetric:
     xm: float = 1.0
     r: float = 2.0
     certification = ("all", math.inf)
-    b_deterministic = False
 
     def __post_init__(self):
         if self.law not in ("lognormal", "pareto"):
@@ -139,13 +164,10 @@ class ScaledSymmetric:
             z = self.xm * rng.random(shape) ** (-1.0 / self.shape)
         return eps * z
 
-    def b_increments(self, d, n_idx):
-        return d * d
-
     def _partial_mean(self, a, b):
         if self.law == "lognormal":
             return _lognormal_partial_mean(a, b, self.mu, self.sigma)
-        return _pareto_partial_mean(a, b, self.shape, self.xm)
+        return float(_pareto_partial_mean(a, b, self.shape, self.xm, self.xm**self.shape))
 
     def truncated_mean(self, n, c, d):
         if not c < d:
@@ -154,7 +176,7 @@ class ScaledSymmetric:
 
 
 @dataclass(frozen=True)
-class BoundedAbove:
+class BoundedAbove(_Variant):
     """Supermartingale differences d_i <= M (preset d = M(1 - E), E unit
     exponential, mean 0), with the inflated conditional-variance accumulator
     B_n^2 = (1 + lambda0*M/2) * sum E(d_i^2 | F)."""
@@ -177,9 +199,6 @@ class BoundedAbove:
         e = rng.standard_exponential(size=(n_paths, n_hi - n_lo))
         return self.m_bound * (1.0 - e)
 
-    def cond_second_moment(self, n_idx):
-        return np.full_like(np.asarray(n_idx, dtype=float), self.m_bound**2)
-
     def b_increments(self, d, n_idx):
         scale = (1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2
         return np.full_like(np.asarray(d, dtype=float), scale)
@@ -196,7 +215,7 @@ class BoundedAbove:
 
 
 @dataclass(frozen=True)
-class Bernstein:
+class Bernstein(_Variant):
     """Martingale differences with the Bernstein moment condition
     E(|d|^k | F) <= (k!/2) sigma^2 M^(k-2); preset d = M(E - 1) with E unit
     exponential, sigma^2 = M^2. Certified for 0 <= lambda < 1/M with the
@@ -217,13 +236,12 @@ class Bernstein:
         e = rng.standard_exponential(size=(n_paths, n_hi - n_lo))
         return self.m_bound * (e - 1.0)
 
-    def cond_second_moment(self, n_idx):
-        return np.full_like(np.asarray(n_idx, dtype=float), self.m_bound**2)
-
     def b_increments(self, d, n_idx):
         return np.full_like(np.asarray(d, dtype=float), self.m_bound**2)
 
     def log_weight(self, lam, a, b_pow_r):
+        """The weight's log; its certification 0 <= lam < 1/M is open at 1/M,
+        where the denominator vanishes."""
         if lam >= 1.0 / self.m_bound:
             raise CertificationError(f"lambda={lam} >= 1/M for the Bernstein weight")
         return lam * a - lam * lam * b_pow_r / (2.0 * (1.0 - self.m_bound * lam))
@@ -239,13 +257,12 @@ class Bernstein:
 
 
 @dataclass(frozen=True)
-class BoundedBelow:
+class BoundedBelow(_Variant):
     """Differences d_i >= -M with mean <= 0 (preset d = M(E - 1)), order r
     accumulator B_n^r = r * c_{gamma,r} * sum |d_i|^r; certified on [0, gamma/M]."""
     m_bound: float = 1.0
     gamma: float = 0.5
     r: float = 2.0
-    b_deterministic = False
 
     def __post_init__(self):
         if self.m_bound <= 0.0:
@@ -275,7 +292,7 @@ class BoundedBelow:
 
 
 @dataclass(frozen=True)
-class BrownianGrid:
+class BrownianGrid(_Variant):
     """Standard Brownian motion sampled on a fixed time grid; A = W_t, B^2 = t."""
     times: tuple[float, ...]
     r: float = 2.0
@@ -341,6 +358,10 @@ class MvBrownianGrid:
         dt = np.diff(t)[n_lo:n_hi]
         return rng.standard_normal((n_paths, n_hi - n_lo, self.dim)) * np.sqrt(dt)[None, :, None]
 
+    def log_weight(self, lam, a, b_pow_r):
+        raise UnsupportedVariantError("MvBrownianGrid has a vector state; "
+                                      "use mixture.mv_statistic")
+
 
 def _cx56_probs(n: np.ndarray):
     """Three-point probabilities and the exact zero-mean top atom of the
@@ -360,37 +381,21 @@ def _cx56_probs(n: np.ndarray):
     return p_plus, p_minus, p_big, m_n, valid
 
 
-def _cx56_draw(rng, n_lo, n_hi, n_paths):
-    n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
-    p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
-    u = rng.random((n_paths, n_hi - n_lo))
-    small = 1.0 / np.sqrt(n)
-    x = np.where(u < p_plus, small, np.where(u < p_plus + p_minus, -small, -m_n))
-    return np.where(valid, x, 0.0)
-
-
-def _cx56_second_moment(n_idx):
-    n = np.asarray(n_idx, dtype=float)
-    p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
-    return np.where(valid, (p_plus + p_minus) / n + p_big * m_n**2, 0.0)
-
-
 @dataclass(frozen=True)
-class Counterexample56:
+class Counterexample56(_Variant):
     """Independent three-point variables with exact zero means whose
     uncentered self-normalized sum grows without bound."""
     r: float = 2.0
     certification = None
-    b_deterministic = False
+    statistic = "uncentered"
 
     def draw(self, rng, n_lo, n_hi, n_paths):
-        return _cx56_draw(rng, n_lo, n_hi, n_paths)
-
-    def b_increments(self, d, n_idx):
-        return d * d
-
-    def cond_second_moment(self, n_idx):
-        return _cx56_second_moment(n_idx)
+        n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
+        p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
+        u = rng.random((n_paths, n_hi - n_lo))
+        small = 1.0 / np.sqrt(n)
+        x = np.where(u < p_plus, small, np.where(u < p_plus + p_minus, -small, -m_n))
+        return np.where(valid, x, 0.0)
 
     def truncated_mean(self, n, c, d):
         p_plus, p_minus, p_big, m_n, valid = _cx56_probs(np.asarray([n], dtype=float))
@@ -408,29 +413,20 @@ class Counterexample56:
 
 
 @dataclass(frozen=True)
-class Counterexample65:
+class Counterexample65(Counterexample56):
     """Same three-point draws; used with the conditional-variance normalizer
     s_n^2 = sum E(X_i^2 | F) to contrast the two growth diagnostics."""
-    r: float = 2.0
-    certification = None
-    b_deterministic = False
-
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        return _cx56_draw(rng, n_lo, n_hi, n_paths)
-
-    def b_increments(self, d, n_idx):
-        return d * d
-
-    def cond_second_moment(self, n_idx):
-        return _cx56_second_moment(n_idx)
+    statistic = "conditional_variance"
 
     def s_n_sq(self, horizon: int) -> np.ndarray:
         """Cumulative conditional variances for n = 1..horizon."""
-        return np.cumsum(self.cond_second_moment(np.arange(1, horizon + 1)))
+        n = np.arange(1, horizon + 1, dtype=float)
+        p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
+        return np.cumsum(np.where(valid, (p_plus + p_minus) / n + p_big * m_n**2, 0.0))
 
 
 @dataclass(frozen=True)
-class TruncatedCentering:
+class TruncatedCentering(_Variant):
     """i.i.d. X_i from a base law with analytic truncated means; the running
     centering is n * mu(-lam*v_n, a_lam*v_n) with v_n = V_n (loglog V_n)^(-1/2)."""
     base: str = "normal"
@@ -439,7 +435,7 @@ class TruncatedCentering:
     d1: float = 1.0
     d2: float = 1.0
     r: float = 2.0
-    b_deterministic = False
+    statistic = "universal"
 
     def __post_init__(self):
         if self.base not in ("normal", "heavy"):
@@ -476,35 +472,31 @@ class TruncatedCentering:
         x = np.where((u >= p1) & (u < 0.5), -mag, x)
         return x
 
-    def b_increments(self, d, n_idx):
-        return d * d
-
     def truncated_mean(self, n, c, d):
         if not c < d:
             raise DomainError("need c < d")
-        if self.base == "normal":
-            return float(stats.norm.pdf(c) - stats.norm.pdf(d))
-        out = 0.0
-        if d > 0.0:
-            out += self._pareto_piece(max(c, 0.0), d, self.d1)
-        if c < 0.0:
-            out -= self._pareto_piece(max(-d, 0.0), -c, self.d2)
-        return out
+        return float(self._mu(c, d))
 
-    def _pareto_piece(self, a: float, b: float, dcoef: float) -> float:
-        """E[|Y| 1(a <= |Y| < b)] restricted to one Pareto tail with
-        P(|Y| >= y) = dcoef * y^(-alpha) beyond y0."""
-        y0 = self.y0
-        a = max(a, y0)
-        if b <= a or dcoef == 0.0:
-            return 0.0
-        al = self.alpha
-        top = 0.0 if b == math.inf else b ** (1.0 - al)
-        return dcoef * al / (1.0 - al) * (top - a ** (1.0 - al))
+    def _mu(self, c, d):
+        """mu(c, d) for arrays with c < d, unchecked. The heavy law's tails
+        are P(+-Y > y) = d1 y^(-alpha), d2 y^(-alpha) beyond y0."""
+        if self.base == "normal":
+            return stats.norm.pdf(c) - stats.norm.pdf(d)
+        y0, al = self.y0, self.alpha
+        return (_pareto_partial_mean(np.maximum(c, 0.0), d, al, y0, self.d1)
+                - _pareto_partial_mean(np.maximum(-d, 0.0), -c, al, y0, self.d2))
+
+    def centering(self, n, v):
+        """n * mu(-lam*v_n, a_lam*v_n) with v_n = (V v e^2)(loglog(V v e^2))^(-1/2),
+        the running centering of the universal statistic; broadcasts over
+        (n, V)."""
+        vv, ll = iterated_log(v)
+        v_n = vv * ll ** -0.5
+        return self._mu(-self.lam * v_n, lil_constants(self.lam).a_lambda * v_n) * n
 
 
 @dataclass(frozen=True)
-class WeightedIID:
+class WeightedIID(_Variant):
     """S_n = sum w_i Y_i with fair-sign Y_i; weights 'ones' or 'factorial'.
     The factorial preset tracks state rescaled by the latest weight (the
     self-normalized statistic is scale-invariant, raw sums overflow)."""
@@ -525,9 +517,6 @@ class WeightedIID:
     def draw(self, rng, n_lo, n_hi, n_paths):
         y = rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0
         return y  # weights applied by the stepping logic
-
-    def b_increments(self, d, n_idx):
-        return d * d
 
     def truncated_mean(self, n, c, d):
         if self.weights != "ones":
@@ -647,11 +636,7 @@ class ProcessHandle:
         """n * mu(-lam*v_n, a_lam*v_n) for the truncated-centering variant, 0 otherwise."""
         if not isinstance(self.spec, TruncatedCentering) or self.n == 0:
             return 0.0
-        k = lil_constants(self.spec.lam)
-        v = max(math.sqrt(self.v_sq), LOG_FLOOR)
-        v_n = v * math.log(math.log(v)) ** (-0.5)
-        mu = self.spec.truncated_mean(self.n, -self.spec.lam * v_n, k.a_lambda * v_n)
-        return self.n * mu
+        return float(self.spec.centering(self.n, math.sqrt(self.v_sq)))
 
 
 def make_process(spec: ProcessSpec, seed: int, path: int = 0) -> ProcessHandle:
@@ -675,10 +660,7 @@ def check_lambda(spec: ProcessSpec, lam: float) -> None:
 def log_supermartingale(spec: ProcessSpec, lam: float, a: float, b_pow_r: float) -> float:
     """Log of the certified exponential supermartingale at the given state."""
     check_lambda(spec, lam)
-    if hasattr(spec, "log_weight"):
-        return spec.log_weight(lam, a, b_pow_r)
-    r = spec.r
-    return lam * a - lam**r * b_pow_r / r
+    return spec.log_weight(lam, a, b_pow_r)
 
 
 def exp_supermartingale_value(handle: ProcessHandle, lam: float) -> float:

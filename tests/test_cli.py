@@ -182,6 +182,20 @@ class TestVerifyCommand:
         cfg = write_json(tmp_path, "suite.json", suite)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_bernstein_lambda_one_over_m_is_config_error(self, tmp_path, capsys):
+        suite = {
+            "schema": 1, "seed": 99,
+            "experiments": [{
+                "name": "edge",
+                "op": "supermartingale_mean",
+                "config": {"spec": {"variant": "bernstein", "m_bound": 1.0},
+                           "paths": 100, "horizon": 10, "lambda_grid": [1.0]},
+            }],
+        }
+        cfg = write_json(tmp_path, "suite.json", suite)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "CertificationError" in capsys.readouterr().err
+
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg = self.make_suite(tmp_path, seed=False)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -212,6 +226,15 @@ class TestLilCommand:
         assert doc["statistic"] == "lil"
         assert doc["limsup_bound"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert len(doc["median_running_max"]) == 2
+
+    @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
+    def test_unsupported_statistic_is_config_error(self, tmp_path, capsys, statistic):
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 4,
+                          "paths": 10, "horizon": 100, "statistic": statistic})
+        assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and repr(statistic) in err
 
     def test_vector_spec_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "lil.json",

@@ -1,0 +1,162 @@
+"""Engine against single-path handle on identical increments.
+
+Each variant is replaced by a same-named subclass whose `draw` returns
+slices of one fixed array, so `ProcessHandle` and the block engine see the
+same increments. They must then agree on the state (A, B^r, V^2), on every
+lil statistic the variant supports against the public scalar statistics of
+the handle's state, and on the certified weight."""
+import math
+
+import numpy as np
+import pytest
+
+from selfnorm import experiments
+from selfnorm.bounds import DEFAULT_LOG_FLOOR, lil_statistic, universal_statistic
+from selfnorm.experiments import ExperimentConfig, check_supermartingale_mean, lil_track
+from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
+                                BrownianGrid, CertificationError,
+                                Counterexample56, Counterexample65, Rademacher,
+                                ScaledSymmetric, TruncatedCentering, WeightedIID,
+                                exp_supermartingale_value, make_process)
+
+HORIZON = 3000
+CHECKPOINTS = (1, 2, 17, 500, 2048, HORIZON)
+REL = 1e-12
+
+VARIANTS = {
+    "rademacher": Rademacher(),
+    "scaled_lognormal": ScaledSymmetric(law="lognormal", mu=0.1, sigma=0.7),
+    "scaled_pareto": ScaledSymmetric(law="pareto", shape=2.5, xm=1.0),
+    "bounded_above": BoundedAbove(m_bound=0.5, lambda0=1.5),
+    "bernstein": Bernstein(m_bound=0.5),
+    "bounded_below_r15": BoundedBelow(m_bound=1.0, gamma=0.5, r=1.5),
+    "brownian_grid": BrownianGrid(times=tuple(0.05 * k for k in range(1, HORIZON + 1))),
+    "counterexample56": Counterexample56(),
+    "counterexample65": Counterexample65(),
+    "truncated_normal": TruncatedCentering(base="normal", lam=1.0),
+    "truncated_heavy": TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=1.0),
+    "truncated_heavy_asym": TruncatedCentering(base="heavy", alpha=0.6, d1=1.0, d2=2.0),
+    "weighted_iid_ones": WeightedIID(weights="ones"),
+}
+
+
+def replayed(spec, seed=2024):
+    """`spec` with draws replaced by slices of one fixed (1, HORIZON) array,
+    drawn once from the variant's own law."""
+    fixed = spec.draw(np.random.default_rng(seed), 0, HORIZON, 1)
+
+    def draw(self, rng, n_lo, n_hi, n_paths):
+        assert n_paths == 1
+        return fixed[:, n_lo:n_hi].copy()
+
+    cls = type(type(spec).__name__, (type(spec),), {"draw": draw})
+    return cls(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})
+
+
+def handle_at(spec, n):
+    h = make_process(spec, seed=0)
+    for _ in range(n):
+        h.step()
+    return h
+
+
+def engine_states(spec):
+    cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=HORIZON)
+    out = {}
+
+    def visit(n_idx, ca, cb, cv):
+        for n in CHECKPOINTS:
+            if n_idx[0] <= n <= n_idx[-1]:
+                col = n - n_idx[0]
+                out[n] = (ca[0, col], np.ravel(cb[..., col])[0], cv[0, col])
+
+    experiments._scan(cfg, 0, 1, visit, b=True, v=True)
+    return out
+
+
+def close(got, want):
+    return got == pytest.approx(want, rel=REL, abs=0.0)
+
+
+@pytest.fixture(scope="module", params=sorted(VARIANTS))
+def case(request):
+    spec = replayed(VARIANTS[request.param])
+    return spec, {n: handle_at(spec, n) for n in CHECKPOINTS}
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    # blocks of 1000 steps: the engine carries its state across blocks
+    monkeypatch.setattr(experiments, "_BLOCK", 1000)
+
+
+def test_state(case):
+    spec, handle = case
+    engine = engine_states(spec)
+    for n in CHECKPOINTS:
+        a, b, v = engine[n]
+        h = handle[n]
+        assert close(a, h.a) and close(b, h.b_pow_r) and close(v, h.v_sq), n
+
+
+def scalar_statistic(spec, kind, h):
+    """The public statistic of the handle's state, or None where the engine
+    records nothing (-inf) because the normalizer is below e^2."""
+    a, n = h.a, h.n
+    if kind == "lil":
+        b = h.b_pow_r ** (1.0 / spec.r)
+        return lil_statistic(a, b, spec.r) if b >= DEFAULT_LOG_FLOOR else None
+    if kind == "conditional_variance":
+        s = math.sqrt(spec.s_n_sq(n)[-1])
+        return universal_statistic(a, 0.0, s) if s >= DEFAULT_LOG_FLOOR else None
+    v = math.sqrt(h.v_sq)
+    if kind == "uncentered":
+        # no guard: the normalizer is floored at e^2 instead
+        return universal_statistic(a, 0.0, max(v, DEFAULT_LOG_FLOOR))
+    return universal_statistic(a, h.mu_sum(), v) if v >= DEFAULT_LOG_FLOOR else None
+
+
+def test_lil_statistics(case):
+    spec, handle = case
+    recorded = {}
+    for kind in sorted({"lil", "uncentered", spec.statistic}):
+        cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=HORIZON,
+                               checkpoints=CHECKPOINTS, statistic=kind)
+        values = lil_track(cfg)["value"][0]
+        recorded[kind] = 0
+        for k, n in enumerate(CHECKPOINTS):
+            want = scalar_statistic(spec, kind, handle[n])
+            if want is None:
+                assert values[k] == -math.inf, (kind, n)
+            else:
+                assert close(values[k], want), (kind, n)
+                recorded[kind] += 1
+    # the comparison is not vacuous: each variant's own normalizer passes
+    # e^2 within the horizon (the three-point law's B_n does not, so its lil
+    # kind may record nothing)
+    assert recorded[spec.statistic] and recorded["uncentered"]
+
+
+def lambdas(spec):
+    cert = spec.certification
+    if cert is None:
+        return (0.5,)
+    return (0.3, 1.0) if cert[0] == "all" else (0.3 * cert[1], 0.9 * cert[1])
+
+
+def test_supermartingale_weight(case):
+    spec, handle = case
+    cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=HORIZON,
+                           checkpoints=CHECKPOINTS, lambda_grid=lambdas(spec))
+    if spec.certification is None:
+        with pytest.raises(CertificationError):
+            check_supermartingale_mean(cfg)
+        with pytest.raises(CertificationError):
+            exp_supermartingale_value(handle[HORIZON], 0.5)
+        return
+    reports = iter(check_supermartingale_mean(cfg))
+    for lam in cfg.lambda_grid:
+        for n in CHECKPOINTS:
+            rep = next(reports)
+            assert rep.label.endswith(f"lambda={lam} n={n}")
+            assert close(rep.estimate, exp_supermartingale_value(handle[n], lam)), (lam, n)

@@ -333,7 +333,8 @@ SCALAR_ENTRY_POINTS = {
 
 
 class TestScalarSpecRejection:
-    """Specs the scalar scan cannot run are refused before any draw."""
+    """Specs and arguments the scalar scan cannot run are refused before any
+    draw."""
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
@@ -355,6 +356,20 @@ class TestScalarSpecRejection:
                                paths=10, horizon=40)
         with pytest.raises(DomainError):
             SCALAR_ENTRY_POINTS[entry](cfg)
+
+    def test_bernstein_open_end(self):
+        # 0 <= lambda < 1/M: at lambda = 1/M the weight's denominator is 0
+        from selfnorm.processes import CertificationError
+        for m in (1.0, 0.5):
+            cfg = ExperimentConfig(spec=Bernstein(m_bound=m), seed=5, paths=100,
+                                   horizon=10, lambda_grid=(0.5, 1.0 / m))
+            with pytest.raises(CertificationError):
+                check_supermartingale_mean(cfg)
+
+    @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
+    def test_unsupported_lil_statistic(self, statistic):
+        with pytest.raises(DomainError, match=repr(statistic)):
+            lil_track(rad_cfg(statistic=statistic))
 
     def test_factorial_weights_never_deterministic(self):
         assert WeightedIID(weights="ones").b_deterministic

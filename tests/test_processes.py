@@ -175,6 +175,18 @@ class TestTruncatedMeans:
             want = self.quad_mean(pdf, c, d, -1e7, 1e7)
             assert spec.truncated_mean(1, c, d) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
+    def test_heavy_tail_infinite_level(self):
+        # alpha < 1: the tail mean diverges, so mu(c, inf) = +inf
+        spec = TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=1.0)
+        assert spec.truncated_mean(1, 0.0, 1e12) == pytest.approx(999996.0, rel=1e-12)
+        assert spec.truncated_mean(1, -1.0, math.inf) == math.inf
+        assert spec.truncated_mean(1, -math.inf, 1.0) == -math.inf
+
+    def test_heavy_tail_one_sided(self):
+        spec = TruncatedCentering(base="heavy", alpha=0.5, d1=0.0, d2=1.0)
+        assert spec.truncated_mean(1, 0.0, math.inf) == 0.0
+        assert spec.truncated_mean(1, -100.0, math.inf) < 0.0
+
     def test_factorial_weights_unsupported(self):
         with pytest.raises(UnsupportedVariantError):
             WeightedIID(weights="factorial").truncated_mean(1, -1.0, 1.0)
@@ -260,6 +272,13 @@ class TestSupermartingaleValues:
         want = math.exp(lam * st.a_n - lam * lam * st.b_pow_r / (2.0 * (1.0 - lam)))
         assert exp_supermartingale_value(h, lam) == pytest.approx(want, rel=1e-12)
 
+    def test_bernstein_certification_is_open_at_one_over_m(self):
+        h = make_process(Bernstein(m_bound=0.5), 4)
+        h.step()
+        assert math.isfinite(exp_supermartingale_value(h, 1.999))
+        with pytest.raises(CertificationError):
+            exp_supermartingale_value(h, 2.0)
+
     def test_overflow_goes_to_inf(self):
         h = make_process(BrownianGrid(times=(1.0,)), 4)
         h.step()
@@ -318,6 +337,12 @@ class TestGrids:
         var = np.var(d, axis=0)  # (T, m)
         se = dts[:, None] * math.sqrt(2.0 / 100000)
         assert np.all(np.abs(var - dts[:, None]) < 6.0 * se)
+
+    def test_mv_has_no_scalar_weight(self):
+        h = make_process(MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=10.0), 4)
+        h.step()
+        with pytest.raises(UnsupportedVariantError):
+            exp_supermartingale_value(h, 0.5)
 
     def test_mv_state_exposes_vector_and_time(self):
         spec = MvBrownianGrid(dim=3, t0=0.5, rho=2.0, horizon=8.0)
