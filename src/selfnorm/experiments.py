@@ -24,9 +24,10 @@ from .constants import DomainError, lil_constants
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
                      lil_normalized, moment_bound_cor22, moment_bound_thm21,
                      tail_bound_cor22, thm21_normalized, v_normalized)
-from .mixture import GaussianMixture, MixtureMeasure, boundary, crossing_bound
+from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
+                      crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec,
-                        WeightedIID, chunk_rng, log_supermartingale,
+                        WeightedIID, _Variant, chunk_rng, log_supermartingale,
                         spec_to_json)
 
 _BLOCK = 32768
@@ -313,15 +314,65 @@ def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
     return beta
 
 
+# Screen of the per-cell lookups on a random normalizer. psi(u, v) increases
+# in u and decreases in v, so beta(v) increases in v; B^r increments are
+# >= 0, so v never falls along a path; PCHIP on increasing data is increasing
+# (Fritsch & Carlson 1980). On a segment of _SCREEN_STEPS steps, every cell's
+# beta is therefore at least (1 - _SCREEN_SLACK) beta at the segment's first
+# cell, and only cells with A at or above that bound are looked up.
+#
+# The slack covers what makes the computed beta less than monotone. With
+# c > F's mass m, beta > 0 and g(u) = log psi(u, v) - log c has g(0) <= -G,
+# G = log(c/m). `boundary` stops at |g| <= RESIDUAL_TOL + 4 eps |u| g'; g is
+# convex, so g' >= G/u at the root, and an exact solve outside the table lies
+# within u (RESIDUAL_TOL/G + 4 eps) of the root of the computed g, which
+# falls in v up to rounding. PCHIP values lie between their table nodes, up
+# to a few ulp. Two such errors, at the first cell and at a later one, need a
+# relative slack of 2 RESIDUAL_TOL/G + 8 eps plus rounding; 1e-6 covers that
+# twice over when G >= 8 RESIDUAL_TOL/1e-6 (c >= 1.016 m), and below that the
+# screen is off. A larger slack only adds candidates: each one still gets
+# the same beta value as without the screen.
+_SCREEN_STEPS = 64
+_SCREEN_SLACK = 1e-6
+
+
+def _hit_cells(ca, cb, beta, skip):
+    """Rows and columns of the cells with ca >= beta(max(cb, 1e-4)) in the
+    rows not in `skip`, for a per-cell B^r that never falls along a row; beta
+    is evaluated on each segment's first cell and on the cells at or above
+    its screen bound only."""
+    P, L = ca.shape
+    S = _SCREEN_STEPS
+    bound = np.full((P, -(-L // S)), np.inf)
+    first = beta(np.maximum(cb[~skip, ::S], 1e-4))
+    bound[~skip] = first - _SCREEN_SLACK * np.abs(first)
+    rows, cols = [], []
+    full = L - L % S
+    for lo, hi in ((0, full), (full, L)):  # whole segments, then the rest
+        if hi > lo:
+            width = min(S, hi - lo)
+            seg = ca[:, lo:hi].reshape(P, -1, width)  # a view, no copy
+            p, s, j = np.nonzero(seg >= bound[:, lo // S:-(-hi // S), None])
+            rows.append(p)
+            cols.append(lo + s * width + j)
+    p, col = np.concatenate(rows), np.concatenate(cols)
+    hit = ca[p, col] >= beta(np.maximum(cb[p, col], 1e-4))
+    return p[hit], col[hit]
+
+
 def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
                        workers: int | None = None) -> list[BoundReport]:
     """Fraction of paths on which the mixture boundary is ever crossed by each
     checkpoint, with a binomial SE.
 
     Scalar mixtures test {A_n >= beta_F(B_n^r, c)}; pass iff freq - k*SE <=
-    total_mass/c. A Gaussian mixture (with an MvBrownianGrid spec) tests the
-    quadratic-form crossing rule, whose limit frequency for the continuous
-    process is exactly 1/c; here the checkpoints are time values on the grid.
+    total_mass/c. The boundary assumes the canonical weight exp(lam*A -
+    lam^r B^r / r), so a spec certifying another weight is refused. On a
+    random normalizer most cells are screened out by monotonicity (see
+    `_SCREEN_STEPS`); the hits are those of a lookup on every cell. A Gaussian
+    mixture (with an MvBrownianGrid spec) tests the quadratic-form crossing
+    rule, whose limit frequency for the continuous process is exactly 1/c;
+    here the checkpoints are time values on the grid.
     """
     if c is None or c <= 0.0:
         raise DomainError("c must be positive")
@@ -336,8 +387,12 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         raise DomainError("mixture support exceeds the certified lambda range")
     cks = cfg.checkpoints or (cfg.horizon,)
     layout = _scalar_layout(cfg)
+    if type(cfg.spec).log_weight is not _Variant.log_weight:
+        raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "
+                          "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
     beta = _boundary_interpolant(mixture, c, cfg.spec.r,
                                  1e-4, 16.0 * cfg.horizon)
+    screen = math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK
 
     def chunk(ci):
         P = layout[ci]
@@ -345,13 +400,19 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         counts = np.zeros(len(cks), dtype=np.int64)
 
         def visit(n_idx, ca, cb, cv):
-            # beta runs once per step when cb is one row for all paths
-            hit = ca >= beta(np.maximum(cb, 1e-4))
+            L = len(n_idx)
+            if screen and cb.ndim == 2:
+                rows, cols = _hit_cells(ca, cb, beta, crossed)
+                first = np.full(P, L)
+                np.minimum.at(first, rows, cols)
+            else:
+                # every cell; once per step when cb is one row for all paths
+                hit = ca >= beta(np.maximum(cb, 1e-4))
+                first = np.where(hit.any(axis=1), hit.argmax(axis=1), L)
             for k, n in enumerate(cks):
                 if n_idx[0] <= n <= n_idx[-1]:
-                    ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
-                    counts[k] += int(np.count_nonzero(crossed | ever))
-            crossed[:] |= hit.any(axis=1)
+                    counts[k] += int(np.count_nonzero(crossed | (first <= n - n_idx[0])))
+            crossed[:] |= first < L
 
         _scan(cfg, ci, P, visit)
         return counts

@@ -29,8 +29,10 @@ uses per-chunk substreams SeedSequence(seed, spawn_key=(1, chunk)). Identical
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +60,42 @@ def path_rng(seed: int, path: int = 0) -> np.random.Generator:
 def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(1, chunk))))
+
+
+def fair_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Exactly `rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0`, leaving
+    rng in the same state, from fewer operations.
+
+    For a range of 2, numpy's `integers` takes Lemire's method on 32-bit
+    words, so each sign is bit 31 of one word; a word is the low, then the
+    high half of a 64-bit output, and an unused high half waits in the bit
+    generator's `has_uint32`/`uinteger` buffer. Philox and PCG64 (on a
+    little-endian host) are read here word for word through `random_raw`;
+    any other bit generator takes the plain `integers` call."""
+    bg = rng.bit_generator
+    if not isinstance(bg, (np.random.Philox, np.random.PCG64)) or sys.byteorder != "little":
+        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    with bg.lock:
+        state = bg.state
+        held = bool(state["has_uint32"]) and flat.size > 0
+        body = flat[1:] if held else flat
+        words = bg.random_raw((body.size + 1) // 2).view(np.uint32)
+        if held:
+            flat[0] = state["uinteger"] >> 31
+        state = bg.state
+        if words.size:  # as numpy: the last high half stays, used or not
+            state["has_uint32"], state["uinteger"] = int(words.size > body.size), int(words[-1])
+        elif held:
+            state["has_uint32"] = 0
+        bg.state = state
+    words = words[:body.size]
+    words >>= 31
+    body[...] = words
+    flat *= 2.0
+    flat -= 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +161,7 @@ class Rademacher(_Variant):
     b_deterministic = True  # d^2 = 1
 
     def draw(self, rng, n_lo, n_hi, n_paths):
-        return rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0
+        return fair_signs(rng, (n_paths, n_hi - n_lo))
 
     def truncated_mean(self, n, c, d):
         if not c < d:
@@ -157,12 +195,18 @@ class ScaledSymmetric(_Variant):
 
     def draw(self, rng, n_lo, n_hi, n_paths):
         shape = (n_paths, n_hi - n_lo)
-        eps = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-        if self.law == "lognormal":
-            z = np.exp(self.mu + self.sigma * rng.standard_normal(shape))
-        else:
-            z = self.xm * rng.random(shape) ** (-1.0 / self.shape)
-        return eps * z
+        d = fair_signs(rng, shape)
+        if self.law == "lognormal":  # exp(mu + sigma * N), in place
+            z = rng.standard_normal(shape)
+            z *= self.sigma
+            z += self.mu
+            np.exp(z, out=z)
+        else:  # xm * U^(-1/shape), in place
+            z = rng.random(shape)
+            z **= -1.0 / self.shape
+            z *= self.xm
+        d *= z
+        return d
 
     def _partial_mean(self, a, b):
         if self.law == "lognormal":
@@ -276,8 +320,10 @@ class BoundedBelow(_Variant):
     def certification(self):
         return ("nonneg", self.gamma / self.m_bound)
 
-    @property
+    @functools.cached_property
     def c_const(self) -> float:
+        # once per instance: a frozen dataclass's __dict__ takes the value
+        # directly, and equality and JSON read only the fields
         return c_gamma_r(self.gamma, self.r)
 
     def draw(self, rng, n_lo, n_hi, n_paths):
@@ -515,8 +561,7 @@ class WeightedIID(_Variant):
         return self.weights == "ones"
 
     def draw(self, rng, n_lo, n_hi, n_paths):
-        y = rng.integers(0, 2, size=(n_paths, n_hi - n_lo)).astype(float) * 2.0 - 1.0
-        return y  # weights applied by the stepping logic
+        return fair_signs(rng, (n_paths, n_hi - n_lo))  # weights applied by the stepping logic
 
     def truncated_mean(self, n, c, d):
         if self.weights != "ones":

@@ -196,6 +196,23 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "CertificationError" in capsys.readouterr().err
 
+    def test_bernstein_crossing_is_config_error(self, tmp_path, capsys):
+        # the mixture boundary assumes the canonical weight, not Bernstein's
+        suite = {
+            "schema": 1, "seed": 99,
+            "experiments": [{
+                "name": "bernstein_crossing",
+                "op": "crossing",
+                "config": {"spec": {"variant": "bernstein", "m_bound": 1.0},
+                           "paths": 100, "horizon": 10},
+                "op_args": {"mixture": {"type": "density_rs", "delta": 1.0},
+                            "c_over_mass": 10.0},
+            }],
+        }
+        cfg = write_json(tmp_path, "suite.json", suite)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "DomainError" in capsys.readouterr().err
+
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg = self.make_suite(tmp_path, seed=False)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

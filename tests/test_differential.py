@@ -6,9 +6,11 @@ same increments. They must then agree on the state (A, B^r, V^2), on every
 lil statistic the variant supports against the public scalar statistics of
 the handle's state, and on the certified weight."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from selfnorm import experiments
 from selfnorm.bounds import DEFAULT_LOG_FLOOR, lil_statistic, universal_statistic
@@ -17,7 +19,7 @@ from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 BrownianGrid, CertificationError,
                                 Counterexample56, Counterexample65, Rademacher,
                                 ScaledSymmetric, TruncatedCentering, WeightedIID,
-                                exp_supermartingale_value, make_process)
+                                chunk_rng, exp_supermartingale_value, make_process)
 
 HORIZON = 3000
 CHECKPOINTS = (1, 2, 17, 500, 2048, HORIZON)
@@ -60,12 +62,12 @@ def handle_at(spec, n):
     return h
 
 
-def engine_states(spec):
-    cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=HORIZON)
+def engine_states(spec, checkpoints=CHECKPOINTS, horizon=HORIZON):
+    cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=horizon)
     out = {}
 
     def visit(n_idx, ca, cb, cv):
-        for n in CHECKPOINTS:
+        for n in checkpoints:
             if n_idx[0] <= n <= n_idx[-1]:
                 col = n - n_idx[0]
                 out[n] = (ca[0, col], np.ravel(cb[..., col])[0], cv[0, col])
@@ -97,6 +99,38 @@ def test_state(case):
         a, b, v = engine[n]
         h = handle[n]
         assert close(a, h.a) and close(b, h.b_pow_r) and close(v, h.v_sq), n
+
+
+# A stepping handle costs a few microseconds a step, so the property test
+# below keeps its horizons short.
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(variant=st.sampled_from(sorted(VARIANTS)), seed=st.integers(0, 2**32 - 1),
+       block=st.integers(1, 300), horizon=st.integers(1, 400), data=st.data())
+def test_state_on_random_increments(variant, seed, block, horizon, data):
+    # the increments are a fresh draw from the variant's law for each seed,
+    # and the engine's blocks of any size carry the state across their edges
+    spec = replayed(VARIANTS[variant], seed)
+    cks = sorted(data.draw(st.sets(st.integers(1, horizon), min_size=1, max_size=5)))
+    with mock.patch.object(experiments, "_BLOCK", block):
+        engine = engine_states(spec, cks, horizon)
+    h = make_process(spec, seed=0)
+    for n in range(1, horizon + 1):
+        h.step()
+        if n in engine:
+            a, b, v = engine[n]
+            assert close(a, h.a) and close(b, h.b_pow_r) and close(v, h.v_sq), n
+    assert sorted(engine) == cks
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS) + ["bounded_below_r2", "weighted_iid_factorial"])
+def test_b_increments_are_nonnegative(variant):
+    # B^r never falls along a path, which the crossing screen relies on
+    spec = {"bounded_below_r2": BoundedBelow(m_bound=2.0, gamma=0.9),
+            "weighted_iid_factorial": WeightedIID(weights="factorial")}.get(variant)
+    spec = spec or VARIANTS[variant]
+    d = spec.draw(chunk_rng(31, 0), 0, HORIZON, 8)
+    inc = np.broadcast_to(spec.b_increments(d, np.arange(1, HORIZON + 1)), d.shape)
+    assert np.all(inc >= 0.0)
 
 
 def scalar_statistic(spec, kind, h):

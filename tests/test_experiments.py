@@ -5,16 +5,16 @@ import pytest
 
 from selfnorm import experiments
 from selfnorm.constants import DomainError
-from selfnorm.experiments import (BoundReport, ExperimentConfig,
-                                  _boundary_interpolant, _chunk_layout,
+from selfnorm.experiments import (_SCREEN_SLACK, BoundReport, ExperimentConfig,
+                                  _boundary_interpolant, _chunk_layout, _hit_cells,
                                   check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
                                   growth_rate_diagnostic, lil_track,
                                   report_rows, resolve_workers,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
-from selfnorm.mixture import (GaussianMixture, PointMasses, RobbinsSiegmund,
-                              boundary)
+from selfnorm.mixture import (Density, GaussianMixture, PointMasses,
+                              RobbinsSiegmund, boundary)
 from selfnorm.processes import (Bernstein, BoundedAbove, Counterexample56,
                                 Counterexample65, MvBrownianGrid, Rademacher,
                                 ScaledSymmetric, TruncatedCentering, WeightedIID)
@@ -228,6 +228,110 @@ class TestBoundaryTable:
         assert [r.to_dict() for r in w1] == [r.to_dict() for r in w2]
 
 
+def unscreened_counts(cfg, F, c):
+    """Crossing counts at each checkpoint with beta looked up on every cell:
+    the reference the screened counts must equal."""
+    beta = _boundary_interpolant(F, c, cfg.spec.r, 1e-4, 16.0 * cfg.horizon)
+    counts = np.zeros(len(cfg.checkpoints), dtype=np.int64)
+    for ci, P in enumerate(_chunk_layout(cfg.paths, cfg.horizon)):
+        crossed = np.zeros(P, dtype=bool)
+
+        def visit(n_idx, ca, cb, cv):
+            hit = ca >= beta(np.maximum(cb, 1e-4))
+            for k, n in enumerate(cfg.checkpoints):
+                if n_idx[0] <= n <= n_idx[-1]:
+                    ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
+                    counts[k] += np.count_nonzero(crossed | ever)
+            crossed[:] |= hit.any(axis=1)
+
+        experiments._scan(cfg, ci, P, visit)
+    return counts
+
+
+HEAVY_LAWS = {
+    "lognormal_sigma2": ScaledSymmetric(law="lognormal", sigma=2.0),
+    "pareto_1.5": ScaledSymmetric(law="pareto", shape=1.5),
+}
+
+
+class TestCrossingScreen:
+    """On a random normalizer beta is looked up only on cells that can reach
+    it (see `_SCREEN_STEPS`); the hits must be those of every-cell lookup."""
+    TWO_ATOMS = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
+    DENSITY = Density(f=lambda lam: np.ones_like(lam), lambda0=1.0)
+
+    @pytest.mark.parametrize("F, c, horizon", [
+        (TWO_ATOMS, 5.0, 10**5),
+        (RobbinsSiegmund(1.0), 10.0, 10**5),
+        (DENSITY, 5.0, 100),
+    ], ids=["point_masses", "robbins_siegmund", "density"])
+    def test_table_is_increasing(self, F, c, horizon):
+        beta = _boundary_interpolant(F, c, 2.0, 1e-4, 16.0 * horizon)
+        nodes = beta(np.geomspace(1e-4, 16.0 * horizon, 160))  # the table itself
+        assert np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)
+        # PCHIP between the nodes and exact solves past them stay above any
+        # earlier value, up to the screen's slack
+        v = np.concatenate([np.geomspace(1e-4, 16.0 * horizon, 4001),
+                            16.0 * horizon * np.geomspace(1.001, 50.0, 12)])
+        b = beta(v)
+        assert np.all(b >= np.maximum.accumulate(b) * (1.0 - _SCREEN_SLACK))
+
+    @pytest.mark.parametrize("law", sorted(HEAVY_LAWS))
+    @pytest.mark.parametrize("block", [1, 50, 64, 77, 200])
+    def test_hit_cells_equal_every_cell_lookup(self, law, block, monkeypatch):
+        # odd blocks leave a short last segment; a block of 1 or 50 is one
+        # short segment
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        F, c = self.TWO_ATOMS, 1.5
+        cfg = ExperimentConfig(spec=HEAVY_LAWS[law], seed=17, paths=40, horizon=300)
+        beta = _boundary_interpolant(F, c, 2.0, 1e-4, 16.0 * cfg.horizon)
+        hits = []
+
+        def visit(n_idx, ca, cb, cv):
+            want = np.nonzero(ca >= beta(np.maximum(cb, 1e-4)))
+            rows, cols = _hit_cells(ca, cb, beta, np.zeros(len(ca), dtype=bool))
+            order = np.lexsort((cols, rows))
+            assert np.array_equal(rows[order], want[0])
+            assert np.array_equal(cols[order], want[1])
+            hits.append(len(rows))
+
+        experiments._scan(cfg, 0, cfg.paths, visit)
+        assert sum(hits) > 0
+
+    @pytest.mark.parametrize("law, F, c", [
+        ("lognormal_sigma2", TWO_ATOMS, 1.5),
+        ("pareto_1.5", TWO_ATOMS, 1.5),
+        ("pareto_1.5", RobbinsSiegmund(1.0), 3.0),
+    ], ids=["lognormal-point_masses", "pareto-point_masses", "pareto-robbins_siegmund"])
+    def test_counts_equal_every_cell_lookup(self, law, F, c, monkeypatch):
+        # checkpoints inside segments, on both sides of block edges
+        monkeypatch.setattr(experiments, "_BLOCK", 77)
+        monkeypatch.setattr(experiments, "_TARGET_CELLS", 9 * 250)
+        cfg = ExperimentConfig(spec=HEAVY_LAWS[law], seed=5, paths=40, horizon=250,
+                               checkpoints=(1, 30, 64, 65, 77, 78, 140, 250))
+        want = unscreened_counts(cfg, F, c)
+        got = crossing_frequency(cfg, mixture=F, c=c)
+        assert [r.estimate for r in got] == [k / cfg.paths for k in want]
+        assert want[-1] > 0
+
+    def test_most_cells_are_not_looked_up(self, monkeypatch):
+        looked_up = []
+        real = _boundary_interpolant
+
+        def counted(*args):
+            beta = real(*args)
+
+            def lookup(v):
+                looked_up.append(np.size(v))
+                return beta(v)
+            return lookup
+
+        monkeypatch.setattr(experiments, "_boundary_interpolant", counted)
+        cfg = ExperimentConfig(spec=ScaledSymmetric(), seed=3, paths=50, horizon=2000)
+        crossing_frequency(cfg, mixture=self.TWO_ATOMS, c=5.0)
+        assert 0 < sum(looked_up) < 0.05 * cfg.paths * cfg.horizon
+
+
 class TestLilTrack:
     def test_statistic_autoselection(self):
         cases = [(Rademacher(), "lil"),
@@ -365,6 +469,17 @@ class TestScalarSpecRejection:
                                    horizon=10, lambda_grid=(0.5, 1.0 / m))
             with pytest.raises(CertificationError):
                 check_supermartingale_mean(cfg)
+
+    @pytest.mark.parametrize("spec", [
+        Bernstein(m_bound=1.0),
+        type("Tilted", (Rademacher,), {"log_weight": lambda self, lam, a, b: lam * a})(),
+    ], ids=["bernstein", "custom_weight"])
+    def test_crossing_needs_the_canonical_weight(self, spec):
+        # Bernstein's certified weight is not exp(lam*A - lam^2 B^2/2):
+        # E exp(lam*d - lam^2 M^2/2) = 1.07 at lam*M = 0.5
+        cfg = ExperimentConfig(spec=spec, seed=5, paths=100, horizon=10)
+        with pytest.raises(DomainError, match="weight"):
+            crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=10.0)
 
     @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
     def test_unsupported_lil_statistic(self, statistic):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from selfnorm import processes
 from selfnorm.constants import DomainError, c_gamma, c_gamma_r
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 BrownianGrid, CertificationError,
@@ -12,7 +13,8 @@ from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 MvBrownianGrid, Rademacher, ScaledSymmetric,
                                 TruncatedCentering, UnsupportedVariantError,
                                 WeightedIID, check_lambda, chunk_rng,
-                                exp_supermartingale_value, geometric_grid,
+                                exp_supermartingale_value, fair_signs,
+                                geometric_grid,
                                 make_process, path_rng, spec_from_json,
                                 spec_to_json, truncated_supermartingale_value)
 
@@ -42,6 +44,65 @@ class TestDeterminism:
         a = path_rng(7, 0).random(16)
         b = chunk_rng(7, 0).random(16)
         assert not np.array_equal(a, b)
+
+
+def plain_state(rng):
+    """The bit generator's state with arrays as lists, comparable with ==."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(rng.bit_generator.state)
+
+
+class TestFairSigns:
+    """`fair_signs` against the `integers` call it replaces: the same signs
+    and the same generator state after, so every later draw is unmoved."""
+    GENERATORS = {
+        "philox": lambda: chunk_rng(7, 3),                      # the engine's streams
+        "pcg64": lambda: np.random.default_rng(11),             # default_rng
+        "sfc64": lambda: np.random.Generator(np.random.SFC64(5)),  # plain integers
+    }
+
+    @staticmethod
+    def reference(rng, shape):
+        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (7,), (3, 5), (4, 8),
+                                       (2, 1025), (0, 3)])
+    def test_same_signs_and_stream(self, gen, held, shape):
+        a, b = self.GENERATORS[gen](), self.GENERATORS[gen]()
+        for rng in (a, b):
+            # one or two 32-bit words: the second half of a 64-bit output is
+            # then held in the buffer, or not
+            rng.integers(0, 2, size=1 if held else 2)
+            assert rng.bit_generator.state["has_uint32"] == held
+        got = fair_signs(a, shape)
+        want = self.reference(b, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert plain_state(a) == plain_state(b)
+        for draw in (lambda r: r.standard_normal(3), lambda r: r.integers(0, 2, 3),
+                     lambda r: r.random(3), lambda r: r.integers(0, 10**9, 5)):
+            assert np.array_equal(draw(a), draw(b))
+        assert np.array_equal(fair_signs(a, (5,)), self.reference(b, (5,)))
+        assert plain_state(a) == plain_state(b)
+
+    def test_sign_variants_draw_the_same_stream(self):
+        # the three variants that draw signs, against the plain formulas
+        for spec in (Rademacher(), WeightedIID(), ScaledSymmetric(mu=0.2, sigma=0.5),
+                     ScaledSymmetric(law="pareto", shape=2.5, xm=1.5)):
+            a, b = chunk_rng(3, 1), chunk_rng(3, 1)
+            got = spec.draw(a, 0, 33, 5)
+            want = self.reference(b, (5, 33))
+            if getattr(spec, "law", None) == "lognormal":
+                want = want * np.exp(spec.mu + spec.sigma * b.standard_normal((5, 33)))
+            elif getattr(spec, "law", None) == "pareto":
+                want = want * (spec.xm * b.random((5, 33)) ** (-1.0 / spec.shape))
+            assert np.array_equal(got, want)
+            assert plain_state(a) == plain_state(b)
 
 
 class TestParameterValidation:
@@ -100,6 +161,28 @@ class TestAccumulators:
         h.step(), h.step()
         with pytest.raises(IndexError):
             h.step()
+
+
+class TestBoundedBelowConstant:
+    def test_c_const_computed_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return c_gamma_r(*args)
+
+        monkeypatch.setattr(processes, "c_gamma_r", counted)
+        spec = BoundedBelow(m_bound=1.0, gamma=0.4, r=1.5)
+        h = make_process(spec, 3)
+        for _ in range(2500):  # crosses two draw buffers
+            h.step()
+        assert calls == [(0.4, 1.5)]
+        assert spec.c_const == c_gamma_r(0.4, 1.5)
+        # the cached value is no field: equality, hashing and JSON ignore it
+        fresh = BoundedBelow(m_bound=1.0, gamma=0.4, r=1.5)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert spec_to_json(spec) == {"variant": "bounded_below", "m_bound": 1.0,
+                                      "gamma": 0.4, "r": 1.5}
 
 
 class TestTruncatedMeans:
