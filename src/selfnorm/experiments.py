@@ -9,9 +9,19 @@ depend only on (paths, horizon); chunk i draws from the substream
 SeedSequence(seed, spawn_key=(1, i)) and partial results are combined in
 chunk order with exact (fsum) accumulation. Reports are therefore identical
 for any worker count.
+
+Every experiment on the scalar state (A, B^r, V^2) runs on one chunk driver,
+`_Scan`. It draws and accumulates each chunk in blocks of `_BLOCK` steps,
+then cuts each block, as views, after the steps the experiment names (its
+checkpoints, or the half horizon). A per-chunk reducer, built from the
+chunk's path count, sees the pieces in order through `segment(...)`, each
+tagged with the index of the stop it ends on; its attributes are the chunk's
+partial result. Only views are cut, never draws, so the stream and the chunk
+layout do not depend on an experiment's stops.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -77,10 +87,9 @@ class BoundReport:
         return d
 
 
-def _one_sided(label, bound, estimate, se, paths, k, extra=None) -> BoundReport:
+def _one_sided(label, bound, estimate, se, paths, k) -> BoundReport:
     return BoundReport(label=label, analytic_bound=bound, estimate=estimate,
-                       std_error=se, paths=paths,
-                       passed=bool(estimate - k * se <= bound), extra=extra)
+                       std_error=se, paths=paths, passed=bool(estimate - k * se <= bound))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -108,54 +117,65 @@ def _map_chunks(fn, n_chunks: int, workers: int) -> list:
         return list(ex.map(fn, range(n_chunks)))
 
 
-def _scalar_layout(cfg) -> list[int]:
-    """Chunk layout of an experiment on the scalar state (A, B^r, V^2), after
-    rejecting, before any draw, the specs the scalar scan cannot run."""
-    if isinstance(cfg.spec, MvBrownianGrid):
-        raise DomainError("MvBrownianGrid has a vector state; only "
-                          "crossing_frequency with a GaussianMixture accepts it")
-    if isinstance(cfg.spec, WeightedIID) and cfg.spec.weights != "ones":
-        raise DomainError("the engine does not apply WeightedIID factorial weights")
-    return _chunk_layout(cfg.paths, cfg.horizon)
+class _Scan:
+    """The chunked block scan behind every scalar experiment. Built first, it
+    refuses, before the experiment reads its spec and before any draw, the
+    specs the scalar state cannot run, and fixes the chunk layout and the
+    worker count."""
 
+    def __init__(self, cfg, workers):
+        self.workers = resolve_workers(workers)
+        if isinstance(cfg.spec, MvBrownianGrid):
+            raise DomainError("MvBrownianGrid has a vector state; only "
+                              "crossing_frequency with a GaussianMixture accepts it")
+        if isinstance(cfg.spec, WeightedIID) and cfg.spec.weights != "ones":
+            raise DomainError("the engine does not apply WeightedIID factorial weights")
+        self.cfg, self.layout = cfg, _chunk_layout(cfg.paths, cfg.horizon)
 
-def _scan(cfg, ci, n_paths, visit, b=True, v=False):
-    """Block-scan chunk ci: visit(n_idx, ca, cb, cv) receives the global step
-    indices of a block and the cumulative sums its caller reads: A always,
-    B^r unless b is False, V^2 = sum d^2 only if v (else cb, cv are None).
-    b=True takes the spec's own B^r increments; if `spec.b_deterministic`,
-    they come from one path and cb is one 1-D row shared by all paths. Any
-    other b is a per-cell rule b(d, n_idx)."""
-    spec, rng = cfg.spec, chunk_rng(cfg.seed, ci)
-    row = b is True and spec.b_deterministic
-    if b is True:
-        b = spec.b_increments
-    a = np.zeros(n_paths)
-    b_end = np.zeros(() if row else n_paths)
-    v_end = np.zeros(n_paths)
-    cb = cv = None
-    for lo in range(0, cfg.horizon, _BLOCK):
-        hi = min(lo + _BLOCK, cfg.horizon)
-        d = spec.draw(rng, lo, hi, n_paths)
-        n_idx = np.arange(lo + 1, hi + 1)
-        if b:
-            inc = b(d[:1], n_idx)[0] if row else b(d, n_idx)
-            cb = b_end[..., None] + np.cumsum(inc, axis=-1)
-            b_end = cb[..., -1].copy()
-        if v:
-            cv = v_end[:, None] + np.cumsum(d * d, axis=1)
-            v_end = cv[:, -1].copy()
-        ca = np.cumsum(d, axis=1, out=d)  # the draws are not read again
-        ca += a[:, None]
-        a = ca[:, -1].copy()
-        visit(n_idx, ca, cb, cv)
+    def __call__(self, reducer, stops=(), b=True, v=False) -> list:
+        """One reducer(P) per chunk of P paths, fed every block and returned
+        in chunk order. reducer.segment(n_idx, ca, cb, cv, k) receives the
+        global step indices of a piece of a block and the cumulative sums
+        its caller reads: A always, B^r unless b is False, V^2 = sum d^2 only
+        if v (else cb, cv are None). Blocks are cut after each step in the
+        sorted `stops`; k is the index of the stop a piece ends on, else
+        None. b=True takes the spec's own B^r increments; if
+        `spec.b_deterministic`, they come from one path and cb is one 1-D row
+        shared by all paths. Any other b is a per-cell rule b(d, n_idx)."""
+        return _map_chunks(lambda ci: self._chunk(ci, reducer, stops, b, v),
+                           len(self.layout), self.workers)
 
-
-def _fsum_cells(parts: list[np.ndarray]) -> np.ndarray:
-    """Exact elementwise sum over per-chunk partial arrays."""
-    flat = [p.reshape(-1) for p in parts]
-    out = np.array([math.fsum(f[j] for f in flat) for j in range(flat[0].size)])
-    return out.reshape(parts[0].shape)
+    def _chunk(self, ci, reducer, stops, b, v):
+        cfg, P = self.cfg, self.layout[ci]
+        spec, rng, red = cfg.spec, chunk_rng(cfg.seed, ci), reducer(P)
+        row = b is True and spec.b_deterministic
+        if b is True:
+            b = spec.b_increments
+        a, v_end = np.zeros(P), np.zeros(P)
+        b_end = np.zeros(() if row else P)
+        cb = cv = None
+        for lo in range(0, cfg.horizon, _BLOCK):
+            hi = min(lo + _BLOCK, cfg.horizon)
+            d = spec.draw(rng, lo, hi, P)
+            n_idx = np.arange(lo + 1, hi + 1)
+            if b:
+                inc = b(d[:1], n_idx)[0] if row else b(d, n_idx)
+                cb = b_end[..., None] + np.cumsum(inc, axis=-1)
+                b_end = cb[..., -1].copy()
+            if v:
+                cv = v_end[:, None] + np.cumsum(d * d, axis=1)
+                v_end = cv[:, -1].copy()
+            ca = np.cumsum(d, axis=1, out=d)  # the draws are not read again
+            ca += a[:, None]
+            a = ca[:, -1].copy()
+            inside = range(bisect.bisect_right(stops, lo), bisect.bisect_right(stops, hi))
+            s = 0
+            for e, k in [(stops[k] - lo, k) for k in inside] + [(hi - lo, None)]:
+                if e > s:
+                    red.segment(n_idx[s:e], ca[:, s:e], None if cb is None else cb[..., s:e],
+                                None if cv is None else cv[:, s:e], k)
+                s = e
+        return red
 
 
 def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -164,8 +184,28 @@ def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _binom_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def _frequency_report(label, bound, count, cfg) -> BoundReport:
+    """A frequency of count in cfg.paths with its binomial SE; pass iff
+    freq - k*SE <= bound."""
+    p_hat = float(count) / cfg.paths
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.paths)
+    return _one_sided(label, bound, p_hat, se, cfg.paths, cfg.se_slack)
+
+
+class _StateAtStops:
+    """Each path's A, and B^r and V^2 where the scan carries them, at each
+    stop."""
+
+    def __init__(self, P, n_stops):
+        self.a, self.b, self.v = (np.zeros((P, n_stops)) for _ in range(3))
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        if k is not None:
+            self.a[:, k] = ca[:, -1]
+            if cb is not None:
+                self.b[:, k] = cb[..., -1]
+            if cv is not None:
+                self.v[:, k] = cv[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,40 +216,22 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
                                workers: int | None = None) -> list[BoundReport]:
     """Empirical mean of the certified exponential supermartingale at each
     (lambda, checkpoint); pass iff mean - k*SE <= 1."""
-    workers = resolve_workers(workers)
+    scan = _Scan(cfg, workers)
     lams = cfg.lambda_grid or (0.5,)
     cks = cfg.checkpoints or (cfg.horizon,)
-    layout = _scalar_layout(cfg)
     for lam in lams:  # certify each lambda, and its weight, before any draw
         log_supermartingale(cfg.spec, lam, 0.0, 0.0)
-    L, K = len(lams), len(cks)
-
-    def chunk(ci):
-        s1 = np.zeros((L, K))
-        s2 = np.zeros((L, K))
-
-        def visit(n_idx, ca, cb, cv):
-            for k, n in enumerate(cks):
-                if not n_idx[0] <= n <= n_idx[-1]:
-                    continue
-                col = n - n_idx[0]
-                a, b = ca[:, col], cb[..., col]
-                for j, lam in enumerate(lams):
-                    w = np.exp(np.minimum(cfg.spec.log_weight(lam, a, b), 709.0))
-                    s1[j, k] += float(np.sum(w))
-                    s2[j, k] += float(np.sum(w * w))
-
-        _scan(cfg, ci, layout[ci], visit)
-        return s1, s2
-
-    parts = _map_chunks(chunk, len(layout), workers)
-    s1 = _fsum_cells([p[0] for p in parts])
-    s2 = _fsum_cells([p[1] for p in parts])
+    parts = scan(lambda P: _StateAtStops(P, len(cks)), cks)
     name = type(cfg.spec).__name__
     reports = []
-    for j, lam in enumerate(lams):
+    for lam in lams:
         for k, n in enumerate(cks):
-            mean, se = _mean_se(s1[j, k], s2[j, k], cfg.paths)
+            # sums over each chunk, added exactly in chunk order; the mean
+            # stays an np.float64, whose repr the CSV report has always carried
+            w = [np.exp(np.minimum(cfg.spec.log_weight(lam, p.a[:, k], p.b[:, k]), 709.0))
+                 for p in parts]
+            mean, se = _mean_se(np.float64(math.fsum(float(np.sum(x)) for x in w)),
+                                math.fsum(float(np.sum(x * x)) for x in w), cfg.paths)
             if lam == 0.0:
                 mean, se = 1.0, 0.0
             reports.append(_one_sided(f"supermg_mean {name} lambda={lam} n={n}",
@@ -221,25 +243,17 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
 # section-2 tail and moment bounds
 # ---------------------------------------------------------------------------
 
-def _final_state(cfg, workers):
-    """Per-path (A, B^r) at the horizon, assembled in chunk order."""
-    layout = _scalar_layout(cfg)
-
-    def chunk(ci):
-        out = {}
-
-        def visit(n_idx, ca, cb, cv):
-            if n_idx[-1] == cfg.horizon:
-                out["fin"] = (ca[:, -1].copy(),
-                              np.broadcast_to(cb[..., -1], len(ca)).copy())
-
-        _scan(cfg, ci, layout[ci], visit)
-        return out["fin"]
-
-    parts = _map_chunks(chunk, len(layout), resolve_workers(workers))
-    a = np.concatenate([p[0] for p in parts])
-    b = np.concatenate([p[1] for p in parts])
-    return a, b
+def _horizon_state(cfg, workers, what):
+    """Per-path A and B^2 = (B^r)^(2/r) at the horizon, in chunk order, after
+    refusing a spec not certified over all real lambda."""
+    scan = _Scan(cfg, workers)
+    cert = cfg.spec.certification
+    if cert is None or cert[0] != "all":
+        raise DomainError(f"{what} certification over all real lambda")
+    parts = scan(lambda P: _StateAtStops(P, 1), (cfg.horizon,))
+    a = np.concatenate([p.a[:, 0] for p in parts])
+    b = np.concatenate([p.b[:, 0] for p in parts])
+    return a, (b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r))
 
 
 def validate_tail_bound(cfg: ExperimentConfig, y: float,
@@ -248,20 +262,14 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
     versus exp(-x^2/2), for each x >= sqrt(2) in the grid."""
     if y <= 0.0:
         raise DomainError("y must be positive")
-    cert = cfg.spec.certification
-    if cert is None or cert[0] != "all":
-        raise DomainError("tail bound requires certification over all real lambda")
-    a, b = _final_state(cfg, workers)
-    b2 = b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r)
+    a, b2 = _horizon_state(cfg, workers, "tail bound requires")
     stat = cor22_normalized(a, b2, y)
     reports = []
     for x in (cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)):
         if x < SQRT2:
             raise DomainError(f"tail grid point {x} below sqrt(2)")
-        p_hat = float(np.count_nonzero(stat >= x)) / cfg.paths
-        reports.append(_one_sided(f"tail x={x:g} y={y:g}", tail_bound_cor22(x),
-                                  p_hat, _binom_se(p_hat, cfg.paths),
-                                  cfg.paths, cfg.se_slack))
+        reports.append(_frequency_report(f"tail x={x:g} y={y:g}", tail_bound_cor22(x),
+                                         np.count_nonzero(stat >= x), cfg))
     return reports
 
 
@@ -270,13 +278,8 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
     """Empirical p-th moments of |A|/sqrt(B^2+(EB)^2) and of the two-sided
     normalized statistic, against their analytic bounds. EB is the plug-in
     empirical mean of B over the same paths (bias noted in the label)."""
-    cert = cfg.spec.certification
-    if cert is None or cert[0] != "all":
-        raise DomainError("moment bounds require certification over all real lambda")
-    a, b = _final_state(cfg, workers)
-    b2 = b if cfg.spec.r == 2.0 else b ** (2.0 / cfg.spec.r)
-    bb = np.sqrt(b2)
-    eb = math.fsum(bb.tolist()) / cfg.paths
+    a, b2 = _horizon_state(cfg, workers, "moment bounds require")
+    eb = math.fsum(np.sqrt(b2).tolist()) / cfg.paths
     y = eb * eb
     s_thm = thm21_normalized(a, b2, y)
     s_cor = cor22_normalized(a, b2, y)
@@ -360,6 +363,24 @@ def _hit_cells(ca, cb, beta, skip):
     return p[hit], col[hit]
 
 
+class _Crossings:
+    """Which paths have crossed beta so far, and how many had by each stop."""
+
+    def __init__(self, P, beta, screen, n_stops):
+        self.beta, self.screen = beta, screen
+        self.crossed = np.zeros(P, dtype=bool)
+        self.counts = np.zeros(n_stops, dtype=np.int64)
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        if self.screen and cb.ndim == 2:
+            rows, _ = _hit_cells(ca, cb, self.beta, self.crossed)
+        else:  # every cell; once per step when cb is one row for all paths
+            rows = (ca >= self.beta(np.maximum(cb, 1e-4))).any(axis=1)
+        self.crossed[rows] = True
+        if k is not None:
+            self.counts[k] = np.count_nonzero(self.crossed)
+
+
 def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
                        workers: int | None = None) -> list[BoundReport]:
     """Fraction of paths on which the mixture boundary is ever crossed by each
@@ -376,57 +397,26 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     """
     if c is None or c <= 0.0:
         raise DomainError("c must be positive")
-    workers = resolve_workers(workers)
     if isinstance(mixture, GaussianMixture):
-        return _crossing_gaussian(cfg, mixture, c, workers)
+        return _crossing_gaussian(cfg, mixture, c, resolve_workers(workers))
 
+    scan = _Scan(cfg, workers)
     cert = cfg.spec.certification
     if cert is None:
         raise DomainError("crossing test requires a certified spec")
     if mixture.lambda0 > cert[1] * (1.0 + 1e-12):
         raise DomainError("mixture support exceeds the certified lambda range")
     cks = cfg.checkpoints or (cfg.horizon,)
-    layout = _scalar_layout(cfg)
     if type(cfg.spec).log_weight is not _Variant.log_weight:
         raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "
                           "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
     beta = _boundary_interpolant(mixture, c, cfg.spec.r,
                                  1e-4, 16.0 * cfg.horizon)
     screen = math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK
-
-    def chunk(ci):
-        P = layout[ci]
-        crossed = np.zeros(P, dtype=bool)
-        counts = np.zeros(len(cks), dtype=np.int64)
-
-        def visit(n_idx, ca, cb, cv):
-            L = len(n_idx)
-            if screen and cb.ndim == 2:
-                rows, cols = _hit_cells(ca, cb, beta, crossed)
-                first = np.full(P, L)
-                np.minimum.at(first, rows, cols)
-            else:
-                # every cell; once per step when cb is one row for all paths
-                hit = ca >= beta(np.maximum(cb, 1e-4))
-                first = np.where(hit.any(axis=1), hit.argmax(axis=1), L)
-            for k, n in enumerate(cks):
-                if n_idx[0] <= n <= n_idx[-1]:
-                    counts[k] += int(np.count_nonzero(crossed | (first <= n - n_idx[0])))
-            crossed[:] |= first < L
-
-        _scan(cfg, ci, P, visit)
-        return counts
-
-    parts = _map_chunks(chunk, len(layout), workers)
-    totals = np.sum(parts, axis=0)
-    bound = crossing_bound(c, mixture)
-    reports = []
-    for k, n in enumerate(cks):
-        p_hat = float(totals[k]) / cfg.paths
-        reports.append(_one_sided(f"crossing n<={n} c={c:g}", bound, p_hat,
-                                  _binom_se(p_hat, cfg.paths), cfg.paths,
-                                  cfg.se_slack))
-    return reports
+    parts = scan(lambda P: _Crossings(P, beta, screen, len(cks)), cks)
+    totals = np.sum([p.counts for p in parts], axis=0)
+    return [_frequency_report(f"crossing n<={n} c={c:g}", crossing_bound(c, mixture),
+                              totals[k], cfg) for k, n in enumerate(cks)]
 
 
 def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
@@ -447,27 +437,19 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
     layout = _chunk_layout(cfg.paths, n_steps * spec.dim)
 
     def chunk(ci):
-        rng = chunk_rng(cfg.seed, ci)
-        P = layout[ci]
-        d = spec.draw(rng, 0, n_steps, P)             # (P, T, m)
+        d = spec.draw(chunk_rng(cfg.seed, ci), 0, n_steps, layout[ci])  # (P, T, m)
         m_path = np.cumsum(d, axis=1)
         proj = m_path @ U                              # rotate into eigenbasis
         quad = np.sum(proj * proj / (w[None, None, :] + times[None, :, None]), axis=2)
         logdet = np.sum(np.log(w[None, :] + times[:, None]), axis=1)
         stat = 0.5 * (ld0 - logdet[None, :] + quad)
         ever = np.logical_or.accumulate(stat >= log_c, axis=1)
-        return np.array([int(np.count_nonzero(ever[:, i])) for i in ck_idx],
-                        dtype=np.int64)
+        return np.count_nonzero(ever[:, ck_idx], axis=0)
 
     parts = _map_chunks(chunk, len(layout), workers)
     totals = np.sum(parts, axis=0)
-    reports = []
-    for k, t in enumerate(ck_times):
-        p_hat = float(totals[k]) / cfg.paths
-        reports.append(_one_sided(f"mv_crossing t<={t:g} c={c:g}", 1.0 / c,
-                                  p_hat, _binom_se(p_hat, cfg.paths),
-                                  cfg.paths, cfg.se_slack))
-    return reports
+    return [_frequency_report(f"mv_crossing t<={t:g} c={c:g}", 1.0 / c, totals[k], cfg)
+            for k, t in enumerate(ck_times)]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +461,24 @@ def _lil_block(ca, cb, r):
     a 1-D cb gives one denominator per step."""
     bn = np.maximum(cb, 0.0) ** (1.0 / r)
     return lil_normalized(ca, bn, r), bn >= DEFAULT_LOG_FLOOR
+
+
+class _RunningMax:
+    """Each path's running maximum of stat(n_idx, ca, cb, cv), and its running
+    maximum and value at each stop."""
+
+    def __init__(self, P, stat, n_stops):
+        self.stat = stat
+        self.run = np.full(P, -np.inf)
+        self.maxima = np.full((P, n_stops), -np.inf)
+        self.values = np.full((P, n_stops), np.nan)
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        val = self.stat(n_idx, ca, cb, cv)
+        self.run = np.maximum(self.run, val.max(axis=1))
+        if k is not None:
+            self.maxima[:, k] = self.run
+            self.values[:, k] = val[:, -1]
 
 
 def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
@@ -499,25 +499,21 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
     per-path running maxima and point values at each checkpoint, medians,
     and the fraction of paths ever exceeding the limsup bound * (1+margin).
     """
-    layout = _scalar_layout(cfg)
+    scan = _Scan(cfg, workers)
     spec = cfg.spec
     kind = spec.statistic if cfg.statistic == "auto" else cfg.statistic
     if kind not in ("lil", "uncentered", spec.statistic):
         raise DomainError(f"{type(spec).__name__} has no {kind!r} statistic; "
                           f"choose 'auto', 'lil', 'uncentered' or {spec.statistic!r}")
-    workers = resolve_workers(workers)
     cks = cfg.checkpoints or (cfg.horizon,)
     r = spec.r
     floor = DEFAULT_LOG_FLOOR
-    if kind == "lil":
-        limsup_bound = (r / (r - 1.0)) ** ((r - 1.0) / r)
-    else:
-        limsup_bound = (lil_constants(spec.lam).b_lambda
-                        if kind == "universal" else math.inf)
+    limsup_bound = ((r / (r - 1.0)) ** ((r - 1.0) / r) if kind == "lil" else
+                    lil_constants(spec.lam).b_lambda if kind == "universal" else math.inf)
     s_det = (np.sqrt(np.maximum(spec.s_n_sq(cfg.horizon), 0.0))
              if kind == "conditional_variance" else None)
 
-    def stat_block(n_idx, ca, cb, cv):
+    def stat(n_idx, ca, cb, cv):
         if kind == "lil":
             val, guard = _lil_block(ca, cb, r)
             return np.where(guard, val, -np.inf)
@@ -530,34 +526,13 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
         return np.where(vn >= floor, v_normalized(ca, spec.centering(n_idx, vn), vn),
                         -np.inf)
 
-    def chunk(ci):
-        P = layout[ci]
-        run_max = np.full(P, -np.inf)
-        maxima = np.full((P, len(cks)), -np.inf)
-        values = np.full((P, len(cks)), np.nan)
-        exceeded = np.zeros(P, dtype=bool)
-
-        def visit(n_idx, ca, cb, cv):
-            nonlocal run_max
-            val = stat_block(n_idx, ca, cb, cv)
-            # running maxima are read only at checkpoints and block ends
-            for k, n in enumerate(cks):
-                if n_idx[0] <= n <= n_idx[-1]:
-                    col = n - n_idx[0]
-                    maxima[:, k] = np.maximum(run_max, val[:, :col + 1].max(axis=1))
-                    values[:, k] = val[:, col]
-            run_max = np.maximum(run_max, val.max(axis=1))
-            if math.isfinite(limsup_bound):
-                exceeded[:] |= run_max > limsup_bound * (1.0 + margin)
-
-        _scan(cfg, ci, P, visit, b=kind == "lil",
-              v=kind in ("uncentered", "universal"))
-        return maxima, values, exceeded
-
-    parts = _map_chunks(chunk, len(layout), workers)
-    maxima = np.concatenate([p[0] for p in parts])
-    values = np.concatenate([p[1] for p in parts])
-    exceeded = np.concatenate([p[2] for p in parts])
+    parts = scan(lambda P: _RunningMax(P, stat, len(cks)), cks, b=kind == "lil",
+                 v=kind in ("uncentered", "universal"))
+    maxima = np.concatenate([p.maxima for p in parts])
+    values = np.concatenate([p.values for p in parts])
+    # running maxima never fall: a path ever exceeded iff its last one does
+    run = np.concatenate([p.run for p in parts])
+    exceeding = np.count_nonzero(run > limsup_bound * (1.0 + margin))
     return {
         "statistic": kind,
         "checkpoints": list(cks),
@@ -567,8 +542,25 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
         "median_value": np.median(values, axis=0).tolist(),
         "limsup_bound": limsup_bound,
         "margin": margin,
-        "frac_exceeding": float(np.count_nonzero(exceeded)) / cfg.paths,
+        "frac_exceeding": float(exceeding) / cfg.paths,
     }
+
+
+class _Histograms:
+    """Occupancy counts of the lil statistic where B_n >= e^2, over every step
+    and over the steps after `half`."""
+
+    def __init__(self, P, edges, r, half):
+        self.edges, self.r, self.half = edges, r, half
+        self.counts = np.zeros(len(edges) - 1, dtype=np.int64)
+        self.late_counts = np.zeros(len(edges) - 1, dtype=np.int64)
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        val, ok = _lil_block(ca, cb, self.r)
+        counts = np.histogram(val[np.broadcast_to(ok, val.shape)], bins=self.edges)[0]
+        self.counts += counts
+        if n_idx[0] > self.half:  # the scan cuts its blocks after step `half`
+            self.late_counts += counts
 
 
 def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
@@ -577,30 +569,14 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     recorded steps and paths; 'late' restricts to the second half of the
     horizon. Diagnostic only (the cluster set fills an interval a.s., so
     interior bins should all be visited)."""
-    workers = resolve_workers(workers)
+    scan = _Scan(cfg, workers)
     edges = np.linspace(-2.0, 2.0, bins + 1)
-    layout = _scalar_layout(cfg)
     half = cfg.horizon // 2
-
-    def chunk(ci):
-        all_c = np.zeros(bins, dtype=np.int64)
-        late_c = np.zeros(bins, dtype=np.int64)
-
-        def visit(n_idx, ca, cb, cv):
-            val, ok = _lil_block(ca, cb, cfg.spec.r)
-            ok = np.broadcast_to(ok, val.shape)
-            all_c[:] += np.histogram(val[ok], bins=edges)[0]
-            late = ok & (n_idx[None, :] > half)
-            late_c[:] += np.histogram(val[late], bins=edges)[0]
-
-        _scan(cfg, ci, layout[ci], visit)
-        return all_c, late_c
-
-    parts = _map_chunks(chunk, len(layout), workers)
+    parts = scan(lambda P: _Histograms(P, edges, cfg.spec.r, half), (half,))
     return {
         "edges": edges.tolist(),
-        "counts": np.sum([p[0] for p in parts], axis=0).tolist(),
-        "late_counts": np.sum([p[1] for p in parts], axis=0).tolist(),
+        "counts": np.sum([p.counts for p in parts], axis=0).tolist(),
+        "late_counts": np.sum([p.late_counts for p in parts], axis=0).tolist(),
     }
 
 
@@ -616,48 +592,28 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
         raise DomainError("give exactly one of p, alpha")
     if alpha is not None and not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
-    workers = resolve_workers(workers)
+    scan = _Scan(cfg, workers)
     r = cfg.spec.r
     half = max(1, cfg.horizon // 2)
-    layout = _scalar_layout(cfg)
     # order r reads the plain sum of |d|^r, without the variant's constant
     b_rule = False if r == 2.0 else (lambda d, n_idx: np.abs(d) ** r)
 
-    def chunk(ci):
-        P = layout[ci]
-        run = np.full(P, -np.inf)
-        at_half = np.zeros(P)
-        at_end = np.zeros(P)
+    def stat(n_idx, ca, cb, cv):
+        if r == 2.0:
+            core = ca / np.sqrt(np.maximum(cv * iterated_log(cv)[1], 1e-300))
+        else:
+            core = ca / (np.maximum(cb, 1.0) * iterated_log(cb)[1] ** (r - 1.0)) ** (1.0 / r)
+        if alpha is not None:
+            return np.exp(np.minimum(alpha * core * core, 709.0))
+        return np.maximum(core, 0.0)
 
-        def visit(n_idx, ca, cb, cv):
-            nonlocal run
-            if r == 2.0:
-                den_sq = cv * iterated_log(cv)[1]
-                core = ca / np.sqrt(np.maximum(den_sq, 1e-300))
-            else:
-                den = (np.maximum(cb, 1.0) * iterated_log(cb)[1] ** (r - 1.0)) ** (1.0 / r)
-                core = ca / den
-            if alpha is not None:
-                val = np.exp(np.minimum(alpha * core * core, 709.0))
-            else:
-                val = np.maximum(core, 0.0)
-            if n_idx[0] <= half <= n_idx[-1]:
-                at_half[:] = np.maximum(run, val[:, :half - n_idx[0] + 1].max(axis=1))
-            run = np.maximum(run, val.max(axis=1))
-            if n_idx[-1] == cfg.horizon:
-                at_end[:] = run
-
-        _scan(cfg, ci, P, visit, b=b_rule, v=r == 2.0)
-        return at_half, at_end
-
-    parts = _map_chunks(chunk, len(layout), workers)
-    at_half = np.concatenate([p_[0] for p_ in parts])
-    at_end = np.concatenate([p_[1] for p_ in parts])
-    q = 1.0 if alpha is not None else p
-    w_end = at_end ** q if alpha is None else at_end
-    w_half = at_half ** q if alpha is None else at_half
-    mean, se = _mean_se(float(np.sum(w_end)), float(np.sum(w_end * w_end)), cfg.paths)
-    mean_half = float(np.sum(w_half)) / cfg.paths
+    parts = scan(lambda P: _RunningMax(P, stat, 1), (half,), b=b_rule, v=r == 2.0)
+    at_half = np.concatenate([p_.maxima[:, 0] for p_ in parts])
+    at_end = np.concatenate([p_.run for p_ in parts])
+    if alpha is None:
+        at_end, at_half = at_end ** p, at_half ** p
+    mean, se = _mean_se(float(np.sum(at_end)), float(np.sum(at_end * at_end)), cfg.paths)
+    mean_half = float(np.sum(at_half)) / cfg.paths
     rel = abs(mean - mean_half) / max(mean, 1e-300)
     label = (f"sup_moment p={p:g}" if alpha is None else f"sup_exp alpha={alpha:g}")
     return BoundReport(label=label, analytic_bound=math.inf, estimate=mean,
@@ -673,30 +629,13 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
     conditional-variance root s_n (which vanishes), per checkpoint."""
     if not isinstance(cfg.spec, Counterexample65):
         raise DomainError("growth_rate_diagnostic requires a Counterexample65 spec")
-    workers = resolve_workers(workers)
+    scan = _Scan(cfg, workers)
     cks = cfg.checkpoints or (cfg.horizon,)
     s_det = np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
-    layout = _scalar_layout(cfg)
-
-    def chunk(ci):
-        P = layout[ci]
-        stat_v = np.zeros((P, len(cks)))
-        stat_s = np.zeros((P, len(cks)))
-
-        def visit(n_idx, ca, cb, cv):
-            for k, n in enumerate(cks):
-                if not n_idx[0] <= n <= n_idx[-1]:
-                    continue
-                col = n - n_idx[0]
-                stat_v[:, k] = v_normalized(ca[:, col], 0.0, np.sqrt(cv[:, col]))
-                stat_s[:, k] = v_normalized(ca[:, col], 0.0, s_det[n - 1])
-
-        _scan(cfg, ci, P, visit, b=False, v=True)
-        return stat_v, stat_s
-
-    parts = _map_chunks(chunk, len(layout), workers)
-    sv = np.concatenate([p[0] for p in parts])
-    ss = np.concatenate([p[1] for p in parts])
+    parts = scan(lambda P: _StateAtStops(P, len(cks)), cks, b=False, v=True)
+    a = np.concatenate([p.a for p in parts])
+    sv = v_normalized(a, 0.0, np.sqrt(np.concatenate([p.v for p in parts])))
+    ss = v_normalized(a, 0.0, s_det[np.array(cks) - 1])
     med_v = np.median(sv, axis=0)
     med_s = np.median(ss, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -722,7 +661,7 @@ def report_rows(reports: list[BoundReport]) -> list[dict]:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    d = {
+    return {
         "spec": spec_to_json(cfg.spec),
         "seed": cfg.seed,
         "paths": cfg.paths,
@@ -734,4 +673,3 @@ def config_echo(cfg: ExperimentConfig) -> dict:
         "statistic": cfg.statistic,
         "se_slack": cfg.se_slack,
     }
-    return d

@@ -584,8 +584,16 @@ class PathState:
     a_n: float
     b_pow_r: float
     v_n_sq: float
-    mu_sum: float
     extras: dict = field(default_factory=dict)
+    spec: ProcessSpec | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def mu_sum(self) -> float:
+        """n * mu(-lam*v_n, a_lam*v_n) for the truncated-centering variant, 0
+        otherwise; computed when read, not on every step."""
+        if not isinstance(self.spec, TruncatedCentering) or self.n == 0:
+            return 0.0
+        return float(self.spec.centering(self.n, math.sqrt(self.v_n_sq)))
 
 
 class ProcessHandle:
@@ -630,7 +638,7 @@ class ProcessHandle:
             vec = vec + d
             t = self.spec.times[self.n - 1]
             self._mv_state = (vec, t)
-            self.v_sq = self._kahan_v(float(np.dot(d, d)))
+            self.v_sq, self._v_comp = _kahan_add(self.v_sq, self._v_comp, float(np.dot(d, d)))
             self.b_pow_r = t
             return self.state()
 
@@ -650,38 +658,30 @@ class ProcessHandle:
         self.increments.append(d)
         self.a += d
         binc = float(self.spec.b_increments(np.array([[d]]), np.array([self.n]))[0, 0])
-        self.b_pow_r = self._kahan_b(binc)
-        self.v_sq = self._kahan_v(d * d)
+        self.b_pow_r, self._b_comp = _kahan_add(self.b_pow_r, self._b_comp, binc)
+        self.v_sq, self._v_comp = _kahan_add(self.v_sq, self._v_comp, d * d)
         return self.state()
 
-    def _kahan_b(self, inc: float) -> float:
-        y = inc - self._b_comp
-        t = self.b_pow_r + y
-        self._b_comp = (t - self.b_pow_r) - y
-        return t
-
-    def _kahan_v(self, inc: float) -> float:
-        y = inc - self._v_comp
-        t = self.v_sq + y
-        self._v_comp = (t - self.v_sq) - y
-        return t
-
     def state(self) -> PathState:
-        extras: dict = {}
+        extras, a_n = {}, self.a
         if self._mv_state is not None:
             vec, t = self._mv_state
-            extras = {"m_vec": vec.copy(), "t": t}
+            extras, a_n = {"m_vec": vec.copy(), "t": t}, float(vec[0])
         if self._wiid_scaled is not None:
             extras = {"scaled_by": "n_factorial"}
-        return PathState(n=self.n, a_n=self.a if self._mv_state is None else float(self._mv_state[0][0]),
-                         b_pow_r=self.b_pow_r, v_n_sq=self.v_sq,
-                         mu_sum=self.mu_sum(), extras=extras)
+        return PathState(n=self.n, a_n=a_n, b_pow_r=self.b_pow_r, v_n_sq=self.v_sq,
+                         extras=extras, spec=self.spec)
 
     def mu_sum(self) -> float:
-        """n * mu(-lam*v_n, a_lam*v_n) for the truncated-centering variant, 0 otherwise."""
-        if not isinstance(self.spec, TruncatedCentering) or self.n == 0:
-            return 0.0
-        return float(self.spec.centering(self.n, math.sqrt(self.v_sq)))
+        """`PathState.mu_sum` of the current state."""
+        return self.state().mu_sum
+
+
+def _kahan_add(total: float, comp: float, inc: float) -> tuple[float, float]:
+    """Compensated total + inc: the new total and its compensation."""
+    y = inc - comp
+    t = total + y
+    return t, (t - total) - y
 
 
 def make_process(spec: ProcessSpec, seed: int, path: int = 0) -> ProcessHandle:

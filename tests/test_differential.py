@@ -62,18 +62,24 @@ def handle_at(spec, n):
     return h
 
 
+class StopStates:
+    """A reducer that keeps, for each stop, the last step of the piece tagged
+    with it and path 0's (A, B^r, V^2) there."""
+
+    def __init__(self, P):
+        self.states = {}
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        if k is not None:
+            self.states[k] = (int(n_idx[-1]), ca[0, -1], np.ravel(cb[..., -1])[0], cv[0, -1])
+
+
 def engine_states(spec, checkpoints=CHECKPOINTS, horizon=HORIZON):
     cfg = ExperimentConfig(spec=spec, seed=0, paths=1, horizon=horizon)
-    out = {}
-
-    def visit(n_idx, ca, cb, cv):
-        for n in checkpoints:
-            if n_idx[0] <= n <= n_idx[-1]:
-                col = n - n_idx[0]
-                out[n] = (ca[0, col], np.ravel(cb[..., col])[0], cv[0, col])
-
-    experiments._scan(cfg, 0, 1, visit, b=True, v=True)
-    return out
+    [chunk] = experiments._Scan(cfg, 1)(StopStates, tuple(checkpoints), b=True, v=True)
+    # each stop's tag lands on the piece that ends at its step
+    assert [chunk.states[k][0] for k in sorted(chunk.states)] == list(checkpoints)
+    return {n: chunk.states[k][1:] for k, n in enumerate(checkpoints)}
 
 
 def close(got, want):

@@ -228,24 +228,48 @@ class TestBoundaryTable:
         assert [r.to_dict() for r in w1] == [r.to_dict() for r in w2]
 
 
+class EveryCellCrossings:
+    """A reducer that looks beta up on every cell of whole blocks (it is given
+    no stops) and counts the paths crossed by each checkpoint itself."""
+
+    def __init__(self, P, beta, checkpoints):
+        self.beta, self.checkpoints = beta, checkpoints
+        self.crossed = np.zeros(P, dtype=bool)
+        self.counts = np.zeros(len(checkpoints), dtype=np.int64)
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        assert k is None
+        hit = ca >= self.beta(np.maximum(cb, 1e-4))
+        for j, n in enumerate(self.checkpoints):
+            if n_idx[0] <= n <= n_idx[-1]:
+                ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
+                self.counts[j] = np.count_nonzero(self.crossed | ever)
+        self.crossed |= hit.any(axis=1)
+
+
 def unscreened_counts(cfg, F, c):
     """Crossing counts at each checkpoint with beta looked up on every cell:
     the reference the screened counts must equal."""
     beta = _boundary_interpolant(F, c, cfg.spec.r, 1e-4, 16.0 * cfg.horizon)
-    counts = np.zeros(len(cfg.checkpoints), dtype=np.int64)
-    for ci, P in enumerate(_chunk_layout(cfg.paths, cfg.horizon)):
-        crossed = np.zeros(P, dtype=bool)
+    parts = experiments._Scan(cfg, 1)(lambda P: EveryCellCrossings(P, beta, cfg.checkpoints))
+    assert [len(p.crossed) for p in parts] == _chunk_layout(cfg.paths, cfg.horizon)
+    return np.sum([p.counts for p in parts], axis=0)
 
-        def visit(n_idx, ca, cb, cv):
-            hit = ca >= beta(np.maximum(cb, 1e-4))
-            for k, n in enumerate(cfg.checkpoints):
-                if n_idx[0] <= n <= n_idx[-1]:
-                    ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
-                    counts[k] += np.count_nonzero(crossed | ever)
-            crossed[:] |= hit.any(axis=1)
 
-        experiments._scan(cfg, ci, P, visit)
-    return counts
+class ScreenedBlocks:
+    """A reducer that checks `_hit_cells` against every-cell lookup on each
+    whole block (it is given no stops) and keeps the hit count of each."""
+
+    def __init__(self, beta):
+        self.beta, self.hits = beta, []
+
+    def segment(self, n_idx, ca, cb, cv, k):
+        want = np.nonzero(ca >= self.beta(np.maximum(cb, 1e-4)))
+        rows, cols = _hit_cells(ca, cb, self.beta, np.zeros(len(ca), dtype=bool))
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(rows[order], want[0])
+        assert np.array_equal(cols[order], want[1])
+        self.hits.append(len(rows))
 
 
 HEAVY_LAWS = {
@@ -285,18 +309,8 @@ class TestCrossingScreen:
         F, c = self.TWO_ATOMS, 1.5
         cfg = ExperimentConfig(spec=HEAVY_LAWS[law], seed=17, paths=40, horizon=300)
         beta = _boundary_interpolant(F, c, 2.0, 1e-4, 16.0 * cfg.horizon)
-        hits = []
-
-        def visit(n_idx, ca, cb, cv):
-            want = np.nonzero(ca >= beta(np.maximum(cb, 1e-4)))
-            rows, cols = _hit_cells(ca, cb, beta, np.zeros(len(ca), dtype=bool))
-            order = np.lexsort((cols, rows))
-            assert np.array_equal(rows[order], want[0])
-            assert np.array_equal(cols[order], want[1])
-            hits.append(len(rows))
-
-        experiments._scan(cfg, 0, cfg.paths, visit)
-        assert sum(hits) > 0
+        [chunk] = experiments._Scan(cfg, 1)(lambda P: ScreenedBlocks(beta))
+        assert sum(chunk.hits) > 0 and len(chunk.hits) == -(-cfg.horizon // block)
 
     @pytest.mark.parametrize("law, F, c", [
         ("lognormal_sigma2", TWO_ATOMS, 1.5),

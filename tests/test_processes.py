@@ -185,6 +185,36 @@ class TestBoundedBelowConstant:
                                       "gamma": 0.4, "r": 1.5}
 
 
+class TestCenteringOnRead:
+    @pytest.mark.parametrize("spec", [
+        TruncatedCentering(base="normal", lam=1.0),
+        TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=2.0),
+    ], ids=["normal", "heavy"])
+    def test_step_does_not_center(self, spec, monkeypatch):
+        calls = []
+        real = TruncatedCentering.centering
+
+        def counted(self, n, v):
+            calls.append((n, v))
+            return real(self, n, v)
+
+        monkeypatch.setattr(TruncatedCentering, "centering", counted)
+        h = make_process(spec, 5)
+        states = [h.step() for _ in range(1500)]  # crosses a draw buffer
+        assert calls == []
+        # each state keeps its own step's value, read after later steps
+        for st in (states[0], states[999], states[-1]):
+            got, want = st.mu_sum, float(real(spec, st.n, math.sqrt(st.v_n_sq)))
+            assert got.hex() == want.hex()
+        assert [c[0] for c in calls] == [1, 1000, 1500]
+        assert h.mu_sum().hex() == float(real(spec, h.n, math.sqrt(h.v_sq))).hex()
+        assert len(calls) == 4
+
+    def test_other_variants_read_zero(self):
+        st = make_process(Rademacher(), 1).step()
+        assert st.mu_sum == 0.0 and make_process(Rademacher(), 1).mu_sum() == 0.0
+
+
 class TestTruncatedMeans:
     """Every analytic truncated mean is checked against direct numerical
     integration of the variant's density."""

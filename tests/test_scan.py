@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from selfnorm import experiments
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
-                                  lil_track, validate_tail_bound)
+                                  growth_rate_diagnostic, lil_track,
+                                  sup_moment_estimate, validate_moment_bound,
+                                  validate_tail_bound)
 from selfnorm.mixture import PointMasses
 from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid,
-                                Rademacher, ScaledSymmetric, WeightedIID)
+                                Counterexample65, Rademacher, ScaledSymmetric,
+                                WeightedIID)
 
 # lambda0 = 1 fits every certification below; its table is cheap to build
 MIXTURE = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
@@ -92,17 +95,32 @@ def test_one_row_matches_per_cell(variant, experiment, monkeypatch):
     assert fast == general
 
 
+# every scalar experiment, and the variants it runs on in the property below
+SCALAR = {
+    **EXPERIMENTS,
+    "moment_bound": lambda cfg, w=1: validate_moment_bound(cfg, workers=w),
+    "sup_moment": lambda cfg, w=1: sup_moment_estimate(cfg, p=2.0, workers=w),
+    "growth_rate": lambda cfg, w=1: growth_rate_diagnostic(cfg, workers=w),
+}
+ON_VARIANT = {
+    "rademacher": (Rademacher(), sorted(set(SCALAR) - {"growth_rate"})),
+    "scaled_symmetric": (ScaledSymmetric(), sorted(set(SCALAR) - {"growth_rate"})),
+    "counterexample65": (Counterexample65(), ["growth_rate"]),
+}
+
+
 @settings(max_examples=60)
 @given(paths=st.integers(1, 30), horizon=st.integers(1, 50),
        block=st.integers(1, 12), chunk_paths=st.integers(1, 12),
-       variant=st.sampled_from(["rademacher", "scaled_symmetric"]))
+       variant=st.sampled_from(sorted(ON_VARIANT)))
 def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, variant):
-    spec = Rademacher() if variant == "rademacher" else ScaledSymmetric()
+    spec, experiments_run = ON_VARIANT[variant]
     cks = tuple(sorted({1, (horizon + 1) // 2, horizon}))
     cfg = ExperimentConfig(spec=spec, seed=paths * 1000 + horizon, paths=paths,
                            horizon=horizon, checkpoints=cks)
     with mock.patch.multiple(experiments, _BLOCK=block,
                              _TARGET_CELLS=chunk_paths * horizon):
-        for experiment in ("crossing", "lil_track"):
-            fn = EXPERIMENTS[experiment]
-            assert outcome(fn, cfg, 1) == outcome(fn, cfg, 2)
+        for experiment in experiments_run:
+            one = outcome(SCALAR[experiment], cfg, 1)
+            assert not isinstance(one, tuple), one  # the experiment ran to the end
+            assert one == outcome(SCALAR[experiment], cfg, 2)
