@@ -20,7 +20,7 @@ from . import constants as konst
 from . import bounds
 from .mixture import (GaussianMixture, boundary, crossing_bound, measure_from_json,
                       mv_statistic, psi, rs_asymptotic, general_r_asymptotic)
-from .processes import MvBrownianGrid, make_process, spec_from_json
+from .processes import make_process, spec_from_json
 from .experiments import (BoundReport, ExperimentConfig, REPORT_COLUMNS,
                           check_supermartingale_mean, config_echo,
                           crossing_frequency, lil_track, validate_moment_bound,
@@ -56,7 +56,7 @@ def _rows_to_csv(rows: list[dict], columns) -> str:
                        extrasaction="ignore")
     w.writeheader()
     for row in rows:
-        w.writerow({k: (repr(v) if isinstance(v, float) else v)
+        w.writerow({k: (repr(float(v)) if isinstance(v, float) else v)
                     for k, v in row.items()})
     return buf.getvalue()
 
@@ -160,8 +160,7 @@ def cmd_simulate(args) -> int:
     if cks != sorted(set(cks)) or cks[0] < 1 or cks[-1] > horizon:
         raise CliError("checkpoints must be sorted, distinct and within the horizon")
     handle = make_process(spec, seed)
-    mv_mix = (GaussianMixture(np.eye(spec.dim)) if isinstance(spec, MvBrownianGrid)
-              else None)
+    mv_mix = None
     rows = []
     want = set(cks)
     for n in range(1, horizon + 1):
@@ -170,14 +169,12 @@ def cmd_simulate(args) -> int:
             continue
         row = {"n": st.n, "a_n": st.a_n, "b_pow_r": st.b_pow_r,
                "v_n_sq": st.v_n_sq, "mu_sum": st.mu_sum}
-        if mv_mix is not None:
-            row["mv_stat"] = mv_statistic(st.extras["m_vec"],
-                                          st.extras["t"] * np.eye(spec.dim), mv_mix)
+        if "m_vec" in st.extras:  # a vector state, tested by the unit Gaussian mixture
+            eye = np.eye(len(st.extras["m_vec"]))
+            mv_mix = mv_mix or GaussianMixture(eye)
+            row["mv_stat"] = mv_statistic(st.extras["m_vec"], st.extras["t"] * eye, mv_mix)
         rows.append(row)
-    cols = ["n", "a_n", "b_pow_r", "v_n_sq", "mu_sum"]
-    if mv_mix is not None:
-        cols.append("mv_stat")
-    _emit(rows, cols, args.format, args.out,
+    _emit(rows, list(rows[0]), args.format, args.out,
           {"command": "simulate", "seed": seed, "spec": cfg})
     return 0
 
@@ -281,14 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="selfnorm")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seeded=False):
+    options = {"--format": dict(choices=("csv", "json"), default="csv"),
+               "--seed": dict(type=int, default=None),
+               "--workers": dict(type=int, default=None, help="parallel workers "
+                                 "(default: SELFNORM_WORKERS env var or 1)")}
+
+    def common(sp, *flags):
         sp.add_argument("--out", default=None, help="output file/directory")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if seeded:
-            sp.add_argument("--seed", type=int, default=None)
-            sp.add_argument("--workers", type=int,
-                            default=None, help="parallel workers (default: "
-                            "SELFNORM_WORKERS env var or 1)")
+        for flag in flags:
+            sp.add_argument(flag, **options[flag])
 
     sp = sub.add_parser("constants", help="constant tables")
     sp.add_argument("--gamma", type=float, nargs="*", default=None)
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l-normalization", action="store_true")
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--delta", type=float, default=1.0)
-    common(sp)
+    common(sp, "--format")
     sp.set_defaults(fn=cmd_constants)
 
     sp = sub.add_parser("boundary", help="mixture boundary tables")
@@ -309,30 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-points", type=int, default=25)
     sp.add_argument("--asymptotic", choices=("none", "rs", "general"), default="none")
     sp.add_argument("--delta", type=float, default=1.0)
-    common(sp)
+    common(sp, "--format")
     sp.set_defaults(fn=cmd_boundary)
 
     sp = sub.add_parser("tailbound", help="analytic tail/moment bound tables")
     sp.add_argument("--x", type=float, nargs="*", default=None)
     sp.add_argument("--p", type=float, nargs="*", default=None)
-    common(sp)
+    common(sp, "--format")
     sp.set_defaults(fn=cmd_tailbound)
 
     sp = sub.add_parser("simulate", help="dump one path at checkpoints")
     sp.add_argument("--config", required=True, help="process spec JSON file")
     sp.add_argument("--horizon", type=int, default=None)
     sp.add_argument("--checkpoints", type=int, nargs="*", default=None)
-    common(sp, seeded=True)
+    common(sp, "--format", "--seed")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--config", required=True, help="suite JSON file")
-    common(sp, seeded=True)
+    common(sp, "--seed", "--workers")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("lil", help="iterated-logarithm running statistics")
     sp.add_argument("--config", required=True, help="experiment JSON file")
-    common(sp, seeded=True)
+    common(sp, "--seed", "--workers")
     sp.set_defaults(fn=cmd_lil)
 
     return p

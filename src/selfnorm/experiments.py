@@ -129,45 +129,30 @@ class _Scan:
             raise DomainError("MvBrownianGrid has a vector state; only "
                               "crossing_frequency with a GaussianMixture accepts it")
         if isinstance(cfg.spec, WeightedIID) and cfg.spec.weights != "ones":
-            raise DomainError("the engine does not apply WeightedIID factorial weights")
+            raise DomainError("WeightedIID factorial weights carry S_n/n!, and neither the lil "
+                              "statistic nor the mixture boundary is scale-invariant")
+        if cfg.horizon > cfg.spec.steps:
+            raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {cfg.spec.steps} steps")
         self.cfg, self.layout = cfg, _chunk_layout(cfg.paths, cfg.horizon)
 
     def __call__(self, reducer, stops=(), b=True, v=False) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
         in chunk order. reducer.segment(n_idx, ca, cb, cv, k) receives the
-        global step indices of a piece of a block and the cumulative sums
-        its caller reads: A always, B^r unless b is False, V^2 = sum d^2 only
-        if v (else cb, cv are None). Blocks are cut after each step in the
-        sorted `stops`; k is the index of the stop a piece ends on, else
-        None. b=True takes the spec's own B^r increments; if
-        `spec.b_deterministic`, they come from one path and cb is one 1-D row
-        shared by all paths. Any other b is a per-cell rule b(d, n_idx)."""
+        global step indices of a piece of a block and its running sums from
+        `spec.accumulate(..., b, v)`: A always, B^r and V^2 where b and v ask
+        for them (else None). Blocks are cut after each step in the sorted
+        `stops`; k is the index of the stop a piece ends on, else None."""
         return _map_chunks(lambda ci: self._chunk(ci, reducer, stops, b, v),
                            len(self.layout), self.workers)
 
     def _chunk(self, ci, reducer, stops, b, v):
         cfg, P = self.cfg, self.layout[ci]
         spec, rng, red = cfg.spec, chunk_rng(cfg.seed, ci), reducer(P)
-        row = b is True and spec.b_deterministic
-        if b is True:
-            b = spec.b_increments
-        a, v_end = np.zeros(P), np.zeros(P)
-        b_end = np.zeros(() if row else P)
-        cb = cv = None
+        carry = None
         for lo in range(0, cfg.horizon, _BLOCK):
             hi = min(lo + _BLOCK, cfg.horizon)
-            d = spec.draw(rng, lo, hi, P)
             n_idx = np.arange(lo + 1, hi + 1)
-            if b:
-                inc = b(d[:1], n_idx)[0] if row else b(d, n_idx)
-                cb = b_end[..., None] + np.cumsum(inc, axis=-1)
-                b_end = cb[..., -1].copy()
-            if v:
-                cv = v_end[:, None] + np.cumsum(d * d, axis=1)
-                v_end = cv[:, -1].copy()
-            ca = np.cumsum(d, axis=1, out=d)  # the draws are not read again
-            ca += a[:, None]
-            a = ca[:, -1].copy()
+            ca, cb, cv, carry = spec.accumulate(spec.draw(rng, lo, hi, P), n_idx, carry, b, v)
             inside = range(bisect.bisect_right(stops, lo), bisect.bisect_right(stops, hi))
             s = 0
             for e, k in [(stops[k] - lo, k) for k in inside] + [(hi - lo, None)]:
@@ -227,7 +212,7 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
     for lam in lams:
         for k, n in enumerate(cks):
             # sums over each chunk, added exactly in chunk order; the mean
-            # stays an np.float64, whose repr the CSV report has always carried
+            # stays an np.float64, the type this report has always returned
             w = [np.exp(np.minimum(cfg.spec.log_weight(lam, p.a[:, k], p.b[:, k]), 709.0))
                  for p in parts]
             mean, se = _mean_se(np.float64(math.fsum(float(np.sum(x)) for x in w)),
@@ -426,7 +411,6 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
     if c <= 1.0:
         raise DomainError("c must exceed 1")
     times = np.asarray(spec.times)
-    n_steps = len(times)
     ck_times = tuple(float(t) for t in cfg.checkpoints) or (float(times[-1]),)
     ck_idx = [int(np.searchsorted(times, t, side="right")) - 1 for t in ck_times]
     if any(i < 0 for i in ck_idx):
@@ -434,10 +418,10 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
     w, U = np.linalg.eigh(G.precision)
     ld0 = float(np.sum(np.log(w)))
     log_c = math.log(c)
-    layout = _chunk_layout(cfg.paths, n_steps * spec.dim)
+    layout = _chunk_layout(cfg.paths, spec.steps * spec.dim)
 
     def chunk(ci):
-        d = spec.draw(chunk_rng(cfg.seed, ci), 0, n_steps, layout[ci])  # (P, T, m)
+        d = spec.draw(chunk_rng(cfg.seed, ci), 0, spec.steps, layout[ci])  # (P, T, m)
         m_path = np.cumsum(d, axis=1)
         proj = m_path @ U                              # rotate into eigenbasis
         quad = np.sum(proj * proj / (w[None, None, :] + times[None, :, None]), axis=2)

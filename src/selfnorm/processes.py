@@ -2,11 +2,16 @@
 processes, exposing the running state (A_n, B_n^r, V_n^2, truncated-mean sums)
 and the exponential supermartingale weights each variant certifies.
 
-Variant protocol. Each scalar variant is a frozen dataclass whose fields are
-its JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
+Variant protocol. Each variant is a frozen dataclass whose fields are its
+JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
 through these members (defaults on the shared base `_Variant`):
   draw(rng, n_lo, n_hi, n_paths)  increments d for steps n_lo+1..n_hi, shape
-                                  (n_paths, n_hi - n_lo); no default.
+                                  (n_paths, n_hi - n_lo) plus any component
+                                  axes; no default.
+  steps                           how many steps it can draw; default inf.
+  accumulate(d, n_idx, carry, b, v)
+                                  the running A, B^r, V^2 of a block of draws
+                                  and the next block's carry; default cumsums.
   b_increments(d, n_idx)          the B^r increments of d; default d*d.
   b_deterministic                 True if those increments are a function of n
                                   alone, not of the draws; the engine then
@@ -16,11 +21,14 @@ through these members (defaults on the shared base `_Variant`):
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
   certification                   ("all", inf), ("nonneg", lam0) or None.
+  centering(n, v)                 the running centering of the universal
+                                  statistic; default 0.
   truncated_mean(n, c, d)         mu(c, d) = E[d_n 1(c <= d_n < d)]; no default.
   statistic                       the lil_track kind 'auto' resolves to;
                                   default 'lil'.
-MvBrownianGrid has a vector state: it implements `draw`, and its
-`log_weight` refuses, since the scalar weight does not apply.
+MvBrownianGrid is a variant with one component axis: its A is the vector
+M_t, V^2 sums the components and B^r = t; its `log_weight` refuses, since
+the scalar weight does not apply.
 
 Reproducibility: streams are Philox counter-based. A single-path handle uses
 the substream SeedSequence(seed, spawn_key=(0, path)); the experiment engine
@@ -143,9 +151,40 @@ class _Variant:
     dataclass fields, so `spec_to_json` is unchanged."""
     b_deterministic = False
     statistic = "lil"
+    steps = math.inf
+
+    def accumulate(self, d, n_idx, carry, b=True, v=False):
+        """(ca, cb, cv, carry): running A, B^r, V^2 after each step of block d
+        (which becomes ca) and the next block's carry. b=True takes
+        `b_increments` (one 1-D cb row if `b_deterministic`), another true b
+        is a rule b(d, n_idx), a false b gives cb None; cv is None unless v.
+        A keeps d's component axes, which V^2 = sum d^2 sums over."""
+        row = b is True and self.b_deterministic
+        if b is True:
+            b = self.b_increments
+        a, b_end, v_end = carry or (np.zeros(d.shape[:1] + d.shape[2:]),
+                                    np.zeros(() if row else len(d)), np.zeros(len(d)))
+        cb = cv = None
+        if b:
+            inc = b(d[:1], n_idx)[0] if row else None
+            # per-cell increments go before their sum is allocated: one block less at the peak
+            cb = b_end[..., None] + np.cumsum(b(d, n_idx) if inc is None else inc, axis=-1)
+            b_end = cb[..., -1].copy()
+        if v:
+            sq = d * d
+            if d.ndim > 2:
+                sq = sq.sum(axis=tuple(range(2, d.ndim)))
+            cv = v_end[:, None] + np.cumsum(sq, axis=1)
+            v_end = cv[:, -1].copy()
+        ca = np.cumsum(d, axis=1, out=d)
+        ca += a[:, None]
+        return ca, cb, cv, (ca[:, -1].copy(), b_end, v_end)
 
     def b_increments(self, d, n_idx):
         return d * d
+
+    def centering(self, n, v):
+        return 0.0
 
     def log_weight(self, lam, a, b_pow_r):
         """lam*A - lam^r B^r / r, the log of the canonical certified weight;
@@ -337,30 +376,37 @@ class BoundedBelow(_Variant):
         return Bernstein(self.m_bound).truncated_mean(n, c, d)
 
 
+class _Grid(_Variant):
+    """Brownian motion on the time grid `times` with axes `_components`; B^2 = t."""
+    certification = ("all", math.inf)
+    b_deterministic = True
+    _components = ()
+
+    @property
+    def steps(self) -> int:
+        return len(self.times)
+
+    def _dt(self, n_lo, n_hi):
+        return np.diff(self.times, prepend=0.0)[n_lo:n_hi]
+
+    def draw(self, rng, n_lo, n_hi, n_paths):
+        scale = np.sqrt(self._dt(n_lo, n_hi)).reshape((-1,) + (1,) * len(self._components))
+        return rng.standard_normal((n_paths, n_hi - n_lo) + self._components) * scale
+
+    def b_increments(self, d, n_idx):
+        return np.broadcast_to(self._dt(n_idx[0] - 1, n_idx[-1]), d.shape[:2])
+
+
 @dataclass(frozen=True)
-class BrownianGrid(_Variant):
+class BrownianGrid(_Grid):
     """Standard Brownian motion sampled on a fixed time grid; A = W_t, B^2 = t."""
     times: tuple[float, ...]
     r: float = 2.0
-    certification = ("all", math.inf)
-    b_deterministic = True
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if len(t) == 0 or t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if not self.times or self.times[0] <= 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise DomainError("times must be positive and strictly increasing")
-
-    def _dt(self, n_lo, n_hi):
-        t = np.concatenate([[0.0], np.asarray(self.times, dtype=float)])
-        return np.diff(t)[n_lo:n_hi]
-
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        dt = self._dt(n_lo, n_hi)
-        return rng.standard_normal((n_paths, n_hi - n_lo)) * np.sqrt(dt)
-
-    def b_increments(self, d, n_idx):
-        dts = self._dt(int(np.min(n_idx)) - 1, int(np.max(n_idx)))
-        return np.broadcast_to(dts, d.shape)
 
     def truncated_mean(self, n, c, d):
         dt = self._dt(n - 1, n)[0]
@@ -380,7 +426,7 @@ def geometric_grid(t0: float = 1e-4, rho: float = 1.05, horizon: float = 1e6) ->
 
 
 @dataclass(frozen=True)
-class MvBrownianGrid:
+class MvBrownianGrid(_Grid):
     """m-dimensional standard Brownian motion on a geometric time grid;
     M_t is the vector state and <M>_t = t * I."""
     dim: int = 2
@@ -388,21 +434,19 @@ class MvBrownianGrid:
     rho: float = 1.05
     horizon: float = 1e6
     r: float = 2.0
-    certification = ("all", math.inf)
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
-        geometric_grid(self.t0, self.rho, self.horizon)  # validates
+        self.times  # validates, and builds the grid once
 
     @property
+    def _components(self):
+        return (self.dim,)
+
+    @functools.cached_property
     def times(self) -> tuple[float, ...]:
         return geometric_grid(self.t0, self.rho, self.horizon)
-
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        t = np.concatenate([[0.0], np.asarray(self.times)])
-        dt = np.diff(t)[n_lo:n_hi]
-        return rng.standard_normal((n_paths, n_hi - n_lo, self.dim)) * np.sqrt(dt)[None, :, None]
 
     def log_weight(self, lam, a, b_pow_r):
         raise UnsupportedVariantError("MvBrownianGrid has a vector state; "
@@ -544,8 +588,10 @@ class TruncatedCentering(_Variant):
 @dataclass(frozen=True)
 class WeightedIID(_Variant):
     """S_n = sum w_i Y_i with fair-sign Y_i; weights 'ones' or 'factorial'.
-    The factorial preset tracks state rescaled by the latest weight (the
-    self-normalized statistic is scale-invariant, raw sums overflow)."""
+    The factorial preset carries the state rescaled by the latest weight,
+    S_n / n! and V_n^2 / (n!)^2, since the raw sums overflow. Neither the lil
+    statistic nor the mixture boundary is scale-invariant, so the engine
+    refuses factorial weights; only the stepping handle runs them."""
     weights: str = "ones"
     r: float = 2.0
     certification = ("all", math.inf)
@@ -561,7 +607,19 @@ class WeightedIID(_Variant):
         return self.weights == "ones"
 
     def draw(self, rng, n_lo, n_hi, n_paths):
-        return fair_signs(rng, (n_paths, n_hi - n_lo))  # weights applied by the stepping logic
+        return fair_signs(rng, (n_paths, n_hi - n_lo))  # weights applied by `accumulate`
+
+    def accumulate(self, d, n_idx, carry, b=True, v=False):
+        """Factorial weights: A = S_n / n! and B^2 = V^2 = V_n^2 / (n!)^2 step by
+        step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2."""
+        if self.weights == "ones":
+            return super().accumulate(d, n_idx, carry, b, v)
+        s, _, vs = carry or (0.0, 0.0, 0.0)
+        ca, cv = np.empty_like(d), np.empty_like(d)
+        for j, n in enumerate(n_idx.tolist()):
+            s = ca[:, j] = s / n + d[:, j]
+            vs = cv[:, j] = vs / (n * n) + d[:, j] * d[:, j]
+        return ca, cv, cv, (s, vs, vs)
 
     def truncated_mean(self, n, c, d):
         if self.weights != "ones":
@@ -589,16 +647,17 @@ class PathState:
 
     @property
     def mu_sum(self) -> float:
-        """n * mu(-lam*v_n, a_lam*v_n) for the truncated-centering variant, 0
-        otherwise; computed when read, not on every step."""
-        if not isinstance(self.spec, TruncatedCentering) or self.n == 0:
+        """The spec's running centering at this state's n and V_n (0 for a
+        variant without one); computed when read, not on every step."""
+        if self.spec is None or self.n == 0:
             return 0.0
         return float(self.spec.centering(self.n, math.sqrt(self.v_n_sq)))
 
 
 class ProcessHandle:
-    """Single-path stepping state over a spec; draws are buffered in blocks so
-    repeated step() calls stay cheap. Not thread-safe; run many handles instead."""
+    """Single-path stepping state over a spec: as in the engine, the spec's
+    `accumulate` turns each `_BUFFER` steps of draws into the running state,
+    and step() reads the next column. Not thread-safe; run many handles."""
 
     def __init__(self, spec: ProcessSpec, seed: int, path: int = 0):
         self.spec = spec
@@ -606,82 +665,42 @@ class ProcessHandle:
         self.path = int(path)
         self.rng = path_rng(self.seed, self.path)
         self.n = 0
-        self.a = 0.0
-        self.b_pow_r = 0.0
-        self.v_sq = 0.0
-        self._b_comp = 0.0
-        self._v_comp = 0.0
-        self._buf: np.ndarray | None = None
-        self._buf_pos = 0
-        self.increments: list[float] = []
-        self._mv_state = (np.zeros(spec.dim), 0.0) if isinstance(spec, MvBrownianGrid) else None
-        self._wiid_scaled = (0.0, 0.0) if isinstance(spec, WeightedIID) and spec.weights == "factorial" else None
+        self.a = self.b_pow_r = self.v_sq = 0.0
+        self.increments: list = []
+        self._carry = None
+        self._cols: list = []  # (d, A, B^r, V^2) of each buffered step
+        self._pos = 0
 
     def _refill(self):
-        hi = self.n + _BUFFER
-        if isinstance(self.spec, (BrownianGrid, MvBrownianGrid)):
-            hi = min(hi, len(self.spec.times))
-            if hi <= self.n:
-                raise IndexError("grid exhausted")
-        self._buf = self.spec.draw(self.rng, self.n, hi, 1)[0]
-        self._buf_pos = 0
+        lo, hi = self.n, min(self.n + _BUFFER, self.spec.steps)
+        if hi <= lo:
+            raise IndexError("grid exhausted")
+        d = self.spec.draw(self.rng, lo, hi, 1)
+        inc = d[0].tolist()  # before `accumulate` overwrites d
+        ca, cb, cv, self._carry = self.spec.accumulate(d, np.arange(lo + 1, hi + 1),
+                                                       self._carry, True, True)
+        self._cols = list(zip(inc, ca[0].tolist(), np.ravel(cb).tolist(), cv[0].tolist()))
+        self._pos = 0
 
     def step(self) -> PathState:
-        if self._buf is None or self._buf_pos >= len(self._buf):
+        if self._pos == len(self._cols):
             self._refill()
-        d = self._buf[self._buf_pos]
-        self._buf_pos += 1
+        d, self.a, self.b_pow_r, self.v_sq = self._cols[self._pos]
+        self._pos += 1
         self.n += 1
-
-        if isinstance(self.spec, MvBrownianGrid):
-            vec, _ = self._mv_state
-            vec = vec + d
-            t = self.spec.times[self.n - 1]
-            self._mv_state = (vec, t)
-            self.v_sq, self._v_comp = _kahan_add(self.v_sq, self._v_comp, float(np.dot(d, d)))
-            self.b_pow_r = t
-            return self.state()
-
-        d = float(d)
-        if self._wiid_scaled is not None:
-            # carry S_n / n! and V_n^2 / (n!)^2
-            s, vs = self._wiid_scaled
-            s = s / self.n + d
-            vs = vs / (self.n * self.n) + d * d
-            self._wiid_scaled = (s, vs)
-            self.a = s
-            self.v_sq = vs
-            self.b_pow_r = vs
-            self.increments.append(d)
-            return self.state()
-
         self.increments.append(d)
-        self.a += d
-        binc = float(self.spec.b_increments(np.array([[d]]), np.array([self.n]))[0, 0])
-        self.b_pow_r, self._b_comp = _kahan_add(self.b_pow_r, self._b_comp, binc)
-        self.v_sq, self._v_comp = _kahan_add(self.v_sq, self._v_comp, d * d)
         return self.state()
 
     def state(self) -> PathState:
-        extras, a_n = {}, self.a
-        if self._mv_state is not None:
-            vec, t = self._mv_state
-            extras, a_n = {"m_vec": vec.copy(), "t": t}, float(vec[0])
-        if self._wiid_scaled is not None:
-            extras = {"scaled_by": "n_factorial"}
+        a_n, extras = self.a, {}
+        if isinstance(a_n, list):  # a vector state, reported by its first component
+            a_n, extras = a_n[0], {"m_vec": np.array(self.a), "t": self.b_pow_r}
         return PathState(n=self.n, a_n=a_n, b_pow_r=self.b_pow_r, v_n_sq=self.v_sq,
                          extras=extras, spec=self.spec)
 
     def mu_sum(self) -> float:
         """`PathState.mu_sum` of the current state."""
         return self.state().mu_sum
-
-
-def _kahan_add(total: float, comp: float, inc: float) -> tuple[float, float]:
-    """Compensated total + inc: the new total and its compensation."""
-    y = inc - comp
-    t = total + y
-    return t, (t - total) - y
 
 
 def make_process(spec: ProcessSpec, seed: int, path: int = 0) -> ProcessHandle:
@@ -774,8 +793,6 @@ def spec_from_json(obj: dict | str) -> ProcessSpec:
     cls = _VARIANTS.get(name)
     if cls is None:
         raise DomainError(f"unknown process variant {name!r}")
-    if cls is BrownianGrid and "times" in obj:
-        obj["times"] = tuple(float(t) for t in obj["times"])
     try:
         return cls(**obj)
     except TypeError as exc:

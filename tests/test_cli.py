@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import os
 
 import pytest
 
-from selfnorm.cli import main
+from selfnorm.cli import build_parser, main
 
 SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm",
                      "suites", "suite_supermartingales.json")
@@ -213,6 +214,25 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "DomainError" in capsys.readouterr().err
 
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        # a float of any type is written as a plain float literal
+        suite = json.loads(open(self.make_suite(tmp_path)).read())
+        suite["experiments"].append({
+            "name": "tail", "op": "tail_bound",
+            "config": {"spec": {"variant": "scaled_symmetric"}, "paths": 500,
+                       "horizon": 40},
+            "op_args": {"y": 1.0}})
+        cfg = write_json(tmp_path, "suite2.json", suite)
+        out = str(tmp_path / "o")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        for name in ("tiny.csv", "tail.csv"):
+            rows = read_csv(os.path.join(out, name))
+            assert rows
+            for row in rows:
+                assert row["pass"] in ("True", "False")
+                for col in ("analytic_bound", "estimate", "std_error", "paths"):
+                    float(row[col])
+
     def test_missing_seed_is_config_error(self, tmp_path):
         cfg = self.make_suite(tmp_path, seed=False)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -260,3 +280,37 @@ class TestLilCommand:
                           "seed": 4, "paths": 10, "horizon": 40})
         assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "DomainError" in capsys.readouterr().err
+
+
+class TestAcceptedOptions:
+    """Each subcommand accepts exactly the options it reads."""
+    OPTIONS = {
+        "constants": {"--gamma", "--lambda", "--r", "--l-normalization", "--alpha",
+                      "--delta", "--out", "--format"},
+        "boundary": {"--config", "--c", "--r", "--v-min", "--v-max", "--v-points",
+                     "--asymptotic", "--delta", "--out", "--format"},
+        "tailbound": {"--x", "--p", "--out", "--format"},
+        "simulate": {"--config", "--horizon", "--checkpoints", "--out", "--format",
+                     "--seed"},
+        "verify": {"--config", "--out", "--seed", "--workers"},
+        "lil": {"--config", "--out", "--seed", "--workers"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_set(self, command):
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        sp = sub.choices[command]
+        got = {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+        assert got - {"--help"} == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "s.json", "--format", "json"],
+        ["lil", "--config", "l.json", "--format", "json"],
+        ["simulate", "--config", "p.json", "--workers", "2"],
+    ], ids=["verify-format", "lil-format", "simulate-workers"])
+    def test_unread_options_are_usage_errors(self, argv, capsys):
+        build_parser().parse_args(argv[:3])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err

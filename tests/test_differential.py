@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from selfnorm import experiments
+from selfnorm import experiments, processes
 from selfnorm.bounds import DEFAULT_LOG_FLOOR, lil_statistic, universal_statistic
 from selfnorm.experiments import ExperimentConfig, check_supermartingale_mean, lil_track
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
@@ -105,6 +105,24 @@ def test_state(case):
         a, b, v = engine[n]
         h = handle[n]
         assert close(a, h.a) and close(b, h.b_pow_r) and close(v, h.v_sq), n
+
+
+def test_state_is_exact_on_the_handle_blocks(case, monkeypatch):
+    # with the engine's blocks as long as the handle's buffers, both run the
+    # same `accumulate` calls on the same draws: equal to the last bit at
+    # every step around two buffer edges
+    spec, _ = case
+    monkeypatch.setattr(experiments, "_BLOCK", processes._BUFFER)
+    edges = [n + k for n in (processes._BUFFER, 2 * processes._BUFFER) for k in (-1, 0, 1)]
+    cks = sorted(set(CHECKPOINTS) | set(edges))
+    assert HORIZON > 2 * processes._BUFFER
+    engine = engine_states(spec, cks)
+    h = make_process(spec, seed=0)
+    for n in range(1, HORIZON + 1):
+        h.step()
+        if n in engine:
+            got = [float(x).hex() for x in engine[n]]
+            assert got == [h.a.hex(), h.b_pow_r.hex(), h.v_sq.hex()], n
 
 
 # A stepping handle costs a few microseconds a step, so the property test

@@ -15,7 +15,7 @@ from selfnorm.experiments import (_SCREEN_SLACK, BoundReport, ExperimentConfig,
                                   validate_tail_bound)
 from selfnorm.mixture import (Density, GaussianMixture, PointMasses,
                               RobbinsSiegmund, boundary)
-from selfnorm.processes import (Bernstein, BoundedAbove, Counterexample56,
+from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid, Counterexample56,
                                 Counterexample65, MvBrownianGrid, Rademacher,
                                 ScaledSymmetric, TruncatedCentering, WeightedIID)
 
@@ -472,6 +472,14 @@ class TestScalarSpecRejection:
         # applies the factorial rescaling
         cfg = ExperimentConfig(spec=WeightedIID(weights="factorial"), seed=1,
                                paths=10, horizon=40)
+        with pytest.raises(DomainError):
+            SCALAR_ENTRY_POINTS[entry](cfg)
+
+    @pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+    def test_grid_shorter_than_horizon(self, entry):
+        # 300 grid times cannot carry a 2000-step horizon
+        grid = BrownianGrid(times=tuple(0.01 * k for k in range(1, 301)))
+        cfg = ExperimentConfig(spec=grid, seed=1, paths=50, horizon=2000)
         with pytest.raises(DomainError):
             SCALAR_ENTRY_POINTS[entry](cfg)
 

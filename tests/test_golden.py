@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from selfnorm import experiments
+from selfnorm.cli import main
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
                                   growth_rate_diagnostic, lil_track,
@@ -172,3 +173,68 @@ def test_seeded_output_digest(case, monkeypatch):
     monkeypatch.setattr(experiments, "_BLOCK", block)
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * HORIZON)  # chunks of 5 paths
     assert digest(run()) == DIGESTS[case]
+
+
+# The bytes the CLI writes, which also pin each value's type (a JSON dump of
+# an np.float64 and of a float are the same text; their CSV reprs are not).
+# `simulate` runs past the handle's first 1024-step buffer.
+CLI_SEED = "20261018"
+SIMULATE = {
+    "rademacher": ({"variant": "rademacher"}, "csv"),
+    "lognormal": ({"variant": "scaled_symmetric", "law": "lognormal", "sigma": 1.0}, "json"),
+    "mv_brownian_grid": ({"variant": "mv_brownian_grid", "dim": 2, "t0": 0.01,
+                          "rho": 1.005, "horizon": 100.0}, "csv"),
+    "weighted_iid_factorial": ({"variant": "weighted_iid", "weights": "factorial"}, "csv"),
+}
+SUITE = {
+    "schema": 1,
+    "experiments": [
+        {"name": "mean", "op": "supermartingale_mean",
+         "config": {"spec": {"variant": "rademacher"}, "paths": 300, "horizon": 60,
+                    "checkpoints": [10, 60], "lambda_grid": [0.3, 1.0]}},
+        {"name": "crossing", "op": "crossing",
+         "config": {"spec": {"variant": "scaled_symmetric", "law": "lognormal"},
+                    "paths": 200, "horizon": 100, "checkpoints": [50, 100]},
+         "op_args": {"mixture": {"type": "density_rs", "delta": 1.0}, "c_over_mass": 2.0}},
+    ],
+}
+LIL = {"spec": {"variant": "rademacher"}, "paths": 40, "horizon": 1500,
+       "checkpoints": [100, 1500]}
+
+CLI_DIGESTS = {
+    "lil-rademacher":
+        "c42daf991e3ffc6556decc00ce7a8f958e54ef1b6809d9c21f28e1a69e709054",
+    "simulate-lognormal":
+        "c6c1b9d75350330ff1556e5d9a3515d4a11a613be4bd12383af5fa50663a88e4",
+    "simulate-mv_brownian_grid":
+        "91c7bbb6342e0441e9659ba8ee34da0c80d97dc1ba748592d3a58ed931aea462",
+    "simulate-rademacher":
+        "3e332479702f5fb9a11a47935ddd804ff2fa0fc88a5e709f1126dd042bd4c7fd",
+    "simulate-weighted_iid_factorial":
+        "ec40b66c1cbd93f74928d155488c5266247fc1a8405e75bc332a221a74706f85",
+    "verify-two_experiments":
+        "0d9c54d3d21c7e6cf5e605cd3025dc391d6dbd1b0a439560cdeaa83601066653",
+}
+
+
+def cli_digest(case, tmp_path) -> str:
+    """sha256 of the names and bytes of every file one CLI run writes."""
+    command, name = case.split("-", 1)
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    if command == "simulate":
+        spec, fmt = SIMULATE[name]
+        config.write_text(json.dumps(spec))
+        argv = ["--horizon", "1300", "--format", fmt, "--out", str(out / "path.txt")]
+    else:
+        config.write_text(json.dumps(LIL if command == "lil" else SUITE))
+        argv = ["--out", str(out / "lil.json" if command == "lil" else out)]
+    assert main([command, "--config", str(config), "--seed", CLI_SEED] + argv) == 0
+    h = hashlib.sha256()
+    for f in sorted(out.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_output_bytes(case, tmp_path):
+    assert cli_digest(case, tmp_path) == CLI_DIGESTS[case]

@@ -155,6 +155,12 @@ class TestAccumulators:
         states, _ = run_steps(spec, 11, 4)
         assert [st.b_pow_r for st in states] == [0.5, 1.0, 2.0, 4.0]
 
+    def test_brownian_grid_times_become_floats(self):
+        spec = BrownianGrid(times=[1, 2, 4])
+        assert spec.times == (1.0, 2.0, 4.0) and all(type(t) is float for t in spec.times)
+        assert spec_from_json({"variant": "brownian_grid", "times": [1, 2, 4]}) == spec
+        assert spec.steps == 3 and Rademacher().steps == math.inf
+
     def test_grid_exhaustion(self):
         spec = BrownianGrid(times=(0.5, 1.0))
         h = make_process(spec, 3)
@@ -457,6 +463,39 @@ class TestGrids:
         with pytest.raises(UnsupportedVariantError):
             exp_supermartingale_value(h, 0.5)
 
+    def test_mv_grid_built_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return geometric_grid(*args)
+
+        monkeypatch.setattr(processes, "geometric_grid", counted)
+        spec = MvBrownianGrid(dim=2, t0=1e-4, rho=1.005, horizon=1e6)
+        h = make_process(spec, 3)
+        for _ in range(2500):  # crosses two draw buffers
+            h.step()
+        assert calls == [(1e-4, 1.005, 1e6)]
+        # the cached grid is no field: equality, hashing and JSON ignore it
+        fresh = MvBrownianGrid(dim=2, t0=1e-4, rho=1.005, horizon=1e6)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert set(spec_to_json(spec)) == {"variant", "dim", "t0", "rho", "horizon", "r"}
+
+    def test_mv_state_sums_its_increments(self):
+        # the vector A, the summed V^2 and B^r = t carry across buffer edges
+        spec = MvBrownianGrid(dim=3, t0=1e-3, rho=1.005, horizon=100.0)
+        h = make_process(spec, 8)
+        states = [h.step() for _ in range(2100)]
+        d = np.array(h.increments)
+        assert d.shape == (2100, 3)
+        m, v = np.cumsum(d, axis=0), np.cumsum(np.sum(d * d, axis=1))
+        for n in (1, 1024, 1025, 2048, 2049, 2100):
+            st = states[n - 1]
+            np.testing.assert_allclose(st.extras["m_vec"], m[n - 1], rtol=1e-12, atol=1e-12)
+            assert st.a_n == st.extras["m_vec"][0]
+            assert st.v_n_sq == pytest.approx(v[n - 1], rel=1e-12)
+            assert st.b_pow_r == st.extras["t"] == pytest.approx(spec.times[n - 1], rel=1e-13)
+
     def test_mv_state_exposes_vector_and_time(self):
         spec = MvBrownianGrid(dim=3, t0=0.5, rho=2.0, horizon=8.0)
         h = make_process(spec, 2)
@@ -479,6 +518,17 @@ class TestWeightedIID:
             fact = math.factorial(n)
             assert st.a_n == pytest.approx(s / fact, rel=1e-12)
             assert st.v_n_sq == pytest.approx(v / fact**2, rel=1e-12)
+
+    def test_factorial_recursion_across_buffers(self):
+        # the block rule runs the per-step recursion x_n = x_{n-1}/n + d_n
+        # in double precision, so a handle carries it bit for bit
+        h = make_process(WeightedIID(weights="factorial"), 9)
+        states = [h.step() for _ in range(2100)]
+        s = vs = 0.0
+        for n, (st, d) in enumerate(zip(states, h.increments), start=1):
+            s, vs = s / n + d, vs / (n * n) + d * d
+            assert (st.a_n.hex(), st.v_n_sq.hex(), st.b_pow_r.hex()) == (s.hex(), vs.hex(), vs.hex())
+        assert states[-1].extras == {}
 
     def test_ones_matches_rademacher_accumulators(self):
         states, _ = run_steps(WeightedIID(weights="ones"), 6, 20)
