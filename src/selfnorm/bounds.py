@@ -91,12 +91,17 @@ def cor22_normalized(a, b_sq, y):
     return np.abs(a) / np.sqrt((b_sq + y) * (1.0 + 0.5 * np.log1p(b_sq / y)))
 
 
-def lil_normalized(a, b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
-    """a / {(b v floor) (loglog(b v floor))^((r-1)/r)}; unchecked. The
-    denominator is a function of b alone, so a 1-D b broadcast against a
-    (paths, steps) block of a is evaluated once per step."""
+def lil_denominator(b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
+    """(b v floor) (loglog(b v floor))^((r-1)/r), the normalizer of
+    `lil_normalized`; unchecked. A function of b alone, so the engine
+    evaluates it once per step on a deterministic normalizer."""
     bb, ll = iterated_log(b, floor)
-    return a / (bb * ll ** ((r - 1.0) / r))
+    return bb * ll ** ((r - 1.0) / r)
+
+
+def lil_normalized(a, b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
+    """a / {(b v floor) (loglog(b v floor))^((r-1)/r)}; unchecked."""
+    return a / lil_denominator(b, r, floor)
 
 
 def v_normalized(s, centering, v, floor: float = DEFAULT_LOG_FLOOR):

@@ -11,13 +11,19 @@ chunk order with exact (fsum) accumulation. Reports are therefore identical
 for any worker count.
 
 Every experiment on the scalar state (A, B^r, V^2) runs on one chunk driver,
-`_Scan`. It draws and accumulates each chunk in blocks of `_BLOCK` steps,
-then cuts each block, as views, after the steps the experiment names (its
-checkpoints, or the half horizon). A per-chunk reducer, built from the
-chunk's path count, sees the pieces in order through `segment(...)`, each
-tagged with the index of the stop it ends on; its attributes are the chunk's
-partial result. Only views are cut, never draws, so the stream and the chunk
-layout do not depend on an experiment's stops.
+`_Scan`. It runs block-major: it opens every chunk's stream, carry and
+reducer first, then draws and accumulates each block of `_BLOCK` steps in
+every chunk, on one thread pool per call, and cuts the block, as views, after
+the steps the experiment names (its checkpoints, or the half horizon). A
+per-chunk reducer, built from the chunk's path count, sees the pieces in
+order through `segment(...)`, each tagged with the index of the stop it ends
+on; its attributes are the chunk's partial result. A chunk draws its blocks
+in order from its own stream and only views are cut, so the stream and the
+chunk layout depend neither on the stops nor on the worker count. Where B^r
+is a function of n alone (`spec.b_deterministic`), the driver builds it once
+per block as one row for all paths, and the statistic's work on B^r alone
+(the lil denominator and guard, the crossing boundary) once per piece, for
+every chunk.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .constants import DomainError, lil_constants
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
-                     lil_normalized, moment_bound_cor22, moment_bound_thm21,
+                     lil_denominator, moment_bound_cor22, moment_bound_thm21,
                      tail_bound_cor22, thm21_normalized, v_normalized)
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
@@ -61,11 +67,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.paths < 1 or self.horizon < 1:
             raise DomainError("paths and horizon must be positive")
-        cks = tuple(int(c) for c in self.checkpoints)
+        # the Gaussian crossing reads an MvBrownianGrid's checkpoints as times
+        # on its grid, as given; every other spec's are steps
+        on_grid = isinstance(self.spec, MvBrownianGrid)
+        cks = tuple(self.checkpoints) if on_grid else tuple(int(c) for c in self.checkpoints)
         if list(cks) != sorted(set(cks)):
             raise DomainError("checkpoints must be sorted and distinct")
-        if cks and (cks[0] < 1 or cks[-1] > self.horizon):
-            raise DomainError("checkpoints must lie in [1, horizon]")
+        lo, hi = (self.spec.times[0], self.spec.times[-1]) if on_grid else (1, self.horizon)
+        if cks and (cks[0] < lo or cks[-1] > hi):
+            raise DomainError(f"checkpoints must lie in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "checkpoints", cks)
         if self.se_slack < 0.0:
             raise DomainError("se_slack must be nonnegative")
@@ -110,13 +120,6 @@ def _chunk_layout(paths: int, horizon: int) -> list[int]:
     return out
 
 
-def _map_chunks(fn, n_chunks: int, workers: int) -> list:
-    if workers == 1 or n_chunks == 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n_chunks)))
-
-
 class _Scan:
     """The chunked block scan behind every scalar experiment. Built first, it
     refuses, before the experiment reads its spec and before any draw, the
@@ -135,32 +138,59 @@ class _Scan:
             raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {cfg.spec.steps} steps")
         self.cfg, self.layout = cfg, _chunk_layout(cfg.paths, cfg.horizon)
 
-    def __call__(self, reducer, stops=(), b=True, v=False) -> list:
+    def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
         in chunk order. reducer.segment(n_idx, ca, cb, cv, k) receives the
         global step indices of a piece of a block and its running sums from
         `spec.accumulate(..., b, v)`: A always, B^r and V^2 where b and v ask
         for them (else None). Blocks are cut after each step in the sorted
-        `stops`; k is the index of the stop a piece ends on, else None."""
-        return _map_chunks(lambda ci: self._chunk(ci, reducer, stops, b, v),
-                           len(self.layout), self.workers)
+        `stops`; k is the index of the stop a piece ends on, else None.
 
-    def _chunk(self, ci, reducer, stops, b, v):
-        cfg, P = self.cfg, self.layout[ci]
-        spec, rng, red = cfg.spec, chunk_rng(cfg.seed, ci), reducer(P)
-        carry = None
-        for lo in range(0, cfg.horizon, _BLOCK):
-            hi = min(lo + _BLOCK, cfg.horizon)
-            n_idx = np.arange(lo + 1, hi + 1)
-            ca, cb, cv, carry = spec.accumulate(spec.draw(rng, lo, hi, P), n_idx, carry, b, v)
-            inside = range(bisect.bisect_right(stops, lo), bisect.bisect_right(stops, hi))
-            s = 0
-            for e, k in [(stops[k] - lo, k) for k in inside] + [(hi - lo, None)]:
-                if e > s:
-                    red.segment(n_idx[s:e], ca[:, s:e], None if cb is None else cb[..., s:e],
-                                None if cv is None else cv[:, s:e], k)
-                s = e
-        return red
+        of_b, a function of a piece of B^r alone, is what segment receives in
+        place of that piece (default: the piece itself). With b True and
+        `spec.b_deterministic`, B^r is one row for all paths, built here once
+        per block from `b_increments` of a row of ones; of_b then runs once
+        per piece, and every chunk receives the same object, which segment
+        must not write to. ca is the chunk's own, and segment may overwrite
+        it."""
+        cfg, spec = self.cfg, self.cfg.spec
+        row = b is True and spec.b_deterministic
+        b = False if row else b  # the chunks then accumulate no B^r of their own
+        of_b = of_b or (lambda cb: cb)
+        n = len(self.layout)
+        rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
+        reds = [reducer(P) for P in self.layout]
+        carries = [None] * n
+
+        def advance(ci, block):  # chunk ci through one block, on its own stream
+            lo, hi, n_idx, pieces, shared = block
+            d = spec.draw(rngs[ci], lo, hi, self.layout[ci])
+            ca, cb, cv, carries[ci] = spec.accumulate(d, n_idx, carries[ci], b, v)
+            for j, (cut, n_piece, k) in enumerate(pieces):
+                reds[ci].segment(n_piece, ca[:, cut],
+                                 shared[j] if row else None if cb is None else of_b(cb[:, cut]),
+                                 None if cv is None else cv[:, cut], k)
+
+        b_end = 0.0
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            fan = pool.map if self.workers > 1 and n > 1 else map
+            for lo in range(0, cfg.horizon, _BLOCK):
+                hi = min(lo + _BLOCK, cfg.horizon)
+                n_idx = np.arange(lo + 1, hi + 1)
+                inside = range(bisect.bisect_right(stops, lo), bisect.bisect_right(stops, hi))
+                pieces, s = [], 0
+                for e, k in [(stops[k] - lo, k) for k in inside] + [(hi - lo, None)]:
+                    if e > s:
+                        pieces.append((slice(s, e), n_idx[s:e], k))
+                    s = e
+                shared = None
+                if row:  # B^r increments are a function of n alone: any draws give them
+                    cb = b_end + np.cumsum(spec.b_increments(np.ones((1, hi - lo)), n_idx)[0])
+                    b_end = cb[-1]
+                    shared = [of_b(cb[cut]) for cut, _, _ in pieces]
+                block = (lo, hi, n_idx, pieces, shared)
+                list(fan(advance, range(n), [block] * n))
+        return reds
 
 
 def _mean_se(s1: float, s2: float, n: int) -> tuple[float, float]:
@@ -349,18 +379,20 @@ def _hit_cells(ca, cb, beta, skip):
 
 
 class _Crossings:
-    """Which paths have crossed beta so far, and how many had by each stop."""
+    """Which paths have crossed beta so far, and how many had by each stop.
+    With a `screen` beta, cb is the per-cell B^r that `_hit_cells` screens;
+    without one, cb is beta already, from the scan's of_b."""
 
-    def __init__(self, P, beta, screen, n_stops):
-        self.beta, self.screen = beta, screen
+    def __init__(self, P, screen, n_stops):
+        self.screen = screen
         self.crossed = np.zeros(P, dtype=bool)
         self.counts = np.zeros(n_stops, dtype=np.int64)
 
     def segment(self, n_idx, ca, cb, cv, k):
-        if self.screen and cb.ndim == 2:
-            rows, _ = _hit_cells(ca, cb, self.beta, self.crossed)
-        else:  # every cell; once per step when cb is one row for all paths
-            rows = (ca >= self.beta(np.maximum(cb, 1e-4))).any(axis=1)
+        if self.screen:
+            rows, _ = _hit_cells(ca, cb, self.screen, self.crossed)
+        else:
+            rows = (ca >= cb).any(axis=1)
         self.crossed[rows] = True
         if k is not None:
             self.counts[k] = np.count_nonzero(self.crossed)
@@ -397,8 +429,11 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
                           "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
     beta = _boundary_interpolant(mixture, c, cfg.spec.r,
                                  1e-4, 16.0 * cfg.horizon)
-    screen = math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK
-    parts = scan(lambda P: _Crossings(P, beta, screen, len(cks)), cks)
+    # a deterministic B^r is one row, whose beta the scan looks up once per step
+    screen = (not cfg.spec.b_deterministic
+              and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK)
+    parts = scan(lambda P: _Crossings(P, beta if screen else None, len(cks)), cks,
+                 of_b=None if screen else lambda cb: beta(np.maximum(cb, 1e-4)))
     totals = np.sum([p.counts for p in parts], axis=0)
     return [_frequency_report(f"crossing n<={n} c={c:g}", crossing_bound(c, mixture),
                               totals[k], cfg) for k, n in enumerate(cks)]
@@ -413,8 +448,6 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
     times = np.asarray(spec.times)
     ck_times = tuple(float(t) for t in cfg.checkpoints) or (float(times[-1]),)
     ck_idx = [int(np.searchsorted(times, t, side="right")) - 1 for t in ck_times]
-    if any(i < 0 for i in ck_idx):
-        raise DomainError("checkpoint time precedes the first grid point")
     w, U = np.linalg.eigh(G.precision)
     ld0 = float(np.sum(np.log(w)))
     log_c = math.log(c)
@@ -430,7 +463,8 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
         ever = np.logical_or.accumulate(stat >= log_c, axis=1)
         return np.count_nonzero(ever[:, ck_idx], axis=0)
 
-    parts = _map_chunks(chunk, len(layout), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list((pool.map if workers > 1 else map)(chunk, range(len(layout))))
     totals = np.sum(parts, axis=0)
     return [_frequency_report(f"mv_crossing t<={t:g} c={c:g}", 1.0 / c, totals[k], cfg)
             for k, t in enumerate(ck_times)]
@@ -440,11 +474,12 @@ def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
 # iterated-logarithm running statistics
 # ---------------------------------------------------------------------------
 
-def _lil_block(ca, cb, r):
-    """The lil statistic of a block and where B_n >= e^2 (B_n = (B^r)^(1/r));
-    a 1-D cb gives one denominator per step."""
+def _lil_normalizer(cb, r):
+    """The lil statistic's denominator at B_n = (B^r)^(1/r) and where B_n >=
+    e^2, from B^r alone: the scan's of_b for the lil statistic, so a shared
+    B^r row gets one per step."""
     bn = np.maximum(cb, 0.0) ** (1.0 / r)
-    return lil_normalized(ca, bn, r), bn >= DEFAULT_LOG_FLOOR
+    return lil_denominator(bn, r), bn >= DEFAULT_LOG_FLOOR
 
 
 class _RunningMax:
@@ -498,9 +533,12 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
              if kind == "conditional_variance" else None)
 
     def stat(n_idx, ca, cb, cv):
-        if kind == "lil":
-            val, guard = _lil_block(ca, cb, r)
-            return np.where(guard, val, -np.inf)
+        if kind == "lil":  # cb is `_lil_normalizer` of B^r
+            den, guard = cb
+            # in place: a fresh (P, L) quotient per piece made glibc give the
+            # heap top back and fault it in again on every block
+            val = np.divide(ca, den, out=ca)
+            return val if guard.all() else np.where(guard, val, -np.inf)
         if kind == "conditional_variance":
             s = s_det[n_idx - 1]
             return np.where(s >= floor, v_normalized(ca, 0.0, s), -np.inf)
@@ -511,7 +549,7 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
                         -np.inf)
 
     parts = scan(lambda P: _RunningMax(P, stat, len(cks)), cks, b=kind == "lil",
-                 v=kind in ("uncentered", "universal"))
+                 v=kind in ("uncentered", "universal"), of_b=lambda cb: _lil_normalizer(cb, r))
     maxima = np.concatenate([p.maxima for p in parts])
     values = np.concatenate([p.values for p in parts])
     # running maxima never fall: a path ever exceeded iff its last one does
@@ -532,15 +570,16 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
 
 class _Histograms:
     """Occupancy counts of the lil statistic where B_n >= e^2, over every step
-    and over the steps after `half`."""
+    and over the steps after `half`; cb is `_lil_normalizer` of B^r."""
 
-    def __init__(self, P, edges, r, half):
-        self.edges, self.r, self.half = edges, r, half
+    def __init__(self, P, edges, half):
+        self.edges, self.half = edges, half
         self.counts = np.zeros(len(edges) - 1, dtype=np.int64)
         self.late_counts = np.zeros(len(edges) - 1, dtype=np.int64)
 
     def segment(self, n_idx, ca, cb, cv, k):
-        val, ok = _lil_block(ca, cb, self.r)
+        den, ok = cb
+        val = np.divide(ca, den, out=ca)
         counts = np.histogram(val[np.broadcast_to(ok, val.shape)], bins=self.edges)[0]
         self.counts += counts
         if n_idx[0] > self.half:  # the scan cuts its blocks after step `half`
@@ -556,7 +595,8 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     scan = _Scan(cfg, workers)
     edges = np.linspace(-2.0, 2.0, bins + 1)
     half = cfg.horizon // 2
-    parts = scan(lambda P: _Histograms(P, edges, cfg.spec.r, half), (half,))
+    parts = scan(lambda P: _Histograms(P, edges, half), (half,),
+                 of_b=lambda cb: _lil_normalizer(cb, cfg.spec.r))
     return {
         "edges": edges.tolist(),
         "counts": np.sum([p.counts for p in parts], axis=0).tolist(),

@@ -12,11 +12,13 @@ through these members (defaults on the shared base `_Variant`):
   accumulate(d, n_idx, carry, b, v)
                                   the running A, B^r, V^2 of a block of draws
                                   and the next block's carry; default cumsums.
-  b_increments(d, n_idx)          the B^r increments of d; default d*d.
+  b_increments(d, n_idx)          the B^r increments of d; default d*d. An
+                                  array that owns its data is summed in place.
   b_deterministic                 True if those increments are a function of n
                                   alone, not of the draws; the engine then
-                                  carries one B^r row shared by all paths.
-                                  Default False.
+                                  builds B^r once per block, as one row shared
+                                  by all paths, from `b_increments` of a row
+                                  of ones. Default False.
   log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
@@ -156,25 +158,25 @@ class _Variant:
     def accumulate(self, d, n_idx, carry, b=True, v=False):
         """(ca, cb, cv, carry): running A, B^r, V^2 after each step of block d
         (which becomes ca) and the next block's carry. b=True takes
-        `b_increments` (one 1-D cb row if `b_deterministic`), another true b
-        is a rule b(d, n_idx), a false b gives cb None; cv is None unless v.
-        A keeps d's component axes, which V^2 = sum d^2 sums over."""
-        row = b is True and self.b_deterministic
+        `b_increments`, another true b is a rule b(d, n_idx), a false b gives
+        cb None; cv is None unless v. A keeps d's component axes, which
+        V^2 = sum d^2 sums over."""
         if b is True:
             b = self.b_increments
         a, b_end, v_end = carry or (np.zeros(d.shape[:1] + d.shape[2:]),
-                                    np.zeros(() if row else len(d)), np.zeros(len(d)))
+                                    np.zeros(len(d)), np.zeros(len(d)))
         cb = cv = None
         if b:
-            inc = b(d[:1], n_idx)[0] if row else None
-            # per-cell increments go before their sum is allocated: one block less at the peak
-            cb = b_end[..., None] + np.cumsum(b(d, n_idx) if inc is None else inc, axis=-1)
-            b_end = cb[..., -1].copy()
+            inc = b(d, n_idx)  # summed in place unless a view of other data
+            cb = np.cumsum(inc, axis=1, out=inc if inc.flags.owndata else None)
+            cb += b_end[:, None]
+            b_end = cb[:, -1].copy()
         if v:
             sq = d * d
             if d.ndim > 2:
                 sq = sq.sum(axis=tuple(range(2, d.ndim)))
-            cv = v_end[:, None] + np.cumsum(sq, axis=1)
+            cv = np.cumsum(sq, axis=1, out=sq)
+            cv += v_end[:, None]
             v_end = cv[:, -1].copy()
         ca = np.cumsum(d, axis=1, out=d)
         ca += a[:, None]
@@ -386,15 +388,20 @@ class _Grid(_Variant):
     def steps(self) -> int:
         return len(self.times)
 
-    def _dt(self, n_lo, n_hi):
-        return np.diff(self.times, prepend=0.0)[n_lo:n_hi]
+    @functools.cached_property
+    def dt(self) -> np.ndarray:
+        """The time steps t_n - t_{n-1} (t_0 = 0), read-only; built once per
+        instance, as `draw` and `b_increments` slice them on every block."""
+        dt = np.diff(self.times, prepend=0.0)
+        dt.flags.writeable = False
+        return dt
 
     def draw(self, rng, n_lo, n_hi, n_paths):
-        scale = np.sqrt(self._dt(n_lo, n_hi)).reshape((-1,) + (1,) * len(self._components))
+        scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self._components))
         return rng.standard_normal((n_paths, n_hi - n_lo) + self._components) * scale
 
     def b_increments(self, d, n_idx):
-        return np.broadcast_to(self._dt(n_idx[0] - 1, n_idx[-1]), d.shape[:2])
+        return np.broadcast_to(self.dt[n_idx[0] - 1:n_idx[-1]], d.shape[:2])
 
 
 @dataclass(frozen=True)
@@ -409,8 +416,9 @@ class BrownianGrid(_Grid):
             raise DomainError("times must be positive and strictly increasing")
 
     def truncated_mean(self, n, c, d):
-        dt = self._dt(n - 1, n)[0]
-        s = math.sqrt(dt)
+        if not 1 <= n <= self.steps:
+            raise DomainError(f"step {n} is off the grid's steps 1..{self.steps}")
+        s = math.sqrt(self.dt[n - 1])
         return s * (stats.norm.pdf(c / s) - stats.norm.pdf(d / s))
 
 
@@ -614,12 +622,21 @@ class WeightedIID(_Variant):
         step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2."""
         if self.weights == "ones":
             return super().accumulate(d, n_idx, carry, b, v)
-        s, _, vs = carry or (0.0, 0.0, 0.0)
+        # path by path on Python floats: the same IEEE operations as on numpy
+        # columns, without an array call per step
+        s_end, _, v_end = carry or ([0.0] * len(d),) * 3
         ca, cv = np.empty_like(d), np.empty_like(d)
-        for j, n in enumerate(n_idx.tolist()):
-            s = ca[:, j] = s / n + d[:, j]
-            vs = cv[:, j] = vs / (n * n) + d[:, j] * d[:, j]
-        return ca, cv, cv, (s, vs, vs)
+        ns = n_idx.tolist()
+        for p, row in enumerate(d.tolist()):
+            s, vs, xs, ys = s_end[p], v_end[p], [], []
+            for n, x in zip(ns, row):
+                s = s / n + x
+                vs = vs / (n * n) + x * x
+                xs.append(s)
+                ys.append(vs)
+            ca[p], cv[p] = xs, ys
+        s_end, v_end = ca[:, -1].tolist(), cv[:, -1].tolist()
+        return ca, cv, cv, (s_end, v_end, v_end)
 
     def truncated_mean(self, n, c, d):
         if self.weights != "ones":

@@ -159,6 +159,32 @@ class TestCrossing:
         assert reps[0].estimate <= reps[1].estimate <= 0.5
         assert all(r.analytic_bound == 0.5 for r in reps)
 
+    def test_gaussian_checkpoints_are_grid_times(self):
+        # each checkpoint counts crossings up to the last grid time at or
+        # below it, whatever the scalar horizon; integers keep their labels
+        spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.1, horizon=100.0)
+        G = GaussianMixture(np.eye(2))
+        cfg = ExperimentConfig(spec=spec, seed=5, paths=400, horizon=100,
+                               checkpoints=(1.5, 2.9, 50.0))
+        assert cfg.checkpoints == (1.5, 2.9, 50.0)
+        reps = crossing_frequency(cfg, mixture=G, c=2.0)
+        assert [r.label for r in reps] == [f"mv_crossing t<={t} c=2" for t in ("1.5", "2.9", "50")]
+        times = np.asarray(spec.times)
+        on_grid = tuple(float(times[times <= t][-1]) for t in cfg.checkpoints)
+        exact = crossing_frequency(ExperimentConfig(spec=spec, seed=5, paths=400, horizon=100,
+                                                    checkpoints=on_grid), mixture=G, c=2.0)
+        assert [r.estimate for r in reps] == [r.estimate for r in exact]
+        assert exact[0].estimate < exact[1].estimate  # the two first checkpoints differ
+        far = ExperimentConfig(spec=spec, seed=5, paths=400, horizon=10, checkpoints=(50.0,))
+        assert [r.to_dict() for r in crossing_frequency(far, mixture=G, c=2.0)] == \
+            [r.to_dict() for r in reps[2:]]
+        ints = ExperimentConfig(spec=spec, seed=5, paths=10, horizon=100, checkpoints=(1, 50))
+        assert [r.label for r in crossing_frequency(ints, mixture=G, c=2.0)] == \
+            ["mv_crossing t<=1 c=2", "mv_crossing t<=50 c=2"]
+        for outside in ((0.005, 1.0), (1.0, 100.5)):
+            with pytest.raises(DomainError):
+                ExperimentConfig(spec=spec, seed=5, paths=10, horizon=1000, checkpoints=outside)
+
     def test_gaussian_needs_matching_dim(self):
         spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=100.0)
         cfg = ExperimentConfig(spec=spec, seed=5, paths=10, horizon=100)

@@ -1,11 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from selfnorm import processes
+from selfnorm import experiments, processes
 from selfnorm.constants import DomainError, c_gamma, c_gamma_r
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 BrownianGrid, CertificationError,
@@ -167,6 +168,14 @@ class TestAccumulators:
         h.step(), h.step()
         with pytest.raises(IndexError):
             h.step()
+
+    def test_truncated_mean_off_the_grid(self):
+        spec = BrownianGrid(times=(0.5, 1.0))
+        want = math.sqrt(0.5 / (2.0 * math.pi))  # E[W 1(W >= 0)], W ~ N(0, 0.5)
+        assert spec.truncated_mean(2, 0.0, math.inf) == pytest.approx(want, rel=1e-15)
+        for n in (0, 3):
+            with pytest.raises(DomainError):
+                spec.truncated_mean(n, 0.0, 1.0)
 
 
 class TestBoundedBelowConstant:
@@ -481,6 +490,32 @@ class TestGrids:
         assert spec == fresh and hash(spec) == hash(fresh)
         assert set(spec_to_json(spec)) == {"variant", "dim", "t0", "rho", "horizon", "r"}
 
+    @pytest.mark.parametrize("spec", [
+        BrownianGrid(times=tuple(0.3 * k ** 1.5 for k in range(1, 201))),
+        MvBrownianGrid(dim=2, t0=0.01, rho=1.002, horizon=100.0),
+    ], ids=["brownian", "mv_brownian"])
+    def test_time_steps_built_once_per_instance(self, spec, monkeypatch):
+        steps = len(spec.times)
+        assert spec.dt.tobytes() == np.diff(spec.times, prepend=0.0).tobytes()
+        assert not spec.dt.flags.writeable
+        fresh = type(spec)(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})
+        # blocks of 32 steps over chunks of 3 paths: draw and b_increments
+        # slice the steps on every block of every chunk
+        monkeypatch.setattr(experiments, "_BLOCK", 32)
+        monkeypatch.setattr(experiments, "_TARGET_CELLS", 3 * steps)
+        with mock.patch.object(processes.np, "diff", wraps=np.diff) as diff:
+            if isinstance(spec, MvBrownianGrid):  # the handle's buffers
+                assert steps > 4 * processes._BUFFER
+                h = make_process(fresh, 2)
+                for _ in range(steps):
+                    h.step()
+            else:
+                cfg = experiments.ExperimentConfig(spec=fresh, seed=4, paths=10,
+                                                   horizon=steps, checkpoints=(45, steps))
+                experiments.lil_track(cfg)
+                experiments.check_supermartingale_mean(cfg)
+        assert diff.call_count == 1
+
     def test_mv_state_sums_its_increments(self):
         # the vector A, the summed V^2 and B^r = t carry across buffer edges
         spec = MvBrownianGrid(dim=3, t0=1e-3, rho=1.005, horizon=100.0)
@@ -529,6 +564,25 @@ class TestWeightedIID:
             s, vs = s / n + d, vs / (n * n) + d * d
             assert (st.a_n.hex(), st.v_n_sq.hex(), st.b_pow_r.hex()) == (s.hex(), vs.hex(), vs.hex())
         assert states[-1].extras == {}
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_factorial_recursion_matches_column_form(self, P):
+        # the recursion x_n = x_{n-1}/n + d_n run as numpy operations on one
+        # column per step: the path-by-path form must give the same bits
+        spec = WeightedIID(weights="factorial")
+        rng = chunk_rng(5, 0)
+        carry, s, vs = None, np.zeros(P), np.zeros(P)
+        for lo in range(0, 3 * processes._BUFFER + 7, processes._BUFFER):
+            d = spec.draw(rng, lo, lo + processes._BUFFER, P)
+            want_a, want_v = np.empty_like(d), np.empty_like(d)
+            for j, n in enumerate(range(lo + 1, lo + processes._BUFFER + 1)):
+                s = want_a[:, j] = s / n + d[:, j]
+                vs = want_v[:, j] = vs / (n * n) + d[:, j] * d[:, j]
+            ca, cb, cv, carry = spec.accumulate(d.copy(), np.arange(lo + 1, lo + processes._BUFFER + 1),
+                                                carry, True, True)
+            for got, want in ((ca, want_a), (cb, want_v), (cv, want_v)):
+                assert [x.hex() for x in got.ravel().tolist()] == \
+                    [x.hex() for x in want.ravel().tolist()]
 
     def test_ones_matches_rademacher_accumulators(self):
         states, _ = run_steps(WeightedIID(weights="ones"), 6, 20)

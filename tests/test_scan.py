@@ -124,3 +124,91 @@ def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, va
             one = outcome(SCALAR[experiment], cfg, 1)
             assert not isinstance(one, tuple), one  # the experiment ran to the end
             assert one == outcome(SCALAR[experiment], cfg, 2)
+            assert one == outcome(SCALAR[experiment], cfg, 3)
+
+
+@pytest.mark.parametrize("variant", sorted(ON_VARIANT) + ["brownian_grid"])
+def test_three_workers_on_more_chunks(variant, monkeypatch):
+    # 8 chunks of at most 4 paths on 3 workers, over 8 blocks of 7 steps
+    # with stops inside and on block edges
+    monkeypatch.setattr(experiments, "_BLOCK", 7)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 4 * HORIZON)
+    spec, experiments_run = ON_VARIANT.get(variant) or (DETERMINISTIC[variant], sorted(EXPERIMENTS))
+    cfg = ExperimentConfig(spec=spec, seed=8, paths=29, horizon=HORIZON,
+                           checkpoints=(1, 14, 20, 33, HORIZON))
+    assert len(experiments._chunk_layout(cfg.paths, cfg.horizon)) == 8
+    for experiment in experiments_run:
+        one = outcome(SCALAR[experiment], cfg, 1)
+        assert not isinstance(one, tuple), one
+        assert one == outcome(SCALAR[experiment], cfg, 3), experiment
+
+
+def pieces(horizon, block, stops):
+    """How many pieces the scan cuts a run into: one per block, plus one
+    for each stop inside a block."""
+    return len(set(range(block, horizon, block)) | {horizon} | set(stops))
+
+
+ROW_WORK = {  # an experiment's stops, and the function of B^r alone it calls
+    "lil_track": (lambda cfg: cfg.checkpoints, "lil_denominator"),
+    "cluster_set": (lambda cfg: (cfg.horizon // 2,), "lil_denominator"),
+    "crossing": (lambda cfg: cfg.checkpoints, "beta"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ROW_WORK))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_work_once_per_piece(experiment, workers, monkeypatch):
+    # 3 chunks, 9 blocks of 7 steps, stops inside blocks: the statistic's
+    # work on a deterministic B^r row runs once per piece for all chunks,
+    # on a per-cell B^r once per piece of each chunk
+    monkeypatch.setattr(experiments, "_BLOCK", 7)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 11 * HORIZON)
+    stops, fn = ROW_WORK[experiment]
+    calls = []
+    if fn == "beta":
+        interpolant = experiments._boundary_interpolant
+
+        def counted_interpolant(*args):
+            beta = interpolant(*args)
+            return lambda v: calls.append(np.shape(v)) or beta(v)
+        monkeypatch.setattr(experiments, "_boundary_interpolant", counted_interpolant)
+    else:
+        inner = getattr(experiments, fn)
+        monkeypatch.setattr(experiments, fn, lambda *a: calls.append(np.shape(a[0])) or inner(*a))
+    kw = dict(seed=3, paths=25, horizon=HORIZON, checkpoints=(1, 20, 33, 35, HORIZON))
+    n_pieces = pieces(HORIZON, 7, stops(ExperimentConfig(spec=Rademacher(), **kw)))
+    assert n_pieces > 9
+    # on a per-cell B^r, the crossing screen looks beta up only on the cells
+    # it lets through (see test_experiments.TestCrossingScreen)
+    cases = [(Rademacher(), 1)] + ([(per_cell(Rademacher()), 3)] if fn != "beta" else [])
+    for spec, per_chunk in cases:
+        cfg = ExperimentConfig(spec=spec, **kw)
+        assert len(experiments._chunk_layout(cfg.paths, cfg.horizon)) == 3
+        calls.clear()
+        EXPERIMENTS[experiment](cfg, workers)
+        assert len(calls) == n_pieces * per_chunk, spec
+        assert all(len(shape) == (1 if per_chunk == 1 else 2) for shape in calls)
+
+
+def test_no_block_array_outlives_a_call():
+    # what the scan shares between chunks lives in the call: after it, no
+    # module attribute of `experiments` holds an array
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return 1
+        if isinstance(value, (list, tuple, set, frozenset)):
+            return sum(arrays(v) for v in value)
+        if isinstance(value, dict):
+            return sum(arrays(v) for v in value.values())
+        return 0
+
+    before = dict(vars(experiments))
+    cfg = ExperimentConfig(spec=Rademacher(), seed=2, paths=9, horizon=HORIZON,
+                           checkpoints=(20, HORIZON))
+    with mock.patch.multiple(experiments, _BLOCK=7, _TARGET_CELLS=4 * HORIZON):
+        for experiment in sorted(EXPERIMENTS):
+            EXPERIMENTS[experiment](cfg, 2)
+    after = vars(experiments)
+    assert set(after) == set(before)
+    assert not any(arrays(v) for v in after.values())
