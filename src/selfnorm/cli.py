@@ -2,7 +2,9 @@
 
 Subcommands: constants, boundary, tailbound, simulate, verify, lil.
 Exit codes: 0 all checks pass, 1 a bound check failed, 2 usage/config error.
-Seed precedence: --seed flag > config file > error (no silent default).
+Seed precedence: --seed flag > the experiment's "seed" > the suite's "seed" >
+error (no silent default). Configs are read by `experiments.config_from_json`:
+unknown keys are refused, and seeds, paths, horizons and steps must be integers.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from . import bounds
 from .mixture import (GaussianMixture, boundary, crossing_bound, measure_from_json,
                       mv_statistic, psi, rs_asymptotic, general_r_asymptotic)
 from .processes import make_process, spec_from_json
-from .experiments import (BoundReport, ExperimentConfig, REPORT_COLUMNS,
-                          check_supermartingale_mean, config_echo,
+from .experiments import (BoundReport, REPORT_COLUMNS, as_integral,
+                          check_supermartingale_mean, config_echo, config_from_json,
                           crossing_frequency, lil_track, validate_moment_bound,
                           validate_tail_bound)
 
@@ -69,11 +71,11 @@ def _emit(rows: list[dict], columns, fmt: str, out: str | None, meta: dict) -> N
         _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_seed(args, cfg: dict | None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if cfg is not None and "seed" in cfg:
-        return int(cfg["seed"])
+def _resolve_seed(flag: int | None, *cfgs: dict) -> int:
+    """The --seed flag, else the "seed" of the first of cfgs that has one."""
+    for seed in (flag, *(cfg.get("seed") for cfg in cfgs)):
+        if seed is not None:
+            return as_integral("seed", seed)
     raise CliError("no seed given: pass --seed or put \"seed\" in the config")
 
 
@@ -151,12 +153,12 @@ def cmd_tailbound(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     spec = spec_from_json(cfg["spec"] if "spec" in cfg else cfg)
-    seed = _resolve_seed(args, cfg)
-    horizon = int(args.horizon or cfg.get("horizon", 0))
+    seed = _resolve_seed(args.seed, cfg)
+    horizon = as_integral("horizon", args.horizon or cfg.get("horizon", 0))
     if horizon < 1:
         raise CliError("horizon must be a positive integer")
-    cks = [int(c) for c in (args.checkpoints or cfg.get("checkpoints")
-                            or range(1, horizon + 1))]
+    cks = [as_integral("checkpoints", c) for c in (args.checkpoints or cfg.get("checkpoints")
+                                                   or range(1, horizon + 1))]
     if cks != sorted(set(cks)) or cks[0] < 1 or cks[-1] > horizon:
         raise CliError("checkpoints must be sorted, distinct and within the horizon")
     handle = make_process(spec, seed)
@@ -179,25 +181,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_VERIFY_OPS = ("supermartingale_mean", "tail_bound", "moment_bound", "crossing")
+# op -> entry point here, looked up per call so that a wrapper on it is seen
+_VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
+               "tail_bound": "validate_tail_bound",
+               "moment_bound": "validate_moment_bound",
+               "crossing": "crossing_frequency"}
 
 
-def _experiment_from_json(obj: dict, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        spec=spec_from_json(obj["spec"]),
-        seed=int(obj.get("seed", seed)),
-        paths=int(obj["paths"]),
-        horizon=int(obj["horizon"]),
-        checkpoints=tuple(obj.get("checkpoints", ())),
-        lambda_grid=tuple(obj.get("lambda_grid", ())),
-        x_grid=tuple(obj.get("x_grid", ())),
-        p_list=tuple(obj.get("p_list", ())),
-        statistic=obj.get("statistic", "auto"),
-        se_slack=float(obj.get("se_slack", 3.0)),
-    )
-
-
-def run_suite(suite: dict, seed: int, workers: int | None) -> list[tuple[str, list[BoundReport], dict]]:
+def run_suite(suite: dict, seed: int | None,
+              workers: int | None) -> list[tuple[str, list[BoundReport], dict]]:
+    """Each experiment's reports and config echo. `seed` is the --seed flag;
+    op_args are the entry point's keyword arguments (see README)."""
     if suite.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
     results = []
@@ -206,32 +200,24 @@ def run_suite(suite: dict, seed: int, workers: int | None) -> list[tuple[str, li
         op = entry["op"]
         if op not in _VERIFY_OPS:
             raise CliError(f"unknown op {op!r} in experiment {name!r}")
-        cfg = _experiment_from_json(entry["config"], seed)
-        op_args = entry.get("op_args", {})
-        if op == "supermartingale_mean":
-            reports = check_supermartingale_mean(cfg, workers=workers)
-        elif op == "tail_bound":
-            reports = validate_tail_bound(cfg, float(op_args["y"]), workers=workers)
-        elif op == "moment_bound":
-            reports = validate_moment_bound(
-                cfg, tuple(op_args.get("p_list", ())) or None, workers=workers)
-        else:
-            F = measure_from_json(op_args["mixture"])
+        obj = entry["config"]
+        cfg = config_from_json({**obj, "seed": _resolve_seed(seed, obj, suite)})
+        op_args = dict(entry.get("op_args", {}))
+        if "mixture" in op_args:
+            op_args["mixture"] = measure_from_json(op_args["mixture"])
+        if "c_over_mass" in op_args:
             if "c" in op_args:
-                c = float(op_args["c"])
-            elif "c_over_mass" in op_args:
-                c = float(op_args["c_over_mass"]) * F.total_mass
-            else:
-                raise CliError(f"experiment {name!r} needs 'c' or 'c_over_mass'")
-            reports = crossing_frequency(cfg, mixture=F, c=c, workers=workers)
+                raise CliError(f"experiment {name!r} gives both 'c' and 'c_over_mass'")
+            op_args["c"] = op_args.pop("c_over_mass") * op_args["mixture"].total_mass
+        reports = globals()[_VERIFY_OPS[op]](cfg, workers=workers, **op_args)
         results.append((name, reports, config_echo(cfg)))
     return results
 
 
 def cmd_verify(args) -> int:
     suite = _load_json(args.config)
-    seed = _resolve_seed(args, suite)
-    results = run_suite(suite, seed, args.workers)
+    seed = _resolve_seed(args.seed, suite)
+    results = run_suite(suite, args.seed, args.workers)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     all_pass = True
@@ -250,22 +236,13 @@ def cmd_verify(args) -> int:
 
 def cmd_lil(args) -> int:
     cfg_json = _load_json(args.config)
-    seed = _resolve_seed(args, cfg_json)
-    cfg = _experiment_from_json(cfg_json, seed)
-    summary = lil_track(cfg, margin=cfg_json.get("margin", 0.15),
-                        workers=args.workers)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "config": config_echo(cfg),
-        "statistic": summary["statistic"],
-        "checkpoints": summary["checkpoints"],
-        "median_running_max": summary["median_running_max"],
-        "median_value": summary["median_value"],
-        "limsup_bound": (None if math.isinf(summary["limsup_bound"])
-                         else summary["limsup_bound"]),
-        "margin": summary["margin"],
-        "frac_exceeding": summary["frac_exceeding"],
-    }
+    margin = cfg_json.pop("margin", 0.15)
+    cfg = config_from_json({**cfg_json, "seed": _resolve_seed(args.seed, cfg_json)})
+    summary = lil_track(cfg, margin=margin, workers=args.workers)
+    doc = {k: v for k, v in summary.items() if not isinstance(v, np.ndarray)}
+    if math.isinf(doc["limsup_bound"]):
+        doc["limsup_bound"] = None
+    doc.update(schema=SCHEMA_VERSION, config=config_echo(cfg))
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

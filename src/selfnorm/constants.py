@@ -5,6 +5,7 @@ bracketed root-finding or adaptive quadrature with explicit tolerances.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,13 +53,14 @@ def c_r_upper_bound(r: float) -> float:
     return a * b / r
 
 
+@functools.lru_cache(maxsize=64)
 def c_r(r: float) -> float:
     """Smallest c with exp(x - c x^r) <= 1 + x for all x >= 0.
 
     Equivalently sup_{x>0} (x - log(1+x))/x^r, which is what we compute: a
     log-spaced scan locates the worst x and a bounded Brent pass refines it.
     The supremum form is the same infimum the defining inequality describes,
-    found without an outer bisection on c.
+    found without an outer bisection on c. Memoized, as callers ask per step.
     """
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")

@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -44,11 +45,18 @@ from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec,
                         WeightedIID, _Variant, chunk_rng, log_supermartingale,
-                        spec_to_json)
+                        fields_to_json, spec_from_json, spec_to_json)
 
 _BLOCK = 32768
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
+
+
+def as_integral(name: str, value) -> int:
+    """value as an int; an integral float, such as JSON's 1e5, is taken."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,18 @@ class ExperimentConfig:
     se_slack: float = 3.0
 
     def __post_init__(self):
+        for name in ("seed", "paths", "horizon"):
+            object.__setattr__(self, name, as_integral(name, getattr(self, name)))
+        for name in ("lambda_grid", "x_grid", "p_list"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "se_slack", float(self.se_slack))
         if self.paths < 1 or self.horizon < 1:
             raise DomainError("paths and horizon must be positive")
         # the Gaussian crossing reads an MvBrownianGrid's checkpoints as times
         # on its grid, as given; every other spec's are steps
         on_grid = isinstance(self.spec, MvBrownianGrid)
-        cks = tuple(self.checkpoints) if on_grid else tuple(int(c) for c in self.checkpoints)
+        cks = (tuple(self.checkpoints) if on_grid else
+               tuple(as_integral("checkpoints", c) for c in self.checkpoints))
         if list(cks) != sorted(set(cks)):
             raise DomainError("checkpoints must be sorted and distinct")
         lo, hi = (self.spec.times[0], self.spec.times[-1]) if on_grid else (1, self.horizon)
@@ -277,15 +291,13 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
     versus exp(-x^2/2), for each x >= sqrt(2) in the grid."""
     if y <= 0.0:
         raise DomainError("y must be positive")
+    xs = cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)
+    if min(xs) < SQRT2:
+        raise DomainError(f"tail grid point {min(xs)} below sqrt(2)")
     a, b2 = _horizon_state(cfg, workers, "tail bound requires")
     stat = cor22_normalized(a, b2, y)
-    reports = []
-    for x in (cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)):
-        if x < SQRT2:
-            raise DomainError(f"tail grid point {x} below sqrt(2)")
-        reports.append(_frequency_report(f"tail x={x:g} y={y:g}", tail_bound_cor22(x),
-                                         np.count_nonzero(stat >= x), cfg))
-    return reports
+    return [_frequency_report(f"tail x={x:g} y={y:g}", tail_bound_cor22(x),
+                              np.count_nonzero(stat >= x), cfg) for x in xs]
 
 
 def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
@@ -293,15 +305,17 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
     """Empirical p-th moments of |A|/sqrt(B^2+(EB)^2) and of the two-sided
     normalized statistic, against their analytic bounds. EB is the plug-in
     empirical mean of B over the same paths (bias noted in the label)."""
+    # the analytic bounds, which refuse p <= 0, before any draw
+    bounds = [(p, moment_bound_thm21(p), moment_bound_cor22(p))
+              for p in (p_list or cfg.p_list or (1.0, 2.0, 4.0))]
     a, b2 = _horizon_state(cfg, workers, "moment bounds require")
     eb = math.fsum(np.sqrt(b2).tolist()) / cfg.paths
     y = eb * eb
     s_thm = thm21_normalized(a, b2, y)
     s_cor = cor22_normalized(a, b2, y)
     reports = []
-    for p in (p_list or cfg.p_list or (1.0, 2.0, 4.0)):
-        for tag, s, bound in (("ratio_moment", s_thm, moment_bound_thm21(p)),
-                              ("normalized_moment", s_cor, moment_bound_cor22(p))):
+    for p, thm, cor in bounds:
+        for tag, s, bound in (("ratio_moment", s_thm, thm), ("normalized_moment", s_cor, cor)):
             w = s ** p
             mean, se = _mean_se(float(np.sum(w)), float(np.sum(w * w)), cfg.paths)
             reports.append(_one_sided(
@@ -414,6 +428,8 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     """
     if c is None or c <= 0.0:
         raise DomainError("c must be positive")
+    if not isinstance(mixture, MixtureMeasure | GaussianMixture):
+        raise DomainError(f"crossing_frequency needs a mixture measure, got {mixture!r}")
     if isinstance(mixture, GaussianMixture):
         return _crossing_gaussian(cfg, mixture, c, resolve_workers(workers))
 
@@ -592,6 +608,8 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     recorded steps and paths; 'late' restricts to the second half of the
     horizon. Diagnostic only (the cluster set fills an interval a.s., so
     interior bins should all be visited)."""
+    if bins < 1:
+        raise DomainError(f"bins must be positive, got {bins}")
     scan = _Scan(cfg, workers)
     edges = np.linspace(-2.0, 2.0, bins + 1)
     half = cfg.horizon // 2
@@ -616,6 +634,8 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
         raise DomainError("give exactly one of p, alpha")
     if alpha is not None and not 0.0 < alpha < 0.5:
         raise DomainError("alpha must lie in (0, 1/2)")
+    if p is not None and not p > 0.0:
+        raise DomainError(f"p must be positive, got {p}")
     scan = _Scan(cfg, workers)
     r = cfg.spec.r
     half = max(1, cfg.horizon // 2)
@@ -685,15 +705,15 @@ def report_rows(reports: list[BoundReport]) -> list[dict]:
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "spec": spec_to_json(cfg.spec),
-        "seed": cfg.seed,
-        "paths": cfg.paths,
-        "horizon": cfg.horizon,
-        "checkpoints": list(cfg.checkpoints),
-        "lambda_grid": list(cfg.lambda_grid),
-        "x_grid": list(cfg.x_grid),
-        "p_list": list(cfg.p_list),
-        "statistic": cfg.statistic,
-        "se_slack": cfg.se_slack,
-    }
+    """cfg's JSON object: one key per field, the spec by `spec_to_json`."""
+    return {**fields_to_json(cfg), "spec": spec_to_json(cfg.spec)}
+
+
+def config_from_json(obj: dict) -> ExperimentConfig:
+    """The ExperimentConfig `config_echo` wrote, the spec by `spec_from_json`;
+    an unknown or missing key is a DomainError."""
+    obj = {k: spec_from_json(v) if k == "spec" else v for k, v in obj.items()}
+    try:
+        return ExperimentConfig(**obj)
+    except TypeError as exc:
+        raise DomainError(f"bad experiment config: {exc}") from exc

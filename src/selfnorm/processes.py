@@ -25,7 +25,8 @@ through these members (defaults on the shared base `_Variant`):
   certification                   ("all", inf), ("nonneg", lam0) or None.
   centering(n, v)                 the running centering of the universal
                                   statistic; default 0.
-  truncated_mean(n, c, d)         mu(c, d) = E[d_n 1(c <= d_n < d)]; no default.
+  truncated_mean(n, c, d)         mu(c, d) = E[d_n 1(c <= d_n < d)] for c < d, by the
+                                  variant's `_truncated_mean(n, c, d)`; no default.
   statistic                       the lil_track kind 'auto' resolves to;
                                   default 'lil'.
 MvBrownianGrid is a variant with one component axis: its A is the vector
@@ -43,7 +44,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats
@@ -193,6 +194,11 @@ class _Variant:
         broadcasts over (a, b_pow_r) and checks nothing."""
         return lam * a - lam ** self.r * b_pow_r / self.r
 
+    def truncated_mean(self, n, c, d):
+        if not c < d:
+            raise DomainError("need c < d")
+        return self._truncated_mean(n, c, d)
+
 
 @dataclass(frozen=True)
 class Rademacher(_Variant):
@@ -204,9 +210,7 @@ class Rademacher(_Variant):
     def draw(self, rng, n_lo, n_hi, n_paths):
         return fair_signs(rng, (n_paths, n_hi - n_lo))
 
-    def truncated_mean(self, n, c, d):
-        if not c < d:
-            raise DomainError("need c < d")
+    def _truncated_mean(self, n, c, d):
         m = 0.0
         if c <= 1.0 < d:
             m += 0.5
@@ -254,9 +258,7 @@ class ScaledSymmetric(_Variant):
             return _lognormal_partial_mean(a, b, self.mu, self.sigma)
         return float(_pareto_partial_mean(a, b, self.shape, self.xm, self.xm**self.shape))
 
-    def truncated_mean(self, n, c, d):
-        if not c < d:
-            raise DomainError("need c < d")
+    def _truncated_mean(self, n, c, d):
         return _symmetric_truncated_mean(self._partial_mean, c, d)
 
 
@@ -288,10 +290,8 @@ class BoundedAbove(_Variant):
         scale = (1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2
         return np.full_like(np.asarray(d, dtype=float), scale)
 
-    def truncated_mean(self, n, c, d):
+    def _truncated_mean(self, n, c, d):
         # M(1-E): density exp((x-M)/M)/M on (-inf, M]
-        if not c < d:
-            raise DomainError("need c < d")
         m = self.m_bound
         # int_c^d x exp((x-M)/M)/M dx = [(x - M) exp((x-M)/M)]_c^d
         def anti(x):
@@ -331,9 +331,7 @@ class Bernstein(_Variant):
             raise CertificationError(f"lambda={lam} >= 1/M for the Bernstein weight")
         return lam * a - lam * lam * b_pow_r / (2.0 * (1.0 - self.m_bound * lam))
 
-    def truncated_mean(self, n, c, d):
-        if not c < d:
-            raise DomainError("need c < d")
+    def _truncated_mean(self, n, c, d):
         m = self.m_bound
         # M(E-1): density exp(-(x+M)/M)/M on [-M, inf)
         def anti(x):
@@ -374,8 +372,7 @@ class BoundedBelow(_Variant):
     def b_increments(self, d, n_idx):
         return self.r * self.c_const * np.abs(d) ** self.r
 
-    def truncated_mean(self, n, c, d):
-        return Bernstein(self.m_bound).truncated_mean(n, c, d)
+    _truncated_mean = Bernstein._truncated_mean  # the same law, M(E - 1)
 
 
 class _Grid(_Variant):
@@ -415,7 +412,7 @@ class BrownianGrid(_Grid):
         if not self.times or self.times[0] <= 0.0 or np.any(np.diff(self.times) <= 0.0):
             raise DomainError("times must be positive and strictly increasing")
 
-    def truncated_mean(self, n, c, d):
+    def _truncated_mean(self, n, c, d):
         if not 1 <= n <= self.steps:
             raise DomainError(f"step {n} is off the grid's steps 1..{self.steps}")
         s = math.sqrt(self.dt[n - 1])
@@ -495,7 +492,7 @@ class Counterexample56(_Variant):
         x = np.where(u < p_plus, small, np.where(u < p_plus + p_minus, -small, -m_n))
         return np.where(valid, x, 0.0)
 
-    def truncated_mean(self, n, c, d):
+    def _truncated_mean(self, n, c, d):
         p_plus, p_minus, p_big, m_n, valid = _cx56_probs(np.asarray([n], dtype=float))
         if not valid[0]:
             return 0.0
@@ -570,9 +567,7 @@ class TruncatedCentering(_Variant):
         x = np.where((u >= p1) & (u < 0.5), -mag, x)
         return x
 
-    def truncated_mean(self, n, c, d):
-        if not c < d:
-            raise DomainError("need c < d")
+    def _truncated_mean(self, n, c, d):
         return float(self._mu(c, d))
 
     def _mu(self, c, d):
@@ -638,10 +633,10 @@ class WeightedIID(_Variant):
         s_end, v_end = ca[:, -1].tolist(), cv[:, -1].tolist()
         return ca, cv, cv, (s_end, v_end, v_end)
 
-    def truncated_mean(self, n, c, d):
+    def _truncated_mean(self, n, c, d):
         if self.weights != "ones":
             raise UnsupportedVariantError("no closed-form truncated mean for factorial weights")
-        return Rademacher().truncated_mean(n, c, d)
+        return Rademacher()._truncated_mean(n, c, d)
 
 
 ProcessSpec = (Rademacher | ScaledSymmetric | BoundedAbove | Bernstein | BoundedBelow
@@ -793,13 +788,18 @@ _VARIANTS = {
 }
 
 
+def fields_to_json(obj) -> dict:
+    """A dataclass's fields by name, tuples as lists."""
+    out = {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        out[f.name] = list(val) if isinstance(val, tuple) else val
+    return out
+
+
 def spec_to_json(spec: ProcessSpec) -> dict:
     name = {v: k for k, v in _VARIANTS.items()}[type(spec)]
-    out = {"variant": name}
-    for f_name in spec.__dataclass_fields__:
-        val = getattr(spec, f_name)
-        out[f_name] = list(val) if isinstance(val, tuple) else val
-    return out
+    return {"variant": name, **fields_to_json(spec)}
 
 
 def spec_from_json(obj: dict | str) -> ProcessSpec:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from selfnorm import cli
 from selfnorm.cli import build_parser, main
 
 SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm",
@@ -21,6 +22,13 @@ def write_json(tmp_path, name, obj):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chunk stream was opened")
+    monkeypatch.setattr("selfnorm.experiments.chunk_rng", refuse)
 
 
 class TestConstantsCommand:
@@ -121,6 +129,17 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path, "p.json", {"variant": "rademacher"})
         assert main(["simulate", "--config", cfg, "--horizon", "10",
                      "--seed", "7", "--checkpoints", "5", "2"]) == 2
+
+    def test_non_integral_steps(self, tmp_path, capsys):
+        # int() used to run this to rows n = 2 and 7
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"}, "seed": 3,
+                                              "horizon": 10.9, "checkpoints": [2.5, 7.9]})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "horizon must be an integer" in capsys.readouterr().err
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"}, "seed": 3,
+                                              "horizon": 10.0, "checkpoints": [2.5, 7.9]})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "checkpoints must be an integer" in capsys.readouterr().err
 
     def test_mv_dump_has_statistic_column(self, tmp_path):
         cfg = write_json(tmp_path, "p.json",
@@ -245,6 +264,58 @@ class TestVerifyCommand:
         report = json.loads(open(os.path.join(out, "report.json")).read())
         assert report["seed"] == 123
 
+    def test_seed_precedence(self, tmp_path):
+        # --seed beats an experiment's own seed, which beats the suite's
+        suite = json.loads(open(self.make_suite(tmp_path)).read())
+        own = json.loads(json.dumps(suite["experiments"][0]))
+        own["name"], own["config"]["seed"] = "own", 5
+        suite["experiments"].append(own)
+        cfg = write_json(tmp_path, "suite2.json", suite)
+
+        def seeds(*flag):
+            out = str(tmp_path / ("o" + "".join(flag)))
+            assert main(["verify", "--config", cfg, "--out", out, *flag]) == 0
+            report = json.loads(open(os.path.join(out, "report.json")).read())
+            return report["seed"], [e["config"]["seed"] for e in report["experiments"]]
+
+        assert seeds() == (99, [99, 5])
+        assert seeds("--seed", "7") == (7, [7, 7])
+
+    @pytest.mark.parametrize("key", ["checkpionts", "lambda_gird"])
+    def test_unknown_config_key(self, tmp_path, capsys, no_draws, key):
+        suite = json.loads(open(self.make_suite(tmp_path)).read())
+        suite["experiments"][0]["config"][key] = [50]
+        cfg = write_json(tmp_path, "suite2.json", suite)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, op_args, named", [
+        ("tail_bound", {"y": 1.0, "yy": 2.0}, "yy"),
+        ("crossing", {"mixture": {"type": "density_rs", "delta": 1.0}, "c": 10.0,
+                      "c_over_mass": 10.0}, "c_over_mass"),
+    ], ids=["unknown_key", "c_and_c_over_mass"])
+    def test_bad_op_args(self, tmp_path, capsys, no_draws, op, op_args, named):
+        suite = {"schema": 1, "seed": 99, "experiments": [{
+            "name": "bad", "op": op, "op_args": op_args,
+            "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_op_table_calls_the_module_attribute(self, tmp_path, monkeypatch):
+        # tracing wraps cli's entry points; the table must see the wrapper
+        calls = []
+        original = cli.check_supermartingale_mean
+
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_supermartingale_mean", wrapper)
+        cfg = self.make_suite(tmp_path)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [{"workers": None}]
+
     def test_bundled_suite_schema_is_current(self):
         suite = json.loads(open(SUITE).read())
         assert suite["schema"] == 1
@@ -263,6 +334,27 @@ class TestLilCommand:
         assert doc["statistic"] == "lil"
         assert doc["limsup_bound"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert len(doc["median_running_max"]) == 2
+
+    def test_seed_precedence(self, tmp_path):
+        # --seed beats the config's seed: the flag used to be ignored
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 5, "paths": 20,
+                          "horizon": 300, "checkpoints": [100, 300], "margin": 0.2})
+        docs = {}
+        for flag in ([], ["--seed", "7"], ["--seed", "8"]):
+            out = str(tmp_path / f"lil{len(docs)}.json")
+            assert main(["lil", "--config", cfg, "--out", out] + flag) == 0
+            docs[tuple(flag)] = open(out).read()
+        assert len(set(docs.values())) == 3
+        assert [json.loads(d)["config"]["seed"] for d in docs.values()] == [5, 7, 8]
+        assert all(json.loads(d)["margin"] == 0.2 for d in docs.values())
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, no_draws):
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 4, "paths": 10,
+                          "horizon": 100, "checkpionts": [50, 100]})
+        assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        assert "checkpionts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
     def test_unsupported_statistic_is_config_error(self, tmp_path, capsys, statistic):

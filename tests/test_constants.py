@@ -103,6 +103,15 @@ class TestCR:
             with pytest.raises(DomainError):
                 c_r(r)
 
+    def test_memoized_values_are_bit_equal(self):
+        # float.hex of each c_r as computed before it was memoized
+        pinned = {1.1: "0x1.42cbaddd1b96dp-1", 1.5: "0x1.46a9dea4a21dbp-2",
+                  1.75: "0x1.45c4ae7ecdb96p-2", 2.0: "0x1.0000000000000p-1"}
+        c_r.cache_clear()
+        for _ in range(3):
+            assert {r: c_r(r).hex() for r in pinned} == pinned
+        assert c_r.cache_info().misses == len(pinned)
+
 
 class TestCGammaR:
     def test_is_pointwise_max(self):

@@ -1,23 +1,28 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from selfnorm import experiments
 from selfnorm.constants import DomainError
 from selfnorm.experiments import (_SCREEN_SLACK, BoundReport, ExperimentConfig,
                                   _boundary_interpolant, _chunk_layout, _hit_cells,
                                   check_supermartingale_mean,
-                                  cluster_set_diagnostic, crossing_frequency,
+                                  cluster_set_diagnostic, config_echo,
+                                  config_from_json, crossing_frequency,
                                   growth_rate_diagnostic, lil_track,
                                   report_rows, resolve_workers,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
 from selfnorm.mixture import (Density, GaussianMixture, PointMasses,
                               RobbinsSiegmund, boundary)
-from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid, Counterexample56,
-                                Counterexample65, MvBrownianGrid, Rademacher,
-                                ScaledSymmetric, TruncatedCentering, WeightedIID)
+from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow, BrownianGrid,
+                                Counterexample56, Counterexample65, MvBrownianGrid,
+                                Rademacher, ScaledSymmetric, TruncatedCentering,
+                                WeightedIID)
 
 
 def rad_cfg(**kw):
@@ -38,6 +43,33 @@ class TestConfig:
         with pytest.raises(DomainError):
             rad_cfg(paths=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("paths", 10.9), ("horizon", 200.5), ("seed", 1.5), ("seed", None),
+        ("paths", "2000"), ("horizon", math.inf), ("checkpoints", (2.5, 100)),
+    ])
+    def test_non_integral_steps_refused(self, field, value):
+        # int() used to turn paths=10.9 into 10 and checkpoint 2.5 into 2
+        with pytest.raises(DomainError, match=field):
+            rad_cfg(**{field: value})
+
+    def test_integral_floats_are_ints(self):
+        # JSON's 1e5 is a float
+        cfg = rad_cfg(seed=123.0, paths=2e3, horizon=2e2, checkpoints=[1e2, 2e2])
+        assert cfg == rad_cfg()
+        assert all(type(v) is int for v in (cfg.seed, cfg.paths, cfg.horizon, *cfg.checkpoints))
+
+    @pytest.mark.parametrize("key", ["checkpionts", "lambda_gird", "margin"])
+    def test_unknown_key_refused(self, key):
+        obj = {**config_echo(rad_cfg()), key: [100]}
+        with pytest.raises(DomainError, match=key):
+            config_from_json(obj)
+
+    def test_missing_key_refused(self):
+        obj = config_echo(rad_cfg())
+        del obj["paths"]
+        with pytest.raises(DomainError, match="paths"):
+            config_from_json(obj)
+
     def test_chunk_layout_partitions(self):
         for paths, horizon in ((1, 1), (1000, 100), (100000, 10**6), (12345, 7)):
             layout = _chunk_layout(paths, horizon)
@@ -54,6 +86,35 @@ class TestConfig:
         assert resolve_workers(2) == 2
         with pytest.raises(DomainError):
             resolve_workers(0)
+
+
+SPECS = (Rademacher(), ScaledSymmetric(law="pareto", shape=3.0, xm=2.0),
+         BoundedBelow(m_bound=1.0, gamma=0.4, r=1.5), BrownianGrid(times=(0.5, 1.0, 2.0)),
+         TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=2.0))
+GRID_VALUES = st.lists(st.floats(allow_nan=False) | st.integers(-10, 10), max_size=4)
+
+
+@st.composite
+def configs(draw):
+    horizon = draw(st.integers(1, 10**6))
+    spec = draw(st.sampled_from(SPECS + (MvBrownianGrid(dim=2, t0=0.5, rho=2.0, horizon=8.0),)))
+    if isinstance(spec, MvBrownianGrid):  # checkpoints are times on its grid
+        points = st.floats(spec.times[0], spec.times[-1])
+    else:
+        points = st.integers(1, horizon)
+    return ExperimentConfig(
+        spec=spec, seed=draw(st.integers(0, 2**64)), paths=draw(st.integers(1, 10**7)),
+        horizon=horizon, checkpoints=sorted(draw(st.sets(points, max_size=4))),
+        lambda_grid=draw(GRID_VALUES), x_grid=draw(GRID_VALUES), p_list=draw(GRID_VALUES),
+        statistic=draw(st.sampled_from(["auto", "lil", "uncentered", "universal"])),
+        se_slack=draw(st.floats(0.0, 10.0) | st.integers(0, 5)))
+
+
+@given(cfg=configs())
+def test_config_json_round_trip(cfg):
+    echo = config_echo(cfg)
+    assert sorted(echo) == sorted(f.name for f in fields(ExperimentConfig))
+    assert config_from_json(json.loads(json.dumps(echo))) == cfg
 
 
 class TestSupermartingaleMean:
@@ -528,6 +589,23 @@ class TestScalarSpecRejection:
         cfg = ExperimentConfig(spec=spec, seed=5, paths=100, horizon=10)
         with pytest.raises(DomainError, match="weight"):
             crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=10.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: validate_tail_bound(rad_cfg(x_grid=(2.0, 1.0)), 1.0),
+        lambda: validate_moment_bound(rad_cfg(), p_list=(1.0, 0.0)),
+        lambda: validate_moment_bound(rad_cfg(p_list=(-1.0,))),
+        lambda: sup_moment_estimate(rad_cfg(), p=0.0),
+        lambda: sup_moment_estimate(rad_cfg(), p=-1.0),
+        lambda: cluster_set_diagnostic(rad_cfg(), bins=0),
+        lambda: crossing_frequency(rad_cfg(), mixture=None, c=10.0),
+    ], ids=["tail_x_below_sqrt2", "moment_p_zero", "moment_cfg_p_negative",
+            "sup_moment_p_zero", "sup_moment_p_negative", "cluster_no_bins",
+            "crossing_no_mixture"])
+    def test_bad_argument(self, call):
+        # sup_moment_estimate at p = 0 reported 1.0 and passed; with no
+        # mixture crossing_frequency raised AttributeError
+        with pytest.raises(DomainError):
+            call()
 
     @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
     def test_unsupported_lil_statistic(self, statistic):

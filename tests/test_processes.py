@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from selfnorm import experiments, processes
+from selfnorm import constants, experiments, processes
 from selfnorm.constants import DomainError, c_gamma, c_gamma_r
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 BrownianGrid, CertificationError,
@@ -319,6 +319,47 @@ class TestTruncatedMeans:
         with pytest.raises(UnsupportedVariantError):
             WeightedIID(weights="factorial").truncated_mean(1, -1.0, 1.0)
 
+    # preset -> (step n, float.hex of mu(c, d) on each of INTERVALS), as the
+    # formulas gave them when each variant checked c < d itself
+    INTERVALS = ((-1.0, 0.75), (-0.25, math.inf), (-50.0, 60.0))
+    PINNED = {
+        "rademacher": (Rademacher(), 40, [
+            "-0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x0.0p+0"]),
+        "lognormal": (ScaledSymmetric(), 40, [
+            "-0x1.93587acc5d1e6p-5", "0x1.a27b224f334d1p-1", "0x1.5dc15b48d2800p-11"]),
+        "pareto": (ScaledSymmetric(law="pareto", shape=3.0, xm=0.5), 40, [
+            "-0x1.2aaaaaaaaaaaap-4", "0x1.8000000000000p-2", "0x1.807a557850000p-17"]),
+        "bounded_above": (BoundedAbove(m_bound=2.0, lambda0=0.25), 40, [
+            "0x1.48eece461a000p-12", "0x1.75ffe8906a084p-1", "0x1.241c327b06696p-32"]),
+        "bernstein": (Bernstein(m_bound=0.5), 40, [
+            "-0x1.a446730ba312ep-4", "0x1.368b2fc6f960ap-3", "-0x1.46e9bf96cc3d5p-169"]),
+        "bounded_below": (BoundedBelow(r=1.5), 40, [
+            "-0x1.376724e41dc65p-2", "0x1.6ac70b0f3da1ep-2", "-0x1.e683c90f0c6d6p-83"]),
+        "brownian_grid": (BrownianGrid(times=(0.5, 1.0, 2.0)), 3, [
+            "-0x1.e4b19449d43c8p-5", "0x1.8bf2ba104becep-2", "0x0.0p+0"]),
+        "counterexample56": (Counterexample56(), 40, ["0x1.8a89bca43f0abp-4"] * 3),
+        "counterexample65": (Counterexample65(), 40, ["0x1.8a89bca43f0abp-4"] * 3),
+        "normal_centering": (TruncatedCentering(), 40, [
+            "-0x1.e4b19449d43c8p-5", "0x1.8bf2ba104becep-2", "0x0.0p+0"]),
+        "heavy_centering": (TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=2.0), 40, [
+            "0x0.0p+0", "inf", "-0x1.95ad4eeec6a60p-2"]),
+        "weighted_iid": (WeightedIID(), 40, [
+            "-0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x0.0p+0"]),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PINNED))
+    def test_values_on_valid_intervals(self, preset):
+        spec, n, want = self.PINNED[preset]
+        assert [spec.truncated_mean(n, c, d).hex() for c, d in self.INTERVALS] == want
+
+    @pytest.mark.parametrize("preset", sorted(PINNED) + ["factorial_weights"])
+    def test_empty_interval_refused(self, preset):
+        # BrownianGrid gave -0.1159 on [1, 0.5), the counterexamples 0.0
+        spec, n, _ = self.PINNED.get(preset, (WeightedIID(weights="factorial"), 1, None))
+        for c, d in ((1.0, 0.5), (0.5, 0.5), (math.inf, math.inf)):
+            with pytest.raises(DomainError, match="c < d"):
+                spec.truncated_mean(n, c, d)
+
 
 class TestThreePointLaw:
     def test_exact_zero_mean(self):
@@ -437,6 +478,19 @@ class TestTruncatedSupermartingale:
             truncated_supermartingale_value(h, 1.2, 1.0)
         with pytest.raises(DomainError):
             truncated_supermartingale_value(h, 0.5, 2.0 / c_gamma(0.5))
+
+    def test_c_r_once_per_r(self):
+        # every step checks its lambda against 1/c_(gamma,r), whose c_r part
+        # is a 4001-point scan and a Brent search
+        h = make_process(BoundedBelow(r=1.5), 9)
+        for _ in range(500):
+            h.step()
+        lam = 0.5 / c_gamma_r(0.5, 1.5)
+        constants.c_r.cache_clear()
+        value = truncated_supermartingale_value(h, 0.5, lam, r=1.5)
+        assert constants.c_r.cache_info().misses == 1
+        constants.c_r.cache_clear()
+        assert truncated_supermartingale_value(h, 0.5, lam, r=1.5) == value
 
     def test_order_r_cap(self):
         h = make_process(Rademacher(), 9)
