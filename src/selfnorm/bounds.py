@@ -2,9 +2,9 @@
 self-normalized statistics they control. All functions are pure.
 
 Each normalized statistic is one broadcasting numpy expression
-(`thm21_normalized`, `cor22_normalized`, `lil_normalized`, `v_normalized`)
-that checks nothing, because the Monte Carlo engine applies it to whole
-blocks of paths and meets B = 0 there. The public statistics validate their
+(`thm21_normalized`, `cor22_normalized`, `v_normalized`, and A over
+`lil_denominator`) that checks nothing, because the Monte Carlo engine
+applies it to whole blocks of paths and meets B = 0 there. The public statistics validate their
 scalar inputs and evaluate the same expression."""
 from __future__ import annotations
 
@@ -92,16 +92,11 @@ def cor22_normalized(a, b_sq, y):
 
 
 def lil_denominator(b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
-    """(b v floor) (loglog(b v floor))^((r-1)/r), the normalizer of
-    `lil_normalized`; unchecked. A function of b alone, so the engine
+    """(b v floor) (loglog(b v floor))^((r-1)/r), the normalizer of the lil
+    statistic; unchecked. A function of b alone, so the engine
     evaluates it once per step on a deterministic normalizer."""
     bb, ll = iterated_log(b, floor)
     return bb * ll ** ((r - 1.0) / r)
-
-
-def lil_normalized(a, b, r: float = 2.0, floor: float = DEFAULT_LOG_FLOOR):
-    """a / {(b v floor) (loglog(b v floor))^((r-1)/r)}; unchecked."""
-    return a / lil_denominator(b, r, floor)
 
 
 def v_normalized(s, centering, v, floor: float = DEFAULT_LOG_FLOOR):
@@ -133,7 +128,7 @@ def lil_statistic(a: float, b: float, r: float = 2.0,
         raise DomainError("b must be positive")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
-    return float(lil_normalized(a, b, r, floor))
+    return float(a / lil_denominator(b, r, floor))
 
 
 def universal_statistic(s_n: float, truncated_mean_sum: float, v_n: float,

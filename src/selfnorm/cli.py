@@ -3,8 +3,10 @@
 Subcommands: constants, boundary, tailbound, simulate, verify, lil.
 Exit codes: 0 all checks pass, 1 a bound check failed, 2 usage/config error.
 Seed precedence: --seed flag > the experiment's "seed" > the suite's "seed" >
-error (no silent default). Configs are read by `experiments.config_from_json`:
-unknown keys are refused, and seeds, paths, horizons and steps must be integers.
+error (no silent default). Experiment configs are read by
+`experiments.config_from_json`; there, and in simulate configs, suites and
+suite entries, unknown keys are refused, and seeds, paths, horizons and steps
+must be integers.
 """
 from __future__ import annotations
 
@@ -20,13 +22,13 @@ import numpy as np
 
 from . import constants as konst
 from . import bounds
-from .mixture import (GaussianMixture, boundary, crossing_bound, measure_from_json,
-                      mv_statistic, psi, rs_asymptotic, general_r_asymptotic)
+from .mixture import (GaussianMixture, boundary, measure_from_json, mv_statistic,
+                      psi, rs_asymptotic, general_r_asymptotic)
 from .processes import make_process, spec_from_json
 from .experiments import (BoundReport, REPORT_COLUMNS, as_integral,
                           check_supermartingale_mean, config_echo, config_from_json,
-                          crossing_frequency, lil_track, validate_moment_bound,
-                          validate_tail_bound)
+                          crossing_frequency, lil_track, report_rows,
+                          validate_moment_bound, validate_tail_bound)
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +71,12 @@ def _emit(rows: list[dict], columns, fmt: str, out: str | None, meta: dict) -> N
     else:
         doc = {"schema": SCHEMA_VERSION, "meta": meta, "rows": rows}
         _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _known_keys(what: str, obj: dict, allowed: tuple) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise CliError(f"unknown {what} key(s) {unknown}; allowed: {list(allowed)}")
 
 
 def _resolve_seed(flag: int | None, *cfgs: dict) -> int:
@@ -122,11 +130,9 @@ def cmd_boundary(args) -> int:
     for v, beta, back in zip(vg.tolist(), betas.tolist(),
                              psi(betas, vg, F, args.r).tolist()):
         row = {"v": v, "beta": beta, "psi_roundtrip": back}
-        if args.asymptotic == "rs":
-            asy = rs_asymptotic(v, args.c, args.delta)
-            row.update({"asymptotic": asy, "ratio": beta / asy})
-        elif args.asymptotic == "general":
-            asy = general_r_asymptotic(v, args.r)
+        if args.asymptotic != "none":
+            asy = (rs_asymptotic(v, args.c, args.delta) if args.asymptotic == "rs"
+                   else general_r_asymptotic(v, args.r))
             row.update({"asymptotic": asy, "ratio": beta / asy})
         rows.append(row)
     cols = sorted({k for r in rows for k in r})
@@ -152,12 +158,14 @@ def cmd_tailbound(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
-    spec = spec_from_json(cfg["spec"] if "spec" in cfg else cfg)
-    seed = _resolve_seed(args.seed, cfg)
-    horizon = as_integral("horizon", args.horizon or cfg.get("horizon", 0))
+    run = cfg if "spec" in cfg else {"spec": cfg}  # a bare spec object: every key is the spec's
+    _known_keys("simulate config", run, ("spec", "seed", "horizon", "checkpoints"))
+    spec = spec_from_json(run["spec"])
+    seed = _resolve_seed(args.seed, run)
+    horizon = as_integral("horizon", args.horizon or run.get("horizon", 0))
     if horizon < 1:
         raise CliError("horizon must be a positive integer")
-    cks = [as_integral("checkpoints", c) for c in (args.checkpoints or cfg.get("checkpoints")
+    cks = [as_integral("checkpoints", c) for c in (args.checkpoints or run.get("checkpoints")
                                                    or range(1, horizon + 1))]
     if cks != sorted(set(cks)) or cks[0] < 1 or cks[-1] > horizon:
         raise CliError("checkpoints must be sorted, distinct and within the horizon")
@@ -192,10 +200,12 @@ def run_suite(suite: dict, seed: int | None,
               workers: int | None) -> list[tuple[str, list[BoundReport], dict]]:
     """Each experiment's reports and config echo. `seed` is the --seed flag;
     op_args are the entry point's keyword arguments (see README)."""
+    _known_keys("suite", suite, ("schema", "seed", "experiments"))
     if suite.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
     results = []
     for entry in suite["experiments"]:
+        _known_keys("experiment", entry, ("name", "op", "config", "op_args"))
         name = entry["name"]
         op = entry["op"]
         if op not in _VERIFY_OPS:
@@ -218,12 +228,11 @@ def cmd_verify(args) -> int:
     suite = _load_json(args.config)
     seed = _resolve_seed(args.seed, suite)
     results = run_suite(suite, args.seed, args.workers)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = args.out or "."  # `_write_text` makes it
     all_pass = True
     doc = {"schema": SCHEMA_VERSION, "seed": seed, "experiments": []}
     for name, reports, echo in results:
-        rows = [r.to_dict() for r in reports]
+        rows = report_rows(reports)
         all_pass &= all(r["pass"] for r in rows)
         _write_text(os.path.join(out_dir, f"{name}.csv"),
                     _rows_to_csv(rows, REPORT_COLUMNS))

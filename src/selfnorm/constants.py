@@ -102,13 +102,7 @@ def h_of_lambda(lam: float) -> float:
         lo *= 0.5
         if lo < 1e-300:
             break
-    hi = max(2.0 * math.sqrt(2.0) * lam, 2.0 * target + 2.0)
-    it = 0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        it += 1
-        if it > ROOT_MAX_ITER:
-            raise RuntimeError("failed to bracket h(lambda)")
+    hi = 2.0 * target + 2.0  # f(hi) >= 2 - log 3: x + 2 - log(3 + 2x) rises from x = 0
     h = optimize.brentq(f, lo, hi, xtol=ROOT_TOL, rtol=1e-15, maxiter=ROOT_MAX_ITER)
     return float(h)
 

@@ -5,25 +5,27 @@ crossing frequencies, and iterated-logarithm running statistics over many
 simulated paths, and compares them to the analytic bounds.
 
 Determinism contract: paths are partitioned into fixed chunks whose sizes
-depend only on (paths, horizon); chunk i draws from the substream
+depend only on the paths and the cells per path (the horizon, or a vector
+grid's steps times its dimension); chunk i draws from the substream
 SeedSequence(seed, spawn_key=(1, i)) and partial results are combined in
 chunk order with exact (fsum) accumulation. Reports are therefore identical
 for any worker count.
 
-Every experiment on the scalar state (A, B^r, V^2) runs on one chunk driver,
-`_Scan`. It runs block-major: it opens every chunk's stream, carry and
-reducer first, then draws and accumulates each block of `_BLOCK` steps in
-every chunk, on one thread pool per call, and cuts the block, as views, after
-the steps the experiment names (its checkpoints, or the half horizon). A
-per-chunk reducer, built from the chunk's path count, sees the pieces in
-order through `segment(...)`, each tagged with the index of the stop it ends
-on; its attributes are the chunk's partial result. A chunk draws its blocks
-in order from its own stream and only views are cut, so the stream and the
-chunk layout depend neither on the stops nor on the worker count. Where B^r
-is a function of n alone (`spec.b_deterministic`), the driver builds it once
-per block as one row for all paths, and the statistic's work on B^r alone
-(the lil denominator and guard, the crossing boundary) once per piece, for
-every chunk.
+Every experiment, the Gaussian crossing on an MvBrownianGrid's vector state
+included, runs on one chunk driver, `_Scan`. It runs block-major: it opens
+every chunk's stream, carry and reducer first, then draws and accumulates
+each block of `_BLOCK` steps in every chunk, on one thread pool per call,
+and cuts the block, as views, after the steps the experiment names (its
+checkpoints, or the half horizon). A per-chunk reducer, built from the
+chunk's path count, sees the pieces in order through `segment(...)`, each
+tagged with the index of the stop it ends on; its attributes are the chunk's
+partial result. A chunk draws its blocks in order from its own stream and
+only views are cut, so the stream and the chunk layout depend neither on the
+stops nor on the worker count. Where B^r is a function of n alone
+(`spec.b_deterministic`), the driver builds it once per block as one row for
+all paths, and the statistic's work on B^r alone (the lil denominator and
+guard, the crossing boundary) once per piece, for every chunk. A vector spec
+runs its whole grid as one block.
 """
 from __future__ import annotations
 
@@ -124,10 +126,10 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _chunk_layout(paths: int, horizon: int) -> list[int]:
-    """Fixed chunk sizes; a pure function of (paths, horizon) so results do
-    not depend on the worker count."""
-    size = min(paths, max(1, _TARGET_CELLS // max(horizon, 1)), _MAX_CHUNK_PATHS)
+def _chunk_layout(paths: int, cells: int) -> list[int]:
+    """Fixed chunk sizes; a pure function of (paths, cells per path) so
+    results do not depend on the worker count."""
+    size = min(paths, max(1, _TARGET_CELLS // max(cells, 1)), _MAX_CHUNK_PATHS)
     out = [size] * (paths // size)
     if paths % size:
         out.append(paths % size)
@@ -135,22 +137,28 @@ def _chunk_layout(paths: int, horizon: int) -> list[int]:
 
 
 class _Scan:
-    """The chunked block scan behind every scalar experiment. Built first, it
+    """The chunked block scan behind every experiment. Built first, it
     refuses, before the experiment reads its spec and before any draw, the
-    specs the scalar state cannot run, and fixes the chunk layout and the
-    worker count."""
+    specs the experiment cannot run, and fixes the chunk layout and the
+    worker count. Only the Gaussian crossing asks for the `vector` state,
+    and only an MvBrownianGrid has one; its whole grid runs as one block,
+    since blocks would draw (P, L, dim) in another order."""
 
-    def __init__(self, cfg, workers):
+    def __init__(self, cfg, workers, vector=False):
         self.workers = resolve_workers(workers)
-        if isinstance(cfg.spec, MvBrownianGrid):
-            raise DomainError("MvBrownianGrid has a vector state; only "
-                              "crossing_frequency with a GaussianMixture accepts it")
-        if isinstance(cfg.spec, WeightedIID) and cfg.spec.weights != "ones":
+        spec = cfg.spec
+        if isinstance(spec, MvBrownianGrid) != vector:
+            raise DomainError(f"{type(spec).__name__}: only crossing_frequency with a "
+                              "GaussianMixture runs MvBrownianGrid's vector state, and no other")
+        if isinstance(spec, WeightedIID) and spec.weights != "ones":
             raise DomainError("WeightedIID factorial weights carry S_n/n!, and neither the lil "
                               "statistic nor the mixture boundary is scale-invariant")
-        if cfg.horizon > cfg.spec.steps:
-            raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {cfg.spec.steps} steps")
-        self.cfg, self.layout = cfg, _chunk_layout(cfg.paths, cfg.horizon)
+        self.horizon = spec.steps if vector else cfg.horizon
+        if self.horizon > spec.steps:
+            raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {spec.steps} steps")
+        self.block = self.horizon if vector else _BLOCK
+        self.cfg = cfg
+        self.layout = _chunk_layout(cfg.paths, self.horizon * (spec.dim if vector else 1))
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
@@ -188,8 +196,8 @@ class _Scan:
         b_end = 0.0
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             fan = pool.map if self.workers > 1 and n > 1 else map
-            for lo in range(0, cfg.horizon, _BLOCK):
-                hi = min(lo + _BLOCK, cfg.horizon)
+            for lo in range(0, self.horizon, self.block):
+                hi = min(lo + self.block, self.horizon)
                 n_idx = np.arange(lo + 1, hi + 1)
                 inside = range(bisect.bisect_right(stops, lo), bisect.bisect_right(stops, hi))
                 pieces, s = [], 0
@@ -393,23 +401,44 @@ def _hit_cells(ca, cb, beta, skip):
 
 
 class _Crossings:
-    """Which paths have crossed beta so far, and how many had by each stop.
-    With a `screen` beta, cb is the per-cell B^r that `_hit_cells` screens;
-    without one, cb is beta already, from the scan's of_b."""
+    """Which paths have crossed so far, and how many had by each stop.
+    rule(ca, cb, crossed) gives the paths that cross in a piece: cb is what
+    the scan's of_b made of the B^r piece, and crossed the flags so far."""
 
-    def __init__(self, P, screen, n_stops):
-        self.screen = screen
+    def __init__(self, P, rule, n_stops):
+        self.rule = rule
         self.crossed = np.zeros(P, dtype=bool)
         self.counts = np.zeros(n_stops, dtype=np.int64)
 
     def segment(self, n_idx, ca, cb, cv, k):
-        if self.screen:
-            rows, _ = _hit_cells(ca, cb, self.screen, self.crossed)
-        else:
-            rows = (ca >= cb).any(axis=1)
-        self.crossed[rows] = True
+        self.crossed[self.rule(ca, cb, self.crossed)] = True
         if k is not None:
             self.counts[k] = np.count_nonzero(self.crossed)
+
+
+def _gaussian_rule(cfg, G, c):
+    """The quadratic-form crossing rule of a Gaussian mixture with precision
+    V = U diag(w) U', in V's eigenbasis: 0.5 (log|V| - log|V + tI| + |U'A|^2
+    over w + t) >= log c; its work on t alone is the of_b of the B^r = t row."""
+    if cfg.spec.dim != G.dim:
+        raise DomainError("Gaussian crossing test needs an MvBrownianGrid of matching dim")
+    if c <= 1.0:
+        raise DomainError("c must exceed 1")
+    w, U = np.linalg.eigh(G.precision)
+    ld0 = float(np.sum(np.log(w)))
+    log_c = math.log(c)
+
+    def of_t(t):
+        wt = w + t[:, None]
+        return wt, np.sum(np.log(wt), axis=1)
+
+    def rule(ca, cb, crossed):
+        wt, logdet = cb
+        proj = ca @ U
+        quad = np.sum(proj * proj / wt, axis=2)
+        return (0.5 * (ld0 - logdet + quad) >= log_c).any(axis=1)
+
+    return rule, of_t
 
 
 def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
@@ -430,60 +459,40 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         raise DomainError("c must be positive")
     if not isinstance(mixture, MixtureMeasure | GaussianMixture):
         raise DomainError(f"crossing_frequency needs a mixture measure, got {mixture!r}")
-    if isinstance(mixture, GaussianMixture):
-        return _crossing_gaussian(cfg, mixture, c, resolve_workers(workers))
-
-    scan = _Scan(cfg, workers)
-    cert = cfg.spec.certification
-    if cert is None:
-        raise DomainError("crossing test requires a certified spec")
-    if mixture.lambda0 > cert[1] * (1.0 + 1e-12):
-        raise DomainError("mixture support exceeds the certified lambda range")
-    cks = cfg.checkpoints or (cfg.horizon,)
-    if type(cfg.spec).log_weight is not _Variant.log_weight:
-        raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "
-                          "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
-    beta = _boundary_interpolant(mixture, c, cfg.spec.r,
-                                 1e-4, 16.0 * cfg.horizon)
-    # a deterministic B^r is one row, whose beta the scan looks up once per step
-    screen = (not cfg.spec.b_deterministic
-              and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK)
-    parts = scan(lambda P: _Crossings(P, beta if screen else None, len(cks)), cks,
-                 of_b=None if screen else lambda cb: beta(np.maximum(cb, 1e-4)))
+    gaussian = isinstance(mixture, GaussianMixture)
+    scan = _Scan(cfg, workers, vector=gaussian)
+    if gaussian:
+        rule, of_b = _gaussian_rule(cfg, mixture, c)
+        # a checkpoint counts up to the last grid time at or below it, so two
+        # checkpoints may end on one step
+        cks = cfg.checkpoints or (cfg.spec.times[-1],)
+        steps = np.searchsorted(cfg.spec.times, cks, "right")
+        label, bound = "mv_crossing t<={:g} c={:g}", 1.0 / c
+    else:
+        cert = cfg.spec.certification
+        if cert is None:
+            raise DomainError("crossing test requires a certified spec")
+        if mixture.lambda0 > cert[1] * (1.0 + 1e-12):
+            raise DomainError("mixture support exceeds the certified lambda range")
+        cks = steps = cfg.checkpoints or (cfg.horizon,)
+        if type(cfg.spec).log_weight is not _Variant.log_weight:
+            raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "
+                              "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
+        beta = _boundary_interpolant(mixture, c, cfg.spec.r,
+                                     1e-4, 16.0 * cfg.horizon)
+        # a deterministic B^r is one row, whose beta the scan looks up once per step
+        if (not cfg.spec.b_deterministic
+                and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK):
+            rule, of_b = lambda ca, cb, crossed: _hit_cells(ca, cb, beta, crossed)[0], None
+        else:
+            rule, of_b = (lambda ca, cb, crossed: (ca >= cb).any(axis=1),
+                          lambda cb: beta(np.maximum(cb, 1e-4)))
+        label, bound = "crossing n<={} c={:g}", crossing_bound(c, mixture)
+    stops, at = np.unique(steps, return_inverse=True)
+    parts = scan(lambda P: _Crossings(P, rule, len(stops)), stops.tolist(), of_b=of_b)
     totals = np.sum([p.counts for p in parts], axis=0)
-    return [_frequency_report(f"crossing n<={n} c={c:g}", crossing_bound(c, mixture),
-                              totals[k], cfg) for k, n in enumerate(cks)]
-
-
-def _crossing_gaussian(cfg, G: GaussianMixture, c, workers):
-    spec = cfg.spec
-    if not isinstance(spec, MvBrownianGrid) or spec.dim != G.dim:
-        raise DomainError("Gaussian crossing test needs an MvBrownianGrid of matching dim")
-    if c <= 1.0:
-        raise DomainError("c must exceed 1")
-    times = np.asarray(spec.times)
-    ck_times = tuple(float(t) for t in cfg.checkpoints) or (float(times[-1]),)
-    ck_idx = [int(np.searchsorted(times, t, side="right")) - 1 for t in ck_times]
-    w, U = np.linalg.eigh(G.precision)
-    ld0 = float(np.sum(np.log(w)))
-    log_c = math.log(c)
-    layout = _chunk_layout(cfg.paths, spec.steps * spec.dim)
-
-    def chunk(ci):
-        d = spec.draw(chunk_rng(cfg.seed, ci), 0, spec.steps, layout[ci])  # (P, T, m)
-        m_path = np.cumsum(d, axis=1)
-        proj = m_path @ U                              # rotate into eigenbasis
-        quad = np.sum(proj * proj / (w[None, None, :] + times[None, :, None]), axis=2)
-        logdet = np.sum(np.log(w[None, :] + times[:, None]), axis=1)
-        stat = 0.5 * (ld0 - logdet[None, :] + quad)
-        ever = np.logical_or.accumulate(stat >= log_c, axis=1)
-        return np.count_nonzero(ever[:, ck_idx], axis=0)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list((pool.map if workers > 1 else map)(chunk, range(len(layout))))
-    totals = np.sum(parts, axis=0)
-    return [_frequency_report(f"mv_crossing t<={t:g} c={c:g}", 1.0 / c, totals[k], cfg)
-            for k, t in enumerate(ck_times)]
+    return [_frequency_report(label.format(n, c), bound, totals[at[k]], cfg)
+            for k, n in enumerate(cks)]
 
 
 # ---------------------------------------------------------------------------

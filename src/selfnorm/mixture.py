@@ -210,13 +210,10 @@ class GaussianMixture:
 
 def _max_exponent(u: float, v: float, r: float, lambda0: float) -> float:
     """sup over lambda in (0, lambda0] of lambda*u - lambda^r v / r."""
-    def e(lam: float) -> float:
-        return lam * u - lam**r * v / r
-
     if u <= 0.0:
         return 0.0  # approached as lambda -> 0
-    lam_star = (u / v) ** (1.0 / (r - 1.0))
-    return max(0.0, e(min(lam_star, lambda0)))
+    lam = min((u / v) ** (1.0 / (r - 1.0)), lambda0)
+    return max(0.0, lam * u - lam**r * v / r)
 
 
 def _quad(g, a: float, b: float) -> float:

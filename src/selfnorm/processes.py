@@ -115,9 +115,6 @@ def fair_signs(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _lognormal_partial_mean(a: float, b: float, mu: float, sigma: float) -> float:
     """E[Z 1(a < Z <= b)] for lognormal Z, 0 <= a < b."""
-    if b <= 0.0:
-        return 0.0
-    a = max(a, 0.0)
     s = math.exp(mu + 0.5 * sigma * sigma)
     hi = stats.norm.cdf((math.log(b) - mu - sigma * sigma) / sigma) if b < math.inf else 1.0
     lo = stats.norm.cdf((math.log(a) - mu - sigma * sigma) / sigma) if a > 0.0 else 0.0
@@ -562,10 +559,7 @@ class TruncatedCentering(_Variant):
         p1 = self.d1 * y0 ** (-self.alpha)
         u = rng.random(shape)
         mag = y0 * rng.random(shape) ** (-1.0 / self.alpha)
-        x = np.zeros(shape)
-        x = np.where(u < p1, mag, x)
-        x = np.where((u >= p1) & (u < 0.5), -mag, x)
-        return x
+        return np.where(u < p1, mag, np.where(u < 0.5, -mag, 0.0))
 
     def _truncated_mean(self, n, c, d):
         return float(self._mu(c, d))

@@ -141,6 +141,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 2
         assert "checkpoints must be an integer" in capsys.readouterr().err
 
+    def test_unknown_key(self, tmp_path, capsys):
+        # the misspelt key used to be ignored, and all 10 steps written
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"}, "seed": 3,
+                                              "horizon": 10, "chekpoints": [2, 5]})
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "chekpoints" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mv_dump_has_statistic_column(self, tmp_path):
         cfg = write_json(tmp_path, "p.json",
                          {"variant": "mv_brownian_grid", "dim": 2, "t0": 0.5,
@@ -301,6 +310,20 @@ class TestVerifyCommand:
         cfg = write_json(tmp_path, "suite.json", suite)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key", [("suite", "sede"), ("entry", "op_arg")])
+    def test_unknown_suite_or_entry_key(self, tmp_path, capsys, no_draws, where, key):
+        # a misspelt "op_arg" used to run the moment bounds at the default p
+        suite = {"schema": 1, "seed": 99, "experiments": [{
+            "name": "moments", "op": "moment_bound",
+            "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}]}
+        (suite if where == "suite" else suite["experiments"][0])[key] = (
+            5 if where == "suite" else {"p_list": [3.0]})
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "7"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_op_table_calls_the_module_attribute(self, tmp_path, monkeypatch):
         # tracing wraps cli's entry points; the table must see the wrapper

@@ -246,6 +246,16 @@ class TestCrossing:
             with pytest.raises(DomainError):
                 ExperimentConfig(spec=spec, seed=5, paths=10, horizon=1000, checkpoints=outside)
 
+    def test_gaussian_checkpoints_on_one_grid_step(self):
+        # 1.45 and 1.5 both count up to t_52 = 1.420 (step 53); the scan
+        # cuts a step once, so the two must share that step's count
+        spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.1, horizon=100.0)
+        cfg = ExperimentConfig(spec=spec, seed=5, paths=400, horizon=100,
+                               checkpoints=(1.45, 1.5, 50.0))
+        assert np.searchsorted(spec.times, cfg.checkpoints, "right").tolist() == [53, 53, 90]
+        reps = crossing_frequency(cfg, mixture=GaussianMixture(np.eye(2)), c=2.0)
+        assert [r.estimate for r in reps] == [0.18, 0.18, 0.365]
+
     def test_gaussian_needs_matching_dim(self):
         spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=100.0)
         cfg = ExperimentConfig(spec=spec, seed=5, paths=10, horizon=100)
@@ -538,8 +548,9 @@ SCALAR_ENTRY_POINTS = {
 
 
 class TestScalarSpecRejection:
-    """Specs and arguments the scalar scan cannot run are refused before any
-    draw."""
+    """Specs and arguments the scan cannot run are refused before any draw:
+    a vector spec on every scalar entry point, and anything but a matching
+    MvBrownianGrid and c > 1 on the Gaussian crossing."""
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
@@ -569,6 +580,16 @@ class TestScalarSpecRejection:
         cfg = ExperimentConfig(spec=grid, seed=1, paths=50, horizon=2000)
         with pytest.raises(DomainError):
             SCALAR_ENTRY_POINTS[entry](cfg)
+
+    @pytest.mark.parametrize("spec, G, c", [
+        (Rademacher(), GaussianMixture(np.eye(2)), 2.0),
+        (MV_GRID, GaussianMixture(np.eye(3)), 2.0),
+        (MV_GRID, GaussianMixture(np.eye(2)), 1.0),
+    ], ids=["scalar_spec", "dim_mismatch", "c_not_above_1"])
+    def test_gaussian_crossing(self, spec, G, c):
+        cfg = ExperimentConfig(spec=spec, seed=1, paths=10, horizon=40)
+        with pytest.raises(DomainError):
+            crossing_frequency(cfg, mixture=G, c=c)
 
     def test_bernstein_open_end(self):
         # 0 <= lambda < 1/M: at lambda = 1/M the weight's denominator is 0

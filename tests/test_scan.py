@@ -14,10 +14,10 @@ from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   growth_rate_diagnostic, lil_track,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
-from selfnorm.mixture import PointMasses
+from selfnorm.mixture import GaussianMixture, PointMasses
 from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid,
-                                Counterexample65, Rademacher, ScaledSymmetric,
-                                WeightedIID)
+                                Counterexample65, MvBrownianGrid, Rademacher,
+                                ScaledSymmetric, WeightedIID)
 
 # lambda0 = 1 fits every certification below; its table is cheap to build
 MIXTURE = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
@@ -95,17 +95,23 @@ def test_one_row_matches_per_cell(variant, experiment, monkeypatch):
     assert fast == general
 
 
-# every scalar experiment, and the variants it runs on in the property below
-SCALAR = {
+# every experiment, and the variants it runs on in the property below; the
+# Gaussian crossing runs on a 12-step grid
+RUNS = {
     **EXPERIMENTS,
     "moment_bound": lambda cfg, w=1: validate_moment_bound(cfg, workers=w),
     "sup_moment": lambda cfg, w=1: sup_moment_estimate(cfg, p=2.0, workers=w),
     "growth_rate": lambda cfg, w=1: growth_rate_diagnostic(cfg, workers=w),
+    "gaussian_crossing": lambda cfg, w=1: crossing_frequency(
+        cfg, mixture=GaussianMixture(np.eye(2)), c=2.0, workers=w),
 }
+ON_SCALAR = sorted(set(RUNS) - {"growth_rate", "gaussian_crossing"})
+MV = MvBrownianGrid(dim=2, t0=0.5, rho=1.5, horizon=40.0)
 ON_VARIANT = {
-    "rademacher": (Rademacher(), sorted(set(SCALAR) - {"growth_rate"})),
-    "scaled_symmetric": (ScaledSymmetric(), sorted(set(SCALAR) - {"growth_rate"})),
+    "rademacher": (Rademacher(), ON_SCALAR),
+    "scaled_symmetric": (ScaledSymmetric(), ON_SCALAR),
     "counterexample65": (Counterexample65(), ["growth_rate"]),
+    "mv_brownian_grid": (MV, ["gaussian_crossing"]),
 }
 
 
@@ -116,18 +122,24 @@ ON_VARIANT = {
 def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, variant):
     spec, experiments_run = ON_VARIANT[variant]
     cks = tuple(sorted({1, (horizon + 1) // 2, horizon}))
+    if spec is MV:
+        # checkpoints are times on its grid, and two of them may share a
+        # step; _BLOCK does not split a vector spec's grid, and
+        # _TARGET_CELLS counts the cells of both components of its 12 steps
+        cks = tuple(sorted({0.5, min(horizon / 2.0, 40.0), min(horizon, 40.0)}))
     cfg = ExperimentConfig(spec=spec, seed=paths * 1000 + horizon, paths=paths,
                            horizon=horizon, checkpoints=cks)
     with mock.patch.multiple(experiments, _BLOCK=block,
                              _TARGET_CELLS=chunk_paths * horizon):
         for experiment in experiments_run:
-            one = outcome(SCALAR[experiment], cfg, 1)
+            one = outcome(RUNS[experiment], cfg, 1)
             assert not isinstance(one, tuple), one  # the experiment ran to the end
-            assert one == outcome(SCALAR[experiment], cfg, 2)
-            assert one == outcome(SCALAR[experiment], cfg, 3)
+            assert one == outcome(RUNS[experiment], cfg, 2)
+            assert one == outcome(RUNS[experiment], cfg, 3)
 
 
-@pytest.mark.parametrize("variant", sorted(ON_VARIANT) + ["brownian_grid"])
+@pytest.mark.parametrize("variant", sorted(set(ON_VARIANT) - {"mv_brownian_grid"})
+                         + ["brownian_grid"])
 def test_three_workers_on_more_chunks(variant, monkeypatch):
     # 8 chunks of at most 4 paths on 3 workers, over 8 blocks of 7 steps
     # with stops inside and on block edges
@@ -138,9 +150,9 @@ def test_three_workers_on_more_chunks(variant, monkeypatch):
                            checkpoints=(1, 14, 20, 33, HORIZON))
     assert len(experiments._chunk_layout(cfg.paths, cfg.horizon)) == 8
     for experiment in experiments_run:
-        one = outcome(SCALAR[experiment], cfg, 1)
+        one = outcome(RUNS[experiment], cfg, 1)
         assert not isinstance(one, tuple), one
-        assert one == outcome(SCALAR[experiment], cfg, 3), experiment
+        assert one == outcome(RUNS[experiment], cfg, 3), experiment
 
 
 def pieces(horizon, block, stops):
