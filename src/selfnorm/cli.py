@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -196,14 +197,15 @@ _VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
                "crossing": "crossing_frequency"}
 
 
-def run_suite(suite: dict, seed: int | None,
-              workers: int | None) -> list[tuple[str, list[BoundReport], dict]]:
-    """Each experiment's reports and config echo. `seed` is the --seed flag;
-    op_args are the entry point's keyword arguments (see README)."""
+def _check_suite(suite: dict) -> list[tuple]:
+    """Each entry's (name, entry point, config object, op_args), after every
+    suite and entry key, op, config and op_args has been checked: a fault
+    anywhere in the suite is named before any seed is resolved or any entry
+    draws. The config is checked with a stand-in seed."""
     _known_keys("suite", suite, ("schema", "seed", "experiments"))
     if suite.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
-    results = []
+    plan = []
     for entry in suite["experiments"]:
         _known_keys("experiment", entry, ("name", "op", "config", "op_args"))
         name = entry["name"]
@@ -211,7 +213,7 @@ def run_suite(suite: dict, seed: int | None,
         if op not in _VERIFY_OPS:
             raise CliError(f"unknown op {op!r} in experiment {name!r}")
         obj = entry["config"]
-        cfg = config_from_json({**obj, "seed": _resolve_seed(seed, obj, suite)})
+        config_from_json({**obj, "seed": 0})
         op_args = dict(entry.get("op_args", {}))
         if "mixture" in op_args:
             op_args["mixture"] = measure_from_json(op_args["mixture"])
@@ -219,13 +221,31 @@ def run_suite(suite: dict, seed: int | None,
             if "c" in op_args:
                 raise CliError(f"experiment {name!r} gives both 'c' and 'c_over_mass'")
             op_args["c"] = op_args.pop("c_over_mass") * op_args["mixture"].total_mass
-        reports = globals()[_VERIFY_OPS[op]](cfg, workers=workers, **op_args)
-        results.append((name, reports, config_echo(cfg)))
-    return results
+        fn = globals()[_VERIFY_OPS[op]]
+        try:
+            inspect.signature(fn).bind(None, workers=None, **op_args)
+        except TypeError as exc:
+            raise CliError(f"bad op_args in experiment {name!r}: {exc}") from exc
+        plan.append((name, fn, obj, op_args))
+    return plan
+
+
+def run_suite(suite: dict, seed: int | None,
+              workers: int | None) -> list[tuple[str, list[BoundReport], dict]]:
+    """Each experiment's reports and config echo. `seed` is the --seed flag;
+    op_args are the entry point's keyword arguments (see README). The whole
+    suite is checked, and every entry's seed resolved, before the first
+    entry runs."""
+    plan = _check_suite(suite)
+    cfgs = [config_from_json({**obj, "seed": _resolve_seed(seed, obj, suite)})
+            for _, _, obj, _ in plan]
+    return [(name, fn(cfg, workers=workers, **op_args), config_echo(cfg))
+            for (name, fn, _, op_args), cfg in zip(plan, cfgs)]
 
 
 def cmd_verify(args) -> int:
     suite = _load_json(args.config)
+    _check_suite(suite)  # a bad key is named before a missing seed
     seed = _resolve_seed(args.seed, suite)
     results = run_suite(suite, args.seed, args.workers)
     out_dir = args.out or "."  # `_write_text` makes it

@@ -26,6 +26,13 @@ stops nor on the worker count. Where B^r is a function of n alone
 all paths, and the statistic's work on B^r alone (the lil denominator and
 guard, the crossing boundary) once per piece, for every chunk. A vector spec
 runs its whole grid as one block.
+
+Each worker thread of a call has one `_Workspace`: flat buffers, made in the
+call and dropped with it, that every chunk-block the worker runs is drawn
+into and accumulated in, as views of that block's shape. The pieces segment
+receives are views of them, overwritten by the worker's next chunk-block, so
+segment must not keep a piece, or a view of one, past its return: a reducer
+copies what it keeps.
 """
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ import bisect
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -46,7 +54,7 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec,
-                        WeightedIID, _Variant, chunk_rng, log_supermartingale,
+                        WeightedIID, _Variant, _abs_pow, chunk_rng, log_supermartingale,
                         fields_to_json, spec_from_json, spec_to_json)
 
 _BLOCK = 32768
@@ -136,6 +144,22 @@ def _chunk_layout(paths: int, cells: int) -> list[int]:
     return out
 
 
+class _Workspace:
+    """One worker's block buffers: flat float64 arrays of `cells` each, made
+    on first use and viewed, per chunk-block, as a C-contiguous array of that
+    block's shape. Role 0 takes the draws (then A), 1 the B^r increments
+    (then B^r), 2 V^2."""
+
+    def __init__(self, cells):
+        self.cells, self.bufs = cells, {}
+
+    def view(self, role, shape):
+        buf = self.bufs.get(role)
+        if buf is None:
+            buf = self.bufs[role] = np.empty(self.cells)
+        return buf[:math.prod(shape)].reshape(shape)
+
+
 class _Scan:
     """The chunked block scan behind every experiment. Built first, it
     refuses, before the experiment reads its spec and before any draw, the
@@ -158,6 +182,7 @@ class _Scan:
             raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {spec.steps} steps")
         self.block = self.horizon if vector else _BLOCK
         self.cfg = cfg
+        self.components = (spec.dim,) if vector else ()
         self.layout = _chunk_layout(cfg.paths, self.horizon * (spec.dim if vector else 1))
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
@@ -174,7 +199,8 @@ class _Scan:
         per block from `b_increments` of a row of ones; of_b then runs once
         per piece, and every chunk receives the same object, which segment
         must not write to. ca is the chunk's own, and segment may overwrite
-        it."""
+        it. ca, a per-cell cb and cv are views of the worker's `_Workspace`,
+        which its next chunk-block overwrites: segment keeps none of them."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -183,11 +209,19 @@ class _Scan:
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
         carries = [None] * n
+        cells = max(self.layout) * min(self.block, self.horizon) * math.prod(self.components)
+        local = threading.local()  # one workspace per worker thread, for this call only
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
             lo, hi, n_idx, pieces, shared = block
-            d = spec.draw(rngs[ci], lo, hi, self.layout[ci])
-            ca, cb, cv, carries[ci] = spec.accumulate(d, n_idx, carries[ci], b, v)
+            ws = getattr(local, "ws", None)
+            if ws is None:
+                ws = local.ws = _Workspace(cells)
+            shape = (self.layout[ci], hi - lo)
+            d = spec.draw(rngs[ci], lo, hi, shape[0], out=ws.view(0, shape + self.components))
+            ca, cb, cv, carries[ci] = spec.accumulate(
+                d, n_idx, carries[ci], b, v,
+                out=(ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
             for j, (cut, n_piece, k) in enumerate(pieces):
                 reds[ci].segment(n_piece, ca[:, cut],
                                  shared[j] if row else None if cb is None else of_b(cb[:, cut]),
@@ -392,9 +426,12 @@ def _hit_cells(ca, cb, beta, skip):
         if hi > lo:
             width = min(S, hi - lo)
             seg = ca[:, lo:hi].reshape(P, -1, width)  # a view, no copy
-            p, s, j = np.nonzero(seg >= bound[:, lo // S:-(-hi // S), None])
+            # the flat indices of the C-ordered mask, in np.nonzero's order:
+            # its 3-d form steps a multi-index through every cell, ten times slower
+            p, off = np.divmod(np.flatnonzero(seg >= bound[:, lo // S:-(-hi // S), None]),
+                               hi - lo)
             rows.append(p)
-            cols.append(lo + s * width + j)
+            cols.append(lo + off)
     p, col = np.concatenate(rows), np.concatenate(cols)
     hit = ca[p, col] >= beta(np.maximum(cb[p, col], 1e-4))
     return p[hit], col[hit]
@@ -649,7 +686,7 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
     r = cfg.spec.r
     half = max(1, cfg.horizon // 2)
     # order r reads the plain sum of |d|^r, without the variant's constant
-    b_rule = False if r == 2.0 else (lambda d, n_idx: np.abs(d) ** r)
+    b_rule = False if r == 2.0 else (lambda d, n_idx, out: _abs_pow(d, r, out))
 
     def stat(n_idx, ca, cb, cv):
         if r == 2.0:

@@ -5,15 +5,22 @@ and the exponential supermartingale weights each variant certifies.
 Variant protocol. Each variant is a frozen dataclass whose fields are its
 JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
 through these members (defaults on the shared base `_Variant`):
-  draw(rng, n_lo, n_hi, n_paths)  increments d for steps n_lo+1..n_hi, shape
+  draw(rng, n_lo, n_hi, n_paths, out=None)
+                                  increments d for steps n_lo+1..n_hi, shape
                                   (n_paths, n_hi - n_lo) plus any component
-                                  axes; no default.
+                                  axes, written into `out` (a C-contiguous
+                                  float64 array of that shape) when it is
+                                  given, else into a fresh array; the bits
+                                  are the same either way. No default.
   steps                           how many steps it can draw; default inf.
-  accumulate(d, n_idx, carry, b, v)
+  accumulate(d, n_idx, carry, b, v, out=(None, None))
                                   the running A, B^r, V^2 of a block of draws
-                                  and the next block's carry; default cumsums.
-  b_increments(d, n_idx)          the B^r increments of d; default d*d. An
-                                  array that owns its data is summed in place.
+                                  and the next block's carry; default cumsums,
+                                  B^r and V^2 into the pair `out` where given.
+  b_increments(d, n_idx, out=None)
+                                  the B^r increments of d, into `out` where
+                                  given; default d*d. `out`, or an array that
+                                  owns its data, is summed in place.
   b_deterministic                 True if those increments are a function of n
                                   alone, not of the draws; the engine then
                                   builds B^r once per block, as one row shared
@@ -53,6 +60,7 @@ from .bounds import iterated_log
 from .constants import DomainError, c_gamma, c_gamma_r, lil_constants
 
 _BUFFER = 1024
+_SLAB = 1 << 17  # cells per temporary in a draw; even
 
 
 class CertificationError(RuntimeError):
@@ -73,39 +81,73 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(1, chunk))))
 
 
-def fair_signs(rng: np.random.Generator, shape) -> np.ndarray:
+def _fill(out, shape):
+    """out, or a fresh array of `shape`: where a variant's draw writes."""
+    return np.empty(shape) if out is None else out
+
+
+def _slabs(size):
+    """Slices of at most `_SLAB` cells covering range(size), in order."""
+    return (slice(lo, min(lo + _SLAB, size)) for lo in range(0, size, _SLAB))
+
+
+def _constant(d, value, out=None):
+    """value in every cell of d's first two axes: B^r increments that do not
+    depend on the draws."""
+    out = _fill(out, d.shape[:2])
+    out.fill(value)
+    return out
+
+
+def _abs_pow(d, r, out=None):
+    """|d| ** r, by the same operations as `np.abs(d) ** r`."""
+    out = np.abs(d, out=out)
+    out **= r
+    return out
+
+
+def fair_signs(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """Exactly `rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0`, leaving
-    rng in the same state, from fewer operations.
+    rng in the same state, from fewer operations; written into `out` (a
+    C-contiguous float64 array of `shape`) when it is given.
 
     For a range of 2, numpy's `integers` takes Lemire's method on 32-bit
     words, so each sign is bit 31 of one word; a word is the low, then the
     high half of a 64-bit output, and an unused high half waits in the bit
     generator's `has_uint32`/`uinteger` buffer. Philox and PCG64 (on a
-    little-endian host) are read here word for word through `random_raw`;
-    any other bit generator takes the plain `integers` call."""
+    little-endian host) are read here word for word through `random_raw`,
+    `_SLAB` words at a time, so that no temporary grows with the block; any
+    other bit generator takes the plain `integers` call."""
+    out = _fill(out, shape)
     bg = rng.bit_generator
     if not isinstance(bg, (np.random.Philox, np.random.PCG64)) or sys.byteorder != "little":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    out = np.empty(shape)
+        out[...] = rng.integers(0, 2, size=shape)
+        out *= 2.0
+        out -= 1.0
+        return out
     flat = out.reshape(-1)
     with bg.lock:
         state = bg.state
         held = bool(state["has_uint32"]) and flat.size > 0
-        body = flat[1:] if held else flat
-        words = bg.random_raw((body.size + 1) // 2).view(np.uint32)
         if held:
-            flat[0] = state["uinteger"] >> 31
+            flat[0] = (state["uinteger"] >> 31) * 2.0 - 1.0
+        body = flat[1:] if held else flat
+        last = None
+        for cut in _slabs(body.size):  # _SLAB is even: only the last slab may hold a half
+            seg = body[cut]
+            words = bg.random_raw((seg.size + 1) // 2).view(np.uint32)
+            last = words.size > seg.size, int(words[-1])
+            words = words[:seg.size]
+            words >>= 31
+            seg[...] = words
+            seg *= 2.0
+            seg -= 1.0
         state = bg.state
-        if words.size:  # as numpy: the last high half stays, used or not
-            state["has_uint32"], state["uinteger"] = int(words.size > body.size), int(words[-1])
+        if last is not None:  # as numpy: the last high half stays, used or not
+            state["has_uint32"], state["uinteger"] = int(last[0]), last[1]
         elif held:
             state["has_uint32"] = 0
         bg.state = state
-    words = words[:body.size]
-    words >>= 31
-    body[...] = words
-    flat *= 2.0
-    flat -= 1.0
     return out
 
 
@@ -153,24 +195,26 @@ class _Variant:
     statistic = "lil"
     steps = math.inf
 
-    def accumulate(self, d, n_idx, carry, b=True, v=False):
+    def accumulate(self, d, n_idx, carry, b=True, v=False, out=(None, None)):
         """(ca, cb, cv, carry): running A, B^r, V^2 after each step of block d
         (which becomes ca) and the next block's carry. b=True takes
-        `b_increments`, another true b is a rule b(d, n_idx), a false b gives
-        cb None; cv is None unless v. A keeps d's component axes, which
-        V^2 = sum d^2 sums over."""
+        `b_increments`, another true b is a rule b(d, n_idx, out), a false b
+        gives cb None; cv is None unless v. A keeps d's component axes, which
+        V^2 = sum d^2 sums over. out is a pair of (P, L) arrays that cb and a
+        two-axis block's cv are written into, or None for fresh ones."""
         if b is True:
             b = self.b_increments
         a, b_end, v_end = carry or (np.zeros(d.shape[:1] + d.shape[2:]),
                                     np.zeros(len(d)), np.zeros(len(d)))
+        b_out, v_out = out
         cb = cv = None
         if b:
-            inc = b(d, n_idx)  # summed in place unless a view of other data
-            cb = np.cumsum(inc, axis=1, out=inc if inc.flags.owndata else None)
+            inc = b(d, n_idx, b_out)  # summed in place unless a view of other data
+            cb = np.cumsum(inc, axis=1, out=inc if inc is b_out or inc.flags.owndata else None)
             cb += b_end[:, None]
             b_end = cb[:, -1].copy()
         if v:
-            sq = d * d
+            sq = np.multiply(d, d, out=v_out if d.ndim == 2 else None)
             if d.ndim > 2:
                 sq = sq.sum(axis=tuple(range(2, d.ndim)))
             cv = np.cumsum(sq, axis=1, out=sq)
@@ -180,8 +224,8 @@ class _Variant:
         ca += a[:, None]
         return ca, cb, cv, (ca[:, -1].copy(), b_end, v_end)
 
-    def b_increments(self, d, n_idx):
-        return d * d
+    def b_increments(self, d, n_idx, out=None):
+        return np.multiply(d, d, out=out)
 
     def centering(self, n, v):
         return 0.0
@@ -204,8 +248,8 @@ class Rademacher(_Variant):
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        return fair_signs(rng, (n_paths, n_hi - n_lo))
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        return fair_signs(rng, (n_paths, n_hi - n_lo), out)
 
     def _truncated_mean(self, n, c, d):
         m = 0.0
@@ -235,19 +279,22 @@ class ScaledSymmetric(_Variant):
         if self.law == "pareto" and (self.shape <= 0.0 or self.xm <= 0.0):
             raise DomainError("pareto shape and xm must be positive")
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        shape = (n_paths, n_hi - n_lo)
-        d = fair_signs(rng, shape)
-        if self.law == "lognormal":  # exp(mu + sigma * N), in place
-            z = rng.standard_normal(shape)
-            z *= self.sigma
-            z += self.mu
-            np.exp(z, out=z)
-        else:  # xm * U^(-1/shape), in place
-            z = rng.random(shape)
-            z **= -1.0 / self.shape
-            z *= self.xm
-        d *= z
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        d = fair_signs(rng, (n_paths, n_hi - n_lo), out)
+        flat = d.reshape(-1)
+        z = np.empty(min(flat.size, _SLAB))
+        for cut in _slabs(flat.size):  # the scales after all the signs, a slab at a time
+            zs = z[:cut.stop - cut.start]
+            if self.law == "lognormal":  # exp(mu + sigma * N)
+                rng.standard_normal(out=zs)
+                zs *= self.sigma
+                zs += self.mu
+                np.exp(zs, out=zs)
+            else:  # xm * U^(-1/shape)
+                rng.random(out=zs)
+                zs **= -1.0 / self.shape
+                zs *= self.xm
+            flat[cut] *= zs
         return d
 
     def _partial_mean(self, a, b):
@@ -279,13 +326,14 @@ class BoundedAbove(_Variant):
     def certification(self):
         return ("nonneg", self.lambda0)
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        e = rng.standard_exponential(size=(n_paths, n_hi - n_lo))
-        return self.m_bound * (1.0 - e)
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        d = rng.standard_exponential(out=_fill(out, (n_paths, n_hi - n_lo)))
+        np.subtract(1.0, d, out=d)
+        d *= self.m_bound
+        return d
 
-    def b_increments(self, d, n_idx):
-        scale = (1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2
-        return np.full_like(np.asarray(d, dtype=float), scale)
+    def b_increments(self, d, n_idx, out=None):
+        return _constant(d, (1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2, out)
 
     def _truncated_mean(self, n, c, d):
         # M(1-E): density exp((x-M)/M)/M on (-inf, M]
@@ -314,12 +362,14 @@ class Bernstein(_Variant):
     def certification(self):
         return ("nonneg", 1.0 / self.m_bound)
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        e = rng.standard_exponential(size=(n_paths, n_hi - n_lo))
-        return self.m_bound * (e - 1.0)
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        d = rng.standard_exponential(out=_fill(out, (n_paths, n_hi - n_lo)))
+        d -= 1.0
+        d *= self.m_bound
+        return d
 
-    def b_increments(self, d, n_idx):
-        return np.full_like(np.asarray(d, dtype=float), self.m_bound**2)
+    def b_increments(self, d, n_idx, out=None):
+        return _constant(d, self.m_bound**2, out)
 
     def log_weight(self, lam, a, b_pow_r):
         """The weight's log; its certification 0 <= lam < 1/M is open at 1/M,
@@ -362,12 +412,12 @@ class BoundedBelow(_Variant):
         # directly, and equality and JSON read only the fields
         return c_gamma_r(self.gamma, self.r)
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        e = rng.standard_exponential(size=(n_paths, n_hi - n_lo))
-        return self.m_bound * (e - 1.0)
+    draw = Bernstein.draw  # the same law, M(E - 1)
 
-    def b_increments(self, d, n_idx):
-        return self.r * self.c_const * np.abs(d) ** self.r
+    def b_increments(self, d, n_idx, out=None):
+        inc = _abs_pow(d, self.r, out)
+        inc *= self.r * self.c_const
+        return inc
 
     _truncated_mean = Bernstein._truncated_mean  # the same law, M(E - 1)
 
@@ -390,12 +440,18 @@ class _Grid(_Variant):
         dt.flags.writeable = False
         return dt
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
         scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self._components))
-        return rng.standard_normal((n_paths, n_hi - n_lo) + self._components) * scale
+        d = rng.standard_normal(out=_fill(out, (n_paths, n_hi - n_lo) + self._components))
+        d *= scale
+        return d
 
-    def b_increments(self, d, n_idx):
-        return np.broadcast_to(self.dt[n_idx[0] - 1:n_idx[-1]], d.shape[:2])
+    def b_increments(self, d, n_idx, out=None):
+        dt = np.broadcast_to(self.dt[n_idx[0] - 1:n_idx[-1]], d.shape[:2])
+        if out is None:
+            return dt
+        out[...] = dt
+        return out
 
 
 @dataclass(frozen=True)
@@ -481,13 +537,18 @@ class Counterexample56(_Variant):
     certification = None
     statistic = "uncentered"
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
         n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
         p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
-        u = rng.random((n_paths, n_hi - n_lo))
+        u = rng.random(out=_fill(out, (n_paths, n_hi - n_lo)))
         small = 1.0 / np.sqrt(n)
-        x = np.where(u < p_plus, small, np.where(u < p_plus + p_minus, -small, -m_n))
-        return np.where(valid, x, 0.0)
+        up, down = u < p_plus, u < p_plus + p_minus
+        # each cell takes one of four values, chosen in place over u
+        u[...] = -m_n
+        np.negative(small, out=u, where=down)
+        np.copyto(u, small, where=up)
+        np.copyto(u, 0.0, where=~valid)
+        return u
 
     def _truncated_mean(self, n, c, d):
         p_plus, p_minus, p_big, m_n, valid = _cx56_probs(np.asarray([n], dtype=float))
@@ -551,15 +612,24 @@ class TruncatedCentering(_Variant):
         """Pareto-tail threshold making the two-sided tail mass exactly 1/2."""
         return (2.0 * (self.d1 + self.d2)) ** (1.0 / self.alpha)
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        shape = (n_paths, n_hi - n_lo)
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        out = _fill(out, (n_paths, n_hi - n_lo))
         if self.base == "normal":
-            return rng.standard_normal(shape)
+            return rng.standard_normal(out=out)
         y0 = self.y0
         p1 = self.d1 * y0 ** (-self.alpha)
-        u = rng.random(shape)
-        mag = y0 * rng.random(shape) ** (-1.0 / self.alpha)
-        return np.where(u < p1, mag, np.where(u < 0.5, -mag, 0.0))
+        flat = rng.random(out=out).reshape(-1)  # u, for every cell first
+        mag = np.empty(min(flat.size, _SLAB))
+        for cut in _slabs(flat.size):  # then the magnitudes, a slab at a time
+            u, m = flat[cut], mag[:cut.stop - cut.start]
+            rng.random(out=m)
+            m **= -1.0 / self.alpha
+            m *= y0
+            up, down = u < p1, u < 0.5
+            u[...] = 0.0
+            np.negative(m, out=u, where=down)
+            np.copyto(u, m, where=up)
+        return out
 
     def _truncated_mean(self, n, c, d):
         return float(self._mu(c, d))
@@ -603,14 +673,14 @@ class WeightedIID(_Variant):
         # refuses factorial ones
         return self.weights == "ones"
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
-        return fair_signs(rng, (n_paths, n_hi - n_lo))  # weights applied by `accumulate`
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+        return fair_signs(rng, (n_paths, n_hi - n_lo), out)  # weights applied by `accumulate`
 
-    def accumulate(self, d, n_idx, carry, b=True, v=False):
+    def accumulate(self, d, n_idx, carry, b=True, v=False, out=(None, None)):
         """Factorial weights: A = S_n / n! and B^2 = V^2 = V_n^2 / (n!)^2 step by
         step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2."""
         if self.weights == "ones":
-            return super().accumulate(d, n_idx, carry, b, v)
+            return super().accumulate(d, n_idx, carry, b, v, out)
         # path by path on Python floats: the same IEEE operations as on numpy
         # columns, without an array call per step
         s_end, _, v_end = carry or ([0.0] * len(d),) * 3

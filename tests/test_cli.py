@@ -325,6 +325,42 @@ class TestVerifyCommand:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_suite_key_is_named_before_a_missing_seed(self, tmp_path, capsys,
+                                                              no_draws):
+        # "sede" is the suite's only seed: without --seed, the misspelling is
+        # what the error names, not the seed it hides
+        suite = {"schema": 1, "sede": 5, "experiments": [{
+            "name": "mean", "op": "supermartingale_mean",
+            "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sede" in err and "no seed" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, named", [
+        ({"op_arg": {}}, "op_arg"),
+        ({"op": "momentbound"}, "momentbound"),
+        ({"config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10,
+                     "chekpoints": [5]}}, "chekpoints"),
+        ({"op": "crossing", "op_args": {"mixture": {"type": "density_rs", "delta": 1.0},
+                                        "c": 10.0, "c_over_mass": 10.0}}, "c_over_mass"),
+        ({"op_args": {"p_lst": [3.0]}}, "p_lst"),
+    ], ids=["entry_key", "op", "config_key", "c_and_c_over_mass", "op_args_key"])
+    def test_fault_in_a_later_entry_is_found_before_any_draw(self, tmp_path, capsys,
+                                                             no_draws, fault, named):
+        good = {"name": "mean", "op": "supermartingale_mean",
+                "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}
+        bad = {**good, "name": "moments", "op": "moment_bound", **fault}
+        suite = {"schema": 1, "seed": 99, "experiments": [good, good | {"name": "m2"}, bad]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "chunk stream" not in err
+        assert not out.exists()
+
     def test_op_table_calls_the_module_attribute(self, tmp_path, monkeypatch):
         # tracing wraps cli's entry points; the table must see the wrapper
         calls = []

@@ -47,9 +47,12 @@ def replayed(spec, seed=2024):
     drawn once from the variant's own law."""
     fixed = spec.draw(np.random.default_rng(seed), 0, HORIZON, 1)
 
-    def draw(self, rng, n_lo, n_hi, n_paths):
+    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
         assert n_paths == 1
-        return fixed[:, n_lo:n_hi].copy()
+        if out is None:
+            return fixed[:, n_lo:n_hi].copy()
+        out[...] = fixed[:, n_lo:n_hi]
+        return out
 
     cls = type(type(spec).__name__, (type(spec),), {"draw": draw})
     return cls(**{f: getattr(spec, f) for f in spec.__dataclass_fields__})

@@ -91,6 +91,27 @@ class TestFairSigns:
         assert np.array_equal(fair_signs(a, (5,)), self.reference(b, (5,)))
         assert plain_state(a) == plain_state(b)
 
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("size", [0, 1, 13, processes._SLAB - 1, processes._SLAB,
+                                      processes._SLAB + 1, 2 * processes._SLAB + 1])
+    def test_written_into_out_across_slabs(self, gen, held, size):
+        # the words are drawn a slab at a time: sizes on each side of a slab
+        # edge, after a held high half or not, fill `out` with the signs and
+        # leave the stream where `integers` leaves it
+        a, b = self.GENERATORS[gen](), self.GENERATORS[gen]()
+        for rng in (a, b):
+            rng.integers(0, 2, size=1 if held else 2)
+        buf = np.full(size + 2, np.nan)
+        out = buf[1:-1].reshape(1, size)
+        got = fair_signs(a, (1, size), out=out)
+        assert got is out
+        assert np.isnan(buf[0]) and np.isnan(buf[-1])
+        assert np.array_equal(out, self.reference(b, (1, size)))
+        assert plain_state(a) == plain_state(b)
+        assert np.array_equal(fair_signs(a, (3,)), self.reference(b, (3,)))
+        assert plain_state(a) == plain_state(b)
+
     def test_sign_variants_draw_the_same_stream(self):
         # the three variants that draw signs, against the plain formulas
         for spec in (Rademacher(), WeightedIID(), ScaledSymmetric(mu=0.2, sigma=0.5),

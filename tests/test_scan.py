@@ -1,7 +1,8 @@
 """The block scan behind every scalar experiment: the one-row B^r path of
-draw-independent normalizers against the per-cell path, and worker-count
+draw-independent normalizers against the per-cell path, worker-count
 invariance with B^r, V^2 and the running statistics carried across many
-small blocks and chunks."""
+small blocks and chunks, and the per-worker block workspace: reused buffers
+give the reports of fresh ones, and no result keeps a view of them."""
 from unittest import mock
 
 import numpy as np
@@ -9,15 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfnorm import experiments
+from selfnorm.constants import DomainError
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
                                   growth_rate_diagnostic, lil_track,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
 from selfnorm.mixture import GaussianMixture, PointMasses
-from selfnorm.processes import (Bernstein, BoundedAbove, BrownianGrid,
-                                Counterexample65, MvBrownianGrid, Rademacher,
-                                ScaledSymmetric, WeightedIID)
+from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow, BrownianGrid,
+                                Counterexample56, Counterexample65, MvBrownianGrid,
+                                Rademacher, ScaledSymmetric, TruncatedCentering,
+                                WeightedIID, CertificationError)
 
 # lambda0 = 1 fits every certification below; its table is cheap to build
 MIXTURE = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
@@ -203,24 +206,117 @@ def test_row_work_once_per_piece(experiment, workers, monkeypatch):
         assert all(len(shape) == (1 if per_chunk == 1 else 2) for shape in calls)
 
 
-def test_no_block_array_outlives_a_call():
+def arrays(value):
+    """Every ndarray in value, through lists, tuples, sets, dicts and the
+    attributes of the engine's reports and reducers."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [a for v in value for a in arrays(v)]
+    if isinstance(value, dict):
+        return [a for v in value.values() for a in arrays(v)]
+    if type(value).__module__ == experiments.__name__:
+        return arrays(vars(value))
+    return []
+
+
+# every scalar variant, among them those with a per-cell B^r
+# (ScaledSymmetric, BoundedBelow) or V^2 (TruncatedCentering, the
+# counterexamples): the workspace tests run them, the outlives test with
+# MV's Gaussian crossing
+SCALAR = {
+    "rademacher": Rademacher(),
+    "scaled_lognormal": ScaledSymmetric(mu=0.1, sigma=0.7),
+    "scaled_pareto": ScaledSymmetric(law="pareto", shape=2.5, xm=1.0),
+    "bounded_above": BoundedAbove(m_bound=0.5, lambda0=1.0),
+    "bernstein": Bernstein(m_bound=0.5),
+    "bounded_below_r15": BoundedBelow(m_bound=0.5, gamma=0.5, r=1.5),
+    "brownian_grid": DETERMINISTIC["brownian_grid"],
+    "counterexample56": Counterexample56(),
+    "counterexample65": Counterexample65(),
+    "truncated_normal": TruncatedCentering(base="normal", lam=1.0),
+    "truncated_heavy": TruncatedCentering(base="heavy", alpha=0.6, d1=1.0, d2=2.0),
+    "weighted_iid_ones": WeightedIID(weights="ones"),
+}
+
+
+def entry_points(spec):
+    return ["gaussian_crossing"] if spec is MV else sorted(set(RUNS) - {"gaussian_crossing"})
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # 6 chunks of at most 2 paths, more than the 1-3 workers, over 9 blocks
+    # of 7 steps
+    monkeypatch.setattr(experiments, "_BLOCK", 7)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 2 * HORIZON)
+    return dict(seed=2, paths=11, horizon=HORIZON, checkpoints=(20, 33, HORIZON))
+
+
+def test_no_block_array_outlives_a_call(small_blocks, monkeypatch):
     # what the scan shares between chunks lives in the call: after it, no
-    # module attribute of `experiments` holds an array
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            return 1
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return sum(arrays(v) for v in value)
-        if isinstance(value, dict):
-            return sum(arrays(v) for v in value.values())
-        return 0
+    # module attribute of `experiments` holds an array, and no reducer
+    # attribute or returned array is a view of a worker's workspace
+    made, reducers = [], []
+
+    class Recorded(experiments._Workspace):
+        def __init__(self, cells):
+            super().__init__(cells)
+            made.append(self)
+
+    scan = experiments._Scan.__call__
+
+    def recorded_scan(self, *args, **kwargs):
+        reds = scan(self, *args, **kwargs)
+        reducers.extend(reds)
+        return reds
 
     before = dict(vars(experiments))
-    cfg = ExperimentConfig(spec=Rademacher(), seed=2, paths=9, horizon=HORIZON,
-                           checkpoints=(20, HORIZON))
-    with mock.patch.multiple(experiments, _BLOCK=7, _TARGET_CELLS=4 * HORIZON):
-        for experiment in sorted(EXPERIMENTS):
-            EXPERIMENTS[experiment](cfg, 2)
+    monkeypatch.setattr(experiments, "_Workspace", Recorded)
+    monkeypatch.setattr(experiments._Scan, "__call__", recorded_scan)
+    ran = 0
+    for spec in [*SCALAR.values(), MV]:
+        cfg = ExperimentConfig(spec=spec, **{**small_blocks, "checkpoints": (
+            (0.5, 10.0) if spec is MV else small_blocks["checkpoints"])})
+        for experiment in entry_points(spec):
+            for workers in (1, 2, 3):
+                made.clear()
+                reducers.clear()
+                try:
+                    out = RUNS[experiment](cfg, workers)
+                except (DomainError, CertificationError):
+                    break  # refused before any draw, at every worker count
+                buffers = [buf for ws in made for buf in ws.bufs.values()]
+                assert buffers and len(made) <= workers, (experiment, spec)
+                for kept in arrays(reducers) + arrays(out):
+                    assert not any(np.shares_memory(kept, buf) for buf in buffers), (
+                        experiment, spec, workers)
+                ran += 1
+    assert ran == 3 * 67  # (variant, entry point) pairs that run, at three worker counts
     after = vars(experiments)
     assert set(after) == set(before)
     assert not any(arrays(v) for v in after.values())
+
+
+@pytest.mark.parametrize("variant", sorted(SCALAR))
+def test_reused_workspace_gives_the_reports_of_fresh_buffers(variant, small_blocks,
+                                                             monkeypatch):
+    # each worker reuses its buffers for every chunk-block it runs, whose
+    # shapes differ (chunks of 2 and 1 paths, a last block of 4 steps): the
+    # reports equal those of a run whose every buffer is fresh and NaN-filled,
+    # at 1, 2 and 3 workers
+    spec = SCALAR[variant]
+    cfg = ExperimentConfig(spec=spec, **small_blocks)
+    assert len(experiments._chunk_layout(cfg.paths, cfg.horizon)) == 6
+    ran = 0
+    for experiment in entry_points(spec):
+        with mock.patch.object(experiments._Workspace, "view",
+                               lambda self, role, shape: np.full(shape, np.nan)):
+            fresh = outcome(RUNS[experiment], cfg, 1)
+        if isinstance(fresh, tuple):  # refused before any draw
+            assert fresh[0] in ("DomainError", "CertificationError"), fresh
+            continue
+        ran += 1
+        for workers in (1, 2, 3):
+            assert outcome(RUNS[experiment], cfg, workers) == fresh, (experiment, workers)
+    assert ran >= 3  # lil_track, cluster_set and sup_moment run on every variant
