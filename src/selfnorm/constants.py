@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 ROOT_TOL = 1e-12
 ROOT_MAX_ITER = 200
@@ -62,6 +61,7 @@ def c_r(r: float) -> float:
     The supremum form is the same infimum the defining inequality describes,
     found without an outer bisection on c. Memoized, as callers ask per step.
     """
+    from scipy import optimize
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
 
@@ -83,12 +83,18 @@ def c_r(r: float) -> float:
 
 
 def c_gamma_r(gamma: float, r: float) -> float:
-    """c_{gamma,r} = max(c_r, c_r^(gamma))."""
-    return max(c_r(r), c_r_gamma_part(gamma, r))
+    """c_{gamma,r} = max(c_r, c_r^(gamma)). c_r never exceeds
+    c_r_upper_bound(r), so c_r^(gamma) at or above it is the max, bit for
+    bit, and c_r is not computed."""
+    part = c_r_gamma_part(gamma, r)
+    if part >= c_r_upper_bound(r):
+        return part
+    return max(c_r(r), part)
 
 
 def h_of_lambda(lam: float) -> float:
     """Unique positive root h of h - log(1+h) = lam^2."""
+    from scipy import optimize
     if lam <= 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     target = lam * lam
@@ -185,6 +191,7 @@ def _integral_with_error(alpha: float, delta: float) -> tuple[float, float]:
     a/(e^s + a) / l(e^s + a) is flat up to s = log a and decays like
     e^(log a - s) after it, so the breakpoints follow log a.
     """
+    from scipy import integrate
     if alpha <= 0.0 or delta <= 0.0:
         raise DomainError("alpha and delta must be positive")
     t0 = math.log(math.log(math.log(1.0 + alpha)))

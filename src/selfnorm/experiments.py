@@ -33,6 +33,10 @@ into and accumulated in, as views of that block's shape. The pieces segment
 receives are views of them, overwritten by the worker's next chunk-block, so
 segment must not keep a piece, or a view of one, past its return: a reducer
 copies what it keeps.
+
+Importing this module loads no scipy module; the crossing's boundary table
+imports scipy.interpolate at the call, through the module-level
+`PchipInterpolator`, which a tracer may swap.
 """
 from __future__ import annotations
 
@@ -45,7 +49,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import DomainError, lil_constants
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
@@ -369,6 +372,14 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
 # ---------------------------------------------------------------------------
 # boundary crossing
 # ---------------------------------------------------------------------------
+
+def PchipInterpolator(*args, **kwargs):
+    """scipy.interpolate.PchipInterpolator, imported at the call. It stays a
+    module attribute, looked up by `_boundary_interpolant` at call time, so
+    that a tracer can swap it."""
+    from scipy.interpolate import PchipInterpolator as pchip
+    return pchip(*args, **kwargs)
+
 
 def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
                           v_lo: float, v_hi: float, nodes: int = 160):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, linalg
 
 from .constants import DomainError
 
@@ -88,6 +87,7 @@ class Density:
 
     @property
     def total_mass(self) -> float:
+        from scipy import integrate
         val, err = integrate.quad(self.f, self.support_low, self.lambda0,
                                   epsabs=0.0, epsrel=1e-11, limit=400)
         if not math.isfinite(val) or val <= 0.0:
@@ -217,6 +217,7 @@ def _max_exponent(u: float, v: float, r: float, lambda0: float) -> float:
 
 
 def _quad(g, a: float, b: float) -> float:
+    from scipy import integrate
     val, _ = integrate.quad(g, a, b, epsabs=0.0, epsrel=QUAD_REL_TOL * 0.1, limit=400)
     if not math.isfinite(val):
         raise QuadratureError(f"quadrature diverged on [{a}, {b}]")
@@ -344,6 +345,7 @@ def crossing_bound(c: float, F: MixtureMeasure) -> float:
 def mv_statistic(s: Sequence[float], Q: np.ndarray, G: GaussianMixture) -> float:
     """log of the Gaussian-mixture supermartingale:
     (log|V| - log|V+Q|)/2 + s'(V+Q)^{-1} s / 2, via Cholesky solves."""
+    from scipy import linalg
     s = np.asarray(s, dtype=float).reshape(-1)
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (G.dim, G.dim) or s.shape != (G.dim,):

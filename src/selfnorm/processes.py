@@ -44,6 +44,10 @@ Reproducibility: streams are Philox counter-based. A single-path handle uses
 the substream SeedSequence(seed, spawn_key=(0, path)); the experiment engine
 uses per-chunk substreams SeedSequence(seed, spawn_key=(1, chunk)). Identical
 (spec, seed) always reproduces identical draws regardless of scheduling.
+
+Importing this module loads no scipy module: the normal density is
+scipy.stats.norm.pdf's own formula (`_norm_pdf`), and the lognormal truncated
+mean imports scipy.special's `ndtr` at the call.
 """
 from __future__ import annotations
 
@@ -54,7 +58,6 @@ import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats
 
 from .bounds import iterated_log
 from .constants import DomainError, c_gamma, c_gamma_r, lil_constants
@@ -155,11 +158,22 @@ def fair_signs(rng: np.random.Generator, shape, out=None) -> np.ndarray:
 # truncated means of the preset base laws
 # ---------------------------------------------------------------------------
 
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(x):
+    """The standard normal density by scipy.stats.norm.pdf's own formula, so
+    the bits are the same; broadcasts."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x**2/2.0) / _SQRT_2PI
+
+
 def _lognormal_partial_mean(a: float, b: float, mu: float, sigma: float) -> float:
     """E[Z 1(a < Z <= b)] for lognormal Z, 0 <= a < b."""
+    from scipy.special import ndtr  # the standard normal cdf
     s = math.exp(mu + 0.5 * sigma * sigma)
-    hi = stats.norm.cdf((math.log(b) - mu - sigma * sigma) / sigma) if b < math.inf else 1.0
-    lo = stats.norm.cdf((math.log(a) - mu - sigma * sigma) / sigma) if a > 0.0 else 0.0
+    hi = ndtr((math.log(b) - mu - sigma * sigma) / sigma) if b < math.inf else 1.0
+    lo = ndtr((math.log(a) - mu - sigma * sigma) / sigma) if a > 0.0 else 0.0
     return s * (hi - lo)
 
 
@@ -469,7 +483,7 @@ class BrownianGrid(_Grid):
         if not 1 <= n <= self.steps:
             raise DomainError(f"step {n} is off the grid's steps 1..{self.steps}")
         s = math.sqrt(self.dt[n - 1])
-        return s * (stats.norm.pdf(c / s) - stats.norm.pdf(d / s))
+        return s * (_norm_pdf(c / s) - _norm_pdf(d / s))
 
 
 def geometric_grid(t0: float = 1e-4, rho: float = 1.05, horizon: float = 1e6) -> tuple[float, ...]:
@@ -638,7 +652,7 @@ class TruncatedCentering(_Variant):
         """mu(c, d) for arrays with c < d, unchecked. The heavy law's tails
         are P(+-Y > y) = d1 y^(-alpha), d2 y^(-alpha) beyond y0."""
         if self.base == "normal":
-            return stats.norm.pdf(c) - stats.norm.pdf(d)
+            return _norm_pdf(c) - _norm_pdf(d)
         y0, al = self.y0, self.alpha
         return (_pareto_partial_mean(np.maximum(c, 0.0), d, al, y0, self.d1)
                 - _pareto_partial_mean(np.maximum(-d, 0.0), -c, al, y0, self.d2))

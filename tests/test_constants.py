@@ -121,6 +121,21 @@ class TestCGammaR:
     def test_small_gamma_r2(self):
         assert c_gamma_r(1e-6, 2.0) == pytest.approx(0.5, abs=1e-5)
 
+    @pytest.mark.parametrize("g", [1e-4, 0.01, 0.1, 0.2, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("r", [1.1, 1.2, 1.5, 1.9, 2.0])
+    def test_max_bit_for_bit(self, g, r):
+        # points on both sides of c_r's cap: (0.1, 1.5) runs c_r, (0.5, 1.5)
+        # does not
+        assert c_gamma_r(g, r).hex() == max(c_r(r), c_r_gamma_part(g, r)).hex()
+
+    @pytest.mark.parametrize("g, r", [(0.5, 1.5)] + [(g, 2.0) for g in
+                                                      (1e-4, 0.01, 0.5, 0.9)])
+    def test_skips_c_r_above_its_cap(self, g, r, monkeypatch):
+        def refuse(r):
+            raise AssertionError("c_r computed")
+        monkeypatch.setattr(constants, "c_r", refuse)
+        assert c_gamma_r(g, r) == c_r_gamma_part(g, r)
+
     @pytest.mark.parametrize("g", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("r", [1.2, 1.5, 2.0])
     def test_defining_inequality_from_minus_gamma(self, g, r):
@@ -196,8 +211,9 @@ class TestLNormalization:
 
     def test_quadrature_error_estimate_is_checked(self, monkeypatch):
         # a quadrature that reports a large error must not yield a config
-        quad = constants.integrate.quad
-        monkeypatch.setattr(constants.integrate, "quad",
+        # constants imports scipy.integrate at the call, so the patch is seen
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad",
                             lambda *a, **k: (quad(*a, **k)[0], 1e-6))
         with pytest.raises(NormalizationError, match="quadrature error"):
             normalize_L(BIG_ALPHA, 1.0)

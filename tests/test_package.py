@@ -1,8 +1,12 @@
 import importlib
+import json
 import os
 import re
+import subprocess
+import sys
 
 import selfnorm
+from selfnorm import experiments, mixture, processes
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
 
@@ -21,3 +25,55 @@ def test_version_has_one_source():
     module, name = attr.rsplit(".", 1)
     assert getattr(importlib.import_module(module), name) == selfnorm.__version__
     assert re.fullmatch(r"\d+\.\d+\.\d+", selfnorm.__version__)
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(selfnorm.__file__)))
+SUITE = os.path.join(SRC, "selfnorm", "suites", "suite_supermartingales.json")
+
+
+def _fresh(code: str) -> list[str]:
+    """The scipy modules loaded after running `code` in a fresh interpreter
+    with this selfnorm first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code += "\nimport sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    out = subprocess.run([sys.executable, "-c", "import json\n" + code], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _fresh("import selfnorm, selfnorm.cli") == []
+
+
+def test_verify_loads_no_scipy_submodule(tmp_path):
+    with open(SUITE) as fh:
+        suite = json.load(fh)
+    for e in suite["experiments"]:
+        e["config"]["paths"] = 2000
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps(suite))
+    loaded = _fresh(
+        "from selfnorm import cli\n"
+        f"assert cli.main(['verify', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    heavy = [["scipy", m] for m in
+             ("stats", "optimize", "integrate", "interpolate", "linalg", "special")]
+    assert not [m for m in loaded if m.split(".")[:2] in heavy]
+
+
+def test_crossing_builds_interpolant_through_module_attribute(monkeypatch):
+    calls = []
+    pchip = experiments.PchipInterpolator
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pchip(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "PchipInterpolator", counting)
+    cfg = experiments.ExperimentConfig(spec=processes.Rademacher(), seed=5,
+                                       paths=200, horizon=300)
+    reps = experiments.crossing_frequency(cfg, mixture=mixture.RobbinsSiegmund(1.0),
+                                          c=10.0)
+    assert len(calls) == 1
+    assert reps and 0.0 <= reps[-1].estimate <= 1.0

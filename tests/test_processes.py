@@ -382,6 +382,26 @@ class TestTruncatedMeans:
                 spec.truncated_mean(n, c, d)
 
 
+class TestNormalLaw:
+    # the truncated means use these in place of scipy.stats.norm
+    X = np.array([0.0, -0.0, 1e-300, -1e-300, 38.0, -38.0, 40.0, -40.0,
+                  np.inf, -np.inf, np.nan, 0.3, -1.7, 6.5])
+
+    def test_pdf_is_scipys_bit_for_bit(self):
+        assert np.array_equal(processes._norm_pdf(self.X), stats.norm.pdf(self.X),
+                              equal_nan=True)
+        for x in self.X:
+            assert np.array_equal(processes._norm_pdf(x), stats.norm.pdf(x),
+                                  equal_nan=True)
+
+    def test_ndtr_is_scipys_cdf_bit_for_bit(self):
+        from scipy.special import ndtr
+        assert np.array_equal(ndtr(self.X), stats.norm.cdf(self.X), equal_nan=True)
+        for x in self.X:
+            assert np.array_equal(ndtr(float(x)), stats.norm.cdf(float(x)),
+                                  equal_nan=True)
+
+
 class TestThreePointLaw:
     def test_exact_zero_mean(self):
         from selfnorm.processes import _cx56_probs
@@ -502,16 +522,17 @@ class TestTruncatedSupermartingale:
 
     def test_c_r_once_per_r(self):
         # every step checks its lambda against 1/c_(gamma,r), whose c_r part
-        # is a 4001-point scan and a Brent search
+        # is a 4001-point scan and a Brent search; at gamma = 0.1 c_r^(gamma)
+        # is below c_r's cap, so c_r is needed
         h = make_process(BoundedBelow(r=1.5), 9)
         for _ in range(500):
             h.step()
-        lam = 0.5 / c_gamma_r(0.5, 1.5)
+        lam = 0.5 / c_gamma_r(0.1, 1.5)
         constants.c_r.cache_clear()
-        value = truncated_supermartingale_value(h, 0.5, lam, r=1.5)
+        value = truncated_supermartingale_value(h, 0.1, lam, r=1.5)
         assert constants.c_r.cache_info().misses == 1
         constants.c_r.cache_clear()
-        assert truncated_supermartingale_value(h, 0.5, lam, r=1.5) == value
+        assert truncated_supermartingale_value(h, 0.1, lam, r=1.5) == value
 
     def test_order_r_cap(self):
         h = make_process(Rademacher(), 9)
