@@ -56,8 +56,8 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
                      tail_bound_cor22, thm21_normalized, v_normalized)
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
-from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec,
-                        WeightedIID, _Variant, _abs_pow, chunk_rng, log_supermartingale,
+from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
+                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
                         fields_to_json, spec_from_json, spec_to_json)
 
 _BLOCK = 32768
@@ -147,22 +147,6 @@ def _chunk_layout(paths: int, cells: int) -> list[int]:
     return out
 
 
-class _Workspace:
-    """One worker's block buffers: flat float64 arrays of `cells` each, made
-    on first use and viewed, per chunk-block, as a C-contiguous array of that
-    block's shape. Role 0 takes the draws (then A), 1 the B^r increments
-    (then B^r), 2 V^2."""
-
-    def __init__(self, cells):
-        self.cells, self.bufs = cells, {}
-
-    def view(self, role, shape):
-        buf = self.bufs.get(role)
-        if buf is None:
-            buf = self.bufs[role] = np.empty(self.cells)
-        return buf[:math.prod(shape)].reshape(shape)
-
-
 class _Scan:
     """The chunked block scan behind every experiment. Built first, it
     refuses, before the experiment reads its spec and before any draw, the
@@ -185,8 +169,7 @@ class _Scan:
             raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {spec.steps} steps")
         self.block = self.horizon if vector else _BLOCK
         self.cfg = cfg
-        self.components = (spec.dim,) if vector else ()
-        self.layout = _chunk_layout(cfg.paths, self.horizon * (spec.dim if vector else 1))
+        self.layout = _chunk_layout(cfg.paths, self.horizon * math.prod(spec.components))
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
@@ -199,11 +182,12 @@ class _Scan:
         of_b, a function of a piece of B^r alone, is what segment receives in
         place of that piece (default: the piece itself). With b True and
         `spec.b_deterministic`, B^r is one row for all paths, built here once
-        per block from `b_increments` of a row of ones; of_b then runs once
+        per block by `spec.accumulate` on a row of ones; of_b then runs once
         per piece, and every chunk receives the same object, which segment
         must not write to. ca is the chunk's own, and segment may overwrite
         it. ca, a per-cell cb and cv are views of the worker's `_Workspace`,
-        which its next chunk-block overwrites: segment keeps none of them."""
+        which its next chunk-block overwrites, and the row is overwritten by
+        the next block: segment keeps none of them."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -212,7 +196,8 @@ class _Scan:
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
         carries = [None] * n
-        cells = max(self.layout) * min(self.block, self.horizon) * math.prod(self.components)
+        width = min(self.block, self.horizon)
+        cells = max(self.layout) * width * math.prod(spec.components)
         local = threading.local()  # one workspace per worker thread, for this call only
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
@@ -221,16 +206,16 @@ class _Scan:
             if ws is None:
                 ws = local.ws = _Workspace(cells)
             shape = (self.layout[ci], hi - lo)
-            d = spec.draw(rngs[ci], lo, hi, shape[0], out=ws.view(0, shape + self.components))
+            d = spec.draw(rngs[ci], lo, hi, shape[0], ws.view(0, shape + spec.components))
             ca, cb, cv, carries[ci] = spec.accumulate(
                 d, n_idx, carries[ci], b, v,
-                out=(ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
+                (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
             for j, (cut, n_piece, k) in enumerate(pieces):
                 reds[ci].segment(n_piece, ca[:, cut],
                                  shared[j] if row else None if cb is None else of_b(cb[:, cut]),
                                  None if cv is None else cv[:, cut], k)
 
-        b_end = 0.0
+        ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), None
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             fan = pool.map if self.workers > 1 and n > 1 else map
             for lo in range(0, self.horizon, self.block):
@@ -244,9 +229,11 @@ class _Scan:
                     s = e
                 shared = None
                 if row:  # B^r increments are a function of n alone: any draws give them
-                    cb = b_end + np.cumsum(spec.b_increments(np.ones((1, hi - lo)), n_idx)[0])
-                    b_end = cb[-1]
-                    shared = [of_b(cb[cut]) for cut, _, _ in pieces]
+                    d = ones[:, :hi - lo]
+                    d.fill(1.0)
+                    _, cb, _, row_carry = spec.accumulate(d, n_idx, row_carry, True, False,
+                                                          (b_row[:, :hi - lo], None))
+                    shared = [of_b(cb[0, cut]) for cut, _, _ in pieces]
                 block = (lo, hi, n_idx, pieces, shared)
                 list(fan(advance, range(n), [block] * n))
         return reds
@@ -503,8 +490,8 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     rule, whose limit frequency for the continuous process is exactly 1/c;
     here the checkpoints are time values on the grid.
     """
-    if c is None or c <= 0.0:
-        raise DomainError("c must be positive")
+    if c is None or not 0.0 < c < math.inf:
+        raise DomainError(f"c must be positive and finite, got {c!r}")
     if not isinstance(mixture, MixtureMeasure | GaussianMixture):
         raise DomainError(f"crossing_frequency needs a mixture measure, got {mixture!r}")
     gaussian = isinstance(mixture, GaussianMixture)
@@ -591,6 +578,8 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
     per-path running maxima and point values at each checkpoint, medians,
     and the fraction of paths ever exceeding the limsup bound * (1+margin).
     """
+    if not (isinstance(margin, numbers.Real) and -1.0 < margin < math.inf):
+        raise DomainError(f"margin must be a finite real number above -1, got {margin!r}")
     scan = _Scan(cfg, workers)
     spec = cfg.spec
     kind = spec.statistic if cfg.statistic == "auto" else cfg.statistic

@@ -4,28 +4,29 @@ and the exponential supermartingale weights each variant certifies.
 
 Variant protocol. Each variant is a frozen dataclass whose fields are its
 JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
-through these members (defaults on the shared base `_Variant`):
-  draw(rng, n_lo, n_hi, n_paths, out=None)
-                                  increments d for steps n_lo+1..n_hi, shape
-                                  (n_paths, n_hi - n_lo) plus any component
-                                  axes, written into `out` (a C-contiguous
-                                  float64 array of that shape) when it is
-                                  given, else into a fresh array; the bits
-                                  are the same either way. No default.
+through these members (defaults on the shared base `_Variant`). There is one
+mode: every draw and running sum is written into C-contiguous float64 arrays
+the caller owns (`out`), which `_Workspace` views give both callers.
+  components                      the component axes of one increment;
+                                  default () (MvBrownianGrid's is (dim,)).
+  draw(rng, n_lo, n_hi, n_paths, out)
+                                  increments d for steps n_lo+1..n_hi, written
+                                  into `out`, of shape (n_paths, n_hi - n_lo)
+                                  plus `components`. No default.
   steps                           how many steps it can draw; default inf.
-  accumulate(d, n_idx, carry, b, v, out=(None, None))
+  accumulate(d, n_idx, carry, b, v, out)
                                   the running A, B^r, V^2 of a block of draws
-                                  and the next block's carry; default cumsums,
-                                  B^r and V^2 into the pair `out` where given.
-  b_increments(d, n_idx, out=None)
-                                  the B^r increments of d, into `out` where
-                                  given; default d*d. `out`, or an array that
-                                  owns its data, is summed in place.
+                                  and the next block's carry; default cumsums.
+                                  A overwrites d; B^r and V^2 go into the
+                                  (n_paths, L) pair `out`, whose entry is None
+                                  where b or v asks for no such sum.
+  b_increments(d, n_idx, out)     the B^r increments of d, into `out` of shape
+                                  d.shape[:2]; default d*d.
   b_deterministic                 True if those increments are a function of n
                                   alone, not of the draws; the engine then
                                   builds B^r once per block, as one row shared
-                                  by all paths, from `b_increments` of a row
-                                  of ones. Default False.
+                                  by all paths, by `accumulate` on a row of
+                                  ones. Default False.
   log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
@@ -84,9 +85,19 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(1, chunk))))
 
 
-def _fill(out, shape):
-    """out, or a fresh array of `shape`: where a variant's draw writes."""
-    return np.empty(shape) if out is None else out
+class _Workspace:
+    """Block buffers: flat float64 arrays of `cells` each, made on first use
+    and viewed, per block, as a C-contiguous array of that block's shape.
+    Role 0 takes the draws (then A), 1 the B^r increments (then B^r), 2 V^2."""
+
+    def __init__(self, cells):
+        self.cells, self.bufs = cells, {}
+
+    def view(self, role, shape):
+        buf = self.bufs.get(role)
+        if buf is None:
+            buf = self.bufs[role] = np.empty(self.cells)
+        return buf[:math.prod(shape)].reshape(shape)
 
 
 def _slabs(size):
@@ -94,25 +105,17 @@ def _slabs(size):
     return (slice(lo, min(lo + _SLAB, size)) for lo in range(0, size, _SLAB))
 
 
-def _constant(d, value, out=None):
-    """value in every cell of d's first two axes: B^r increments that do not
-    depend on the draws."""
-    out = _fill(out, d.shape[:2])
-    out.fill(value)
-    return out
-
-
-def _abs_pow(d, r, out=None):
+def _abs_pow(d, r, out):
     """|d| ** r, by the same operations as `np.abs(d) ** r`."""
     out = np.abs(d, out=out)
     out **= r
     return out
 
 
-def fair_signs(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
     """Exactly `rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0`, leaving
     rng in the same state, from fewer operations; written into `out` (a
-    C-contiguous float64 array of `shape`) when it is given.
+    C-contiguous float64 array of `shape`).
 
     For a range of 2, numpy's `integers` takes Lemire's method on 32-bit
     words, so each sign is bit 31 of one word; a word is the low, then the
@@ -121,7 +124,6 @@ def fair_signs(rng: np.random.Generator, shape, out=None) -> np.ndarray:
     little-endian host) are read here word for word through `random_raw`,
     `_SLAB` words at a time, so that no temporary grows with the block; any
     other bit generator takes the plain `integers` call."""
-    out = _fill(out, shape)
     bg = rng.bit_generator
     if not isinstance(bg, (np.random.Philox, np.random.PCG64)) or sys.byteorder != "little":
         out[...] = rng.integers(0, 2, size=shape)
@@ -206,16 +208,17 @@ class _Variant:
     """Defaults of the variant protocol (see the module docstring); no
     dataclass fields, so `spec_to_json` is unchanged."""
     b_deterministic = False
+    components = ()
     statistic = "lil"
     steps = math.inf
 
-    def accumulate(self, d, n_idx, carry, b=True, v=False, out=(None, None)):
+    def accumulate(self, d, n_idx, carry, b, v, out):
         """(ca, cb, cv, carry): running A, B^r, V^2 after each step of block d
         (which becomes ca) and the next block's carry. b=True takes
         `b_increments`, another true b is a rule b(d, n_idx, out), a false b
         gives cb None; cv is None unless v. A keeps d's component axes, which
-        V^2 = sum d^2 sums over. out is a pair of (P, L) arrays that cb and a
-        two-axis block's cv are written into, or None for fresh ones."""
+        V^2 = sum d^2 sums over. out is the pair of (P, L) arrays cb and cv
+        are written into."""
         if b is True:
             b = self.b_increments
         a, b_end, v_end = carry or (np.zeros(d.shape[:1] + d.shape[2:]),
@@ -223,22 +226,21 @@ class _Variant:
         b_out, v_out = out
         cb = cv = None
         if b:
-            inc = b(d, n_idx, b_out)  # summed in place unless a view of other data
-            cb = np.cumsum(inc, axis=1, out=inc if inc is b_out or inc.flags.owndata else None)
+            cb = np.cumsum(b(d, n_idx, b_out), axis=1, out=b_out)
             cb += b_end[:, None]
             b_end = cb[:, -1].copy()
         if v:
             sq = np.multiply(d, d, out=v_out if d.ndim == 2 else None)
             if d.ndim > 2:
-                sq = sq.sum(axis=tuple(range(2, d.ndim)))
-            cv = np.cumsum(sq, axis=1, out=sq)
+                np.sum(sq, axis=tuple(range(2, d.ndim)), out=v_out)
+            cv = np.cumsum(v_out, axis=1, out=v_out)
             cv += v_end[:, None]
             v_end = cv[:, -1].copy()
         ca = np.cumsum(d, axis=1, out=d)
         ca += a[:, None]
         return ca, cb, cv, (ca[:, -1].copy(), b_end, v_end)
 
-    def b_increments(self, d, n_idx, out=None):
+    def b_increments(self, d, n_idx, out):
         return np.multiply(d, d, out=out)
 
     def centering(self, n, v):
@@ -262,7 +264,7 @@ class Rademacher(_Variant):
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
         return fair_signs(rng, (n_paths, n_hi - n_lo), out)
 
     def _truncated_mean(self, n, c, d):
@@ -293,7 +295,7 @@ class ScaledSymmetric(_Variant):
         if self.law == "pareto" and (self.shape <= 0.0 or self.xm <= 0.0):
             raise DomainError("pareto shape and xm must be positive")
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
         d = fair_signs(rng, (n_paths, n_hi - n_lo), out)
         flat = d.reshape(-1)
         z = np.empty(min(flat.size, _SLAB))
@@ -340,14 +342,15 @@ class BoundedAbove(_Variant):
     def certification(self):
         return ("nonneg", self.lambda0)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
-        d = rng.standard_exponential(out=_fill(out, (n_paths, n_hi - n_lo)))
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
+        d = rng.standard_exponential(out=out)
         np.subtract(1.0, d, out=d)
         d *= self.m_bound
         return d
 
-    def b_increments(self, d, n_idx, out=None):
-        return _constant(d, (1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2, out)
+    def b_increments(self, d, n_idx, out):
+        out.fill((1.0 + 0.5 * self.lambda0 * self.m_bound) * self.m_bound**2)
+        return out
 
     def _truncated_mean(self, n, c, d):
         # M(1-E): density exp((x-M)/M)/M on (-inf, M]
@@ -376,14 +379,15 @@ class Bernstein(_Variant):
     def certification(self):
         return ("nonneg", 1.0 / self.m_bound)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
-        d = rng.standard_exponential(out=_fill(out, (n_paths, n_hi - n_lo)))
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
+        d = rng.standard_exponential(out=out)
         d -= 1.0
         d *= self.m_bound
         return d
 
-    def b_increments(self, d, n_idx, out=None):
-        return _constant(d, self.m_bound**2, out)
+    def b_increments(self, d, n_idx, out):
+        out.fill(self.m_bound**2)
+        return out
 
     def log_weight(self, lam, a, b_pow_r):
         """The weight's log; its certification 0 <= lam < 1/M is open at 1/M,
@@ -428,7 +432,7 @@ class BoundedBelow(_Variant):
 
     draw = Bernstein.draw  # the same law, M(E - 1)
 
-    def b_increments(self, d, n_idx, out=None):
+    def b_increments(self, d, n_idx, out):
         inc = _abs_pow(d, self.r, out)
         inc *= self.r * self.c_const
         return inc
@@ -437,10 +441,9 @@ class BoundedBelow(_Variant):
 
 
 class _Grid(_Variant):
-    """Brownian motion on the time grid `times` with axes `_components`; B^2 = t."""
+    """Brownian motion on the time grid `times` with axes `components`; B^2 = t."""
     certification = ("all", math.inf)
     b_deterministic = True
-    _components = ()
 
     @property
     def steps(self) -> int:
@@ -454,17 +457,14 @@ class _Grid(_Variant):
         dt.flags.writeable = False
         return dt
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
-        scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self._components))
-        d = rng.standard_normal(out=_fill(out, (n_paths, n_hi - n_lo) + self._components))
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
+        scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self.components))
+        d = rng.standard_normal(out=out)
         d *= scale
         return d
 
-    def b_increments(self, d, n_idx, out=None):
-        dt = np.broadcast_to(self.dt[n_idx[0] - 1:n_idx[-1]], d.shape[:2])
-        if out is None:
-            return dt
-        out[...] = dt
+    def b_increments(self, d, n_idx, out):
+        out[...] = self.dt[n_idx[0] - 1:n_idx[-1]]
         return out
 
 
@@ -513,7 +513,7 @@ class MvBrownianGrid(_Grid):
         self.times  # validates, and builds the grid once
 
     @property
-    def _components(self):
+    def components(self):
         return (self.dim,)
 
     @functools.cached_property
@@ -551,10 +551,10 @@ class Counterexample56(_Variant):
     certification = None
     statistic = "uncentered"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
         n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
         p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
-        u = rng.random(out=_fill(out, (n_paths, n_hi - n_lo)))
+        u = rng.random(out=out)
         small = 1.0 / np.sqrt(n)
         up, down = u < p_plus, u < p_plus + p_minus
         # each cell takes one of four values, chosen in place over u
@@ -626,8 +626,7 @@ class TruncatedCentering(_Variant):
         """Pareto-tail threshold making the two-sided tail mass exactly 1/2."""
         return (2.0 * (self.d1 + self.d2)) ** (1.0 / self.alpha)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
-        out = _fill(out, (n_paths, n_hi - n_lo))
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
         if self.base == "normal":
             return rng.standard_normal(out=out)
         y0 = self.y0
@@ -687,18 +686,19 @@ class WeightedIID(_Variant):
         # refuses factorial ones
         return self.weights == "ones"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out):
         return fair_signs(rng, (n_paths, n_hi - n_lo), out)  # weights applied by `accumulate`
 
-    def accumulate(self, d, n_idx, carry, b=True, v=False, out=(None, None)):
+    def accumulate(self, d, n_idx, carry, b, v, out):
         """Factorial weights: A = S_n / n! and B^2 = V^2 = V_n^2 / (n!)^2 step by
-        step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2."""
+        step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2; A
+        overwrites d, and B^2 and V^2 are out's V^2 array."""
         if self.weights == "ones":
             return super().accumulate(d, n_idx, carry, b, v, out)
         # path by path on Python floats: the same IEEE operations as on numpy
         # columns, without an array call per step
         s_end, _, v_end = carry or ([0.0] * len(d),) * 3
-        ca, cv = np.empty_like(d), np.empty_like(d)
+        ca, cv = d, out[1]
         ns = n_idx.tolist()
         for p, row in enumerate(d.tolist()):
             s, vs, xs, ys = s_end[p], v_end[p], [], []
@@ -745,9 +745,10 @@ class PathState:
 
 
 class ProcessHandle:
-    """Single-path stepping state over a spec: as in the engine, the spec's
-    `accumulate` turns each `_BUFFER` steps of draws into the running state,
-    and step() reads the next column. Not thread-safe; run many handles."""
+    """Single-path stepping state over a spec: as in the engine's chunks, each
+    `_BUFFER` steps are drawn and accumulated into one `_Workspace`, the
+    handle's own, and step() reads the next column. Not thread-safe; run many
+    handles."""
 
     def __init__(self, spec: ProcessSpec, seed: int, path: int = 0):
         self.spec = spec
@@ -760,15 +761,18 @@ class ProcessHandle:
         self._carry = None
         self._cols: list = []  # (d, A, B^r, V^2) of each buffered step
         self._pos = 0
+        self._ws = _Workspace(_BUFFER * math.prod(spec.components))
 
     def _refill(self):
         lo, hi = self.n, min(self.n + _BUFFER, self.spec.steps)
         if hi <= lo:
             raise IndexError("grid exhausted")
-        d = self.spec.draw(self.rng, lo, hi, 1)
+        ws, shape = self._ws, (1, hi - lo)
+        d = self.spec.draw(self.rng, lo, hi, 1, ws.view(0, shape + self.spec.components))
         inc = d[0].tolist()  # before `accumulate` overwrites d
-        ca, cb, cv, self._carry = self.spec.accumulate(d, np.arange(lo + 1, hi + 1),
-                                                       self._carry, True, True)
+        ca, cb, cv, self._carry = self.spec.accumulate(
+            d, np.arange(lo + 1, hi + 1), self._carry, True, True,
+            (ws.view(1, shape), ws.view(2, shape)))
         self._cols = list(zip(inc, ca[0].tolist(), np.ravel(cb).tolist(), cv[0].tolist()))
         self._pos = 0
 

@@ -424,6 +424,15 @@ class TestLilCommand:
         err = capsys.readouterr().err
         assert "DomainError" in err and repr(statistic) in err
 
+    def test_margin_not_a_number_is_config_error(self, tmp_path, capsys, no_draws):
+        # a string margin ran the whole experiment, then exited 2 on a TypeError
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 4, "paths": 10,
+                          "horizon": 100, "margin": "0.2"})
+        assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "margin" in err
+
     def test_vector_spec_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "lil.json",
                          {"spec": {"variant": "mv_brownian_grid", "dim": 2,

@@ -628,6 +628,28 @@ class TestScalarSpecRejection:
         with pytest.raises(DomainError):
             call()
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["scalar", "gaussian"])
+    def test_crossing_c_not_finite(self, c, gaussian, monkeypatch):
+        # c = inf ran every draw of the Gaussian crossing and passed with
+        # bound 0; the scalar table solve raised BracketError
+        def refuse(*args, **kwargs):
+            raise AssertionError("the boundary table was built")
+        monkeypatch.setattr(experiments, "boundary", refuse)
+        monkeypatch.setattr(experiments, "PchipInterpolator", refuse)
+        cfg = (ExperimentConfig(spec=MV_GRID, seed=1, paths=10, horizon=40) if gaussian
+               else rad_cfg())
+        mixture = GaussianMixture(np.eye(2)) if gaussian else RobbinsSiegmund(1.0)
+        with pytest.raises(DomainError, match="finite"):
+            crossing_frequency(cfg, mixture=mixture, c=c)
+
+    @pytest.mark.parametrize("margin", ["0.2", math.nan, math.inf, -1.0, -2.0, None])
+    def test_lil_margin(self, margin):
+        # "0.2" ran the whole experiment, then raised TypeError; nan reported
+        # frac_exceeding 0.0
+        with pytest.raises(DomainError, match="margin"):
+            lil_track(rad_cfg(), margin=margin)
+
     @pytest.mark.parametrize("statistic", ["foo", "universal", "conditional_variance"])
     def test_unsupported_lil_statistic(self, statistic):
         with pytest.raises(DomainError, match=repr(statistic)):

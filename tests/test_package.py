@@ -1,9 +1,12 @@
 import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+
+import numpy as np
 
 import selfnorm
 from selfnorm import experiments, mixture, processes
@@ -77,3 +80,33 @@ def test_crossing_builds_interpolant_through_module_attribute(monkeypatch):
                                           c=10.0)
     assert len(calls) == 1
     assert reps and 0.0 <= reps[-1].estimate <= 1.0
+
+
+def test_variant_protocol_writes_only_into_caller_buffers():
+    # one buffer mode: no protocol member falls back to a fresh array
+    members = [processes.fair_signs, processes._abs_pow]
+    for cls in (processes._Variant, *processes._VARIANTS.values()):
+        members += [getattr(cls, name) for name in ("draw", "b_increments", "accumulate")
+                    if hasattr(cls, name)]
+    for fn in members:
+        assert inspect.signature(fn).parameters["out"].default is inspect.Parameter.empty, fn
+
+
+def test_handle_refills_one_workspace(monkeypatch):
+    # a handle stepped across three refills draws and accumulates into the
+    # same buffers each time, as the engine's chunks do
+    seen = []
+    accumulate = processes.Rademacher.accumulate
+
+    def recorded(self, d, *args):
+        ca, cb, cv, carry = accumulate(self, d, *args)
+        seen.append((ca, cb, cv))
+        return ca, cb, cv, carry
+
+    monkeypatch.setattr(processes.Rademacher, "accumulate", recorded)
+    h = processes.make_process(processes.Rademacher(), 5)
+    for _ in range(3 * processes._BUFFER):
+        h.step()
+    assert len(seen) == 3
+    for later in seen[1:]:
+        assert all(np.shares_memory(x, y) for x, y in zip(seen[0], later))

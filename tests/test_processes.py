@@ -37,8 +37,8 @@ class TestDeterminism:
         assert [st.a_n for st in s1] != [st.a_n for st in s2]
 
     def test_chunk_streams_reproducible(self):
-        d1 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8)
-        d2 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8)
+        d1 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8, np.empty((8, 64)))
+        d2 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8, np.empty((8, 64)))
         assert np.array_equal(d1, d2)
 
     def test_path_and_chunk_streams_distinct(self):
@@ -80,7 +80,7 @@ class TestFairSigns:
             # then held in the buffer, or not
             rng.integers(0, 2, size=1 if held else 2)
             assert rng.bit_generator.state["has_uint32"] == held
-        got = fair_signs(a, shape)
+        got = fair_signs(a, shape, np.empty(shape))
         want = self.reference(b, shape)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -88,7 +88,7 @@ class TestFairSigns:
         for draw in (lambda r: r.standard_normal(3), lambda r: r.integers(0, 2, 3),
                      lambda r: r.random(3), lambda r: r.integers(0, 10**9, 5)):
             assert np.array_equal(draw(a), draw(b))
-        assert np.array_equal(fair_signs(a, (5,)), self.reference(b, (5,)))
+        assert np.array_equal(fair_signs(a, (5,), np.empty(5)), self.reference(b, (5,)))
         assert plain_state(a) == plain_state(b)
 
     @pytest.mark.parametrize("gen", sorted(GENERATORS))
@@ -109,7 +109,7 @@ class TestFairSigns:
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
         assert np.array_equal(out, self.reference(b, (1, size)))
         assert plain_state(a) == plain_state(b)
-        assert np.array_equal(fair_signs(a, (3,)), self.reference(b, (3,)))
+        assert np.array_equal(fair_signs(a, (3,), np.empty(3)), self.reference(b, (3,)))
         assert plain_state(a) == plain_state(b)
 
     def test_sign_variants_draw_the_same_stream(self):
@@ -117,7 +117,7 @@ class TestFairSigns:
         for spec in (Rademacher(), WeightedIID(), ScaledSymmetric(mu=0.2, sigma=0.5),
                      ScaledSymmetric(law="pareto", shape=2.5, xm=1.5)):
             a, b = chunk_rng(3, 1), chunk_rng(3, 1)
-            got = spec.draw(a, 0, 33, 5)
+            got = spec.draw(a, 0, 33, 5, np.empty((5, 33)))
             want = self.reference(b, (5, 33))
             if getattr(spec, "law", None) == "lognormal":
                 want = want * np.exp(spec.mu + spec.sigma * b.standard_normal((5, 33)))
@@ -419,13 +419,13 @@ class TestThreePointLaw:
 
     def test_empirical_mean_near_zero(self):
         spec = Counterexample56()
-        d = spec.draw(chunk_rng(3, 0), 99, 100, 200000)  # X_100 over many paths
+        d = spec.draw(chunk_rng(3, 0), 99, 100, 200000, np.empty((200000, 1)))  # X_100, many paths
         se = float(np.std(d)) / math.sqrt(d.size)
         assert abs(float(np.mean(d))) < 5.0 * se + 1e-12
 
     def test_early_steps_are_zero(self):
         spec = Counterexample56()
-        d = spec.draw(chunk_rng(3, 0), 0, 2, 100)
+        d = spec.draw(chunk_rng(3, 0), 0, 2, 100, np.empty((100, 2)))
         assert np.all(d == 0.0)
 
     def test_conditional_variance_track(self):
@@ -557,7 +557,8 @@ class TestGrids:
     def test_mv_increment_variance(self):
         spec = MvBrownianGrid(dim=2, t0=0.5, rho=2.0, horizon=8.0)
         dts = np.diff(np.concatenate([[0.0], spec.times]))
-        d = spec.draw(chunk_rng(1, 0), 0, len(spec.times), 100000)
+        d = spec.draw(chunk_rng(1, 0), 0, len(spec.times), 100000,
+                      np.empty((100000, len(spec.times), 2)))
         var = np.var(d, axis=0)  # (T, m)
         se = dts[:, None] * math.sqrt(2.0 / 100000)
         assert np.all(np.abs(var - dts[:, None]) < 6.0 * se)
@@ -669,13 +670,13 @@ class TestWeightedIID:
         rng = chunk_rng(5, 0)
         carry, s, vs = None, np.zeros(P), np.zeros(P)
         for lo in range(0, 3 * processes._BUFFER + 7, processes._BUFFER):
-            d = spec.draw(rng, lo, lo + processes._BUFFER, P)
+            d = spec.draw(rng, lo, lo + processes._BUFFER, P, np.empty((P, processes._BUFFER)))
             want_a, want_v = np.empty_like(d), np.empty_like(d)
             for j, n in enumerate(range(lo + 1, lo + processes._BUFFER + 1)):
                 s = want_a[:, j] = s / n + d[:, j]
                 vs = want_v[:, j] = vs / (n * n) + d[:, j] * d[:, j]
             ca, cb, cv, carry = spec.accumulate(d.copy(), np.arange(lo + 1, lo + processes._BUFFER + 1),
-                                                carry, True, True)
+                                                carry, True, True, (np.empty_like(d), np.empty_like(d)))
             for got, want in ((ca, want_a), (cb, want_v), (cv, want_v)):
                 assert [x.hex() for x in got.ravel().tolist()] == \
                     [x.hex() for x in want.ravel().tolist()]
