@@ -16,6 +16,7 @@ import inspect
 import io
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -197,6 +198,26 @@ _VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
                "crossing": "crossing_frequency"}
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_numbers(name: str, op_args: dict) -> None:
+    """Refuse an op_arg the verify ops read as a number that is not a finite
+    JSON number. `bind` checks names only: a string c would pass it and fail
+    with a TypeError after the earlier entries had run."""
+    for key in ("c", "c_over_mass", "y"):
+        if key in op_args and not _is_number(op_args[key]):
+            raise CliError(f"op_args {key!r} of experiment {name!r} must be a finite "
+                           f"number, got {op_args[key]!r}")
+    p_list = op_args.get("p_list")
+    if p_list is not None and not (isinstance(p_list, list)
+                                   and all(_is_number(p) for p in p_list)):
+        raise CliError(f"op_args 'p_list' of experiment {name!r} must be a list of "
+                       f"finite numbers, got {p_list!r}")
+
+
 def _check_suite(suite: dict) -> list[tuple]:
     """Each entry's (name, entry point, config object, op_args), after every
     suite and entry key, op, config and op_args has been checked: a fault
@@ -215,6 +236,7 @@ def _check_suite(suite: dict) -> list[tuple]:
         obj = entry["config"]
         config_from_json({**obj, "seed": 0})
         op_args = dict(entry.get("op_args", {}))
+        _check_numbers(name, op_args)
         if "mixture" in op_args:
             op_args["mixture"] = measure_from_json(op_args["mixture"])
         if "c_over_mass" in op_args:

@@ -34,9 +34,10 @@ receives are views of them, overwritten by the worker's next chunk-block, so
 segment must not keep a piece, or a view of one, past its return: a reducer
 copies what it keeps.
 
-Importing this module loads no scipy module; the crossing's boundary table
-imports scipy.interpolate at the call, through the module-level
-`PchipInterpolator`, which a tracer may swap.
+Neither importing this module nor a crossing run loads a scipy module,
+unless the mixture is a `Density`, whose psi is a quadrature: the boundary
+table's interpolant is the module-level `PchipInterpolator`, a numpy PCHIP
+that gives scipy's bits, which a tracer may swap.
 """
 from __future__ import annotations
 
@@ -321,8 +322,8 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
                         workers: int | None = None) -> list[BoundReport]:
     """Empirical tail of |A|/sqrt((B^2+y)(1+log(1+B^2/y)/2)) at the horizon
     versus exp(-x^2/2), for each x >= sqrt(2) in the grid."""
-    if y <= 0.0:
-        raise DomainError("y must be positive")
+    if not (isinstance(y, numbers.Real) and 0.0 < y < math.inf):
+        raise DomainError(f"y must be positive and finite, got {y!r}")
     xs = cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)
     if min(xs) < SQRT2:
         raise DomainError(f"tail grid point {min(xs)} below sqrt(2)")
@@ -360,12 +361,101 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
 # boundary crossing
 # ---------------------------------------------------------------------------
 
-def PchipInterpolator(*args, **kwargs):
-    """scipy.interpolate.PchipInterpolator, imported at the call. It stays a
-    module attribute, looked up by `_boundary_interpolant` at call time, so
-    that a tracer can swap it."""
-    from scipy.interpolate import PchipInterpolator as pchip
-    return pchip(*args, **kwargs)
+def _pchip_edge(h0, h1, m0, m1):
+    """The one-sided three-point end slope, kept shape-preserving (Moler,
+    Numerical Computing with MATLAB, 3.6), as scipy's `_edge_case`."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class PchipInterpolator:
+    """PCHIP (Fritsch & Carlson 1980; Fritsch & Butland 1984) through
+    (x, y), x strictly increasing, bit for bit scipy.interpolate's
+    PchipInterpolator with extrapolate=False: the same slopes, the same
+    Hermite coefficients, and each point evaluated in scipy's operation order
+    on the interval x[i] <= x < x[i+1] (the last closed). A point outside
+    [x[0], x[-1]], or NaN, gives NaN. Calling it returns a fresh, writable
+    float64 array of the input's shape.
+
+    It is a module attribute, looked up by `_boundary_interpolant` at call
+    time, so that a tracer can swap it."""
+
+    def __init__(self, x, y, extrapolate=False):
+        if extrapolate:
+            raise ValueError("PchipInterpolator gives NaN outside the table; "
+                             "extrapolate must be False")
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError("x and y must be 1-d of one length, at least 2")
+        h = np.diff(x)
+        if not np.all(h > 0.0):
+            raise ValueError("x must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if x.size == 2:
+            d[:] = m[0]  # a straight line
+        else:
+            # the weighted harmonic mean of the two slopes, and 0 where they
+            # differ in sign or one is 0
+            zero = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(zero, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = _pchip_edge(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x = x
+        # the right end of each interval; the last is closed, and a point
+        # beyond it is outside the table
+        self._hi = np.append(x[1:-1], np.inf)
+        self._per_step = (x.size - 1) / (x[-1] - x[0])
+        # coefficients of s^0 .. s^3 on each interval, s = x - x[i]; the
+        # constant term is scipy's `0.0 + y`, which turns -0.0 into 0.0
+        self._c = (0.0 + y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
+
+    def _interval(self, xv):
+        """i with x[i] <= xv < x[i+1] (the last interval closed) and x[i],
+        for a 1-d xv. The index is guessed as if the nodes were evenly spaced
+        (a geometric table is, in log v) and a binary search finds the points
+        the guess misses; a point outside the table gets some valid i."""
+        x, last = self.x, self.x.size - 2
+        g = xv - x[0]
+        g *= self._per_step
+        np.fmax(g, 0.0, out=g)  # NaN goes to 0 here
+        np.fmin(g, last, out=g)
+        i = g.astype(np.intp)
+        lo = x[i]
+        miss = (xv < lo) | (xv >= self._hi[i])
+        if miss.any():
+            i[miss] = np.clip(np.searchsorted(x, xv[miss], side="right") - 1, 0, last)
+            lo[miss] = x[i[miss]]
+        return i, lo
+
+    def __call__(self, xv):
+        xv = np.asarray(xv, dtype=float)
+        flat = xv.ravel()
+        x = self.x
+        i, lo = self._interval(flat)
+        # a point outside is clipped into the table first, so that an
+        # infinite one makes no inf * 0; its value is NaN below
+        s = np.clip(flat, x[0], x[-1])
+        s -= lo
+        c0, c1, c2, c3 = self._c
+        # scipy's evaluate_poly1 order
+        res = c0[i]
+        res += c1[i] * s
+        z = s * s
+        res += c2[i] * z
+        z *= s
+        res += c3[i] * z
+        res[~((flat >= x[0]) & (flat <= x[-1]))] = np.nan
+        return res.reshape(xv.shape)
 
 
 def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,

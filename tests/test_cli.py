@@ -361,6 +361,33 @@ class TestVerifyCommand:
         assert named in err and "chunk stream" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("op, op_args, named", [
+        ("crossing", {"mixture": {"type": "density_rs", "delta": 1.0}, "c": "10"}, "'c'"),
+        ("crossing", {"mixture": {"type": "density_rs", "delta": 1.0},
+                      "c_over_mass": "10"}, "'c_over_mass'"),
+        ("crossing", {"mixture": {"type": "density_rs", "delta": 1.0}, "c": True}, "'c'"),
+        ("tail_bound", {"y": "1.0"}, "'y'"),
+        ("tail_bound", {"y": None}, "'y'"),
+        ("moment_bound", {"p_list": [1.0, "2"]}, "'p_list'"),
+        ("moment_bound", {"p_list": 2.0}, "'p_list'"),
+    ], ids=["c_string", "c_over_mass_string", "c_bool", "y_string", "y_null",
+            "p_list_entry_string", "p_list_not_a_list"])
+    def test_non_numeric_op_arg_is_refused_before_any_draw(self, tmp_path, capsys,
+                                                           no_draws, op, op_args, named):
+        # a string c passed the name check, and the crossing exited 2 on a
+        # TypeError after the mean before it had run
+        mean = {"name": "mean", "op": "supermartingale_mean",
+                "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}
+        bad = {"name": "bad", "op": op, "op_args": op_args,
+               "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}
+        suite = {"schema": 1, "seed": 99, "experiments": [mean, bad]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "finite number" in err and "chunk stream" not in err
+        assert not out.exists()
+
     def test_op_table_calls_the_module_attribute(self, tmp_path, monkeypatch):
         # tracing wraps cli's entry points; the table must see the wrapper
         calls = []

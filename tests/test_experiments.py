@@ -643,6 +643,16 @@ class TestScalarSpecRejection:
         with pytest.raises(DomainError, match="finite"):
             crossing_frequency(cfg, mixture=mixture, c=c)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, 0.0, -1.0, "1.0"])
+    def test_tail_y_not_positive_and_finite(self, y, monkeypatch):
+        # nan and inf ran every draw and passed vacuously: the statistic was
+        # nan or 0 on every path, so the estimate was 0
+        def refuse(*args):
+            raise AssertionError("a chunk stream was opened")
+        monkeypatch.setattr(experiments, "chunk_rng", refuse)
+        with pytest.raises(DomainError, match="y must be positive and finite"):
+            validate_tail_bound(rad_cfg(), y)
+
     @pytest.mark.parametrize("margin", ["0.2", math.nan, math.inf, -1.0, -2.0, None])
     def test_lil_margin(self, margin):
         # "0.2" ran the whole experiment, then raised TypeError; nan reported

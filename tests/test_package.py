@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import selfnorm
 from selfnorm import experiments, mixture, processes
@@ -63,6 +64,35 @@ def test_verify_loads_no_scipy_submodule(tmp_path):
     heavy = [["scipy", m] for m in
              ("stats", "optimize", "integrate", "interpolate", "linalg", "special")]
     assert not [m for m in loaded if m.split(".")[:2] in heavy]
+
+
+@pytest.mark.parametrize("mixture", ["RobbinsSiegmund(1.0)",
+                                     "PointMasses(((0.5, 0.5), (0.1, 0.5)))"])
+def test_crossing_loads_no_scipy(mixture):
+    # the boundary table's PCHIP is numpy's; scipy.interpolate cost a
+    # crossing call 0.7 s and 51 MB
+    assert _fresh(
+        "from selfnorm import experiments, processes\n"
+        "from selfnorm.mixture import PointMasses, RobbinsSiegmund\n"
+        "for spec in (processes.Rademacher(),\n"
+        "             processes.ScaledSymmetric(law='lognormal')):\n"
+        "    cfg = experiments.ExperimentConfig(spec=spec, seed=5, paths=200, horizon=300)\n"
+        f"    experiments.crossing_frequency(cfg, mixture={mixture}, c=10.0)") == []
+
+
+def test_verify_with_a_crossing_loads_no_scipy(tmp_path):
+    suite = {"schema": 1, "seed": 5, "experiments": [
+        {"name": "mean", "op": "supermartingale_mean",
+         "config": {"spec": {"variant": "rademacher"}, "paths": 200, "horizon": 50}},
+        {"name": "crossing", "op": "crossing",
+         "op_args": {"mixture": {"type": "density_rs", "delta": 1.0}, "c_over_mass": 10.0},
+         "config": {"spec": {"variant": "rademacher"}, "paths": 200, "horizon": 300}}]}
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps(suite))
+    assert _fresh(
+        "from selfnorm import cli\n"
+        f"assert cli.main(['verify', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0") == []
 
 
 def test_crossing_builds_interpolant_through_module_attribute(monkeypatch):
