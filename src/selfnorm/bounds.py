@@ -27,7 +27,7 @@ class SelfNormSample:
     r: float = 2.0
 
     def __post_init__(self):
-        if self.b <= 0.0:
+        if not self.b > 0.0:
             raise DomainError(f"normalizer b must be positive, got {self.b}")
         if not 1.0 < self.r <= 2.0:
             raise DomainError(f"r must lie in (1, 2], got {self.r}")
@@ -39,7 +39,7 @@ def thm21_integrand(s: SelfNormSample, y: float) -> float:
     Has mean <= 1 over samples whose exponential moment condition holds for
     all real lambda.
     """
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("y must be positive")
     q = s.b * s.b + y * y
     e = 0.5 * s.a * s.a / q + math.log(y) - 0.5 * math.log(q)
@@ -48,14 +48,14 @@ def thm21_integrand(s: SelfNormSample, y: float) -> float:
 
 def mgf_bound(x: float) -> float:
     """sqrt(2) * exp(x^2), the exponential-moment bound."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("x must be positive")
     return SQRT2 * math.exp(x * x)
 
 
 def moment_bound_thm21(p: float) -> float:
     """2^(p-1/2) * p * Gamma(p/2), the p-th moment bound for |A|/sqrt(B^2+(EB)^2)."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise DomainError("p must be positive")
     return 2.0 ** (p - 0.5) * p * gamma_fn(p / 2.0)
 
@@ -69,7 +69,7 @@ def tail_bound_cor22(x: float) -> float:
 
 def moment_bound_cor22(p: float) -> float:
     """2^(p/2) + 2^((p-2)/2) * p * Gamma(p/2)."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise DomainError("p must be positive")
     return 2.0 ** (p / 2.0) + 2.0 ** ((p - 2.0) / 2.0) * p * gamma_fn(p / 2.0)
 
@@ -108,14 +108,14 @@ def v_normalized(s, centering, v, floor: float = DEFAULT_LOG_FLOOR):
 
 
 def _check_floor(floor: float) -> None:
-    if floor < math.e**2 - 1e-12:
+    if not floor >= math.e**2 - 1e-12:
         raise DomainError("floor must be at least e^2")
 
 
 def cor22_statistic(s: SelfNormSample, y: float) -> float:
     """|A| / sqrt((B^2 + y)(1 + log(B^2/y + 1)/2)); tail controlled by
     tail_bound_cor22. Invariant under (a, b, sqrt(y)) -> (ta, tb, t*sqrt(y))."""
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError("y must be positive")
     return float(cor22_normalized(s.a, s.b * s.b, y))
 
@@ -124,7 +124,7 @@ def lil_statistic(a: float, b: float, r: float = 2.0,
                   floor: float = DEFAULT_LOG_FLOOR) -> float:
     """a / {(b v floor) * (loglog(b v floor))^((r-1)/r)} with an iterated-log floor."""
     _check_floor(floor)
-    if b <= 0.0:
+    if not b > 0.0:
         raise DomainError("b must be positive")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
@@ -139,6 +139,6 @@ def universal_statistic(s_n: float, truncated_mean_sum: float, v_n: float,
     the running truncated-mean sum at levels (-lam*v_n, a_lam*v_n).
     """
     _check_floor(floor)
-    if v_n <= 0.0:
+    if not v_n > 0.0:
         raise DomainError("v_n must be positive")
     return float(v_normalized(s_n, truncated_mean_sum, v_n, floor))

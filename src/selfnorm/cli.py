@@ -3,10 +3,10 @@
 Subcommands: constants, boundary, tailbound, simulate, verify, lil.
 Exit codes: 0 all checks pass, 1 a bound check failed, 2 usage/config error.
 Seed precedence: --seed flag > the experiment's "seed" > the suite's "seed" >
-error (no silent default). Experiment configs are read by
-`experiments.config_from_json`; there, and in simulate configs, suites and
-suite entries, unknown keys are refused, and seeds, paths, horizons and steps
-must be integers.
+error (no silent default). Unknown keys are refused in experiment configs
+(read by `experiments.config_from_json`), simulate configs, suites and suite
+entries. Each value, the seed in use included, is checked by its rule in
+`experiments.INPUT_RULES`; a suite's, before its first entry runs.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import inspect
 import io
 import json
 import math
-import numbers
 import os
 import sys
 
@@ -27,7 +26,7 @@ from . import bounds
 from .mixture import (GaussianMixture, boundary, measure_from_json, mv_statistic,
                       psi, rs_asymptotic, general_r_asymptotic)
 from .processes import make_process, spec_from_json
-from .experiments import (BoundReport, REPORT_COLUMNS, as_integral,
+from .experiments import (INPUT_RULES, BoundReport, REPORT_COLUMNS,
                           check_supermartingale_mean, config_echo, config_from_json,
                           crossing_frequency, lil_track, report_rows,
                           validate_moment_bound, validate_tail_bound)
@@ -85,7 +84,7 @@ def _resolve_seed(flag: int | None, *cfgs: dict) -> int:
     """The --seed flag, else the "seed" of the first of cfgs that has one."""
     for seed in (flag, *(cfg.get("seed") for cfg in cfgs)):
         if seed is not None:
-            return as_integral("seed", seed)
+            return INPUT_RULES["seed"](seed, "seed")
     raise CliError("no seed given: pass --seed or put \"seed\" in the config")
 
 
@@ -124,9 +123,8 @@ def cmd_boundary(args) -> int:
     F = measure_from_json(spec)
     if isinstance(F, GaussianMixture):
         raise CliError("boundary tables need a scalar mixture, not a Gaussian one")
-    if args.c <= 0.0:
-        raise CliError("c must be positive")
-    vg = np.geomspace(args.v_min, args.v_max, args.v_points)
+    INPUT_RULES["c"](args.c, "--c")
+    vg = np.geomspace(args.v_min, args.v_max, INPUT_RULES["v_points"](args.v_points, "--v-points"))
     betas = boundary(vg, args.c, F, args.r)
     rows = []
     for v, beta, back in zip(vg.tolist(), betas.tolist(),
@@ -145,7 +143,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_tailbound(args) -> int:
     rows = []
-    for x in args.x or []:
+    for x in INPUT_RULES["x_grid"](args.x or [], "--x"):
         rows.append({"kind": "tail", "arg": x, "bound": bounds.tail_bound_cor22(x)})
     for p in args.p or []:
         rows.append({"kind": "moment", "arg": p,
@@ -164,13 +162,9 @@ def cmd_simulate(args) -> int:
     _known_keys("simulate config", run, ("spec", "seed", "horizon", "checkpoints"))
     spec = spec_from_json(run["spec"])
     seed = _resolve_seed(args.seed, run)
-    horizon = as_integral("horizon", args.horizon or run.get("horizon", 0))
-    if horizon < 1:
-        raise CliError("horizon must be a positive integer")
-    cks = [as_integral("checkpoints", c) for c in (args.checkpoints or run.get("checkpoints")
-                                                   or range(1, horizon + 1))]
-    if cks != sorted(set(cks)) or cks[0] < 1 or cks[-1] > horizon:
-        raise CliError("checkpoints must be sorted, distinct and within the horizon")
+    horizon = INPUT_RULES["horizon"](args.horizon or run.get("horizon", 0), "horizon")
+    cks = INPUT_RULES["checkpoints"](args.checkpoints or run.get("checkpoints")
+                                     or list(range(1, horizon + 1)), "checkpoints", horizon)
     handle = make_process(spec, seed)
     mv_mix = None
     rows = []
@@ -198,31 +192,12 @@ _VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
                "crossing": "crossing_frequency"}
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _check_numbers(name: str, op_args: dict) -> None:
-    """Refuse an op_arg the verify ops read as a number that is not a finite
-    JSON number. `bind` checks names only: a string c would pass it and fail
-    with a TypeError after the earlier entries had run."""
-    for key in ("c", "c_over_mass", "y"):
-        if key in op_args and not _is_number(op_args[key]):
-            raise CliError(f"op_args {key!r} of experiment {name!r} must be a finite "
-                           f"number, got {op_args[key]!r}")
-    p_list = op_args.get("p_list")
-    if p_list is not None and not (isinstance(p_list, list)
-                                   and all(_is_number(p) for p in p_list)):
-        raise CliError(f"op_args 'p_list' of experiment {name!r} must be a list of "
-                       f"finite numbers, got {p_list!r}")
-
-
 def _check_suite(suite: dict) -> list[tuple]:
     """Each entry's (name, entry point, config object, op_args), after every
     suite and entry key, op, config and op_args has been checked: a fault
     anywhere in the suite is named before any seed is resolved or any entry
-    draws. The config is checked with a stand-in seed."""
+    draws. The config is checked with a stand-in seed, and each op_arg by its
+    rule: `bind` checks names only, and a string c would pass it."""
     _known_keys("suite", suite, ("schema", "seed", "experiments"))
     if suite.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
@@ -236,7 +211,9 @@ def _check_suite(suite: dict) -> list[tuple]:
         obj = entry["config"]
         config_from_json({**obj, "seed": 0})
         op_args = dict(entry.get("op_args", {}))
-        _check_numbers(name, op_args)
+        for key, value in op_args.items():
+            if key in INPUT_RULES:
+                INPUT_RULES[key](value, f"op_args {key!r} of experiment {name!r}")
         if "mixture" in op_args:
             op_args["mixture"] = measure_from_json(op_args["mixture"])
         if "c_over_mass" in op_args:

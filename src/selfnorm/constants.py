@@ -28,7 +28,7 @@ def c_gamma(gamma: float) -> float:
 
     Equals the series sum_{j>=2} gamma^(j-2)/j; strictly increasing on [0, 1).
     """
-    if gamma < 0.0 or gamma >= 1.0:
+    if not 0.0 <= gamma < 1.0:
         raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
     if gamma < 1e-4:
         # series to avoid cancellation: 1/2 + g/3 + g^2/4 + g^3/5 + ...
@@ -95,7 +95,7 @@ def c_gamma_r(gamma: float, r: float) -> float:
 def h_of_lambda(lam: float) -> float:
     """Unique positive root h of h - log(1+h) = lam^2."""
     from scipy import optimize
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     target = lam * lam
 
@@ -151,13 +151,13 @@ DEFAULT_DELTA = 1.0
 def _l_factors(y: float | np.ndarray, alpha: float, delta: float):
     """log(y+a) * loglog(y+a) * (logloglog(y+a))^(1+delta), without beta."""
     w1 = np.log(np.asarray(y, dtype=float) + alpha)
-    if np.any(w1 <= 0.0):
+    if not np.all(w1 > 0.0):
         raise DomainError("alpha too small: log(y + alpha) not positive")
     w2 = np.log(w1)
-    if np.any(w2 <= 0.0):
+    if not np.all(w2 > 0.0):
         raise DomainError("alpha too small: loglog(y + alpha) not positive")
     w3 = np.log(w2)
-    if np.any(w3 <= 0.0):
+    if not np.all(w3 > 0.0):
         raise DomainError("alpha too small: loglogloglog(y + alpha) not positive")
     return w1 * w2 * w3 ** (1.0 + delta)
 
@@ -192,10 +192,10 @@ def _integral_with_error(alpha: float, delta: float) -> tuple[float, float]:
     e^(log a - s) after it, so the breakpoints follow log a.
     """
     from scipy import integrate
-    if alpha <= 0.0 or delta <= 0.0:
+    if not (alpha > 0.0 and delta > 0.0):
         raise DomainError("alpha and delta must be positive")
     t0 = math.log(math.log(math.log(1.0 + alpha)))
-    if t0 <= 0.0:
+    if not t0 > 0.0:
         raise NormalizationError("alpha too small: iterated logs not positive at y = 1")
     main = t0 ** (-delta) / delta
     la = math.log(alpha)
@@ -322,7 +322,7 @@ def l_growth_certificate(alpha: float, delta: float) -> GrowthCertificate:
     """
     if not alpha > math.exp(math.e):
         raise DomainError(f"alpha must exceed e^e so that L is defined on y > 0, got {alpha}")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     la = math.log(alpha)
     log2 = math.log(2.0)
@@ -374,7 +374,7 @@ def _exp_or_inf(t: float) -> float:
 def L_eval(y, cfg: LConfig):
     """L(y) = beta * log(y+a) * loglog(y+a) * (log3(y+a))^(1+delta)."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0):
+    if not np.all(y_arr > 0.0):
         raise DomainError("y must be positive")
     out = cfg.beta * _l_factors(y_arr, cfg.alpha, cfg.delta)
     return float(out) if np.isscalar(y) or out.ndim == 0 else out
@@ -393,7 +393,7 @@ def g_eval(x: float) -> float:
 def y_w_and_g_phi(w: float, r: float) -> tuple[float, float]:
     """(y_w, g_Phi(w)) for Phi(x) = x^r/r: y_w = w^(1/(r-1)),
     g_Phi(w) = w^(-1/(r-1)) exp{(1 - 1/r) w^(r/(r-1))}."""
-    if w <= 0.0:
+    if not w > 0.0:
         raise DomainError(f"w must be positive, got {w}")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")

@@ -47,7 +47,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,11 +66,58 @@ _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
 
 
-def as_integral(name: str, value) -> int:
-    """value as an int; an integral float, such as JSON's 1e5, is taken."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+def _finite(v) -> bool:
+    """v is a finite real number; a bool is not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _rule(what: str, ok, out=lambda v: v):
+    """rule(v, name): out(v) if ok(v), else a DomainError naming `name`."""
+    def rule(v, name):
+        if not ok(v):
+            raise DomainError(f"{name} must be {what}, got {v!r}")
+        return out(v)
+    return rule
+
+
+def _integer(least: int):
+    """An integer >= least; an integral float, such as JSON's 1e5, is taken."""
+    return _rule(f"an integer >= {least}", lambda v: (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()) and v >= least, int)
+
+
+_count = _integer(1)
+_positive = _rule("positive and finite (a finite number > 0)", lambda v: _finite(v) and v > 0)
+_reals = _rule("a list of finite numbers",
+               lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
+_STATISTICS = ("auto", "lil", "uncentered", "conditional_variance", "universal")
+
+
+def _checkpoints(v, name, horizon=math.inf, spec=None):
+    """Sorted, distinct steps in [1, horizon], as ints; on an MvBrownianGrid
+    spec, times on its grid, as given (the Gaussian crossing reads them)."""
+    grid = isinstance(spec, MvBrownianGrid)
+    cks = _reals(v, name) if grid else tuple(_count(c, name) for c in _reals(v, name))
+    lo, hi = (spec.times[0], spec.times[-1]) if grid else (1, horizon)
+    if list(cks) != sorted(set(cks)) or cks and not lo <= cks[0] <= cks[-1] <= hi:
+        raise DomainError(f"{name} must be sorted, distinct and in [{lo:g}, {hi:g}], got {v!r}")
+    return cks
+
+
+# rule(value, name) of each experiment input (checkpoints also take the horizon
+# and spec): the value, an int for an integer and a tuple for a list, or a
+# DomainError naming it. Paper domains (x >= sqrt(2), say) stay with their formulas.
+INPUT_RULES = {
+    "seed": _integer(0), "paths": _count, "horizon": _count, "checkpoints": _checkpoints,
+    "lambda_grid": _reals, "x_grid": _reals, "p_list": _reals,
+    "statistic": _rule(f"one of {_STATISTICS}", lambda v: v in _STATISTICS),
+    "se_slack": _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0, float),
+    "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,
+    "margin": _rule("a finite number > -1", lambda v: _finite(v) and v > -1),
+    "alpha": _rule("a number in (0, 1/2)", lambda v: _finite(v) and 0 < v < 0.5),
+    "bins": _count, "v_points": _count,
+}
 
 
 @dataclass(frozen=True)
@@ -87,26 +134,10 @@ class ExperimentConfig:
     se_slack: float = 3.0
 
     def __post_init__(self):
-        for name in ("seed", "paths", "horizon"):
-            object.__setattr__(self, name, as_integral(name, getattr(self, name)))
-        for name in ("lambda_grid", "x_grid", "p_list"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "se_slack", float(self.se_slack))
-        if self.paths < 1 or self.horizon < 1:
-            raise DomainError("paths and horizon must be positive")
-        # the Gaussian crossing reads an MvBrownianGrid's checkpoints as times
-        # on its grid, as given; every other spec's are steps
-        on_grid = isinstance(self.spec, MvBrownianGrid)
-        cks = (tuple(self.checkpoints) if on_grid else
-               tuple(as_integral("checkpoints", c) for c in self.checkpoints))
-        if list(cks) != sorted(set(cks)):
-            raise DomainError("checkpoints must be sorted and distinct")
-        lo, hi = (self.spec.times[0], self.spec.times[-1]) if on_grid else (1, self.horizon)
-        if cks and (cks[0] < lo or cks[-1] > hi):
-            raise DomainError(f"checkpoints must lie in [{lo:g}, {hi:g}]")
-        object.__setattr__(self, "checkpoints", cks)
-        if self.se_slack < 0.0:
-            raise DomainError("se_slack must be nonnegative")
+        for f in fields(self)[1:]:  # each field after spec, by its rule; horizon before checkpoints
+            extra = (self.horizon, self.spec) if f.name == "checkpoints" else ()
+            object.__setattr__(self, f.name,
+                               INPUT_RULES[f.name](getattr(self, f.name), f.name, *extra))
 
 
 @dataclass(frozen=True)
@@ -133,9 +164,7 @@ def _one_sided(label, bound, estimate, se, paths, k) -> BoundReport:
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = int(os.environ.get("SELFNORM_WORKERS", "1"))
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
-    return workers
+    return _count(workers, "workers")
 
 
 def _chunk_layout(paths: int, cells: int) -> list[int]:
@@ -322,8 +351,7 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
                         workers: int | None = None) -> list[BoundReport]:
     """Empirical tail of |A|/sqrt((B^2+y)(1+log(1+B^2/y)/2)) at the horizon
     versus exp(-x^2/2), for each x >= sqrt(2) in the grid."""
-    if not (isinstance(y, numbers.Real) and 0.0 < y < math.inf):
-        raise DomainError(f"y must be positive and finite, got {y!r}")
+    INPUT_RULES["y"](y, "y")
     xs = cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)
     if min(xs) < SQRT2:
         raise DomainError(f"tail grid point {min(xs)} below sqrt(2)")
@@ -333,14 +361,14 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
                               np.count_nonzero(stat >= x), cfg) for x in xs]
 
 
-def validate_moment_bound(cfg: ExperimentConfig, p_list=None,
+def validate_moment_bound(cfg: ExperimentConfig, p_list=(),
                           workers: int | None = None) -> list[BoundReport]:
     """Empirical p-th moments of |A|/sqrt(B^2+(EB)^2) and of the two-sided
     normalized statistic, against their analytic bounds. EB is the plug-in
     empirical mean of B over the same paths (bias noted in the label)."""
     # the analytic bounds, which refuse p <= 0, before any draw
-    bounds = [(p, moment_bound_thm21(p), moment_bound_cor22(p))
-              for p in (p_list or cfg.p_list or (1.0, 2.0, 4.0))]
+    bounds = [(p, moment_bound_thm21(p), moment_bound_cor22(p)) for p in
+              INPUT_RULES["p_list"](p_list, "p_list") or cfg.p_list or (1.0, 2.0, 4.0)]
     a, b2 = _horizon_state(cfg, workers, "moment bounds require")
     eb = math.fsum(np.sqrt(b2).tolist()) / cfg.paths
     y = eb * eb
@@ -580,8 +608,7 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     rule, whose limit frequency for the continuous process is exactly 1/c;
     here the checkpoints are time values on the grid.
     """
-    if c is None or not 0.0 < c < math.inf:
-        raise DomainError(f"c must be positive and finite, got {c!r}")
+    INPUT_RULES["c"](c, "c")
     if not isinstance(mixture, MixtureMeasure | GaussianMixture):
         raise DomainError(f"crossing_frequency needs a mixture measure, got {mixture!r}")
     gaussian = isinstance(mixture, GaussianMixture)
@@ -668,14 +695,13 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
     per-path running maxima and point values at each checkpoint, medians,
     and the fraction of paths ever exceeding the limsup bound * (1+margin).
     """
-    if not (isinstance(margin, numbers.Real) and -1.0 < margin < math.inf):
-        raise DomainError(f"margin must be a finite real number above -1, got {margin!r}")
+    INPUT_RULES["margin"](margin, "margin")
     scan = _Scan(cfg, workers)
     spec = cfg.spec
     kind = spec.statistic if cfg.statistic == "auto" else cfg.statistic
     if kind not in ("lil", "uncentered", spec.statistic):
-        raise DomainError(f"{type(spec).__name__} has no {kind!r} statistic; "
-                          f"choose 'auto', 'lil', 'uncentered' or {spec.statistic!r}")
+        kinds = ", ".join(map(repr, dict.fromkeys(("auto", "lil", "uncentered", spec.statistic))))
+        raise DomainError(f"{type(spec).__name__} has no {kind!r} statistic; choose one of {kinds}")
     cks = cfg.checkpoints or (cfg.horizon,)
     r = spec.r
     floor = DEFAULT_LOG_FLOOR
@@ -744,10 +770,8 @@ def cluster_set_diagnostic(cfg: ExperimentConfig, bins: int = 41,
     recorded steps and paths; 'late' restricts to the second half of the
     horizon. Diagnostic only (the cluster set fills an interval a.s., so
     interior bins should all be visited)."""
-    if bins < 1:
-        raise DomainError(f"bins must be positive, got {bins}")
+    edges = np.linspace(-2.0, 2.0, INPUT_RULES["bins"](bins, "bins") + 1)
     scan = _Scan(cfg, workers)
-    edges = np.linspace(-2.0, 2.0, bins + 1)
     half = cfg.horizon // 2
     parts = scan(lambda P: _Histograms(P, edges, half), (half,),
                  of_b=lambda cb: _lil_normalizer(cb, cfg.spec.r))
@@ -768,10 +792,8 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
     the estimate at the full horizon."""
     if (p is None) == (alpha is None):
         raise DomainError("give exactly one of p, alpha")
-    if alpha is not None and not 0.0 < alpha < 0.5:
-        raise DomainError("alpha must lie in (0, 1/2)")
-    if p is not None and not p > 0.0:
-        raise DomainError(f"p must be positive, got {p}")
+    key, value = ("p", p) if alpha is None else ("alpha", alpha)
+    INPUT_RULES[key](value, key)
     scan = _Scan(cfg, workers)
     r = cfg.spec.r
     half = max(1, cfg.horizon // 2)

@@ -48,7 +48,7 @@ class PointMasses:
         if not self.atoms:
             raise DomainError("point-mass measure needs at least one atom")
         for lam, w in self.atoms:
-            if lam <= 0.0 or w <= 0.0:
+            if not (lam > 0.0 and w > 0.0):
                 raise DomainError(f"atoms need positive position and weight, got ({lam}, {w})")
 
     @property
@@ -80,7 +80,7 @@ class Density:
     support_low: float = 0.0
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0:
+        if not self.lambda0 > 0.0:
             raise DomainError("lambda0 must be positive")
         if not 0.0 <= self.support_low < self.lambda0:
             raise DomainError("support_low must lie in [0, lambda0)")
@@ -116,7 +116,7 @@ class Density:
         for a, b in zip(pts[:-1], pts[1:]):
             total += _quad(tilted, a, b)
             moment += _quad(lambda lam: lam * tilted(lam), a, b)
-        if total <= 0.0:
+        if not total > 0.0:
             raise QuadratureError("psi integral evaluated to a nonpositive value")
         return m + math.log(total), moment / total
 
@@ -128,7 +128,7 @@ class RobbinsSiegmund:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise DomainError("delta must be positive")
 
     @property
@@ -285,7 +285,7 @@ def boundary(v, c: float, F: MixtureMeasure, r: float = 2.0):
     otherwise QuadratureError. A step that leaves the finite range, or more
     than 100 steps, raises BracketError.
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError("c must be positive")
     v = np.asarray(v, dtype=float)
     flat = v.reshape(-1)
@@ -318,7 +318,7 @@ def boundary(v, c: float, F: MixtureMeasure, r: float = 2.0):
 def rs_asymptotic(v: float, c: float, delta: float) -> float:
     """{2v [loglog v + (3/2 + delta) log3 v + log(c/(2 sqrt(pi)))]}^(1/2),
     the large-v expansion of the Robbins-Siegmund boundary (o(1) dropped)."""
-    if v <= math.exp(math.e):
+    if not v > math.exp(math.e):
         raise DomainError("v must exceed e^e for log3 v > 0")
     l2 = math.log(math.log(v))
     l3 = math.log(l2)
@@ -328,7 +328,7 @@ def rs_asymptotic(v: float, c: float, delta: float) -> float:
 
 def general_r_asymptotic(v: float, r: float) -> float:
     """v^(1/r) {r loglog v / (r-1)}^((r-1)/r), the general-order boundary growth."""
-    if v <= math.e:
+    if not v > math.e:
         raise DomainError("v must exceed e")
     if not 1.0 < r <= 2.0:
         raise DomainError(f"r must lie in (1, 2], got {r}")
@@ -337,7 +337,7 @@ def general_r_asymptotic(v: float, r: float) -> float:
 
 def crossing_bound(c: float, F: MixtureMeasure) -> float:
     """min(1, F(0, lambda0)/c): the ever-crossing probability bound."""
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError("c must be positive")
     return min(1.0, F.total_mass / c)
 
@@ -364,7 +364,7 @@ def mv_boundary_test(s: Sequence[float], Q: np.ndarray, G: GaussianMixture,
                      c: float) -> bool:
     """True iff s'(V+Q)^{-1}s >= log|V+Q| + 2 log c - log|V|; identical to
     mv_statistic >= log c."""
-    if c <= 1.0:
+    if not c > 1.0:
         raise DomainError("c must exceed 1")
     return mv_statistic(s, Q, G) >= math.log(c)
 

@@ -290,9 +290,9 @@ class ScaledSymmetric(_Variant):
     def __post_init__(self):
         if self.law not in ("lognormal", "pareto"):
             raise DomainError(f"unknown scale law {self.law!r}")
-        if self.law == "lognormal" and self.sigma <= 0.0:
+        if self.law == "lognormal" and not self.sigma > 0.0:
             raise DomainError("sigma must be positive")
-        if self.law == "pareto" and (self.shape <= 0.0 or self.xm <= 0.0):
+        if self.law == "pareto" and not (self.shape > 0.0 and self.xm > 0.0):
             raise DomainError("pareto shape and xm must be positive")
 
     def draw(self, rng, n_lo, n_hi, n_paths, out):
@@ -333,7 +333,7 @@ class BoundedAbove(_Variant):
     b_deterministic = True
 
     def __post_init__(self):
-        if self.m_bound <= 0.0:
+        if not self.m_bound > 0.0:
             raise DomainError("M must be positive")
         if not 0.0 < self.lambda0 <= 1.0 / self.m_bound:
             raise DomainError("need 0 < lambda0 <= 1/M")
@@ -372,7 +372,7 @@ class Bernstein(_Variant):
     b_deterministic = True
 
     def __post_init__(self):
-        if self.m_bound <= 0.0:
+        if not self.m_bound > 0.0:
             raise DomainError("M must be positive")
 
     @property
@@ -413,7 +413,7 @@ class BoundedBelow(_Variant):
     r: float = 2.0
 
     def __post_init__(self):
-        if self.m_bound <= 0.0:
+        if not self.m_bound > 0.0:
             raise DomainError("M must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
@@ -476,7 +476,7 @@ class BrownianGrid(_Grid):
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if not self.times or self.times[0] <= 0.0 or np.any(np.diff(self.times) <= 0.0):
+        if not (self.times and self.times[0] > 0.0 and np.all(np.diff(self.times) > 0.0)):
             raise DomainError("times must be positive and strictly increasing")
 
     def _truncated_mean(self, n, c, d):
@@ -488,7 +488,7 @@ class BrownianGrid(_Grid):
 
 def geometric_grid(t0: float = 1e-4, rho: float = 1.05, horizon: float = 1e6) -> tuple[float, ...]:
     """t_k = t0 * rho^k clipped at the horizon (the horizon itself is appended)."""
-    if t0 <= 0.0 or rho <= 1.0 or horizon <= t0:
+    if not (t0 > 0.0 and rho > 1.0 and horizon > t0):
         raise DomainError("need t0 > 0, rho > 1, horizon > t0")
     n = int(math.floor(math.log(horizon / t0) / math.log(rho)))
     ts = [t0 * rho**k for k in range(n + 1)]
@@ -508,7 +508,7 @@ class MvBrownianGrid(_Grid):
     r: float = 2.0
 
     def __post_init__(self):
-        if self.dim < 1:
+        if not self.dim >= 1:
             raise DomainError("dim must be >= 1")
         self.times  # validates, and builds the grid once
 
@@ -607,12 +607,12 @@ class TruncatedCentering(_Variant):
     def __post_init__(self):
         if self.base not in ("normal", "heavy"):
             raise DomainError(f"unknown base law {self.base!r}")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise DomainError("lam must be positive")
         if self.base == "heavy":
             if not 0.0 < self.alpha < 1.0:
                 raise DomainError("alpha must lie in (0, 1)")
-            if self.d1 < 0.0 or self.d2 < 0.0 or self.d1 + self.d2 <= 0.0:
+            if not (self.d1 >= 0.0 and self.d2 >= 0.0 and self.d1 + self.d2 > 0.0):
                 raise DomainError("need d1, d2 >= 0 with d1 + d2 > 0")
 
     @property
@@ -810,7 +810,7 @@ def check_lambda(spec: ProcessSpec, lam: float) -> None:
     kind, lam0 = cert
     if kind == "all":
         return
-    if lam < 0.0 or lam > lam0:
+    if not 0.0 <= lam <= lam0:
         raise CertificationError(
             f"lambda={lam} outside certified range [0, {lam0}] for {type(spec).__name__}")
 

@@ -144,3 +144,18 @@ class TestUniversalStatistic:
             universal_statistic(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             universal_statistic(1.0, 0.0, 10.0, floor=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SelfNormSample(a=1.0, b=math.nan),
+    lambda: thm21_integrand(SelfNormSample(0.0, 1.0), math.nan),
+    lambda: mgf_bound(math.nan),
+    lambda: cor22_statistic(SelfNormSample(0.0, 1.0), math.nan),
+    lambda: lil_statistic(1.0, math.nan),
+    lambda: lil_statistic(1.0, 10.0, floor=math.nan),
+    lambda: universal_statistic(1.0, 0.0, math.nan),
+], ids=["sample_b", "integrand_y", "mgf_x", "cor22_y", "lil_b", "lil_floor", "universal_v"])
+def test_nan_refused(call):
+    # a NaN passed each `x <= 0.0` guard and gave a NaN
+    with pytest.raises(DomainError):
+        call()

@@ -61,6 +61,16 @@ class TestConstantsCommand:
     def test_nothing_requested(self):
         assert main(["constants"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--gamma", "nan"], ["--lambda", "nan"],
+                                      ["--l-normalization", "--delta", "nan"]],
+                             ids=["gamma", "lambda", "delta"])
+    def test_nan_is_refused(self, tmp_path, capsys, argv):
+        # --gamma nan printed c_gamma nan and exited 0
+        out = tmp_path / "t.csv"
+        assert main(["constants", *argv, "--out", str(out)]) == 2
+        assert "DomainError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTailboundCommand:
     def test_values(self, tmp_path):
@@ -74,6 +84,14 @@ class TestTailboundCommand:
 
     def test_empty_is_usage_error(self):
         assert main(["tailbound"]) == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_x_not_finite(self, tmp_path, capsys, x):
+        # --x nan printed a bound nan and exited 0
+        out = tmp_path / "t.csv"
+        assert main(["tailbound", "--x", "2", x, "--out", str(out)]) == 2
+        assert "--x" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBoundaryCommand:
@@ -102,6 +120,20 @@ class TestBoundaryCommand:
         cfg = write_json(tmp_path, "m.json",
                          {"type": "point_masses", "atoms": [[0.3, 2.0]]})
         assert main(["boundary", "--config", cfg, "--c", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--c", "nan"], "--c"), (["--c", "inf"], "--c"),
+        (["--c", "5", "--v-points", "0"], "--v-points"),
+    ], ids=["c_nan", "c_inf", "no_points"])
+    def test_bad_c_or_points(self, tmp_path, capsys, argv, named):
+        # --c nan and inf ended in BracketError; --v-points 0 wrote an empty
+        # table and exited 0
+        cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
+        out = tmp_path / "b.csv"
+        assert main(["boundary", "--config", cfg, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "DomainError" in err
+        assert not out.exists()
 
     def test_gaussian_rejected(self, tmp_path):
         cfg = write_json(tmp_path, "m.json",
@@ -140,6 +172,18 @@ class TestSimulateCommand:
                                               "horizon": 10.0, "checkpoints": [2.5, 7.9]})
         assert main(["simulate", "--config", cfg]) == 2
         assert "checkpoints must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flag", [
+        ({"seed": -1}, []), ({"seed": 3}, ["--seed", "-5"]), ({"seed": True}, []),
+    ], ids=["config", "flag", "bool"])
+    def test_bad_seed(self, tmp_path, capsys, config, flag):
+        # a negative seed ended in numpy's ValueError; true was seed 1
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"},
+                                              "horizon": 10, **config})
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flag]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key(self, tmp_path, capsys):
         # the misspelt key used to be ignored, and all 10 steps written
@@ -386,6 +430,46 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and "finite number" in err and "chunk stream" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("named, config, op, op_args", [
+        ("x_grid", {"x_grid": ["2"]}, "tail_bound", {"y": 1.0}),
+        ("x_grid", {"x_grid": [math.nan]}, "tail_bound", {"y": 1.0}),
+        ("x_grid", {"x_grid": [math.inf]}, "tail_bound", {"y": 1.0}),
+        ("lambda_grid", {"lambda_grid": [math.nan]}, "supermartingale_mean", {}),
+        ("se_slack", {"se_slack": "nan"}, "supermartingale_mean", {}),
+        ("seed", {"seed": -1}, "supermartingale_mean", {}),
+        ("checkpoints", {"checkpoints": [True]}, "supermartingale_mean", {}),
+        ("sigma", {"spec": {"variant": "scaled_symmetric", "sigma": math.nan}},
+         "supermartingale_mean", {}),
+        ("delta", {}, "crossing", {"mixture": {"type": "density_rs", "delta": math.nan},
+                                   "c": 10.0}),
+        ("'c_over_mass'", {}, "crossing", {"mixture": {"type": "density_rs", "delta": 1.0},
+                                           "c_over_mass": -1.0}),
+    ], ids=["x_grid_string", "x_grid_nan", "x_grid_inf", "lambda_grid_nan", "se_slack_string",
+            "negative_seed", "checkpoint_bool", "spec_sigma_nan", "mixture_delta_nan",
+            "c_over_mass_negative"])
+    def test_bad_value_in_a_later_entry_is_refused_before_any_draw(
+            self, tmp_path, capsys, no_draws, named, config, op, op_args):
+        # x_grid ["2"] ran the first entry and then exited on a TypeError;
+        # the NaN and inf values ran every draw into NaN or vacuous rows
+        mean = {"name": "mean", "op": "supermartingale_mean",
+                "config": {"spec": {"variant": "rademacher"}, "paths": 100, "horizon": 10}}
+        bad = {"name": "bad", "op": op, "op_args": op_args,
+               "config": {**mean["config"], **config}}
+        suite = {"schema": 1, "seed": 99, "experiments": [mean, bad]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "chunk stream" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys, no_draws):
+        out = tmp_path / "o"
+        assert main(["verify", "--config", self.make_suite(tmp_path), "--seed", "-5",
+                     "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_op_table_calls_the_module_attribute(self, tmp_path, monkeypatch):

@@ -50,7 +50,7 @@ class TestCGamma:
         assert c_gamma(1.0 - 1e-6) > 10.0
         assert c_gamma(1.0 - 1e-12) > c_gamma(1.0 - 1e-6) + 10.0
 
-    @pytest.mark.parametrize("g", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("g", [-0.1, 1.0, 1.5, math.nan])
     def test_domain(self, g):
         with pytest.raises(DomainError):
             c_gamma(g)
@@ -378,3 +378,20 @@ class TestGammaFn:
         for p in (0.0, -1.0, 51.0):
             with pytest.raises(DomainError):
                 gamma_fn(p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h_of_lambda(math.nan),
+    lambda: lil_constants(math.nan),
+    lambda: unnormalized_integral(math.nan, 1.0),
+    lambda: unnormalized_integral(BIG_ALPHA, math.nan),
+    lambda: l_growth_certificate(BIG_ALPHA, math.nan),
+    lambda: L_eval(math.nan, LConfig(alpha=BIG_ALPHA, delta=1.0, beta=1.0)),
+    lambda: y_w_and_g_phi(math.nan, 2.0),
+], ids=["h_lambda", "lil_lambda", "integral_alpha", "integral_delta", "certificate_delta",
+        "L_y", "y_w"])
+def test_nan_refused(call):
+    # a NaN passed each `x <= 0.0` guard (`selfnorm constants --gamma nan`
+    # printed nan and exited 0)
+    with pytest.raises(DomainError):
+        call()

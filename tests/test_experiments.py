@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from dataclasses import fields
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from selfnorm import experiments
 from selfnorm.constants import DomainError
-from selfnorm.experiments import (_SCREEN_SLACK, BoundReport, ExperimentConfig,
+from selfnorm.experiments import (_SCREEN_SLACK, INPUT_RULES, BoundReport, ExperimentConfig,
                                   _boundary_interpolant, _chunk_layout, _hit_cells,
                                   check_supermartingale_mean,
                                   cluster_set_diagnostic, config_echo,
@@ -91,7 +92,9 @@ class TestConfig:
 SPECS = (Rademacher(), ScaledSymmetric(law="pareto", shape=3.0, xm=2.0),
          BoundedBelow(m_bound=1.0, gamma=0.4, r=1.5), BrownianGrid(times=(0.5, 1.0, 2.0)),
          TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=2.0))
-GRID_VALUES = st.lists(st.floats(allow_nan=False) | st.integers(-10, 10), max_size=4)
+# finite: an infinite grid value is refused (see test_config_field_refused)
+GRID_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10),
+                       max_size=4)
 
 
 @st.composite
@@ -547,6 +550,55 @@ SCALAR_ENTRY_POINTS = {
 }
 
 
+# a bad value of each ExperimentConfig field's rule, as rad_cfg keywords
+CONFIG_REFUSED = [
+    ("seed", {"seed": -1}), ("seed", {"seed": True}), ("paths", {"paths": True}),
+    ("horizon", {"horizon": True, "checkpoints": ()}),
+    ("checkpoints", {"checkpoints": (True, 100)}),
+    ("checkpoints", {"spec": MV_GRID, "checkpoints": (math.nan,)}),
+    ("checkpoints", {"spec": MV_GRID, "checkpoints": ("1.0",)}),
+    ("lambda_grid", {"lambda_grid": (math.nan,)}), ("lambda_grid", {"lambda_grid": (math.inf,)}),
+    ("lambda_grid", {"lambda_grid": (True,)}), ("lambda_grid", {"lambda_grid": 0.5}),
+    ("x_grid", {"x_grid": ("2",)}), ("x_grid", {"x_grid": (math.nan,)}),
+    ("x_grid", {"x_grid": (math.inf,)}), ("x_grid", {"x_grid": (-math.inf,)}),
+    ("p_list", {"p_list": (math.nan,)}), ("p_list", {"p_list": ("2",)}),
+    ("statistic", {"statistic": "foo"}), ("statistic", {"statistic": None}),
+    ("se_slack", {"se_slack": "nan"}), ("se_slack", {"se_slack": math.nan}),
+    ("se_slack", {"se_slack": math.inf}), ("se_slack", {"se_slack": True}),
+]
+
+# each entry point's own keyword, applied to a config
+ENTRY_KEYWORDS = {
+    "y": lambda cfg, y: validate_tail_bound(cfg, y),
+    "c": lambda cfg, c: crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=c),
+    "p_list": lambda cfg, p_list: validate_moment_bound(cfg, p_list=p_list),
+    "margin": lambda cfg, margin: lil_track(cfg, margin=margin),
+    "p": lambda cfg, p: sup_moment_estimate(cfg, p=p),
+    "alpha": lambda cfg, alpha: sup_moment_estimate(cfg, alpha=alpha),
+    "bins": lambda cfg, bins: cluster_set_diagnostic(cfg, bins=bins),
+}
+KEYWORD_REFUSED = [
+    ("y", True), ("c", "10"), ("c", [10.0]), ("p_list", ("2",)), ("p_list", (True,)),
+    ("p_list", 2.0), ("margin", True), ("p", math.inf), ("p", "2"), ("p", True),
+    ("alpha", "0.2"), ("alpha", [0.2]), ("bins", True), ("bins", 2.5), ("bins", "3"),
+]
+
+
+def test_every_input_has_a_rule():
+    # a config field or an entry point keyword added later cannot slip by
+    # unchecked, and each rule has a refusal case (c_over_mass and the
+    # boundary command's --v-points have theirs in test_cli)
+    from selfnorm import cli
+    inputs = {f.name for f in fields(ExperimentConfig)} - {"spec"}
+    entry_points = [getattr(cli, name) for name in cli._VERIFY_OPS.values()] + [
+        lil_track, cluster_set_diagnostic, sup_moment_estimate, growth_rate_diagnostic]
+    for fn in entry_points:
+        inputs |= set(inspect.signature(fn).parameters) - {"cfg", "workers", "mixture"}
+    assert inputs <= set(INPUT_RULES)
+    refused = {f for f, _ in CONFIG_REFUSED} | {k for k, _ in KEYWORD_REFUSED}
+    assert set(INPUT_RULES) - refused == {"c_over_mass", "v_points"}
+
+
 class TestScalarSpecRejection:
     """Specs and arguments the scan cannot run are refused before any draw:
     a vector spec on every scalar entry point, and anything but a matching
@@ -664,6 +716,29 @@ class TestScalarSpecRejection:
     def test_unsupported_lil_statistic(self, statistic):
         with pytest.raises(DomainError, match=repr(statistic)):
             lil_track(rad_cfg(statistic=statistic))
+
+    def test_lil_statistic_choices_named_once(self):
+        # Rademacher's own statistic is lil, which the message listed twice
+        with pytest.raises(DomainError) as info:
+            lil_track(rad_cfg(statistic="universal"))
+        assert "'auto', 'lil', 'uncentered'" in str(info.value)
+        assert str(info.value).count("'lil'") == 1
+
+    @pytest.mark.parametrize("field, kw", CONFIG_REFUSED,
+                             ids=[f"{f}={kw[f]!r}" for f, kw in CONFIG_REFUSED])
+    def test_config_field_refused(self, field, kw):
+        # each value was taken by ExperimentConfig: a NaN or inf grid value
+        # gave NaN or vacuous rows, a bool counted as 1, a negative seed ended
+        # in numpy's ValueError at the first chunk stream
+        with pytest.raises(DomainError, match=field):
+            rad_cfg(**kw)
+
+    @pytest.mark.parametrize("keyword, value", KEYWORD_REFUSED,
+                             ids=[f"{k}={v!r}" for k, v in KEYWORD_REFUSED])
+    def test_entry_keyword_refused(self, keyword, value):
+        # each value ran into the draws, or a TypeError, before the rule
+        with pytest.raises(DomainError, match=keyword):
+            ENTRY_KEYWORDS[keyword](rad_cfg(), value)
 
     def test_factorial_weights_never_deterministic(self):
         assert WeightedIID(weights="ones").b_deterministic

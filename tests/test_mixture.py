@@ -365,3 +365,22 @@ class TestValidation:
         F = PointMasses(atoms=((0.3, 1.0),))
         with pytest.raises(DomainError):
             boundary(1.0, 0.0, F)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RobbinsSiegmund(math.nan),
+    lambda: measure_from_json({"type": "density_rs", "delta": math.nan}),
+    lambda: PointMasses(atoms=((math.nan, 1.0),)),
+    lambda: PointMasses(atoms=((0.3, math.nan),)),
+    lambda: boundary(np.array([10.0]), math.nan, RobbinsSiegmund(1.0)),
+    lambda: crossing_bound(math.nan, RobbinsSiegmund(1.0)),
+    lambda: rs_asymptotic(math.nan, 10.0, 1.0),
+    lambda: general_r_asymptotic(math.nan, 2.0),
+    lambda: mv_boundary_test(np.zeros(1), np.eye(1), GaussianMixture(np.eye(1)), math.nan),
+], ids=["rs_delta", "rs_delta_json", "atom_position", "atom_weight", "boundary_c",
+        "crossing_bound_c", "rs_asymptotic_v", "general_asymptotic_v", "mv_test_c"])
+def test_nan_refused(call):
+    # a NaN passed each `x <= 0.0` guard: density_rs with delta NaN ended in
+    # BracketError
+    with pytest.raises(DomainError):
+        call()

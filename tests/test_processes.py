@@ -447,6 +447,8 @@ class TestCertification:
             check_lambda(spec, 0.6)
         with pytest.raises(CertificationError):
             check_lambda(spec, -0.1)
+        with pytest.raises(CertificationError):
+            check_lambda(spec, math.nan)
 
     def test_all_lambda_variants(self):
         for spec in (Rademacher(), ScaledSymmetric(), BrownianGrid(times=(1.0,))):
@@ -712,3 +714,25 @@ class TestSerialization:
     def test_bad_parameters(self):
         with pytest.raises(DomainError):
             spec_from_json({"variant": "rademacher", "nope": 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScaledSymmetric(law="lognormal", sigma=math.nan),
+    lambda: ScaledSymmetric(law="pareto", shape=math.nan),
+    lambda: ScaledSymmetric(law="pareto", xm=math.nan),
+    lambda: spec_from_json({"variant": "scaled_symmetric", "sigma": math.nan}),
+    lambda: Bernstein(m_bound=math.nan),
+    lambda: BoundedBelow(m_bound=math.nan, gamma=0.4, r=1.5),
+    lambda: BrownianGrid(times=(math.nan,)),
+    lambda: BrownianGrid(times=(1.0, math.nan)),
+    lambda: geometric_grid(t0=math.nan),
+    lambda: MvBrownianGrid(dim=2, t0=0.01, rho=math.nan, horizon=100.0),
+    lambda: TruncatedCentering(base="normal", lam=math.nan),
+    lambda: TruncatedCentering(base="heavy", alpha=0.5, d1=math.nan, d2=1.0),
+], ids=["sigma", "shape", "xm", "sigma_json", "bernstein_m", "bounded_below_m", "time",
+        "second_time", "grid_t0", "grid_rho", "lam", "d1"])
+def test_nan_parameter_refused(make):
+    # a NaN passed each `x <= 0.0` guard: sigma NaN ran every draw and wrote
+    # an estimate NaN
+    with pytest.raises(DomainError):
+        make()
