@@ -124,7 +124,11 @@ def cmd_boundary(args) -> int:
     if isinstance(F, GaussianMixture):
         raise CliError("boundary tables need a scalar mixture, not a Gaussian one")
     INPUT_RULES["c"](args.c, "--c")
-    vg = np.geomspace(args.v_min, args.v_max, INPUT_RULES["v_points"](args.v_points, "--v-points"))
+    v_min, v_max = (INPUT_RULES[k](getattr(args, k), "--" + k.replace("_", "-"))
+                    for k in ("v_min", "v_max"))
+    if v_min > v_max:
+        raise konst.DomainError(f"--v-min {v_min!r} exceeds --v-max {v_max!r}")
+    vg = np.geomspace(v_min, v_max, INPUT_RULES["v_points"](args.v_points, "--v-points"))
     betas = boundary(vg, args.c, F, args.r)
     rows = []
     for v, beta, back in zip(vg.tolist(), betas.tolist(),

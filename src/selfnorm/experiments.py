@@ -16,23 +16,34 @@ included, runs on one chunk driver, `_Scan`. It runs block-major: it opens
 every chunk's stream, carry and reducer first, then draws and accumulates
 each block of `_BLOCK` steps in every chunk, on one thread pool per call,
 and cuts the block, as views, after the steps the experiment names (its
-checkpoints, or the half horizon). A per-chunk reducer, built from the
-chunk's path count, sees the pieces in order through `segment(...)`, each
-tagged with the index of the stop it ends on; its attributes are the chunk's
-partial result. A chunk draws its blocks in order from its own stream and
-only views are cut, so the stream and the chunk layout depend neither on the
-stops nor on the worker count. Where B^r is a function of n alone
+checkpoints, or the half horizon). Each chunk-block runs as consecutive
+row tiles of at most `_TILE` cells (one row, if a row is wider): a tile's
+rows are drawn, accumulated from their slice of the chunk's carry and cut
+into pieces before the next tile is drawn. Cells come off a chunk's stream
+path-major, so the tiles draw what one draw of the whole block would; a
+variant that reads part of the stream for the whole block first (signs
+before scales) stores one byte a cell of it per block (`codes`). A per-chunk
+reducer, built from the chunk's path count, sees the pieces in order
+through `segment(rows, ...)`, each with the slice of the chunk's rows its
+tile covers and tagged with the index of the stop it ends on; a tile sees
+all of a block's pieces before the next tile's first, and the reducer's
+attributes are the chunk's partial result. A chunk draws its blocks in order
+from its own stream and only views are cut, so the stream and the chunk
+layout depend neither on the stops, nor on the tiles, nor on the worker
+count. Where B^r is a function of n alone
 (`spec.b_deterministic`), the driver builds it once per block as one row for
 all paths, and the statistic's work on B^r alone (the lil denominator and
 guard, the crossing boundary) once per piece, for every chunk. A vector spec
 runs its whole grid as one block.
 
 Each worker thread of a call has one `_Workspace`: flat buffers, made in the
-call and dropped with it, that every chunk-block the worker runs is drawn
-into and accumulated in, as views of that block's shape. The pieces segment
-receives are views of them, overwritten by the worker's next chunk-block, so
-segment must not keep a piece, or a view of one, past its return: a reducer
-copies what it keeps.
+call and dropped with it, that every tile the worker runs is drawn into and
+accumulated in, as views of that tile's shape. It holds one tile per role,
+whatever the chunk size, so every pass after the draw runs in cache; only
+the block's codes, at one byte a cell, grow with the chunk. The pieces
+segment receives are views of them, overwritten by the worker's next tile,
+so segment must not keep a piece, or a view of one, past its return: a
+reducer copies what it keeps.
 
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
@@ -58,17 +69,13 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
-                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
+                        _Variant, _Workspace, _abs_pow, _finite, chunk_rng, log_supermartingale,
                         fields_to_json, spec_from_json, spec_to_json)
 
 _BLOCK = 32768
+_TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V^2 fit in L2
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
-
-
-def _finite(v) -> bool:
-    """v is a finite real number; a bool is not a number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _rule(what: str, ok, out=lambda v: v):
@@ -116,7 +123,7 @@ INPUT_RULES = {
     "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,
     "margin": _rule("a finite number > -1", lambda v: _finite(v) and v > -1),
     "alpha": _rule("a number in (0, 1/2)", lambda v: _finite(v) and 0 < v < 0.5),
-    "bins": _count, "v_points": _count,
+    "bins": _count, "v_points": _count, "v_min": _positive, "v_max": _positive,
 }
 
 
@@ -203,11 +210,16 @@ class _Scan:
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
-        in chunk order. reducer.segment(n_idx, ca, cb, cv, k) receives the
-        global step indices of a piece of a block and its running sums from
-        `spec.accumulate(..., b, v)`: A always, B^r and V^2 where b and v ask
-        for them (else None). Blocks are cut after each step in the sorted
-        `stops`; k is the index of the stop a piece ends on, else None.
+        in chunk order. Each chunk-block runs as row tiles of at most `_TILE`
+        cells (one row, if a row is wider), in row order: a tile's rows are
+        drawn, accumulated from their slice of the chunk's carry, and cut
+        into pieces, all before the next tile is drawn.
+        reducer.segment(rows, n_idx, ca, cb, cv, k) receives the slice of the
+        chunk's rows a tile covers, the global step indices of a piece of a
+        block and the tile's running sums over it from `spec.accumulate(...,
+        b, v)`: A always, B^r and V^2 where b and v ask for them (else None).
+        Blocks are cut after each step in the sorted `stops`; k is the index
+        of the stop a piece ends on, else None.
 
         of_b, a function of a piece of B^r alone, is what segment receives in
         place of that piece (default: the piece itself). With b True and
@@ -216,8 +228,8 @@ class _Scan:
         per piece, and every chunk receives the same object, which segment
         must not write to. ca is the chunk's own, and segment may overwrite
         it. ca, a per-cell cb and cv are views of the worker's `_Workspace`,
-        which its next chunk-block overwrites, and the row is overwritten by
-        the next block: segment keeps none of them."""
+        which its next tile overwrites, and the row is overwritten by the
+        next block: segment keeps none of them."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -227,23 +239,33 @@ class _Scan:
         reds = [reducer(P) for P in self.layout]
         carries = [None] * n
         width = min(self.block, self.horizon)
-        cells = max(self.layout) * width * math.prod(spec.components)
+        tile = max(1, _TILE // (width * math.prod(spec.components)))  # rows
         local = threading.local()  # one workspace per worker thread, for this call only
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
             lo, hi, n_idx, pieces, shared = block
             ws = getattr(local, "ws", None)
             if ws is None:
-                ws = local.ws = _Workspace(cells)
-            shape = (self.layout[ci], hi - lo)
-            d = spec.draw(rngs[ci], lo, hi, shape[0], ws.view(0, shape + spec.components))
-            ca, cb, cv, carries[ci] = spec.accumulate(
-                d, n_idx, carries[ci], b, v,
-                (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
-            for j, (cut, n_piece, k) in enumerate(pieces):
-                reds[ci].segment(n_piece, ca[:, cut],
-                                 shared[j] if row else None if cb is None else of_b(cb[:, cut]),
-                                 None if cv is None else cv[:, cut], k)
+                ws = local.ws = _Workspace()
+            rng, red, P, carry = rngs[ci], reds[ci], self.layout[ci], carries[ci]
+            codes = (spec.codes(rng, lo, hi, P, ws.view(3, (P, hi - lo) + spec.components, np.int8))
+                     if spec.coded else None)
+            for t in range(0, P, tile):
+                rows = slice(t, min(t + tile, P))
+                shape = (rows.stop - t, hi - lo)
+                d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components),
+                              None if codes is None else codes[rows])
+                ca, cb, cv, end = spec.accumulate(
+                    d, n_idx, carry and tuple(c[rows] for c in carry), b, v,
+                    (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
+                if carries[ci] is None:  # the chunk's carry, made in its first block
+                    carries[ci] = tuple(np.empty((P,) + np.shape(e)[1:]) for e in end)
+                for c, e in zip(carries[ci], end):
+                    c[rows] = e
+                for j, (cut, n_piece, k) in enumerate(pieces):
+                    red.segment(rows, n_piece, ca[:, cut],
+                                shared[j] if row else None if cb is None else of_b(cb[:, cut]),
+                                None if cv is None else cv[:, cut], k)
 
         ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), None
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -290,13 +312,13 @@ class _StateAtStops:
     def __init__(self, P, n_stops):
         self.a, self.b, self.v = (np.zeros((P, n_stops)) for _ in range(3))
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         if k is not None:
-            self.a[:, k] = ca[:, -1]
+            self.a[rows, k] = ca[:, -1]
             if cb is not None:
-                self.b[:, k] = cb[..., -1]
+                self.b[rows, k] = cb[..., -1]
             if cv is not None:
-                self.v[:, k] = cv[:, -1]
+                self.v[rows, k] = cv[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +571,8 @@ def _hit_cells(ca, cb, beta, skip):
             rows.append(p)
             cols.append(lo + off)
     p, col = np.concatenate(rows), np.concatenate(cols)
+    if not p.size:  # most tiles of a run have no candidate: no second lookup
+        return p, col
     hit = ca[p, col] >= beta(np.maximum(cb[p, col], 1e-4))
     return p[hit], col[hit]
 
@@ -556,17 +580,20 @@ def _hit_cells(ca, cb, beta, skip):
 class _Crossings:
     """Which paths have crossed so far, and how many had by each stop.
     rule(ca, cb, crossed) gives the paths that cross in a piece: cb is what
-    the scan's of_b made of the B^r piece, and crossed the flags so far."""
+    the scan's of_b made of the B^r piece, and crossed the piece's rows'
+    flags so far. A tile runs all of a block's pieces before the next tile,
+    so a stop's count is summed over the tiles, each adding its own rows."""
 
     def __init__(self, P, rule, n_stops):
         self.rule = rule
         self.crossed = np.zeros(P, dtype=bool)
         self.counts = np.zeros(n_stops, dtype=np.int64)
 
-    def segment(self, n_idx, ca, cb, cv, k):
-        self.crossed[self.rule(ca, cb, self.crossed)] = True
+    def segment(self, rows, n_idx, ca, cb, cv, k):
+        crossed = self.crossed[rows]  # a view
+        crossed[self.rule(ca, cb, crossed)] = True
         if k is not None:
-            self.counts[k] = np.count_nonzero(self.crossed)
+            self.counts[k] += np.count_nonzero(crossed)
 
 
 def _gaussian_rule(cfg, G, c):
@@ -669,12 +696,13 @@ class _RunningMax:
         self.maxima = np.full((P, n_stops), -np.inf)
         self.values = np.full((P, n_stops), np.nan)
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         val = self.stat(n_idx, ca, cb, cv)
-        self.run = np.maximum(self.run, val.max(axis=1))
+        run = self.run[rows]  # a view
+        np.maximum(run, val.max(axis=1), out=run)
         if k is not None:
-            self.maxima[:, k] = self.run
-            self.values[:, k] = val[:, -1]
+            self.maxima[rows, k] = run
+            self.values[rows, k] = val[:, -1]
 
 
 def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
@@ -755,7 +783,7 @@ class _Histograms:
         self.counts = np.zeros(len(edges) - 1, dtype=np.int64)
         self.late_counts = np.zeros(len(edges) - 1, dtype=np.int64)
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         den, ok = cb
         val = np.divide(ca, den, out=ca)
         counts = np.histogram(val[np.broadcast_to(ok, val.shape)], bins=self.edges)[0]

@@ -9,10 +9,26 @@ mode: every draw and running sum is written into C-contiguous float64 arrays
 the caller owns (`out`), which `_Workspace` views give both callers.
   components                      the component axes of one increment;
                                   default () (MvBrownianGrid's is (dim,)).
-  draw(rng, n_lo, n_hi, n_paths, out)
+  draw(rng, n_lo, n_hi, n_paths, out, codes=None)
                                   increments d for steps n_lo+1..n_hi, written
                                   into `out`, of shape (n_paths, n_hi - n_lo)
-                                  plus `components`. No default.
+                                  plus `components`. No default. Cells come
+                                  off the stream path-major, so a block may be
+                                  drawn as consecutive row tiles, one call
+                                  each, in row order: the draws and the
+                                  stream's state are those of one call on the
+                                  whole block. A coded variant takes in
+                                  `codes` the tile's rows of the block's
+                                  codes; None draws its block as one tile,
+                                  the codes first.
+  coded                           True if the draw reads part of the stream
+                                  for the whole block before the rest (all
+                                  signs before any scale, say); default False.
+  codes(rng, n_lo, n_hi, n_paths, out)
+                                  a coded variant's per-block pass: one int8
+                                  code per cell of the block, written into
+                                  `out` of the block's shape; run once per
+                                  block, before its first tile is drawn.
   steps                           how many steps it can draw; default inf.
   accumulate(d, n_idx, carry, b, v, out)
                                   the running A, B^r, V^2 of a block of draws
@@ -55,6 +71,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -65,6 +82,11 @@ from .constants import DomainError, c_gamma, c_gamma_r, lil_constants
 
 _BUFFER = 1024
 _SLAB = 1 << 17  # cells per temporary in a draw; even
+
+
+def _finite(v) -> bool:
+    """v is a finite real number; a bool is not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class CertificationError(RuntimeError):
@@ -86,18 +108,20 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 class _Workspace:
-    """Block buffers: flat float64 arrays of `cells` each, made on first use
-    and viewed, per block, as a C-contiguous array of that block's shape.
-    Role 0 takes the draws (then A), 1 the B^r increments (then B^r), 2 V^2."""
+    """Tile buffers: one flat array per role, made on first use (and made
+    anew only when a larger one or another dtype is asked for) and viewed as
+    a C-contiguous array of the asked shape. Role 0 takes a tile's draws
+    (then A), 1 its B^r increments (then B^r), 2 its V^2, and 3 a block's
+    int8 draw codes."""
 
-    def __init__(self, cells):
-        self.cells, self.bufs = cells, {}
+    def __init__(self):
+        self.bufs = {}
 
-    def view(self, role, shape):
-        buf = self.bufs.get(role)
-        if buf is None:
-            buf = self.bufs[role] = np.empty(self.cells)
-        return buf[:math.prod(shape)].reshape(shape)
+    def view(self, role, shape, dtype=np.float64):
+        size, buf = math.prod(shape), self.bufs.get(role)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.bufs[role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _slabs(size):
@@ -115,7 +139,8 @@ def _abs_pow(d, r, out):
 def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
     """Exactly `rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0`, leaving
     rng in the same state, from fewer operations; written into `out` (a
-    C-contiguous float64 array of `shape`).
+    C-contiguous float64 array of `shape`, or an int8 one, which takes the
+    same signs at one byte a cell).
 
     For a range of 2, numpy's `integers` takes Lemire's method on 32-bit
     words, so each sign is bit 31 of one word; a word is the low, then the
@@ -127,8 +152,8 @@ def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
     bg = rng.bit_generator
     if not isinstance(bg, (np.random.Philox, np.random.PCG64)) or sys.byteorder != "little":
         out[...] = rng.integers(0, 2, size=shape)
-        out *= 2.0
-        out -= 1.0
+        out *= 2
+        out -= 1
         return out
     flat = out.reshape(-1)
     with bg.lock:
@@ -145,8 +170,8 @@ def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
             words = words[:seg.size]
             words >>= 31
             seg[...] = words
-            seg *= 2.0
-            seg -= 1.0
+            seg *= 2
+            seg -= 1
         state = bg.state
         if last is not None:  # as numpy: the last high half stays, used or not
             state["has_uint32"], state["uinteger"] = int(last[0]), last[1]
@@ -208,6 +233,7 @@ class _Variant:
     """Defaults of the variant protocol (see the module docstring); no
     dataclass fields, so `spec_to_json` is unchanged."""
     b_deterministic = False
+    coded = False
     components = ()
     statistic = "lil"
     steps = math.inf
@@ -264,7 +290,7 @@ class Rademacher(_Variant):
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         return fair_signs(rng, (n_paths, n_hi - n_lo), out)
 
     def _truncated_mean(self, n, c, d):
@@ -290,28 +316,35 @@ class ScaledSymmetric(_Variant):
     def __post_init__(self):
         if self.law not in ("lognormal", "pareto"):
             raise DomainError(f"unknown scale law {self.law!r}")
+        for name in ("mu", "sigma", "shape", "xm"):
+            if not _finite(getattr(self, name)):
+                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.law == "lognormal" and not self.sigma > 0.0:
             raise DomainError("sigma must be positive")
         if self.law == "pareto" and not (self.shape > 0.0 and self.xm > 0.0):
             raise DomainError("pareto shape and xm must be positive")
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
-        d = fair_signs(rng, (n_paths, n_hi - n_lo), out)
-        flat = d.reshape(-1)
-        z = np.empty(min(flat.size, _SLAB))
-        for cut in _slabs(flat.size):  # the scales after all the signs, a slab at a time
-            zs = z[:cut.stop - cut.start]
-            if self.law == "lognormal":  # exp(mu + sigma * N)
-                rng.standard_normal(out=zs)
-                zs *= self.sigma
-                zs += self.mu
-                np.exp(zs, out=zs)
-            else:  # xm * U^(-1/shape)
-                rng.random(out=zs)
-                zs **= -1.0 / self.shape
-                zs *= self.xm
-            flat[cut] *= zs
-        return d
+    coded = True
+
+    def codes(self, rng, n_lo, n_hi, n_paths, out):
+        """Each cell's sign, +-1: the block's signs, all drawn before any
+        scale."""
+        return fair_signs(rng, out.shape, out)
+
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+        if codes is None:
+            codes = self.codes(rng, n_lo, n_hi, n_paths, np.empty(out.shape, np.int8))
+        if self.law == "lognormal":  # exp(mu + sigma * N)
+            z = rng.standard_normal(out=out)
+            z *= self.sigma
+            z += self.mu
+            np.exp(z, out=z)
+        else:  # xm * U^(-1/shape)
+            z = rng.random(out=out)
+            z **= -1.0 / self.shape
+            z *= self.xm
+        z *= codes  # the sign times the scale, as the float signs gave it
+        return z
 
     def _partial_mean(self, a, b):
         if self.law == "lognormal":
@@ -342,7 +375,7 @@ class BoundedAbove(_Variant):
     def certification(self):
         return ("nonneg", self.lambda0)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         d = rng.standard_exponential(out=out)
         np.subtract(1.0, d, out=d)
         d *= self.m_bound
@@ -379,7 +412,7 @@ class Bernstein(_Variant):
     def certification(self):
         return ("nonneg", 1.0 / self.m_bound)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         d = rng.standard_exponential(out=out)
         d -= 1.0
         d *= self.m_bound
@@ -457,7 +490,7 @@ class _Grid(_Variant):
         dt.flags.writeable = False
         return dt
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self.components))
         d = rng.standard_normal(out=out)
         d *= scale
@@ -543,6 +576,19 @@ def _cx56_probs(n: np.ndarray):
     return p_plus, p_minus, p_big, m_n, valid
 
 
+@functools.lru_cache(maxsize=2)
+def _cx56_steps(n_lo, n_hi):
+    """What the counterexample's draw reads of steps n_lo+1..n_hi, read-only:
+    P(up), P(up or down), 1/sqrt(n), -m_n and the invalid steps. Built once
+    per block, not once per tile and chunk."""
+    n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
+    p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
+    steps = (p_plus, p_plus + p_minus, 1.0 / np.sqrt(n), -m_n, ~valid)
+    for a in steps:
+        a.flags.writeable = False
+    return steps
+
+
 @dataclass(frozen=True)
 class Counterexample56(_Variant):
     """Independent three-point variables with exact zero means whose
@@ -551,17 +597,15 @@ class Counterexample56(_Variant):
     certification = None
     statistic = "uncentered"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
-        n = np.arange(n_lo + 1, n_hi + 1, dtype=float)
-        p_plus, p_minus, p_big, m_n, valid = _cx56_probs(n)
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+        p_up, p_down, small, low, invalid = _cx56_steps(n_lo, n_hi)
         u = rng.random(out=out)
-        small = 1.0 / np.sqrt(n)
-        up, down = u < p_plus, u < p_plus + p_minus
+        up, down = u < p_up, u < p_down
         # each cell takes one of four values, chosen in place over u
-        u[...] = -m_n
+        u[...] = low
         np.negative(small, out=u, where=down)
         np.copyto(u, small, where=up)
-        np.copyto(u, 0.0, where=~valid)
+        np.copyto(u, 0.0, where=invalid)
         return u
 
     def _truncated_mean(self, n, c, d):
@@ -626,23 +670,36 @@ class TruncatedCentering(_Variant):
         """Pareto-tail threshold making the two-sided tail mass exactly 1/2."""
         return (2.0 * (self.d1 + self.d2)) ** (1.0 / self.alpha)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    @property
+    def coded(self) -> bool:
+        return self.base == "heavy"
+
+    def codes(self, rng, n_lo, n_hi, n_paths, out):
+        """Each cell's side from its uniform u, 2 (u < P(up)) + (u < 1/2): 2
+        or 3 up, 1 down, 0 none. The block's uniforms are all drawn before
+        any magnitude."""
+        p1 = self.d1 * self.y0 ** (-self.alpha)
+        flat = out.reshape(-1)
+        u = np.empty(min(flat.size, _SLAB))
+        for cut in _slabs(flat.size):
+            us, side = u[:cut.stop - cut.start], flat[cut]
+            rng.random(out=us)
+            np.less(us, p1, out=side)
+            side <<= 1
+            side |= us < 0.5
+        return out
+
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         if self.base == "normal":
             return rng.standard_normal(out=out)
-        y0 = self.y0
-        p1 = self.d1 * y0 ** (-self.alpha)
-        flat = rng.random(out=out).reshape(-1)  # u, for every cell first
-        mag = np.empty(min(flat.size, _SLAB))
-        for cut in _slabs(flat.size):  # then the magnitudes, a slab at a time
-            u, m = flat[cut], mag[:cut.stop - cut.start]
-            rng.random(out=m)
-            m **= -1.0 / self.alpha
-            m *= y0
-            up, down = u < p1, u < 0.5
-            u[...] = 0.0
-            np.negative(m, out=u, where=down)
-            np.copyto(u, m, where=up)
-        return out
+        if codes is None:
+            codes = self.codes(rng, n_lo, n_hi, n_paths, np.empty(out.shape, np.int8))
+        m = rng.random(out=out)  # the magnitudes, in row order
+        m **= -1.0 / self.alpha
+        m *= self.y0
+        np.negative(m, out=m, where=codes == 1)
+        np.copyto(m, 0.0, where=codes == 0)
+        return m
 
     def _truncated_mean(self, n, c, d):
         return float(self._mu(c, d))
@@ -686,7 +743,7 @@ class WeightedIID(_Variant):
         # refuses factorial ones
         return self.weights == "ones"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         return fair_signs(rng, (n_paths, n_hi - n_lo), out)  # weights applied by `accumulate`
 
     def accumulate(self, d, n_idx, carry, b, v, out):
@@ -747,8 +804,9 @@ class PathState:
 class ProcessHandle:
     """Single-path stepping state over a spec: as in the engine's chunks, each
     `_BUFFER` steps are drawn and accumulated into one `_Workspace`, the
-    handle's own, and step() reads the next column. Not thread-safe; run many
-    handles."""
+    handle's own, and step() reads the next column. Each buffer is a block of
+    one row, drawn as one tile (a coded variant's codes first). Not
+    thread-safe; run many handles."""
 
     def __init__(self, spec: ProcessSpec, seed: int, path: int = 0):
         self.spec = spec
@@ -761,7 +819,7 @@ class ProcessHandle:
         self._carry = None
         self._cols: list = []  # (d, A, B^r, V^2) of each buffered step
         self._pos = 0
-        self._ws = _Workspace(_BUFFER * math.prod(spec.components))
+        self._ws = _Workspace()
 
     def _refill(self):
         lo, hi = self.n, min(self.n + _BUFFER, self.spec.steps)

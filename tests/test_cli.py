@@ -124,10 +124,18 @@ class TestBoundaryCommand:
     @pytest.mark.parametrize("argv, named", [
         (["--c", "nan"], "--c"), (["--c", "inf"], "--c"),
         (["--c", "5", "--v-points", "0"], "--v-points"),
-    ], ids=["c_nan", "c_inf", "no_points"])
-    def test_bad_c_or_points(self, tmp_path, capsys, argv, named):
+        (["--c", "5", "--v-min", "0"], "--v-min"), (["--c", "5", "--v-min", "-5"], "--v-min"),
+        (["--c", "5", "--v-min", "nan"], "--v-min"), (["--c", "5", "--v-max", "inf"], "--v-max"),
+        (["--c", "5", "--v-max", "nan"], "--v-max"),
+        (["--c", "5", "--v-min", "100", "--v-max", "10"], "--v-min"),
+    ], ids=["c_nan", "c_inf", "no_points", "v_min_zero", "v_min_negative", "v_min_nan",
+            "v_max_inf", "v_max_nan", "v_min_above_v_max"])
+    def test_bad_c_or_points(self, tmp_path, capsys, monkeypatch, argv, named):
         # --c nan and inf ended in BracketError; --v-points 0 wrote an empty
-        # table and exited 0
+        # table and exited 0; --v-min 0 and --v-max inf ended in numpy's
+        # geomspace errors, which named no flag
+        monkeypatch.setattr(cli, "psi", lambda *a: pytest.fail("psi called"))
+        monkeypatch.setattr(cli, "boundary", lambda *a: pytest.fail("boundary called"))
         cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
         out = tmp_path / "b.csv"
         assert main(["boundary", "--config", cfg, *argv, "--out", str(out)]) == 2
@@ -442,13 +450,15 @@ class TestVerifyCommand:
         ("checkpoints", {"checkpoints": [True]}, "supermartingale_mean", {}),
         ("sigma", {"spec": {"variant": "scaled_symmetric", "sigma": math.nan}},
          "supermartingale_mean", {}),
+        ("mu", {"spec": {"variant": "scaled_symmetric", "mu": math.inf}},
+         "supermartingale_mean", {}),
         ("delta", {}, "crossing", {"mixture": {"type": "density_rs", "delta": math.nan},
                                    "c": 10.0}),
         ("'c_over_mass'", {}, "crossing", {"mixture": {"type": "density_rs", "delta": 1.0},
                                            "c_over_mass": -1.0}),
     ], ids=["x_grid_string", "x_grid_nan", "x_grid_inf", "lambda_grid_nan", "se_slack_string",
-            "negative_seed", "checkpoint_bool", "spec_sigma_nan", "mixture_delta_nan",
-            "c_over_mass_negative"])
+            "negative_seed", "checkpoint_bool", "spec_sigma_nan", "spec_mu_inf",
+            "mixture_delta_nan", "c_over_mass_negative"])
     def test_bad_value_in_a_later_entry_is_refused_before_any_draw(
             self, tmp_path, capsys, no_draws, named, config, op, op_args):
         # x_grid ["2"] ran the first entry and then exited on a TypeError;

@@ -49,7 +49,7 @@ def replayed(spec, seed=2024):
     steps = min(-(-HORIZON // processes._BUFFER) * processes._BUFFER, spec.steps)
     fixed = spec.draw(np.random.default_rng(seed), 0, steps, 1, np.empty((1, steps)))
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
         assert n_paths == 1 and n_hi <= steps
         out[...] = fixed[:, n_lo:n_hi]
         return out
@@ -72,7 +72,7 @@ class StopStates:
     def __init__(self, P):
         self.states = {}
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         if k is not None:
             self.states[k] = (int(n_idx[-1]), ca[0, -1], np.ravel(cb[..., -1])[0], cv[0, -1])
 

@@ -330,21 +330,22 @@ class TestBoundaryTable:
 
 class EveryCellCrossings:
     """A reducer that looks beta up on every cell of whole blocks (it is given
-    no stops) and counts the paths crossed by each checkpoint itself."""
+    no stops) and counts the paths crossed by each checkpoint itself, adding
+    each tile's rows."""
 
     def __init__(self, P, beta, checkpoints):
         self.beta, self.checkpoints = beta, checkpoints
         self.crossed = np.zeros(P, dtype=bool)
         self.counts = np.zeros(len(checkpoints), dtype=np.int64)
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         assert k is None
         hit = ca >= self.beta(np.maximum(cb, 1e-4))
         for j, n in enumerate(self.checkpoints):
             if n_idx[0] <= n <= n_idx[-1]:
                 ever = hit[:, :n - n_idx[0] + 1].any(axis=1)
-                self.counts[j] = np.count_nonzero(self.crossed | ever)
-        self.crossed |= hit.any(axis=1)
+                self.counts[j] += np.count_nonzero(self.crossed[rows] | ever)
+        self.crossed[rows] |= hit.any(axis=1)
 
 
 def unscreened_counts(cfg, F, c):
@@ -363,7 +364,7 @@ class ScreenedBlocks:
     def __init__(self, beta):
         self.beta, self.hits = beta, []
 
-    def segment(self, n_idx, ca, cb, cv, k):
+    def segment(self, rows, n_idx, ca, cb, cv, k):
         want = np.nonzero(ca >= self.beta(np.maximum(cb, 1e-4)))
         rows, cols = _hit_cells(ca, cb, self.beta, np.zeros(len(ca), dtype=bool))
         order = np.lexsort((cols, rows))
@@ -587,7 +588,8 @@ KEYWORD_REFUSED = [
 def test_every_input_has_a_rule():
     # a config field or an entry point keyword added later cannot slip by
     # unchecked, and each rule has a refusal case (c_over_mass and the
-    # boundary command's --v-points have theirs in test_cli)
+    # boundary command's --v-points, --v-min and --v-max have theirs in
+    # test_cli)
     from selfnorm import cli
     inputs = {f.name for f in fields(ExperimentConfig)} - {"spec"}
     entry_points = [getattr(cli, name) for name in cli._VERIFY_OPS.values()] + [
@@ -596,7 +598,7 @@ def test_every_input_has_a_rule():
         inputs |= set(inspect.signature(fn).parameters) - {"cfg", "workers", "mixture"}
     assert inputs <= set(INPUT_RULES)
     refused = {f for f, _ in CONFIG_REFUSED} | {k for k, _ in KEYWORD_REFUSED}
-    assert set(INPUT_RULES) - refused == {"c_over_mass", "v_points"}
+    assert set(INPUT_RULES) - refused == {"c_over_mass", "v_points", "v_min", "v_max"}
 
 
 class TestScalarSpecRejection:

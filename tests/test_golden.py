@@ -2,9 +2,10 @@
 
 Each case runs one experiment with blocks of 7 steps and chunks of a few
 paths, so state, running maxima and crossing flags are carried across many
-block and chunk edges. The checkpoints sit at step 1, at a block edge (7, 8),
-inside a 64-step crossing-screen segment (100, with the screen case's blocks
-of 130 steps) and at the horizon. A digest moves only if a seeded number, a
+block and chunk edges, and across row-tile edges at a budget of 2 rows. The
+checkpoints sit at step 1, at a block edge (7, 8), inside a 64-step
+crossing-screen segment (100, with the screen case's blocks of 130 steps)
+and at the horizon. A digest moves only if a seeded number, a
 label or the shape of an output moves."""
 import hashlib
 import json
@@ -27,6 +28,7 @@ from selfnorm.processes import (BoundedBelow, Counterexample56, Counterexample65
 HORIZON = 160
 CHECKPOINTS = (1, 7, 8, 100, HORIZON)
 TWO_ATOMS = PointMasses(atoms=((0.3, 0.5), (1.0, 0.5)))
+GRID = MvBrownianGrid(dim=2, t0=0.01, rho=1.1, horizon=100.0)
 
 SPECS = {
     "rademacher": Rademacher(),
@@ -86,8 +88,7 @@ CASES = {
     "growth_rate-counterexample65": (7, lambda: growth_rate_diagnostic(
         cfg("counterexample65"))),
     "crossing-gaussian": (7, lambda: crossing_frequency(
-        ExperimentConfig(spec=MvBrownianGrid(dim=2, t0=0.01, rho=1.1, horizon=100.0),
-                         seed=20261018, paths=23, horizon=100,
+        ExperimentConfig(spec=GRID, seed=20261018, paths=23, horizon=100,
                          checkpoints=(1, 7, 8, 100)),
         mixture=GaussianMixture(np.eye(2)), c=2.0)),
 }
@@ -172,6 +173,20 @@ def test_seeded_output_digest(case, monkeypatch):
     block, run = CASES[case]
     monkeypatch.setattr(experiments, "_BLOCK", block)
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * HORIZON)  # chunks of 5 paths
+    assert digest(run()) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_seeded_output_digest_in_two_row_tiles(case, monkeypatch):
+    # the same digests with every chunk-block run as tiles of 2 rows (2, 2
+    # and 1 in a chunk of 5 paths): draws, carries and reducer state cross
+    # tile edges. A Gaussian crossing's block is its whole grid, in 2
+    # components.
+    block, run = CASES[case]
+    row = 2 * GRID.steps if case == "crossing-gaussian" else block
+    monkeypatch.setattr(experiments, "_BLOCK", block)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * HORIZON)
+    monkeypatch.setattr(experiments, "_TILE", 2 * row)
     assert digest(run()) == DIGESTS[case]
 
 

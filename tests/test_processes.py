@@ -127,6 +127,116 @@ class TestFairSigns:
             assert plain_state(a) == plain_state(b)
 
 
+    @pytest.mark.parametrize("gen", sorted(GENERATORS))
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 1025)])
+    def test_int8_out_takes_the_same_signs(self, gen, held, shape):
+        # the sign codes of a block: one byte a cell, from the same words
+        a, b = self.GENERATORS[gen](), self.GENERATORS[gen]()
+        for rng in (a, b):
+            rng.integers(0, 2, size=1 if held else 2)
+        got = fair_signs(a, shape, np.empty(shape, np.int8))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, self.reference(b, shape))
+        assert plain_state(a) == plain_state(b)
+
+
+def _cx_reference(rng, n_lo, shape):
+    """The counterexample's three-point draw from its probabilities."""
+    n = np.arange(n_lo + 1, n_lo + shape[1] + 1, dtype=float)
+    p_plus, p_minus, _, m_n, valid = processes._cx56_probs(n)
+    u = rng.random(shape)
+    small = 1.0 / np.sqrt(n)
+    return np.where(~valid, 0.0, np.where(u < p_plus, small,
+                                          np.where(u < p_plus + p_minus, -small, -m_n)))
+
+
+def _heavy_reference(spec, rng, shape):
+    """Every cell's uniform, then every magnitude, then the side each takes."""
+    u = rng.random(shape)
+    m = rng.random(shape) ** (-1.0 / spec.alpha) * spec.y0
+    p1 = spec.d1 * spec.y0 ** (-spec.alpha)
+    return np.where(u < p1, m, np.where(u < 0.5, -m, 0.0))
+
+
+def _signs(rng, shape):
+    return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+
+
+TILE_TIMES = tuple(0.5 * k for k in range(1, 41))
+TILE_MV = MvBrownianGrid(dim=3, t0=0.5, rho=1.2, horizon=20.0)
+TILE_HEAVY = TruncatedCentering(base="heavy", alpha=0.6, d1=1.0, d2=2.0)
+# name -> (spec, reference(rng, n_lo, shape)): independent numpy draws of
+# a whole block, signs or uniforms first where the variant reads them first
+TILED = {
+    "rademacher": (Rademacher(), lambda r, lo, sh: _signs(r, sh)),
+    "scaled_symmetric": (ScaledSymmetric(mu=0.3, sigma=0.8), lambda r, lo, sh: (
+        _signs(r, sh) * np.exp(r.standard_normal(sh) * 0.8 + 0.3))),
+    "scaled_symmetric_pareto": (ScaledSymmetric(law="pareto", shape=1.5, xm=2.0),
+                                lambda r, lo, sh: _signs(r, sh) * (
+                                    r.random(sh) ** (-1.0 / 1.5) * 2.0)),
+    "bounded_above": (BoundedAbove(m_bound=0.5, lambda0=1.0), lambda r, lo, sh: (
+        (1.0 - r.standard_exponential(sh)) * 0.5)),
+    "bernstein": (Bernstein(m_bound=0.5), lambda r, lo, sh: (
+        (r.standard_exponential(sh) - 1.0) * 0.5)),
+    "bounded_below": (BoundedBelow(m_bound=0.5, gamma=0.5, r=1.5), lambda r, lo, sh: (
+        (r.standard_exponential(sh) - 1.0) * 0.5)),
+    "brownian_grid": (BrownianGrid(times=TILE_TIMES), lambda r, lo, sh: (
+        r.standard_normal(sh) * np.sqrt(np.diff(TILE_TIMES, prepend=0.0)[lo:lo + sh[1]]))),
+    "mv_brownian_grid": (TILE_MV, lambda r, lo, sh: r.standard_normal(sh) * np.sqrt(
+        np.diff(TILE_MV.times, prepend=0.0)[lo:lo + sh[1], None])),
+    "counterexample56": (Counterexample56(), _cx_reference),
+    "counterexample65": (Counterexample65(), _cx_reference),
+    "truncated_centering": (TruncatedCentering(base="normal"),
+                            lambda r, lo, sh: r.standard_normal(sh)),
+    "truncated_centering_heavy": (TILE_HEAVY,
+                                  lambda r, lo, sh: _heavy_reference(TILE_HEAVY, r, sh)),
+    "weighted_iid": (WeightedIID(), lambda r, lo, sh: _signs(r, sh)),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(TILED))
+def test_block_drawn_in_row_tiles(name, rows):
+    # a block of 11 rows of 7 steps (odd cell counts, so a tile may start on
+    # a held half-word) from step 4, drawn as the engine draws it: the
+    # block's codes, then its tiles in row order; twice, so the second block
+    # starts where the first left the stream
+    spec, reference = TILED[name]
+    P, lo, L = 11, 3, 7
+    a, b = chunk_rng(9, 2), chunk_rng(9, 2)
+    for block in range(2):
+        got = np.full((P, L) + spec.components, np.nan)
+        codes = (spec.codes(a, lo, lo + L, P, np.empty(got.shape, np.int8))
+                 if spec.coded else None)
+        for t in range(0, P, rows):
+            tile = slice(t, min(t + rows, P))
+            out = np.empty((tile.stop - t, L) + spec.components)
+            assert spec.draw(a, lo, lo + L, tile.stop - t, out,
+                             None if codes is None else codes[tile]) is out
+            got[tile] = out
+        want = reference(b, lo, (P, L) + spec.components)
+        assert got.tobytes() == want.tobytes(), (name, block)
+        assert plain_state(a) == plain_state(b), (name, block)
+        lo += L
+
+
+def test_every_variant_is_drawn_in_tiles():
+    assert {type(spec) for spec, _ in TILED.values()} == set(processes._VARIANTS.values())
+
+
+def test_counterexample_steps_built_once_per_block():
+    # the probabilities and values a draw reads depend on its steps alone:
+    # every tile and chunk of a block reads one read-only set
+    processes._cx56_steps.cache_clear()
+    spec = Counterexample65()
+    for _ in range(3):
+        spec.draw(chunk_rng(1, 0), 100, 140, 4, np.empty((4, 40)))
+    info = processes._cx56_steps.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert not any(a.flags.writeable for a in processes._cx56_steps(100, 140))
+
+
 class TestParameterValidation:
     def test_bounded_below_gamma(self):
         with pytest.raises(DomainError):
@@ -720,6 +830,13 @@ class TestSerialization:
     lambda: ScaledSymmetric(law="lognormal", sigma=math.nan),
     lambda: ScaledSymmetric(law="pareto", shape=math.nan),
     lambda: ScaledSymmetric(law="pareto", xm=math.nan),
+    lambda: ScaledSymmetric(law="lognormal", mu=math.nan),
+    lambda: ScaledSymmetric(law="lognormal", mu=math.inf),
+    lambda: ScaledSymmetric(law="lognormal", mu=-math.inf),
+    lambda: ScaledSymmetric(law="lognormal", sigma=math.inf),
+    lambda: ScaledSymmetric(law="pareto", shape=math.inf),
+    lambda: ScaledSymmetric(law="pareto", xm=math.inf),
+    lambda: spec_from_json({"variant": "scaled_symmetric", "mu": "0"}),
     lambda: spec_from_json({"variant": "scaled_symmetric", "sigma": math.nan}),
     lambda: Bernstein(m_bound=math.nan),
     lambda: BoundedBelow(m_bound=math.nan, gamma=0.4, r=1.5),
@@ -729,7 +846,8 @@ class TestSerialization:
     lambda: MvBrownianGrid(dim=2, t0=0.01, rho=math.nan, horizon=100.0),
     lambda: TruncatedCentering(base="normal", lam=math.nan),
     lambda: TruncatedCentering(base="heavy", alpha=0.5, d1=math.nan, d2=1.0),
-], ids=["sigma", "shape", "xm", "sigma_json", "bernstein_m", "bounded_below_m", "time",
+], ids=["sigma", "shape", "xm", "mu", "mu_inf", "mu_minus_inf", "sigma_inf", "shape_inf",
+        "xm_inf", "mu_string_json", "sigma_json", "bernstein_m", "bounded_below_m", "time",
         "second_time", "grid_t0", "grid_rho", "lam", "d1"])
 def test_nan_parameter_refused(make):
     # a NaN passed each `x <= 0.0` guard: sigma NaN ran every draw and wrote

@@ -1,8 +1,9 @@
 """The block scan behind every scalar experiment: the one-row B^r path of
 draw-independent normalizers against the per-cell path, worker-count
 invariance with B^r, V^2 and the running statistics carried across many
-small blocks and chunks, and the per-worker block workspace: reused buffers
-give the reports of fresh ones, and no result keeps a view of them."""
+small blocks and chunks, and the per-worker workspace: it holds one row
+tile per role, reused buffers give the reports of fresh ones, and no result
+keeps a view of them."""
 from unittest import mock
 
 import numpy as np
@@ -120,9 +121,9 @@ ON_VARIANT = {
 
 @settings(max_examples=60)
 @given(paths=st.integers(1, 30), horizon=st.integers(1, 50),
-       block=st.integers(1, 12), chunk_paths=st.integers(1, 12),
+       block=st.integers(1, 12), chunk_paths=st.integers(1, 12), tile=st.integers(1, 60),
        variant=st.sampled_from(sorted(ON_VARIANT)))
-def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, variant):
+def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, tile, variant):
     spec, experiments_run = ON_VARIANT[variant]
     cks = tuple(sorted({1, (horizon + 1) // 2, horizon}))
     if spec is MV:
@@ -132,13 +133,16 @@ def test_reports_do_not_depend_on_workers(paths, horizon, block, chunk_paths, va
         cks = tuple(sorted({0.5, min(horizon / 2.0, 40.0), min(horizon, 40.0)}))
     cfg = ExperimentConfig(spec=spec, seed=paths * 1000 + horizon, paths=paths,
                            horizon=horizon, checkpoints=cks)
-    with mock.patch.multiple(experiments, _BLOCK=block,
+    with mock.patch.multiple(experiments, _BLOCK=block, _TILE=tile,
                              _TARGET_CELLS=chunk_paths * horizon):
         for experiment in experiments_run:
             one = outcome(RUNS[experiment], cfg, 1)
             assert not isinstance(one, tuple), one  # the experiment ran to the end
             assert one == outcome(RUNS[experiment], cfg, 2)
             assert one == outcome(RUNS[experiment], cfg, 3)
+            # nor on the row tiles: one tile per chunk-block gives them too
+            with mock.patch.object(experiments, "_TILE", 10**9):
+                assert one == outcome(RUNS[experiment], cfg, 1)
 
 
 @pytest.mark.parametrize("variant", sorted(set(ON_VARIANT) - {"mv_brownian_grid"})
@@ -253,17 +257,24 @@ def small_blocks(monkeypatch):
     return dict(seed=2, paths=11, horizon=HORIZON, checkpoints=(20, 33, HORIZON))
 
 
+def recorded_workspaces(monkeypatch):
+    """Every `_Workspace` the scan makes, appended to the returned list."""
+    made = []
+
+    class Recorded(experiments._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(experiments, "_Workspace", Recorded)
+    return made
+
+
 def test_no_block_array_outlives_a_call(small_blocks, monkeypatch):
     # what the scan shares between chunks lives in the call: after it, no
     # module attribute of `experiments` holds an array, and no reducer
     # attribute or returned array is a view of a worker's workspace
-    made, reducers = [], []
-
-    class Recorded(experiments._Workspace):
-        def __init__(self, cells):
-            super().__init__(cells)
-            made.append(self)
-
+    reducers = []
     scan = experiments._Scan.__call__
 
     def recorded_scan(self, *args, **kwargs):
@@ -272,7 +283,7 @@ def test_no_block_array_outlives_a_call(small_blocks, monkeypatch):
         return reds
 
     before = dict(vars(experiments))
-    monkeypatch.setattr(experiments, "_Workspace", Recorded)
+    made = recorded_workspaces(monkeypatch)
     monkeypatch.setattr(experiments._Scan, "__call__", recorded_scan)
     ran = 0
     for spec in [*SCALAR.values(), MV]:
@@ -301,17 +312,18 @@ def test_no_block_array_outlives_a_call(small_blocks, monkeypatch):
 @pytest.mark.parametrize("variant", sorted(SCALAR))
 def test_reused_workspace_gives_the_reports_of_fresh_buffers(variant, small_blocks,
                                                              monkeypatch):
-    # each worker reuses its buffers for every chunk-block it runs, whose
-    # shapes differ (chunks of 2 and 1 paths, a last block of 4 steps): the
-    # reports equal those of a run whose every buffer is fresh and NaN-filled,
-    # at 1, 2 and 3 workers
+    # each worker reuses its buffers for every tile it runs, whose shapes
+    # differ (chunks of 2 and 1 paths, a last block of 4 steps): the reports
+    # equal those of a run whose every buffer is fresh and NaN-filled (a
+    # code buffer filled with 99), at 1, 2 and 3 workers
     spec = SCALAR[variant]
     cfg = ExperimentConfig(spec=spec, **small_blocks)
     assert len(experiments._chunk_layout(cfg.paths, cfg.horizon)) == 6
     ran = 0
     for experiment in entry_points(spec):
         with mock.patch.object(experiments._Workspace, "view",
-                               lambda self, role, shape: np.full(shape, np.nan)):
+                               lambda self, role, shape, dtype=np.float64: np.full(
+                                   shape, np.nan if dtype == np.float64 else 99, dtype)):
             fresh = outcome(RUNS[experiment], cfg, 1)
         if isinstance(fresh, tuple):  # refused before any draw
             assert fresh[0] in ("DomainError", "CertificationError"), fresh
@@ -320,3 +332,41 @@ def test_reused_workspace_gives_the_reports_of_fresh_buffers(variant, small_bloc
         for workers in (1, 2, 3):
             assert outcome(RUNS[experiment], cfg, workers) == fresh, (experiment, workers)
     assert ran >= 3  # lil_track, cluster_set and sup_moment run on every variant
+
+
+@pytest.mark.parametrize("budget, widest", [(20, 14), (5, 7)], ids=["two_rows", "one_row"])
+def test_workspace_holds_one_tile_per_role(budget, widest, small_blocks, monkeypatch):
+    # a chunk of 11 paths of 7-step blocks is 77 cells, and the grid's rows
+    # are wider than either budget: every float buffer holds one tile of at
+    # most the budget's cells, or one row where a row is wider, whatever
+    # the variant and entry point
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 11 * HORIZON)
+    monkeypatch.setattr(experiments, "_TILE", budget)
+    made = recorded_workspaces(monkeypatch)
+    for spec in [*SCALAR.values(), MV]:
+        cfg = ExperimentConfig(spec=spec, **{**small_blocks, "checkpoints": (
+            (0.5, 10.0) if spec is MV else small_blocks["checkpoints"])})
+        limit = MV.steps * MV.dim if spec is MV else widest
+        for experiment in entry_points(spec):
+            for workers in (1, 2):
+                made.clear()
+                try:
+                    RUNS[experiment](cfg, workers)
+                except (DomainError, CertificationError):
+                    break
+                sizes = [buf.size for ws in made for role, buf in ws.bufs.items() if role < 3]
+                assert sizes and max(sizes) <= limit, (experiment, spec)
+
+
+def test_workspace_stays_at_the_budget_on_a_large_chunk(monkeypatch):
+    # a chunk of 40 paths of 32768-step blocks is ten times the default
+    # budget: the float buffers hold one tile each, the codes one block
+    assert experiments._BLOCK * 40 >= 10 * experiments._TILE
+    made = recorded_workspaces(monkeypatch)
+    cfg = ExperimentConfig(spec=ScaledSymmetric(), seed=1, paths=40,
+                           horizon=experiments._BLOCK + 5, checkpoints=(100,))
+    assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [40]
+    lil_track(cfg, workers=1)
+    [ws] = made
+    assert {role: buf.size for role, buf in ws.bufs.items()} == {
+        0: experiments._TILE, 1: experiments._TILE, 3: 40 * experiments._BLOCK}
