@@ -166,7 +166,8 @@ def cmd_simulate(args) -> int:
     _known_keys("simulate config", run, ("spec", "seed", "horizon", "checkpoints"))
     spec = spec_from_json(run["spec"])
     seed = _resolve_seed(args.seed, run)
-    horizon = INPUT_RULES["horizon"](args.horizon or run.get("horizon", 0), "horizon")
+    horizon = INPUT_RULES["horizon"](run.get("horizon", 0) if args.horizon is None
+                                     else args.horizon, "horizon", spec)
     cks = INPUT_RULES["checkpoints"](args.checkpoints or run.get("checkpoints")
                                      or list(range(1, horizon + 1)), "checkpoints", horizon)
     handle = make_process(spec, seed)

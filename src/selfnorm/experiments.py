@@ -18,8 +18,8 @@ each block of `_BLOCK` steps in every chunk, on one thread pool per call,
 and cuts the block, as views, after the steps the experiment names (its
 checkpoints, or the half horizon). Each chunk-block runs as consecutive
 row tiles of at most `_TILE` cells (one row, if a row is wider): a tile's
-rows are drawn, accumulated from their slice of the chunk's carry and cut
-into pieces before the next tile is drawn. Cells come off a chunk's stream
+rows are drawn, advance their slice of the chunk's carry in place and are
+cut into pieces before the next tile is drawn. Cells come off a chunk's stream
 path-major, so the tiles draw what one draw of the whole block would; a
 variant that reads part of the stream for the whole block first (signs
 before scales) stores one byte a cell of it per block (`codes`). A per-chunk
@@ -112,11 +112,19 @@ def _checkpoints(v, name, horizon=math.inf, spec=None):
     return cks
 
 
-# rule(value, name) of each experiment input (checkpoints also take the horizon
-# and spec): the value, an int for an integer and a tuple for a list, or a
-# DomainError naming it. Paper domains (x >= sqrt(2), say) stay with their formulas.
+def _horizon(v, name, spec=None):
+    """A step count >= 1, and at most the steps `spec` can draw (a grid's)."""
+    v = _count(v, name)
+    if spec is not None and v > spec.steps:
+        raise DomainError(f"{name} {v} exceeds the grid's {spec.steps} steps")
+    return v
+
+
+# rule(value, name) of each experiment input (horizon also takes a spec, and
+# checkpoints the horizon and spec): the value, an int for an integer and a tuple
+# for a list, or a DomainError naming it; paper domains (x >= sqrt(2)) stay in their formulas.
 INPUT_RULES = {
-    "seed": _integer(0), "paths": _count, "horizon": _count, "checkpoints": _checkpoints,
+    "seed": _integer(0), "paths": _count, "horizon": _horizon, "checkpoints": _checkpoints,
     "lambda_grid": _reals, "x_grid": _reals, "p_list": _reals,
     "statistic": _rule(f"one of {_STATISTICS}", lambda v: v in _STATISTICS),
     "se_slack": _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0, float),
@@ -201,9 +209,7 @@ class _Scan:
         if isinstance(spec, WeightedIID) and spec.weights != "ones":
             raise DomainError("WeightedIID factorial weights carry S_n/n!, and neither the lil "
                               "statistic nor the mixture boundary is scale-invariant")
-        self.horizon = spec.steps if vector else cfg.horizon
-        if self.horizon > spec.steps:
-            raise DomainError(f"horizon {cfg.horizon} exceeds the grid's {spec.steps} steps")
+        self.horizon = spec.steps if vector else _horizon(cfg.horizon, "horizon", spec)
         self.block = self.horizon if vector else _BLOCK
         self.cfg = cfg
         self.layout = _chunk_layout(cfg.paths, self.horizon * math.prod(spec.components))
@@ -212,8 +218,9 @@ class _Scan:
         """One reducer(P) per chunk of P paths, fed every block and returned
         in chunk order. Each chunk-block runs as row tiles of at most `_TILE`
         cells (one row, if a row is wider), in row order: a tile's rows are
-        drawn, accumulated from their slice of the chunk's carry, and cut
-        into pieces, all before the next tile is drawn.
+        drawn (a coded spec's from the block's codes, drawn first), advance
+        their slice of the chunk's carry, made before the first block, and
+        are cut into pieces, all before the next tile is drawn.
         reducer.segment(rows, n_idx, ca, cb, cv, k) receives the slice of the
         chunk's rows a tile covers, the global step indices of a piece of a
         block and the tile's running sums over it from `spec.accumulate(...,
@@ -237,7 +244,8 @@ class _Scan:
         n = len(self.layout)
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
-        carries = [None] * n
+        carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
+                   for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
         width = min(self.block, self.horizon)
         tile = max(1, _TILE // (width * math.prod(spec.components)))  # rows
         local = threading.local()  # one workspace per worker thread, for this call only
@@ -248,26 +256,21 @@ class _Scan:
             if ws is None:
                 ws = local.ws = _Workspace()
             rng, red, P, carry = rngs[ci], reds[ci], self.layout[ci], carries[ci]
-            codes = (spec.codes(rng, lo, hi, P, ws.view(3, (P, hi - lo) + spec.components, np.int8))
+            codes = (spec.codes(rng, ws.view(3, (P, hi - lo) + spec.components, np.int8))
                      if spec.coded else None)
             for t in range(0, P, tile):
                 rows = slice(t, min(t + tile, P))
                 shape = (rows.stop - t, hi - lo)
                 d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components),
                               None if codes is None else codes[rows])
-                ca, cb, cv, end = spec.accumulate(
-                    d, n_idx, carry and tuple(c[rows] for c in carry), b, v,
-                    (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
-                if carries[ci] is None:  # the chunk's carry, made in its first block
-                    carries[ci] = tuple(np.empty((P,) + np.shape(e)[1:]) for e in end)
-                for c, e in zip(carries[ci], end):
-                    c[rows] = e
+                ca, cb, cv = spec.accumulate(d, n_idx, tuple(c[rows] for c in carry), b, v, (
+                    ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
                 for j, (cut, n_piece, k) in enumerate(pieces):
                     red.segment(rows, n_piece, ca[:, cut],
                                 shared[j] if row else None if cb is None else of_b(cb[:, cut]),
                                 None if cv is None else cv[:, cut], k)
 
-        ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), None
+        ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), np.zeros((3, 1))
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             fan = pool.map if self.workers > 1 and n > 1 else map
             for lo in range(0, self.horizon, self.block):
@@ -283,8 +286,8 @@ class _Scan:
                 if row:  # B^r increments are a function of n alone: any draws give them
                     d = ones[:, :hi - lo]
                     d.fill(1.0)
-                    _, cb, _, row_carry = spec.accumulate(d, n_idx, row_carry, True, False,
-                                                          (b_row[:, :hi - lo], None))
+                    cb = spec.accumulate(d, n_idx, row_carry, True, False,
+                                         (b_row[:, :hi - lo], None))[1]
                     shared = [of_b(cb[0, cut]) for cut, _, _ in pieces]
                 block = (lo, hi, n_idx, pieces, shared)
                 list(fan(advance, range(n), [block] * n))

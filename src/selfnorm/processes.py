@@ -5,37 +5,36 @@ and the exponential supermartingale weights each variant certifies.
 Variant protocol. Each variant is a frozen dataclass whose fields are its
 JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
 through these members (defaults on the shared base `_Variant`). There is one
-mode: every draw and running sum is written into C-contiguous float64 arrays
-the caller owns (`out`), which `_Workspace` views give both callers.
+mode: every draw, code and running sum goes into arrays the caller owns
+(`_Workspace` views in both callers), and so does each block's `carry`.
   components                      the component axes of one increment;
                                   default () (MvBrownianGrid's is (dim,)).
-  draw(rng, n_lo, n_hi, n_paths, out, codes=None)
+  draw(rng, n_lo, n_hi, n_paths, out, codes)
                                   increments d for steps n_lo+1..n_hi, written
-                                  into `out`, of shape (n_paths, n_hi - n_lo)
-                                  plus `components`. No default. Cells come
-                                  off the stream path-major, so a block may be
-                                  drawn as consecutive row tiles, one call
-                                  each, in row order: the draws and the
-                                  stream's state are those of one call on the
-                                  whole block. A coded variant takes in
-                                  `codes` the tile's rows of the block's
-                                  codes; None draws its block as one tile,
-                                  the codes first.
+                                  into `out`, a C-contiguous float64 array of
+                                  shape (n_paths, n_hi - n_lo) plus
+                                  `components`. No default. Cells come off the
+                                  stream path-major, so a block may be drawn
+                                  as consecutive row tiles, one call each, in
+                                  row order: the draws and the stream's state
+                                  are those of one call on the whole block. A
+                                  coded variant takes in `codes` the tile's
+                                  rows of the block's codes; any other, None.
   coded                           True if the draw reads part of the stream
                                   for the whole block before the rest (all
                                   signs before any scale, say); default False.
-  codes(rng, n_lo, n_hi, n_paths, out)
-                                  a coded variant's per-block pass: one int8
-                                  code per cell of the block, written into
-                                  `out` of the block's shape; run once per
-                                  block, before its first tile is drawn.
+  codes(rng, out)                 a coded variant's per-block pass: one int8
+                                  code a cell, into `out` of the block's
+                                  shape, before its first tile is drawn.
   steps                           how many steps it can draw; default inf.
   accumulate(d, n_idx, carry, b, v, out)
-                                  the running A, B^r, V^2 of a block of draws
-                                  and the next block's carry; default cumsums.
-                                  A overwrites d; B^r and V^2 go into the
-                                  (n_paths, L) pair `out`, whose entry is None
-                                  where b or v asks for no such sum.
+                                  (ca, cb, cv): the running A, B^r, V^2 of a
+                                  block of draws, from the caller's `carry`
+                                  (their values a step before, zeros at
+                                  first), which it advances in place; default
+                                  cumsums. A overwrites d; B^r and V^2 go into
+                                  the (n_paths, L) pair `out`, whose entry is
+                                  None where b or v asks for no such sum.
   b_increments(d, n_idx, out)     the B^r increments of d, into `out` of shape
                                   d.shape[:2]; default d*d.
   b_deterministic                 True if those increments are a function of n
@@ -136,11 +135,11 @@ def _abs_pow(d, r, out):
     return out
 
 
-def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
-    """Exactly `rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0`, leaving
-    rng in the same state, from fewer operations; written into `out` (a
-    C-contiguous float64 array of `shape`, or an int8 one, which takes the
-    same signs at one byte a cell).
+def fair_signs(rng: np.random.Generator, out) -> np.ndarray:
+    """Exactly `rng.integers(0, 2, out.shape).astype(float) * 2.0 - 1.0`,
+    leaving rng in the same state, from fewer operations; written into `out`
+    (a C-contiguous float64 array, or an int8 one, which takes the same signs
+    at one byte a cell).
 
     For a range of 2, numpy's `integers` takes Lemire's method on 32-bit
     words, so each sign is bit 31 of one word; a word is the low, then the
@@ -151,7 +150,7 @@ def fair_signs(rng: np.random.Generator, shape, out) -> np.ndarray:
     other bit generator takes the plain `integers` call."""
     bg = rng.bit_generator
     if not isinstance(bg, (np.random.Philox, np.random.PCG64)) or sys.byteorder != "little":
-        out[...] = rng.integers(0, 2, size=shape)
+        out[...] = rng.integers(0, 2, size=out.shape)
         out *= 2
         out -= 1
         return out
@@ -239,32 +238,31 @@ class _Variant:
     steps = math.inf
 
     def accumulate(self, d, n_idx, carry, b, v, out):
-        """(ca, cb, cv, carry): running A, B^r, V^2 after each step of block d
-        (which becomes ca) and the next block's carry. b=True takes
-        `b_increments`, another true b is a rule b(d, n_idx, out), a false b
-        gives cb None; cv is None unless v. A keeps d's component axes, which
-        V^2 = sum d^2 sums over. out is the pair of (P, L) arrays cb and cv
-        are written into."""
-        if b is True:
-            b = self.b_increments
-        a, b_end, v_end = carry or (np.zeros(d.shape[:1] + d.shape[2:]),
-                                    np.zeros(len(d)), np.zeros(len(d)))
+        """(ca, cb, cv): running A, B^r, V^2 after each step of block d (which
+        becomes ca), from `carry`, arrays of shapes (P,) + components, (P,)
+        and (P,), advanced in place. b=True takes `b_increments`, another
+        true b is a rule b(d, n_idx, out), a false b gives cb None; cv is None
+        unless v. V^2 = sum d^2 sums over d's component axes. out is the pair
+        of (P, L) arrays cb and cv are written into."""
+        b = self.b_increments if b is True else b
+        a, b_end, v_end = carry
         b_out, v_out = out
         cb = cv = None
         if b:
             cb = np.cumsum(b(d, n_idx, b_out), axis=1, out=b_out)
             cb += b_end[:, None]
-            b_end = cb[:, -1].copy()
+            b_end[...] = cb[:, -1]
         if v:
             sq = np.multiply(d, d, out=v_out if d.ndim == 2 else None)
             if d.ndim > 2:
                 np.sum(sq, axis=tuple(range(2, d.ndim)), out=v_out)
             cv = np.cumsum(v_out, axis=1, out=v_out)
             cv += v_end[:, None]
-            v_end = cv[:, -1].copy()
+            v_end[...] = cv[:, -1]
         ca = np.cumsum(d, axis=1, out=d)
         ca += a[:, None]
-        return ca, cb, cv, (ca[:, -1].copy(), b_end, v_end)
+        a[...] = ca[:, -1]
+        return ca, cb, cv
 
     def b_increments(self, d, n_idx, out):
         return np.multiply(d, d, out=out)
@@ -290,8 +288,8 @@ class Rademacher(_Variant):
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
-        return fair_signs(rng, (n_paths, n_hi - n_lo), out)
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
+        return fair_signs(rng, out)
 
     def _truncated_mean(self, n, c, d):
         m = 0.0
@@ -326,14 +324,12 @@ class ScaledSymmetric(_Variant):
 
     coded = True
 
-    def codes(self, rng, n_lo, n_hi, n_paths, out):
+    def codes(self, rng, out):
         """Each cell's sign, +-1: the block's signs, all drawn before any
         scale."""
-        return fair_signs(rng, out.shape, out)
+        return fair_signs(rng, out)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
-        if codes is None:
-            codes = self.codes(rng, n_lo, n_hi, n_paths, np.empty(out.shape, np.int8))
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         if self.law == "lognormal":  # exp(mu + sigma * N)
             z = rng.standard_normal(out=out)
             z *= self.sigma
@@ -375,7 +371,7 @@ class BoundedAbove(_Variant):
     def certification(self):
         return ("nonneg", self.lambda0)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         d = rng.standard_exponential(out=out)
         np.subtract(1.0, d, out=d)
         d *= self.m_bound
@@ -412,7 +408,7 @@ class Bernstein(_Variant):
     def certification(self):
         return ("nonneg", 1.0 / self.m_bound)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         d = rng.standard_exponential(out=out)
         d -= 1.0
         d *= self.m_bound
@@ -490,7 +486,7 @@ class _Grid(_Variant):
         dt.flags.writeable = False
         return dt
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         scale = np.sqrt(self.dt[n_lo:n_hi]).reshape((-1,) + (1,) * len(self.components))
         d = rng.standard_normal(out=out)
         d *= scale
@@ -597,7 +593,7 @@ class Counterexample56(_Variant):
     certification = None
     statistic = "uncentered"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         p_up, p_down, small, low, invalid = _cx56_steps(n_lo, n_hi)
         u = rng.random(out=out)
         up, down = u < p_up, u < p_down
@@ -674,7 +670,7 @@ class TruncatedCentering(_Variant):
     def coded(self) -> bool:
         return self.base == "heavy"
 
-    def codes(self, rng, n_lo, n_hi, n_paths, out):
+    def codes(self, rng, out):
         """Each cell's side from its uniform u, 2 (u < P(up)) + (u < 1/2): 2
         or 3 up, 1 down, 0 none. The block's uniforms are all drawn before
         any magnitude."""
@@ -689,11 +685,9 @@ class TruncatedCentering(_Variant):
             side |= us < 0.5
         return out
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         if self.base == "normal":
             return rng.standard_normal(out=out)
-        if codes is None:
-            codes = self.codes(rng, n_lo, n_hi, n_paths, np.empty(out.shape, np.int8))
         m = rng.random(out=out)  # the magnitudes, in row order
         m **= -1.0 / self.alpha
         m *= self.y0
@@ -743,8 +737,8 @@ class WeightedIID(_Variant):
         # refuses factorial ones
         return self.weights == "ones"
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
-        return fair_signs(rng, (n_paths, n_hi - n_lo), out)  # weights applied by `accumulate`
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
+        return fair_signs(rng, out)  # weights applied by `accumulate`
 
     def accumulate(self, d, n_idx, carry, b, v, out):
         """Factorial weights: A = S_n / n! and B^2 = V^2 = V_n^2 / (n!)^2 step by
@@ -754,19 +748,20 @@ class WeightedIID(_Variant):
             return super().accumulate(d, n_idx, carry, b, v, out)
         # path by path on Python floats: the same IEEE operations as on numpy
         # columns, without an array call per step
-        s_end, _, v_end = carry or ([0.0] * len(d),) * 3
+        s_end, b_end, v_end = carry
         ca, cv = d, out[1]
         ns = n_idx.tolist()
-        for p, row in enumerate(d.tolist()):
-            s, vs, xs, ys = s_end[p], v_end[p], [], []
+        for p, (s, vs, row) in enumerate(zip(s_end.tolist(), v_end.tolist(), d.tolist())):
+            xs, ys = [], []
             for n, x in zip(ns, row):
                 s = s / n + x
                 vs = vs / (n * n) + x * x
                 xs.append(s)
                 ys.append(vs)
             ca[p], cv[p] = xs, ys
-        s_end, v_end = ca[:, -1].tolist(), cv[:, -1].tolist()
-        return ca, cv, cv, (s_end, v_end, v_end)
+        s_end[...] = ca[:, -1]
+        b_end[...] = v_end[...] = cv[:, -1]
+        return ca, cv, cv
 
     def _truncated_mean(self, n, c, d):
         if self.weights != "ones":
@@ -804,9 +799,9 @@ class PathState:
 class ProcessHandle:
     """Single-path stepping state over a spec: as in the engine's chunks, each
     `_BUFFER` steps are drawn and accumulated into one `_Workspace`, the
-    handle's own, and step() reads the next column. Each buffer is a block of
-    one row, drawn as one tile (a coded variant's codes first). Not
-    thread-safe; run many handles."""
+    handle's own, from one carry, and step() reads the next column. Each
+    buffer is a block of one row, drawn as one tile after a coded variant's
+    codes. Not thread-safe; run many handles."""
 
     def __init__(self, spec: ProcessSpec, seed: int, path: int = 0):
         self.spec = spec
@@ -816,7 +811,7 @@ class ProcessHandle:
         self.n = 0
         self.a = self.b_pow_r = self.v_sq = 0.0
         self.increments: list = []
-        self._carry = None
+        self._carry = (np.zeros((1,) + spec.components), np.zeros(1), np.zeros(1))
         self._cols: list = []  # (d, A, B^r, V^2) of each buffered step
         self._pos = 0
         self._ws = _Workspace()
@@ -825,12 +820,12 @@ class ProcessHandle:
         lo, hi = self.n, min(self.n + _BUFFER, self.spec.steps)
         if hi <= lo:
             raise IndexError("grid exhausted")
-        ws, shape = self._ws, (1, hi - lo)
-        d = self.spec.draw(self.rng, lo, hi, 1, ws.view(0, shape + self.spec.components))
+        spec, ws, shape = self.spec, self._ws, (1, hi - lo) + self.spec.components
+        codes = spec.codes(self.rng, ws.view(3, shape, np.int8)) if spec.coded else None
+        d = spec.draw(self.rng, lo, hi, 1, ws.view(0, shape), codes)
         inc = d[0].tolist()  # before `accumulate` overwrites d
-        ca, cb, cv, self._carry = self.spec.accumulate(
-            d, np.arange(lo + 1, hi + 1), self._carry, True, True,
-            (ws.view(1, shape), ws.view(2, shape)))
+        ca, cb, cv = spec.accumulate(d, np.arange(lo + 1, hi + 1), self._carry, True, True,
+                                     (ws.view(1, shape[:2]), ws.view(2, shape[:2])))
         self._cols = list(zip(inc, ca[0].tolist(), np.ravel(cb).tolist(), cv[0].tolist()))
         self._pos = 0
 

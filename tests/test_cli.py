@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from selfnorm import cli
+from selfnorm import cli, processes
 from selfnorm.cli import build_parser, main
 
 SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm",
@@ -200,6 +200,29 @@ class TestSimulateCommand:
         out = tmp_path / "s.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert "chekpoints" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_horizon_past_the_grid(self, tmp_path, capsys, monkeypatch):
+        # three steps were written, then the handle's IndexError exited 2;
+        # lil and verify refused this horizon before any draw
+        monkeypatch.setattr(processes.ProcessHandle, "step",
+                            lambda self: pytest.fail("step called"))
+        cfg = write_json(tmp_path, "p.json", {
+            "spec": {"variant": "brownian_grid", "times": [0.25, 0.5, 1.0]},
+            "seed": 1, "horizon": 5})
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "horizon 5 exceeds the grid's 3 steps" in err and "DomainError" in err
+        assert not out.exists()
+
+    def test_zero_horizon_flag(self, tmp_path, capsys):
+        # --horizon 0 ran the config's horizon and wrote its 4 rows
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"}, "seed": 3,
+                                              "horizon": 4})
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--horizon", "0", "--out", str(out)]) == 2
+        assert "horizon must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mv_dump_has_statistic_column(self, tmp_path):

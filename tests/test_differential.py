@@ -42,14 +42,22 @@ VARIANTS = {
 }
 
 
+def drawn(spec, rng, steps, paths):
+    """Steps 1..steps of `paths` paths as one block: a coded variant's codes,
+    then the draw."""
+    shape = (paths, steps)
+    codes = spec.codes(rng, np.empty(shape, np.int8)) if spec.coded else None
+    return spec.draw(rng, 0, steps, paths, np.empty(shape), codes)
+
+
 def replayed(spec, seed=2024):
     """`spec` with draws replaced by slices of one fixed (1, L) array, drawn
     once from the variant's own law; L covers the handle's whole `_BUFFER`
     refills up to HORIZON, capped at `spec.steps`."""
     steps = min(-(-HORIZON // processes._BUFFER) * processes._BUFFER, spec.steps)
-    fixed = spec.draw(np.random.default_rng(seed), 0, steps, 1, np.empty((1, steps)))
+    fixed = drawn(spec, np.random.default_rng(seed), steps, 1)
 
-    def draw(self, rng, n_lo, n_hi, n_paths, out, codes=None):
+    def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         assert n_paths == 1 and n_hi <= steps
         out[...] = fixed[:, n_lo:n_hi]
         return out
@@ -155,7 +163,7 @@ def test_b_increments_are_nonnegative(variant):
     spec = {"bounded_below_r2": BoundedBelow(m_bound=2.0, gamma=0.9),
             "weighted_iid_factorial": WeightedIID(weights="factorial")}.get(variant)
     spec = spec or VARIANTS[variant]
-    d = spec.draw(chunk_rng(31, 0), 0, HORIZON, 8, np.empty((8, HORIZON)))
+    d = drawn(spec, chunk_rng(31, 0), HORIZON, 8)
     inc = spec.b_increments(d, np.arange(1, HORIZON + 1), np.empty_like(d))
     assert np.all(inc >= 0.0)
 

@@ -112,14 +112,47 @@ def test_crossing_builds_interpolant_through_module_attribute(monkeypatch):
     assert reps and 0.0 <= reps[-1].estimate <= 1.0
 
 
-def test_variant_protocol_writes_only_into_caller_buffers():
-    # one buffer mode: no protocol member falls back to a fresh array
+def test_variant_protocol_writes_only_into_caller_buffers(monkeypatch):
+    # one buffer mode: no protocol member falls back to a fresh array, every
+    # draw takes its codes from the caller, and accumulate advances the
+    # caller's carry in place
+    empty = inspect.Parameter.empty
     members = [processes.fair_signs, processes._abs_pow]
     for cls in (processes._Variant, *processes._VARIANTS.values()):
         members += [getattr(cls, name) for name in ("draw", "b_increments", "accumulate")
                     if hasattr(cls, name)]
+        if cls is not processes._Variant:
+            assert inspect.signature(cls.draw).parameters["codes"].default is empty, cls
     for fn in members:
-        assert inspect.signature(fn).parameters["out"].default is inspect.Parameter.empty, fn
+        assert inspect.signature(fn).parameters["out"].default is empty, fn
+    # two blocks of 3 paths and 4 steps through one carry
+    spec, rng, signs = processes.Rademacher(), processes.chunk_rng(1, 0), []
+    carry = (np.zeros(3), np.zeros(3), np.zeros(3))
+    for lo in (0, 4):
+        d = spec.draw(rng, lo, lo + 4, 3, np.empty((3, 4)), None)
+        signs.append(d.copy())
+        sums = spec.accumulate(d, np.arange(lo + 1, lo + 5), carry, True, True,
+                               (np.empty((3, 4)), np.empty((3, 4))))
+        assert len(sums) == 3 and all(isinstance(x, np.ndarray) for x in sums)
+        assert sums[0] is d
+        for c, x in zip(carry, sums):
+            assert np.array_equal(c, x[:, -1])
+    assert np.array_equal(carry[0], np.sum(signs, axis=(0, 2)))
+    assert np.array_equal(carry[1], np.full(3, 8.0)) and np.array_equal(carry[2], carry[1])
+    # a coded variant's handle draws each refill's codes into its workspace
+    seen = []
+    draw = processes.ScaledSymmetric.draw
+
+    def recorded(self, rng, n_lo, n_hi, n_paths, out, codes):
+        seen.append(codes)
+        return draw(self, rng, n_lo, n_hi, n_paths, out, codes)
+
+    monkeypatch.setattr(processes.ScaledSymmetric, "draw", recorded)
+    h = processes.make_process(processes.ScaledSymmetric(), 5)
+    for _ in range(3 * processes._BUFFER):
+        h.step()
+    assert len(seen) == 3 and seen[0].dtype == np.int8
+    assert all(np.shares_memory(seen[0], later) for later in seen[1:])
 
 
 def test_handle_refills_one_workspace(monkeypatch):
@@ -129,9 +162,9 @@ def test_handle_refills_one_workspace(monkeypatch):
     accumulate = processes.Rademacher.accumulate
 
     def recorded(self, d, *args):
-        ca, cb, cv, carry = accumulate(self, d, *args)
-        seen.append((ca, cb, cv))
-        return ca, cb, cv, carry
+        sums = accumulate(self, d, *args)
+        seen.append(sums)
+        return sums
 
     monkeypatch.setattr(processes.Rademacher, "accumulate", recorded)
     h = processes.make_process(processes.Rademacher(), 5)

@@ -20,6 +20,12 @@ from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
                                 spec_to_json, truncated_supermartingale_value)
 
 
+def drawn(spec, rng, n_lo, n_hi, shape):
+    """One block drawn as one tile: a coded variant's codes, then the draw."""
+    codes = spec.codes(rng, np.empty(shape, np.int8)) if spec.coded else None
+    return spec.draw(rng, n_lo, n_hi, shape[0], np.empty(shape), codes)
+
+
 def run_steps(spec, seed, n):
     h = make_process(spec, seed)
     return [h.step() for _ in range(n)], h
@@ -37,8 +43,8 @@ class TestDeterminism:
         assert [st.a_n for st in s1] != [st.a_n for st in s2]
 
     def test_chunk_streams_reproducible(self):
-        d1 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8, np.empty((8, 64)))
-        d2 = ScaledSymmetric().draw(chunk_rng(7, 3), 0, 64, 8, np.empty((8, 64)))
+        d1 = drawn(ScaledSymmetric(), chunk_rng(7, 3), 0, 64, (8, 64))
+        d2 = drawn(ScaledSymmetric(), chunk_rng(7, 3), 0, 64, (8, 64))
         assert np.array_equal(d1, d2)
 
     def test_path_and_chunk_streams_distinct(self):
@@ -80,7 +86,7 @@ class TestFairSigns:
             # then held in the buffer, or not
             rng.integers(0, 2, size=1 if held else 2)
             assert rng.bit_generator.state["has_uint32"] == held
-        got = fair_signs(a, shape, np.empty(shape))
+        got = fair_signs(a, np.empty(shape))
         want = self.reference(b, shape)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -88,7 +94,7 @@ class TestFairSigns:
         for draw in (lambda r: r.standard_normal(3), lambda r: r.integers(0, 2, 3),
                      lambda r: r.random(3), lambda r: r.integers(0, 10**9, 5)):
             assert np.array_equal(draw(a), draw(b))
-        assert np.array_equal(fair_signs(a, (5,), np.empty(5)), self.reference(b, (5,)))
+        assert np.array_equal(fair_signs(a, np.empty(5)), self.reference(b, (5,)))
         assert plain_state(a) == plain_state(b)
 
     @pytest.mark.parametrize("gen", sorted(GENERATORS))
@@ -104,12 +110,12 @@ class TestFairSigns:
             rng.integers(0, 2, size=1 if held else 2)
         buf = np.full(size + 2, np.nan)
         out = buf[1:-1].reshape(1, size)
-        got = fair_signs(a, (1, size), out=out)
+        got = fair_signs(a, out=out)
         assert got is out
         assert np.isnan(buf[0]) and np.isnan(buf[-1])
         assert np.array_equal(out, self.reference(b, (1, size)))
         assert plain_state(a) == plain_state(b)
-        assert np.array_equal(fair_signs(a, (3,), np.empty(3)), self.reference(b, (3,)))
+        assert np.array_equal(fair_signs(a, np.empty(3)), self.reference(b, (3,)))
         assert plain_state(a) == plain_state(b)
 
     def test_sign_variants_draw_the_same_stream(self):
@@ -117,7 +123,7 @@ class TestFairSigns:
         for spec in (Rademacher(), WeightedIID(), ScaledSymmetric(mu=0.2, sigma=0.5),
                      ScaledSymmetric(law="pareto", shape=2.5, xm=1.5)):
             a, b = chunk_rng(3, 1), chunk_rng(3, 1)
-            got = spec.draw(a, 0, 33, 5, np.empty((5, 33)))
+            got = drawn(spec, a, 0, 33, (5, 33))
             want = self.reference(b, (5, 33))
             if getattr(spec, "law", None) == "lognormal":
                 want = want * np.exp(spec.mu + spec.sigma * b.standard_normal((5, 33)))
@@ -135,7 +141,7 @@ class TestFairSigns:
         a, b = self.GENERATORS[gen](), self.GENERATORS[gen]()
         for rng in (a, b):
             rng.integers(0, 2, size=1 if held else 2)
-        got = fair_signs(a, shape, np.empty(shape, np.int8))
+        got = fair_signs(a, np.empty(shape, np.int8))
         assert got.dtype == np.int8
         assert np.array_equal(got, self.reference(b, shape))
         assert plain_state(a) == plain_state(b)
@@ -207,8 +213,7 @@ def test_block_drawn_in_row_tiles(name, rows):
     a, b = chunk_rng(9, 2), chunk_rng(9, 2)
     for block in range(2):
         got = np.full((P, L) + spec.components, np.nan)
-        codes = (spec.codes(a, lo, lo + L, P, np.empty(got.shape, np.int8))
-                 if spec.coded else None)
+        codes = spec.codes(a, np.empty(got.shape, np.int8)) if spec.coded else None
         for t in range(0, P, rows):
             tile = slice(t, min(t + rows, P))
             out = np.empty((tile.stop - t, L) + spec.components)
@@ -231,7 +236,7 @@ def test_counterexample_steps_built_once_per_block():
     processes._cx56_steps.cache_clear()
     spec = Counterexample65()
     for _ in range(3):
-        spec.draw(chunk_rng(1, 0), 100, 140, 4, np.empty((4, 40)))
+        spec.draw(chunk_rng(1, 0), 100, 140, 4, np.empty((4, 40)), None)
     info = processes._cx56_steps.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert not any(a.flags.writeable for a in processes._cx56_steps(100, 140))
@@ -529,13 +534,13 @@ class TestThreePointLaw:
 
     def test_empirical_mean_near_zero(self):
         spec = Counterexample56()
-        d = spec.draw(chunk_rng(3, 0), 99, 100, 200000, np.empty((200000, 1)))  # X_100, many paths
+        d = spec.draw(chunk_rng(3, 0), 99, 100, 200000, np.empty((200000, 1)), None)  # X_100
         se = float(np.std(d)) / math.sqrt(d.size)
         assert abs(float(np.mean(d))) < 5.0 * se + 1e-12
 
     def test_early_steps_are_zero(self):
         spec = Counterexample56()
-        d = spec.draw(chunk_rng(3, 0), 0, 2, 100, np.empty((100, 2)))
+        d = spec.draw(chunk_rng(3, 0), 0, 2, 100, np.empty((100, 2)), None)
         assert np.all(d == 0.0)
 
     def test_conditional_variance_track(self):
@@ -670,7 +675,7 @@ class TestGrids:
         spec = MvBrownianGrid(dim=2, t0=0.5, rho=2.0, horizon=8.0)
         dts = np.diff(np.concatenate([[0.0], spec.times]))
         d = spec.draw(chunk_rng(1, 0), 0, len(spec.times), 100000,
-                      np.empty((100000, len(spec.times), 2)))
+                      np.empty((100000, len(spec.times), 2)), None)
         var = np.var(d, axis=0)  # (T, m)
         se = dts[:, None] * math.sqrt(2.0 / 100000)
         assert np.all(np.abs(var - dts[:, None]) < 6.0 * se)
@@ -780,15 +785,16 @@ class TestWeightedIID:
         # column per step: the path-by-path form must give the same bits
         spec = WeightedIID(weights="factorial")
         rng = chunk_rng(5, 0)
-        carry, s, vs = None, np.zeros(P), np.zeros(P)
+        carry, s, vs = (np.zeros(P), np.zeros(P), np.zeros(P)), np.zeros(P), np.zeros(P)
         for lo in range(0, 3 * processes._BUFFER + 7, processes._BUFFER):
-            d = spec.draw(rng, lo, lo + processes._BUFFER, P, np.empty((P, processes._BUFFER)))
+            d = spec.draw(rng, lo, lo + processes._BUFFER, P, np.empty((P, processes._BUFFER)),
+                          None)
             want_a, want_v = np.empty_like(d), np.empty_like(d)
             for j, n in enumerate(range(lo + 1, lo + processes._BUFFER + 1)):
                 s = want_a[:, j] = s / n + d[:, j]
                 vs = want_v[:, j] = vs / (n * n) + d[:, j] * d[:, j]
-            ca, cb, cv, carry = spec.accumulate(d.copy(), np.arange(lo + 1, lo + processes._BUFFER + 1),
-                                                carry, True, True, (np.empty_like(d), np.empty_like(d)))
+            ca, cb, cv = spec.accumulate(d.copy(), np.arange(lo + 1, lo + processes._BUFFER + 1),
+                                         carry, True, True, (np.empty_like(d), np.empty_like(d)))
             for got, want in ((ca, want_a), (cb, want_v), (cv, want_v)):
                 assert [x.hex() for x in got.ravel().tolist()] == \
                     [x.hex() for x in want.ravel().tolist()]
