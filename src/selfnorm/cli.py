@@ -168,8 +168,11 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, run)
     horizon = INPUT_RULES["horizon"](run.get("horizon", 0) if args.horizon is None
                                      else args.horizon, "horizon", spec)
-    cks = INPUT_RULES["checkpoints"](args.checkpoints or run.get("checkpoints")
-                                     or list(range(1, horizon + 1)), "checkpoints", horizon)
+    cks = run.get("checkpoints") if args.checkpoints is None else args.checkpoints
+    cks = INPUT_RULES["checkpoints"](list(range(1, horizon + 1)) if cks is None else cks,
+                                     "checkpoints", horizon)
+    if not cks:  # a flag or key given no steps asks for no row
+        raise konst.DomainError("checkpoints must name at least one step, got []")
     handle = make_process(spec, seed)
     mv_mix = None
     rows = []

@@ -45,6 +45,16 @@ segment receives are views of them, overwritten by the worker's next tile,
 so segment must not keep a piece, or a view of one, past its return: a
 reducer copies what it keeps.
 
+A reducer that reads only each piece's last step (`_StateAtStops`, behind
+the supermartingale mean, the tail and moment bounds and the growth-rate
+diagnostic) declares so with `ends_only`, and on a tile of at least
+`_ENDS_ROWS` rows gets only the sums at its pieces' ends: `_piece_ends`
+copies the draws, then the B^r increments and V^2 terms, into one
+time-major workspace buffer and reduces it piece by piece, the same adds in
+the same order as the running sums, which are never built. The tile's own
+row count decides, not the nominal tile's: a chunk's last tile may have one
+row, which numpy would sum pairwise.
+
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
 table's interpolant is the module-level `PchipInterpolator`, a numpy PCHIP
@@ -74,6 +84,14 @@ from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedI
 
 _BLOCK = 32768
 _TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V^2 fit in L2
+# Fewest rows of a tile whose sums at the piece ends are reduced time-major
+# (`_piece_ends`). Over tiles of _TILE cells on a 2-CPU Xeon (2 MB L2), cumsum
+# plus the carry costs 3.6-5.3 ns a cell at any row count, while the
+# time-major copy and reduce cost 13 ns at 2 rows, 6 at 5, even at 6-10,
+# 3.3 at 12 and 0.7-1.4 at 50 rows or more (with few rows, the transposing
+# copy reads each long row a cell at a time). It must stay >= 2, as numpy
+# sums one lane pairwise.
+_ENDS_ROWS = 12
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
 
@@ -182,6 +200,30 @@ def resolve_workers(workers: int | None) -> int:
     return _count(workers, "workers")
 
 
+def _piece_ends(x, end, stops, t):
+    """The running sums of x (rows, L, ...) along axis 1 plus `end`, the sums
+    a step before x, at each of the sorted steps `stops` (the last being L),
+    as the columns of a (rows, len(stops), ...) array; `end` is advanced to
+    the last. They are the bits of those columns of `np.cumsum(x, axis=1) +
+    end[:, None]`: t, a (L, rows, ...) buffer, takes x time-major, and a
+    reduce along t's axis 0 adds each lane's steps one by one in step order,
+    as cumsum does. Each piece's chain goes on from the previous piece's sum,
+    written over the step before it, and then takes `end` (never -0.0, so
+    the sign of a zero partial sum cannot show). A single lane would be one
+    contiguous run, which numpy sums pairwise: rows must be >= 2."""
+    t[...] = np.swapaxes(x, 0, 1)
+    out = np.empty((x.shape[0], len(stops)) + x.shape[2:])
+    s, chain = 0, None
+    for j, e in enumerate(stops):
+        if chain is not None:
+            t[s - 1] = chain
+        chain = np.add.reduce(t[max(s - 1, 0):e], axis=0)
+        np.add(chain, end, out=out[:, j])
+        s = e
+    end[...] = out[:, -1]
+    return out
+
+
 def _chunk_layout(paths: int, cells: int) -> list[int]:
     """Fixed chunk sizes; a pure function of (paths, cells per path) so
     results do not depend on the worker count."""
@@ -236,7 +278,17 @@ class _Scan:
         must not write to. ca is the chunk's own, and segment may overwrite
         it. ca, a per-cell cb and cv are views of the worker's `_Workspace`,
         which its next tile overwrites, and the row is overwritten by the
-        next block: segment keeps none of them."""
+        next block: segment keeps none of them.
+
+        A reducer whose class sets `ends_only` reads only each piece's last
+        step. On a tile of at least `_ENDS_ROWS` rows (the tile's own count),
+        segment then receives in place of each piece its last step alone: n_idx
+        of one step, and ca and a per-cell cb and cv of shape (rows, 1), the
+        sums `_piece_ends` reduces time-major from the draws and
+        `spec.increments`, the bits of the running sums' last column; no
+        running sum is built. Narrower tiles run as above. Every spec the scan
+        runs sums its increments by the default `accumulate`: it refuses
+        WeightedIID's factorial weights, the one recursion that does not."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -244,6 +296,7 @@ class _Scan:
         n = len(self.layout)
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
+        ends = getattr(reds[0], "ends_only", False)
         carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
                    for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
         width = min(self.block, self.horizon)
@@ -251,7 +304,7 @@ class _Scan:
         local = threading.local()  # one workspace per worker thread, for this call only
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
-            lo, hi, n_idx, pieces, shared = block
+            lo, hi, n_idx, pieces, shared, at_ends = block
             ws = getattr(local, "ws", None)
             if ws is None:
                 ws = local.ws = _Workspace()
@@ -263,9 +316,19 @@ class _Scan:
                 shape = (rows.stop - t, hi - lo)
                 d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components),
                               None if codes is None else codes[rows])
-                ca, cb, cv = spec.accumulate(d, n_idx, tuple(c[rows] for c in carry), b, v, (
-                    ws.view(1, shape) if b else None, ws.view(2, shape) if v else None))
-                for j, (cut, n_piece, k) in enumerate(pieces):
+                carry_rows = tuple(c[rows] for c in carry)
+                out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
+                cuts = pieces
+                # the tile's own rows decide: a chunk's last tile may have one
+                if ends and shape[0] >= _ENDS_ROWS:
+                    stops_at, cuts = at_ends
+                    terms = (d, *spec.increments(d, n_idx, b, v, out))
+                    ca, cb, cv = (None if x is None else _piece_ends(
+                        x, c, stops_at, ws.view(4, x.shape[1::-1] + x.shape[2:]))
+                        for x, c in zip(terms, carry_rows))
+                else:
+                    ca, cb, cv = spec.accumulate(d, n_idx, carry_rows, b, v, out)
+                for j, (cut, n_piece, k) in enumerate(cuts):
                     red.segment(rows, n_piece, ca[:, cut],
                                 shared[j] if row else None if cb is None else of_b(cb[:, cut]),
                                 None if cv is None else cv[:, cut], k)
@@ -282,6 +345,10 @@ class _Scan:
                     if e > s:
                         pieces.append((slice(s, e), n_idx[s:e], k))
                     s = e
+                # on the ends path, piece j is column j of the sums at the piece ends
+                at_ends = ([cut.stop for cut, _, _ in pieces],
+                           [(slice(j, j + 1), n_piece[-1:], k)
+                            for j, (_, n_piece, k) in enumerate(pieces)])
                 shared = None
                 if row:  # B^r increments are a function of n alone: any draws give them
                     d = ones[:, :hi - lo]
@@ -289,7 +356,7 @@ class _Scan:
                     cb = spec.accumulate(d, n_idx, row_carry, True, False,
                                          (b_row[:, :hi - lo], None))[1]
                     shared = [of_b(cb[0, cut]) for cut, _, _ in pieces]
-                block = (lo, hi, n_idx, pieces, shared)
+                block = (lo, hi, n_idx, pieces, shared, at_ends)
                 list(fan(advance, range(n), [block] * n))
         return reds
 
@@ -310,7 +377,9 @@ def _frequency_report(label, bound, count, cfg) -> BoundReport:
 
 class _StateAtStops:
     """Each path's A, and B^r and V^2 where the scan carries them, at each
-    stop."""
+    stop: it reads only a piece's last step, so the scan hands it only that
+    (`ends_only`)."""
+    ends_only = True
 
     def __init__(self, P, n_stops):
         self.a, self.b, self.v = (np.zeros((P, n_stops)) for _ in range(3))

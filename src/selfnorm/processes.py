@@ -32,9 +32,14 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   block of draws, from the caller's `carry`
                                   (their values a step before, zeros at
                                   first), which it advances in place; default
-                                  cumsums. A overwrites d; B^r and V^2 go into
-                                  the (n_paths, L) pair `out`, whose entry is
-                                  None where b or v asks for no such sum.
+                                  the cumsums of d and of `increments`. A
+                                  overwrites d; B^r and V^2 go into the
+                                  (n_paths, L) pair `out`, whose entry is None
+                                  where b or v asks for no such sum.
+  increments(d, n_idx, b, v, out) the B^r increments and V^2 terms the
+                                  default `accumulate` sums, into `out`; the
+                                  engine sums them time-major where it needs
+                                  only the sums at a piece's end.
   b_increments(d, n_idx, out)     the B^r increments of d, into `out` of shape
                                   d.shape[:2]; default d*d.
   b_deterministic                 True if those increments are a function of n
@@ -110,8 +115,8 @@ class _Workspace:
     """Tile buffers: one flat array per role, made on first use (and made
     anew only when a larger one or another dtype is asked for) and viewed as
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
-    (then A), 1 its B^r increments (then B^r), 2 its V^2, and 3 a block's
-    int8 draw codes."""
+    (then A), 1 its B^r increments (then B^r), 2 its V^2, 3 a block's int8
+    draw codes, and 4 a time-major copy of a tile's terms."""
 
     def __init__(self):
         self.bufs = {}
@@ -126,6 +131,15 @@ class _Workspace:
 def _slabs(size):
     """Slices of at most `_SLAB` cells covering range(size), in order."""
     return (slice(lo, min(lo + _SLAB, size)) for lo in range(0, size, _SLAB))
+
+
+def _running(x, end):
+    """x's running sums along axis 1, in place, plus `end`, the sums a step
+    before x, which is advanced to the last."""
+    x = np.cumsum(x, axis=1, out=x)
+    x += end[:, None]
+    end[...] = x[:, -1]
+    return x
 
 
 def _abs_pow(d, r, out):
@@ -240,29 +254,24 @@ class _Variant:
     def accumulate(self, d, n_idx, carry, b, v, out):
         """(ca, cb, cv): running A, B^r, V^2 after each step of block d (which
         becomes ca), from `carry`, arrays of shapes (P,) + components, (P,)
-        and (P,), advanced in place. b=True takes `b_increments`, another
-        true b is a rule b(d, n_idx, out), a false b gives cb None; cv is None
-        unless v. V^2 = sum d^2 sums over d's component axes. out is the pair
-        of (P, L) arrays cb and cv are written into."""
+        and (P,), advanced in place: the cumsums of d and of `increments`."""
+        return tuple(None if x is None else _running(x, end)
+                     for x, end in zip((d, *self.increments(d, n_idx, b, v, out)), carry))
+
+    def increments(self, d, n_idx, b, v, out):
+        """(ib, iv): the B^r increments and V^2 terms of block d, written into
+        out, the pair of (P, L) arrays they go to. b=True takes
+        `b_increments`, another true b is a rule b(d, n_idx, out), a false b
+        gives ib None; iv is None unless v. A V^2 term sums d^2 over d's
+        component axes."""
         b = self.b_increments if b is True else b
-        a, b_end, v_end = carry
         b_out, v_out = out
-        cb = cv = None
-        if b:
-            cb = np.cumsum(b(d, n_idx, b_out), axis=1, out=b_out)
-            cb += b_end[:, None]
-            b_end[...] = cb[:, -1]
+        iv = None
         if v:
-            sq = np.multiply(d, d, out=v_out if d.ndim == 2 else None)
+            iv = np.multiply(d, d, out=v_out if d.ndim == 2 else None)
             if d.ndim > 2:
-                np.sum(sq, axis=tuple(range(2, d.ndim)), out=v_out)
-            cv = np.cumsum(v_out, axis=1, out=v_out)
-            cv += v_end[:, None]
-            v_end[...] = cv[:, -1]
-        ca = np.cumsum(d, axis=1, out=d)
-        ca += a[:, None]
-        a[...] = ca[:, -1]
-        return ca, cb, cv
+                iv = np.sum(iv, axis=tuple(range(2, d.ndim)), out=v_out)
+        return (b(d, n_idx, b_out) if b else None), iv
 
     def b_increments(self, d, n_idx, out):
         return np.multiply(d, d, out=out)

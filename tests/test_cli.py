@@ -225,6 +225,21 @@ class TestSimulateCommand:
         assert "horizon must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, flag", [({"checkpoints": [2]}, ["--checkpoints"]),
+                                              ({"checkpoints": []}, [])], ids=["flag", "config"])
+    def test_empty_checkpoints(self, tmp_path, capsys, monkeypatch, config, flag):
+        # --checkpoints with no values was taken as absent: the config's
+        # row n = 2 was written, and exit 0
+        monkeypatch.setattr(processes.ProcessHandle, "step",
+                            lambda self: pytest.fail("step called"))
+        cfg = write_json(tmp_path, "p.json", {"spec": {"variant": "rademacher"}, "seed": 3,
+                                              "horizon": 4, **config})
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoints must name at least one step" in err and "DomainError" in err
+        assert not out.exists()
+
     def test_mv_dump_has_statistic_column(self, tmp_path):
         cfg = write_json(tmp_path, "p.json",
                          {"variant": "mv_brownian_grid", "dim": 2, "t0": 0.5,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfnorm import experiments
+from selfnorm import experiments, processes
 from selfnorm.constants import DomainError
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
@@ -370,3 +370,110 @@ def test_workspace_stays_at_the_budget_on_a_large_chunk(monkeypatch):
     [ws] = made
     assert {role: buf.size for role, buf in ws.bufs.items()} == {
         0: experiments._TILE, 1: experiments._TILE, 3: 40 * experiments._BLOCK}
+
+
+# ---------------------------------------------------------------------------
+# the ends path: a stop-only reducer gets the sums at its pieces' ends
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [2, 3, 17])
+def test_piece_ends_are_sequential_float_sums(rows):
+    # each lane's steps added one by one in step order from the first, the
+    # carry added at each stop, as cumsum then `+= carry` gives: across
+    # stops inside the run and a one-step first piece, on terms of 16
+    # decades, where the order of the adds shows in the bits
+    rng = np.random.default_rng(rows)
+    L, stops = 40, [1, 9, 10, 27, 40]
+    x = rng.standard_normal((rows, L)) * 10.0 ** rng.integers(-8, 8, (rows, L))
+    end = rng.standard_normal(rows)
+    start, drawn = end.copy(), x.copy()
+    got = experiments._piece_ends(x, end, stops, np.full((L, rows), np.nan))
+    want = np.empty((rows, len(stops)))
+    for p in range(rows):
+        s = None
+        for n, term in enumerate(drawn[p].tolist(), 1):
+            s = term if s is None else s + term
+            if n in stops:
+                want[p, stops.index(n)] = s + start[p]
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == (np.cumsum(drawn, axis=1) + start[:, None])[:, np.subtract(stops, 1)].tobytes()
+    assert end.tobytes() == got[:, -1].tobytes()  # the carry advanced to the last sum
+    assert x.tobytes() == drawn.tobytes()
+
+
+# each engine variant (every `_VARIANTS` class the scalar scan runs), and a
+# deterministic one's per-cell twin, whose B^r the chunks sum
+STOP_ONLY = {**SCALAR, **{f"{k}_per_cell": per_cell(v) for k, v in DETERMINISTIC.items()}}
+STOP_ONLY_RUNS = ("supermartingale_mean", "tail_bound", "moment_bound", "growth_rate")
+
+
+@pytest.fixture
+def tiles_with_one_row_last(monkeypatch):
+    """Tiles of `_ENDS_ROWS` rows, and chunks one path wider, so that each
+    chunk's last tile has one row, and a last chunk of one path; blocks of
+    25 steps with stops inside and on their edges."""
+    wide = experiments._ENDS_ROWS
+    monkeypatch.setattr(experiments, "_BLOCK", 25)
+    monkeypatch.setattr(experiments, "_TILE", 25 * wide)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", (wide + 1) * HORIZON)
+    return dict(seed=4, paths=2 * wide + 3, horizon=HORIZON, checkpoints=(1, 20, 33, 50, HORIZON))
+
+
+def ends_calls(monkeypatch):
+    """The rows of every tile the scan reduces time-major."""
+    rows, inner = [], experiments._piece_ends
+    monkeypatch.setattr(experiments, "_piece_ends",
+                        lambda x, *a: rows.append(x.shape[0]) or inner(x, *a))
+    return rows
+
+
+def test_ends_rows_threshold_keeps_one_lane_off_the_ends_path():
+    assert experiments._ENDS_ROWS >= 2
+    assert experiments._StateAtStops.ends_only
+    assert not any(getattr(cls, "ends_only", False) for cls in (
+        experiments._Crossings, experiments._RunningMax, experiments._Histograms))
+
+
+def test_stop_only_cases_cover_every_scalar_variant():
+    assert {type(s) for s in SCALAR.values()} == set(processes._VARIANTS.values()) - {MvBrownianGrid}
+
+
+@pytest.mark.parametrize("variant", sorted(STOP_ONLY))
+def test_ends_path_gives_the_bits_of_the_running_sums(variant, tiles_with_one_row_last,
+                                                      monkeypatch):
+    # every chunk's A, B^r and V^2 at each stop, and each stop-only report,
+    # on the ends path equal those of the per-cell path bit for bit; the
+    # one-row tiles stay per cell
+    spec = STOP_ONLY[variant]
+    cfg = ExperimentConfig(spec=spec, **tiles_with_one_row_last)
+    layout = experiments._chunk_layout(cfg.paths, cfg.horizon)
+    assert layout[-1] == 1 and layout[0] % experiments._ENDS_ROWS == 1
+
+    def run():
+        reds = experiments._Scan(cfg, 1)(
+            lambda P: experiments._StateAtStops(P, len(cfg.checkpoints)), cfg.checkpoints, v=True)
+        state = [(r.a.tobytes(), r.b.tobytes(), r.v.tobytes()) for r in reds]
+        return state, [outcome(RUNS[e], cfg, w) for e in STOP_ONLY_RUNS for w in (1, 2)]
+
+    rows = ends_calls(monkeypatch)
+    ends = run()
+    assert rows and min(rows) == experiments._ENDS_ROWS, rows
+    rows.clear()
+    with mock.patch.object(experiments, "_ENDS_ROWS", 10**9):
+        assert run() == ends
+    assert not rows
+
+
+@pytest.mark.parametrize("variant", ["scaled_lognormal", "brownian_grid", "counterexample65"])
+def test_ends_path_at_two_rows(variant, tiles_with_one_row_last, monkeypatch):
+    # the fewest rows the ends path may take, on tiles of two rows and one
+    spec = SCALAR[variant]
+    monkeypatch.setattr(experiments, "_ENDS_ROWS", 2)
+    monkeypatch.setattr(experiments, "_TILE", 25 * 2)
+    cfg = ExperimentConfig(spec=spec, **{**tiles_with_one_row_last, "paths": 9})
+    rows = ends_calls(monkeypatch)
+    ends = [outcome(RUNS[e], cfg) for e in STOP_ONLY_RUNS]
+    assert rows and set(rows) == {2}
+    assert any(not isinstance(o, tuple) for o in ends)  # some report ran to the end
+    with mock.patch.object(experiments, "_ENDS_ROWS", 10**9):
+        assert [outcome(RUNS[e], cfg) for e in STOP_ONLY_RUNS] == ends
