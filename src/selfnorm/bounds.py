@@ -13,24 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DomainError, gamma_fn
+from .constants import DomainError, _Checked, _number, _order, _positive, gamma_fn
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_LOG_FLOOR = math.e**2
 
 
 @dataclass(frozen=True)
-class SelfNormSample:
+class SelfNormSample(_Checked):
     """A numerator/normalizer pair (A, B) with an optional norm order r."""
     a: float
     b: float
     r: float = 2.0
-
-    def __post_init__(self):
-        if not self.b > 0.0:
-            raise DomainError(f"normalizer b must be positive, got {self.b}")
-        if not 1.0 < self.r <= 2.0:
-            raise DomainError(f"r must lie in (1, 2], got {self.r}")
+    rules = {"a": _number, "b": _positive, "r": _order}
 
 
 def thm21_integrand(s: SelfNormSample, y: float) -> float:
@@ -126,8 +121,7 @@ def lil_statistic(a: float, b: float, r: float = 2.0,
     _check_floor(floor)
     if not b > 0.0:
         raise DomainError("b must be positive")
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _order(r, "r")
     return float(a / lil_denominator(b, r, floor))
 
 

@@ -124,6 +124,7 @@ def cmd_boundary(args) -> int:
     if isinstance(F, GaussianMixture):
         raise CliError("boundary tables need a scalar mixture, not a Gaussian one")
     INPUT_RULES["c"](args.c, "--c")
+    konst._positive(args.delta, "--delta")
     v_min, v_max = (INPUT_RULES[k](getattr(args, k), "--" + k.replace("_", "-"))
                     for k in ("v_min", "v_max"))
     if v_min > v_max:

@@ -6,8 +6,10 @@ bracketed root-finding or adaptive quadrature with explicit tolerances.
 from __future__ import annotations
 
 import functools
+import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +23,91 @@ class DomainError(ValueError):
 
 class NormalizationError(RuntimeError):
     """The slowly-growing normalizer could not be constructed."""
+
+
+# Input rules: each value read from outside (a config, a spec or mixture field,
+# an op argument, a flag) passes one of these before any draw.
+
+def _finite(v) -> bool:
+    """v is a finite real number; a bool is not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _rule(what: str, ok, out=lambda v: v):
+    """rule(v, name): out(v) if ok(v), else a DomainError naming `name`."""
+    def rule(v, name):
+        if not ok(v):
+            raise DomainError(f"{name} must be {what}, got {v!r}")
+        return out(v)
+    return rule
+
+
+def _integer(least: int):
+    """An integer >= least; an integral float, such as JSON's 1e5, is taken."""
+    return _rule(f"an integer >= {least}", lambda v: (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        or isinstance(v, float) and v.is_integer()) and v >= least, int)
+
+
+def _one_of(*choices):
+    return _rule(f"one of {choices}", lambda v: v in choices)
+
+
+_count = _integer(1)
+_number = _rule("a finite number", _finite)
+_positive = _rule("positive and finite (a finite number > 0)", lambda v: _finite(v) and v > 0)
+_unit = _rule("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
+_order = _rule("a number in (1, 2]", lambda v: _finite(v) and 1 < v <= 2)
+_reals = _rule("a list of finite numbers",
+               lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
+
+
+class _Checked:
+    """Base of a frozen dataclass read from outside (a process spec, a mixture
+    measure, a sample (A, B)): each init field is kept as its rule in the
+    class's `rules` dict returns it, then `_check` tests what spans fields."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                object.__setattr__(self, f.name, self.rules[f.name](getattr(self, f.name), f.name))
+        self._check()
+
+    def _check(self):
+        pass
+
+
+def fields_to_json(obj) -> dict:
+    """A dataclass's init fields by name, tuples and arrays as lists."""
+    def plain(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        return [plain(x) for x in v] if isinstance(v, tuple) else v
+    return {f.name: plain(getattr(obj, f.name)) for f in fields(obj) if f.init}
+
+
+def to_json(obj, key: str, table: dict) -> dict:
+    """obj's JSON object: its class's name in `table` under `key`, then its fields."""
+    name = {v: k for k, v in table.items()}.get(type(obj))
+    if name is None:
+        raise DomainError(f"{type(obj).__name__} has no JSON form")
+    return {key: name, **fields_to_json(obj)}
+
+
+def from_json(obj: dict | str, key: str, table: dict):
+    """The object `to_json` wrote, built from the keys besides `key`; an unknown
+    name, or a missing, unknown or bad field, is a DomainError."""
+    obj = json.loads(obj) if isinstance(obj, str) else obj
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected a JSON object with a {key!r} key, got {obj!r}")
+    name = obj.get(key)
+    cls = table.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise DomainError(f"unknown {key} {name!r}; known: {sorted(table)}")
+    try:
+        return cls(**{k: v for k, v in obj.items() if k != key})
+    except TypeError as exc:
+        raise DomainError(f"bad parameters for {name}: {exc}") from exc
 
 
 def c_gamma(gamma: float) -> float:
@@ -38,10 +125,8 @@ def c_gamma(gamma: float) -> float:
 
 def c_r_gamma_part(gamma: float, r: float) -> float:
     """c_r^(gamma) = -(gamma + log(1-gamma))/gamma^r for 0 < gamma < 1, 1 < r <= 2."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _unit(gamma, "gamma")
+    _order(r, "r")
     return -(gamma + math.log1p(-gamma)) / gamma**r
 
 
@@ -62,8 +147,7 @@ def c_r(r: float) -> float:
     found without an outer bisection on c. Memoized, as callers ask per step.
     """
     from scipy import optimize
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _order(r, "r")
 
     def neg_phi(x: float) -> float:
         return -(x - math.log1p(x)) / x**r
@@ -95,8 +179,7 @@ def c_gamma_r(gamma: float, r: float) -> float:
 def h_of_lambda(lam: float) -> float:
     """Unique positive root h of h - log(1+h) = lam^2."""
     from scipy import optimize
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    _positive(lam, "lambda")
     target = lam * lam
 
     def f(h: float) -> float:
@@ -322,8 +405,7 @@ def l_growth_certificate(alpha: float, delta: float) -> GrowthCertificate:
     """
     if not alpha > math.exp(math.e):
         raise DomainError(f"alpha must exceed e^e so that L is defined on y > 0, got {alpha}")
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    _positive(delta, "delta")
     la = math.log(alpha)
     log2 = math.log(2.0)
 
@@ -395,8 +477,7 @@ def y_w_and_g_phi(w: float, r: float) -> tuple[float, float]:
     g_Phi(w) = w^(-1/(r-1)) exp{(1 - 1/r) w^(r/(r-1))}."""
     if not w > 0.0:
         raise DomainError(f"w must be positive, got {w}")
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _order(r, "r")
     p = 1.0 / (r - 1.0)
     y_w = w**p
     e = (1.0 - 1.0 / r) * w ** (r * p) - p * math.log(w)

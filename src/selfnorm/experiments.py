@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,15 +71,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .constants import DomainError, lil_constants
+from .constants import (DomainError, _count, _finite, _integer, _one_of, _positive, _reals,
+                        _rule, fields_to_json, lil_constants)
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
                      lil_denominator, moment_bound_cor22, moment_bound_thm21,
                      tail_bound_cor22, thm21_normalized, v_normalized)
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
-                        _Variant, _Workspace, _abs_pow, _finite, chunk_rng, log_supermartingale,
-                        fields_to_json, spec_from_json, spec_to_json)
+                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
+                        spec_from_json, spec_to_json)
 
 _BLOCK = 32768
 _TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V^2 fit in L2
@@ -94,29 +94,6 @@ _TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V
 _ENDS_ROWS = 12
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
-
-
-def _rule(what: str, ok, out=lambda v: v):
-    """rule(v, name): out(v) if ok(v), else a DomainError naming `name`."""
-    def rule(v, name):
-        if not ok(v):
-            raise DomainError(f"{name} must be {what}, got {v!r}")
-        return out(v)
-    return rule
-
-
-def _integer(least: int):
-    """An integer >= least; an integral float, such as JSON's 1e5, is taken."""
-    return _rule(f"an integer >= {least}", lambda v: (
-        isinstance(v, numbers.Integral) and not isinstance(v, bool)
-        or isinstance(v, float) and v.is_integer()) and v >= least, int)
-
-
-_count = _integer(1)
-_positive = _rule("positive and finite (a finite number > 0)", lambda v: _finite(v) and v > 0)
-_reals = _rule("a list of finite numbers",
-               lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
-_STATISTICS = ("auto", "lil", "uncentered", "conditional_variance", "universal")
 
 
 def _checkpoints(v, name, horizon=math.inf, spec=None):
@@ -144,7 +121,7 @@ def _horizon(v, name, spec=None):
 INPUT_RULES = {
     "seed": _integer(0), "paths": _count, "horizon": _horizon, "checkpoints": _checkpoints,
     "lambda_grid": _reals, "x_grid": _reals, "p_list": _reals,
-    "statistic": _rule(f"one of {_STATISTICS}", lambda v: v in _STATISTICS),
+    "statistic": _one_of("auto", "lil", "uncentered", "conditional_variance", "universal"),
     "se_slack": _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0, float),
     "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,
     "margin": _rule("a finite number > -1", lambda v: _finite(v) and v > -1),
@@ -195,8 +172,10 @@ def _one_sided(label, bound, estimate, se, paths, k) -> BoundReport:
 
 
 def resolve_workers(workers: int | None) -> int:
+    """workers, else the digits of SELFNORM_WORKERS, else 1, by the integer rule."""
     if workers is None:
-        workers = int(os.environ.get("SELFNORM_WORKERS", "1"))
+        env = os.environ.get("SELFNORM_WORKERS", "1")
+        return _count(int(env) if env.strip().isdecimal() else env, "SELFNORM_WORKERS")
     return _count(workers, "workers")
 
 
@@ -705,7 +684,8 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     `_SCREEN_STEPS`); the hits are those of a lookup on every cell. A Gaussian
     mixture (with an MvBrownianGrid spec) tests the quadratic-form crossing
     rule, whose limit frequency for the continuous process is exactly 1/c;
-    here the checkpoints are time values on the grid.
+    here the checkpoints are time values on the grid, and the run covers the
+    spec's whole grid: the config's `horizon` is not read.
     """
     INPUT_RULES["c"](c, "c")
     if not isinstance(mixture, MixtureMeasure | GaussianMixture):

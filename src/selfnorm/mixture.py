@@ -8,14 +8,14 @@ roam over u without overflowing.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import DomainError
+from .constants import (DomainError, _Checked, _finite, _number, _order, _positive, _rule,
+                        from_json, to_json)
 
 QUAD_REL_TOL = 1e-9
 RESIDUAL_TOL = 2e-9
@@ -39,17 +39,25 @@ class BracketError(RuntimeError):
     pass
 
 
+def _pairs(v) -> bool:
+    return isinstance(v, list | tuple) and len(v) > 0 and all(
+        isinstance(a, list | tuple) and len(a) == 2 and all(_finite(x) and x > 0 for x in a)
+        for a in v)
+
+
+def _square(v) -> bool:
+    rows = v.tolist() if isinstance(v, np.ndarray) else v
+    return isinstance(rows, list | tuple) and all(
+        isinstance(row, list | tuple) and len(row) == len(rows) and all(map(_finite, row))
+        for row in rows)
+
+
 @dataclass(frozen=True)
-class PointMasses:
+class PointMasses(_Checked):
     """Finite measure given by atoms (lambda_j, weight_j) with lambda_j > 0."""
     atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.atoms:
-            raise DomainError("point-mass measure needs at least one atom")
-        for lam, w in self.atoms:
-            if not (lam > 0.0 and w > 0.0):
-                raise DomainError(f"atoms need positive position and weight, got ({lam}, {w})")
+    rules = {"atoms": _rule("a non-empty list of (position, weight) pairs of finite numbers > 0",
+                            _pairs, lambda v: tuple((float(l), float(w)) for l, w in v))}
 
     @property
     def lambda0(self) -> float:
@@ -72,18 +80,17 @@ class PointMasses:
 
 
 @dataclass(frozen=True)
-class Density:
+class Density(_Checked):
     """Measure with density f on (0, lambda0); support_low is the essential
     infimum of the support (0 when the density reaches down to 0)."""
     f: Callable[[np.ndarray], np.ndarray]
     lambda0: float
     support_low: float = 0.0
+    rules = {"f": _rule("callable", callable), "lambda0": _positive, "support_low": _number}
 
-    def __post_init__(self):
-        if not self.lambda0 > 0.0:
-            raise DomainError("lambda0 must be positive")
+    def _check(self):
         if not 0.0 <= self.support_low < self.lambda0:
-            raise DomainError("support_low must lie in [0, lambda0)")
+            raise DomainError(f"support_low must lie in [0, lambda0), got {self.support_low}")
 
     @property
     def total_mass(self) -> float:
@@ -122,14 +129,11 @@ class Density:
 
 
 @dataclass(frozen=True)
-class RobbinsSiegmund:
+class RobbinsSiegmund(_Checked):
     """The mixing density 1/{lam * log(1/lam) * (loglog(1/lam))^(1+delta)} on
     (0, e^-2); its total mass is (log 2)^(-delta)/delta."""
     delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError("delta must be positive")
+    rules = {"delta": _positive}
 
     @property
     def lambda0(self) -> float:
@@ -181,23 +185,21 @@ MixtureMeasure = PointMasses | Density | RobbinsSiegmund
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_Checked):
     """Zero-mean Gaussian mixing measure on R^m with precision matrix V."""
     precision: np.ndarray
     chol: np.ndarray = field(init=False, repr=False, compare=False)
+    rules = {"precision": _rule("a square matrix of finite numbers", _square,
+                                lambda v: np.asarray(v, dtype=float))}
 
-    def __post_init__(self):
-        v = np.asarray(self.precision, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DomainError("precision must be a square matrix")
+    def _check(self):
+        v = self.precision
         if not np.allclose(v, v.T, rtol=1e-10, atol=1e-12):
             raise DomainError("precision must be symmetric")
         try:
-            c = np.linalg.cholesky(v)
+            object.__setattr__(self, "chol", np.linalg.cholesky(v))
         except np.linalg.LinAlgError as exc:
             raise DomainError("precision must be positive definite") from exc
-        object.__setattr__(self, "precision", v)
-        object.__setattr__(self, "chol", c)
 
     @property
     def dim(self) -> int:
@@ -257,8 +259,7 @@ def log_psi(u, v, F: MixtureMeasure, r: float = 2.0):
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     if not np.all(v > 0.0):
         raise DomainError("v must be positive")
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _order(r, "r")
     return F.log_psi(u, v, r)
 
 
@@ -285,8 +286,7 @@ def boundary(v, c: float, F: MixtureMeasure, r: float = 2.0):
     otherwise QuadratureError. A step that leaves the finite range, or more
     than 100 steps, raises BracketError.
     """
-    if not c > 0.0:
-        raise DomainError("c must be positive")
+    _positive(c, "c")
     v = np.asarray(v, dtype=float)
     flat = v.reshape(-1)
     target = math.log(c)
@@ -318,6 +318,8 @@ def boundary(v, c: float, F: MixtureMeasure, r: float = 2.0):
 def rs_asymptotic(v: float, c: float, delta: float) -> float:
     """{2v [loglog v + (3/2 + delta) log3 v + log(c/(2 sqrt(pi)))]}^(1/2),
     the large-v expansion of the Robbins-Siegmund boundary (o(1) dropped)."""
+    _positive(c, "c")
+    _positive(delta, "delta")
     if not v > math.exp(math.e):
         raise DomainError("v must exceed e^e for log3 v > 0")
     l2 = math.log(math.log(v))
@@ -330,15 +332,13 @@ def general_r_asymptotic(v: float, r: float) -> float:
     """v^(1/r) {r loglog v / (r-1)}^((r-1)/r), the general-order boundary growth."""
     if not v > math.e:
         raise DomainError("v must exceed e")
-    if not 1.0 < r <= 2.0:
-        raise DomainError(f"r must lie in (1, 2], got {r}")
+    _order(r, "r")
     return v ** (1.0 / r) * (r * math.log(math.log(v)) / (r - 1.0)) ** ((r - 1.0) / r)
 
 
 def crossing_bound(c: float, F: MixtureMeasure) -> float:
     """min(1, F(0, lambda0)/c): the ever-crossing probability bound."""
-    if not c > 0.0:
-        raise DomainError("c must be positive")
+    _positive(c, "c")
     return min(1.0, F.total_mass / c)
 
 
@@ -376,24 +376,13 @@ def mv_boundary_test(s: Sequence[float], Q: np.ndarray, G: GaussianMixture,
 #   {"type": "gaussian", "precision": [[...], ...]}
 # ---------------------------------------------------------------------------
 
+_MEASURES = {"point_masses": PointMasses, "density_rs": RobbinsSiegmund,
+             "gaussian": GaussianMixture}
+
+
 def measure_to_json(m: MixtureMeasure | GaussianMixture) -> dict:
-    if isinstance(m, PointMasses):
-        return {"type": "point_masses", "atoms": [list(a) for a in m.atoms]}
-    if isinstance(m, RobbinsSiegmund):
-        return {"type": "density_rs", "delta": m.delta}
-    if isinstance(m, GaussianMixture):
-        return {"type": "gaussian", "precision": m.precision.tolist()}
-    raise DomainError(f"measure {type(m).__name__} has no JSON form")
+    return to_json(m, "type", _MEASURES)
 
 
 def measure_from_json(obj: dict | str) -> MixtureMeasure | GaussianMixture:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    kind = obj.get("type")
-    if kind == "point_masses":
-        return PointMasses(atoms=tuple((float(l), float(w)) for l, w in obj["atoms"]))
-    if kind == "density_rs":
-        return RobbinsSiegmund(delta=float(obj["delta"]))
-    if kind == "gaussian":
-        return GaussianMixture(precision=np.asarray(obj["precision"], dtype=float))
-    raise DomainError(f"unknown measure type {kind!r}")
+    return from_json(obj, "type", _MEASURES)

@@ -3,7 +3,9 @@ processes, exposing the running state (A_n, B_n^r, V_n^2, truncated-mean sums)
 and the exponential supermartingale weights each variant certifies.
 
 Variant protocol. Each variant is a frozen dataclass whose fields are its
-JSON parameters; `ProcessHandle` and the Monte Carlo engine read it only
+JSON parameters, each read at construction through its rule in the class's
+`rules` dict; its `_check` then tests the conditions that span fields
+(`constants._Checked`). `ProcessHandle` and the Monte Carlo engine read it only
 through these members (defaults on the shared base `_Variant`). There is one
 mode: every draw, code and running sum goes into arrays the caller owns
 (`_Workspace` views in both callers), and so does each block's `carry`.
@@ -73,24 +75,18 @@ mean imports scipy.special's `ndtr` at the call.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import iterated_log
-from .constants import DomainError, c_gamma, c_gamma_r, lil_constants
+from .constants import (DomainError, _Checked, _count, _number, _one_of, _order, _positive,
+                        _reals, _unit, c_gamma, c_gamma_r, from_json, lil_constants, to_json)
 
 _BUFFER = 1024
 _SLAB = 1 << 17  # cells per temporary in a draw; even
-
-
-def _finite(v) -> bool:
-    """v is a finite real number; a bool is not a number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class CertificationError(RuntimeError):
@@ -242,7 +238,7 @@ def _symmetric_truncated_mean(partial_mean, c: float, d: float) -> float:
 # variant specs
 # ---------------------------------------------------------------------------
 
-class _Variant:
+class _Variant(_Checked):
     """Defaults of the variant protocol (see the module docstring); no
     dataclass fields, so `spec_to_json` is unchanged."""
     b_deterministic = False
@@ -294,6 +290,7 @@ class _Variant:
 class Rademacher(_Variant):
     """Fair +-1 signs; conditionally symmetric, certified for all real lambda."""
     r: float = 2.0
+    rules = {"r": _order}
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
 
@@ -318,18 +315,13 @@ class ScaledSymmetric(_Variant):
     shape: float = 2.0
     xm: float = 1.0
     r: float = 2.0
+    rules = {"law": _one_of("lognormal", "pareto"), "mu": _number, "sigma": _number,
+             "shape": _number, "xm": _number, "r": _order}
     certification = ("all", math.inf)
 
-    def __post_init__(self):
-        if self.law not in ("lognormal", "pareto"):
-            raise DomainError(f"unknown scale law {self.law!r}")
-        for name in ("mu", "sigma", "shape", "xm"):
-            if not _finite(getattr(self, name)):
-                raise DomainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.law == "lognormal" and not self.sigma > 0.0:
-            raise DomainError("sigma must be positive")
-        if self.law == "pareto" and not (self.shape > 0.0 and self.xm > 0.0):
-            raise DomainError("pareto shape and xm must be positive")
+    def _check(self):
+        for name in ("sigma",) if self.law == "lognormal" else ("shape", "xm"):
+            _positive(getattr(self, name), f"{self.law} {name}")
 
     coded = True
 
@@ -368,13 +360,12 @@ class BoundedAbove(_Variant):
     m_bound: float = 1.0
     lambda0: float = 1.0
     r: float = 2.0
+    rules = {"m_bound": _positive, "lambda0": _positive, "r": _order}
     b_deterministic = True
 
-    def __post_init__(self):
-        if not self.m_bound > 0.0:
-            raise DomainError("M must be positive")
-        if not 0.0 < self.lambda0 <= 1.0 / self.m_bound:
-            raise DomainError("need 0 < lambda0 <= 1/M")
+    def _check(self):
+        if not self.lambda0 <= 1.0 / self.m_bound:
+            raise DomainError(f"need lambda0 <= 1/m_bound, got {self.lambda0} and {self.m_bound}")
 
     @property
     def certification(self):
@@ -407,11 +398,8 @@ class Bernstein(_Variant):
     conditional-variance weight exp{lam*A - lam^2 V^2 / (2(1 - M*lam))}."""
     m_bound: float = 1.0
     r: float = 2.0
+    rules = {"m_bound": _positive, "r": _order}
     b_deterministic = True
-
-    def __post_init__(self):
-        if not self.m_bound > 0.0:
-            raise DomainError("M must be positive")
 
     @property
     def certification(self):
@@ -449,14 +437,7 @@ class BoundedBelow(_Variant):
     m_bound: float = 1.0
     gamma: float = 0.5
     r: float = 2.0
-
-    def __post_init__(self):
-        if not self.m_bound > 0.0:
-            raise DomainError("M must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 1.0 < self.r <= 2.0:
-            raise DomainError(f"r must lie in (1, 2], got {self.r}")
+    rules = {"m_bound": _positive, "gamma": _unit, "r": _order}
 
     @property
     def certification(self):
@@ -482,6 +463,10 @@ class _Grid(_Variant):
     """Brownian motion on the time grid `times` with axes `components`; B^2 = t."""
     certification = ("all", math.inf)
     b_deterministic = True
+
+    def _check(self):
+        if not (self.times and self.times[0] > 0.0 and np.all(np.diff(self.times) > 0.0)):
+            raise DomainError(f"times must be positive and strictly increasing, got {self.times}")
 
     @property
     def steps(self) -> int:
@@ -511,11 +496,7 @@ class BrownianGrid(_Grid):
     """Standard Brownian motion sampled on a fixed time grid; A = W_t, B^2 = t."""
     times: tuple[float, ...]
     r: float = 2.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if not (self.times and self.times[0] > 0.0 and np.all(np.diff(self.times) > 0.0)):
-            raise DomainError("times must be positive and strictly increasing")
+    rules = {"times": lambda v, name: tuple(map(float, _reals(v, name))), "r": _order}
 
     def _truncated_mean(self, n, c, d):
         if not 1 <= n <= self.steps:
@@ -544,11 +525,8 @@ class MvBrownianGrid(_Grid):
     rho: float = 1.05
     horizon: float = 1e6
     r: float = 2.0
-
-    def __post_init__(self):
-        if not self.dim >= 1:
-            raise DomainError("dim must be >= 1")
-        self.times  # validates, and builds the grid once
+    rules = {"dim": _count, "t0": _positive, "rho": _positive, "horizon": _positive,
+             "r": _order}
 
     @property
     def components(self):
@@ -599,6 +577,7 @@ class Counterexample56(_Variant):
     """Independent three-point variables with exact zero means whose
     uncentered self-normalized sum grows without bound."""
     r: float = 2.0
+    rules = {"r": _order}
     certification = None
     statistic = "uncentered"
 
@@ -651,18 +630,15 @@ class TruncatedCentering(_Variant):
     d1: float = 1.0
     d2: float = 1.0
     r: float = 2.0
+    rules = {"base": _one_of("normal", "heavy"), "lam": _positive, "alpha": _number,
+             "d1": _number, "d2": _number, "r": _order}
     statistic = "universal"
 
-    def __post_init__(self):
-        if self.base not in ("normal", "heavy"):
-            raise DomainError(f"unknown base law {self.base!r}")
-        if not self.lam > 0.0:
-            raise DomainError("lam must be positive")
+    def _check(self):
         if self.base == "heavy":
-            if not 0.0 < self.alpha < 1.0:
-                raise DomainError("alpha must lie in (0, 1)")
+            _unit(self.alpha, "heavy alpha")
             if not (self.d1 >= 0.0 and self.d2 >= 0.0 and self.d1 + self.d2 > 0.0):
-                raise DomainError("need d1, d2 >= 0 with d1 + d2 > 0")
+                raise DomainError(f"need d1, d2 >= 0 with d1 + d2 > 0, got {self.d1}, {self.d2}")
 
     @property
     def certification(self):
@@ -734,11 +710,8 @@ class WeightedIID(_Variant):
     refuses factorial weights; only the stepping handle runs them."""
     weights: str = "ones"
     r: float = 2.0
+    rules = {"weights": _one_of("ones", "factorial"), "r": _order}
     certification = ("all", math.inf)
-
-    def __post_init__(self):
-        if self.weights not in ("ones", "factorial"):
-            raise DomainError(f"unknown weight rule {self.weights!r}")
 
     @property
     def b_deterministic(self) -> bool:
@@ -932,29 +905,9 @@ _VARIANTS = {
 }
 
 
-def fields_to_json(obj) -> dict:
-    """A dataclass's fields by name, tuples as lists."""
-    out = {}
-    for f in fields(obj):
-        val = getattr(obj, f.name)
-        out[f.name] = list(val) if isinstance(val, tuple) else val
-    return out
-
-
 def spec_to_json(spec: ProcessSpec) -> dict:
-    name = {v: k for k, v in _VARIANTS.items()}[type(spec)]
-    return {"variant": name, **fields_to_json(spec)}
+    return to_json(spec, "variant", _VARIANTS)
 
 
 def spec_from_json(obj: dict | str) -> ProcessSpec:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    obj = dict(obj)
-    name = obj.pop("variant", None)
-    cls = _VARIANTS.get(name)
-    if cls is None:
-        raise DomainError(f"unknown process variant {name!r}")
-    try:
-        return cls(**obj)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters for {name}: {exc}") from exc
+    return from_json(obj, "variant", _VARIANTS)

@@ -154,7 +154,11 @@ class TestUniversalStatistic:
     lambda: lil_statistic(1.0, math.nan),
     lambda: lil_statistic(1.0, 10.0, floor=math.nan),
     lambda: universal_statistic(1.0, 0.0, math.nan),
-], ids=["sample_b", "integrand_y", "mgf_x", "cor22_y", "lil_b", "lil_floor", "universal_v"])
+    lambda: SelfNormSample(a=math.nan, b=1.0),
+    lambda: SelfNormSample(a=True, b=1.0),
+    lambda: SelfNormSample(a=1.0, b=math.inf),
+], ids=["sample_b", "integrand_y", "mgf_x", "cor22_y", "lil_b", "lil_floor", "universal_v",
+        "sample_a", "sample_a_bool", "sample_b_inf"])
 def test_nan_refused(call):
     # a NaN passed each `x <= 0.0` guard and gave a NaN
     with pytest.raises(DomainError):

@@ -128,12 +128,17 @@ class TestBoundaryCommand:
         (["--c", "5", "--v-min", "nan"], "--v-min"), (["--c", "5", "--v-max", "inf"], "--v-max"),
         (["--c", "5", "--v-max", "nan"], "--v-max"),
         (["--c", "5", "--v-min", "100", "--v-max", "10"], "--v-min"),
+        (["--c", "5", "--asymptotic", "rs", "--delta", "nan"], "--delta"),
+        (["--c", "5", "--asymptotic", "rs", "--delta", "inf"], "--delta"),
+        (["--c", "5", "--asymptotic", "rs", "--delta=-5"], "--delta"),
     ], ids=["c_nan", "c_inf", "no_points", "v_min_zero", "v_min_negative", "v_min_nan",
-            "v_max_inf", "v_max_nan", "v_min_above_v_max"])
+            "v_max_inf", "v_max_nan", "v_min_above_v_max", "delta_nan", "delta_inf",
+            "delta_negative"])
     def test_bad_c_or_points(self, tmp_path, capsys, monkeypatch, argv, named):
         # --c nan and inf ended in BracketError; --v-points 0 wrote an empty
         # table and exited 0; --v-min 0 and --v-max inf ended in numpy's
-        # geomspace errors, which named no flag
+        # geomspace errors, which named no flag; --delta nan, inf and -5 wrote
+        # NaN, inf and negative-delta asymptotic rows and exited 0
         monkeypatch.setattr(cli, "psi", lambda *a: pytest.fail("psi called"))
         monkeypatch.setattr(cli, "boundary", lambda *a: pytest.fail("boundary called"))
         cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
@@ -599,6 +604,64 @@ class TestLilCommand:
                           "seed": 4, "paths": 10, "horizon": 40})
         assert main(["lil", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
         assert "DomainError" in capsys.readouterr().err
+
+
+RUN = {"seed": 4, "paths": 10, "horizon": 20}
+
+
+class TestFieldRefusal:
+    """A spec or mixture field that breaks its rule exits 2, naming the
+    field, before any chunk stream opens or any file is written."""
+
+    @pytest.mark.parametrize("command, obj, named", [
+        ("lil", {"spec": {"variant": "rademacher", "r": 1}, **RUN}, "r must be"),
+        ("lil", {"spec": {"variant": "rademacher", "r": math.nan}, **RUN}, "r must be"),
+        ("verify", {"schema": 1, "seed": 4, "experiments": [
+            {"name": "mean", "op": "supermartingale_mean",
+             "config": {"spec": {"variant": "rademacher", "r": 5.0}, "paths": 10,
+                        "horizon": 20, "lambda_grid": [1.0]}}]}, "r must be"),
+        ("simulate", {"spec": {"variant": "brownian_grid", "times": ["0.5", "1"]},
+                      "seed": 1, "horizon": 2}, "times must be"),
+        ("simulate", {"spec": {"variant": "mv_brownian_grid", "dim": 2.5},
+                      "seed": 1, "horizon": 2}, "dim must be"),
+        ("simulate", {"spec": {"variant": "bernstein", "m_bound": True},
+                      "seed": 1, "horizon": 2}, "m_bound must be"),
+        ("boundary", {"type": "density_rs", "delta": "1"}, "delta must be"),
+        ("boundary", {"type": "density_rs", "delta": True}, "delta must be"),
+        ("boundary", {"type": "density_rs", "delta": 1.0, "nope": 1}, "nope"),
+        ("boundary", {"type": "density_rs"}, "delta"),
+        ("boundary", [1, 2], "JSON object"),
+        ("simulate", {"spec": [1, 2], "seed": 1, "horizon": 2}, "JSON object"),
+    ], ids=["lil_r_1", "lil_r_nan", "verify_r_5", "simulate_times_strings",
+            "simulate_dim_2.5", "simulate_bool_m_bound", "boundary_delta_string",
+            "boundary_delta_bool", "boundary_unknown_key", "boundary_missing_delta",
+            "boundary_not_an_object", "simulate_spec_not_an_object"])
+    def test_refused(self, tmp_path, capsys, monkeypatch, no_draws, command, obj, named):
+        # each ran: r = 5 to a passing supermartingale mean, r = 1 to a
+        # ZeroDivisionError, the strings and bools as numbers, the unknown
+        # key ignored; a missing delta was a bare KeyError, and a list in
+        # place of an object a TypeError that named nothing
+        monkeypatch.setattr(cli, "boundary", lambda *a: pytest.fail("boundary called"))
+        monkeypatch.setattr(processes.ProcessHandle, "step",
+                            lambda self: pytest.fail("step called"))
+        cfg = write_json(tmp_path, "c.json", obj)
+        out = tmp_path / "o"
+        flags = ["--c", "10"] if command == "boundary" else []
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0"])
+    def test_bad_workers_variable(self, tmp_path, capsys, monkeypatch, no_draws, value):
+        # abc and 2.5 exited on int()'s ValueError, which named no input
+        monkeypatch.setenv("SELFNORM_WORKERS", value)
+        cfg = write_json(tmp_path, "lil.json", {"spec": {"variant": "rademacher"}, **RUN})
+        out = tmp_path / "o.json"
+        assert main(["lil", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "SELFNORM_WORKERS must be an integer >= 1" in err
+        assert not out.exists()
 
 
 class TestAcceptedOptions:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selfnorm import experiments
+from selfnorm import experiments, mixture, processes
+from selfnorm.bounds import SelfNormSample
 from selfnorm.constants import DomainError
 from selfnorm.experiments import (_SCREEN_SLACK, INPUT_RULES, BoundReport, ExperimentConfig,
                                   _boundary_interpolant, _chunk_layout, _hit_cells,
@@ -19,7 +20,7 @@ from selfnorm.experiments import (_SCREEN_SLACK, INPUT_RULES, BoundReport, Exper
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
 from selfnorm.mixture import (Density, GaussianMixture, PointMasses,
-                              RobbinsSiegmund, boundary)
+                              RobbinsSiegmund, boundary, measure_from_json)
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow, BrownianGrid,
                                 Counterexample56, Counterexample65, MvBrownianGrid,
                                 Rademacher, ScaledSymmetric, TruncatedCentering,
@@ -87,6 +88,13 @@ class TestConfig:
         assert resolve_workers(2) == 2
         with pytest.raises(DomainError):
             resolve_workers(0)
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1", ""])
+    def test_resolve_workers_env_refused(self, monkeypatch, value):
+        # abc and 2.5 raised int()'s ValueError, which named no input
+        monkeypatch.setenv("SELFNORM_WORKERS", value)
+        with pytest.raises(DomainError, match="SELFNORM_WORKERS must be an integer >= 1"):
+            resolve_workers(None)
 
 
 SPECS = (Rademacher(), ScaledSymmetric(law="pareto", shape=3.0, xm=2.0),
@@ -599,6 +607,82 @@ def test_every_input_has_a_rule():
     assert inputs <= set(INPUT_RULES)
     refused = {f for f, _ in CONFIG_REFUSED} | {k for k, _ in KEYWORD_REFUSED}
     assert set(INPUT_RULES) - refused == {"c_over_mass", "v_points", "v_min", "v_max"}
+
+
+# a value each spec field's rule refuses; all but those of law, base,
+# weights and scaled_symmetric's mu, sigma, shape and xm were once accepted.
+# Each variant's r is tried with every value in R_REFUSED.
+R_REFUSED = [1, 5, 0.5, math.nan, "2", True]
+FIELD_REFUSED = {
+    "law": "cauchy", "mu": "0", "sigma": True, "shape": "3", "xm": math.inf,
+    "m_bound": True, "lambda0": True, "gamma": "0.5", "times": ["0.5", "1"], "dim": 2.5,
+    "t0": True, "rho": "1.05", "horizon": True, "base": "cauchy", "lam": True,
+    "alpha": "0.5", "d1": math.nan, "d2": math.inf, "weights": "unit",
+}
+SPEC_BASE = {"brownian_grid": {"times": [0.5, 1.0]}}
+SPEC_REFUSED = [(name, f.name, value) for name, cls in processes._VARIANTS.items()
+                for f in fields(cls)
+                for value in (R_REFUSED if f.name == "r" else [FIELD_REFUSED[f.name]])]
+# a string and a bool field value, an unknown key and a missing key on each
+# measure type
+MEASURE_REFUSED = [
+    ({"type": "point_masses", "atoms": [["0.1", 1.0]]}, "atoms must be"),
+    ({"type": "point_masses", "atoms": [[0.1, True]]}, "atoms must be"),
+    ({"type": "point_masses", "atoms": [[0.1, 1.0]], "nope": 1}, "nope"),
+    ({"type": "point_masses"}, "atoms"),
+    ({"type": "density_rs", "delta": "1"}, "delta must be"),
+    ({"type": "density_rs", "delta": True}, "delta must be"),
+    ({"type": "density_rs", "delta": 1.0, "nope": 1}, "nope"),
+    ({"type": "density_rs"}, "delta"),
+    ({"type": "gaussian", "precision": [["1", 0.0], [0.0, 1.0]]}, "precision must be"),
+    ({"type": "gaussian", "precision": [[True, 0.0], [0.0, True]]}, "precision must be"),
+    ({"type": "gaussian", "precision": [[1.0, 0.0], [0.0, 1.0]], "nope": 1}, "nope"),
+    ({"type": "gaussian"}, "precision"),
+]
+
+
+def test_every_field_has_a_rule():
+    # a field of a spec, a mixture or a sample added later cannot slip by
+    # unchecked, and each spec field and measure type has refusal cases
+    classes = [*processes._VARIANTS.values(), *mixture._MEASURES.values(), Density,
+               SelfNormSample]
+    for cls in classes:
+        assert set(cls.rules) == {f.name for f in fields(cls) if f.init}, cls.__name__
+    assert {f for cls in processes._VARIANTS.values() for f in cls.rules} == \
+        set(FIELD_REFUSED) | {"r"}
+    assert {obj["type"] for obj, _ in MEASURE_REFUSED} == set(mixture._MEASURES)
+
+
+class TestFieldRefusal:
+    """Each refused spec or mixture field is a DomainError naming it before
+    any chunk stream opens. r = 5 on Rademacher once ran to a passing
+    supermartingale mean, r = nan to NaN rows and r = 1 to a
+    ZeroDivisionError in lil_track."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk stream was opened")
+        monkeypatch.setattr(experiments, "chunk_rng", refuse)
+
+    @pytest.mark.parametrize("name, field, value", SPEC_REFUSED,
+                             ids=[f"{n}.{f}={v!r}" for n, f, v in SPEC_REFUSED])
+    def test_spec_field(self, name, field, value):
+        spec = {"variant": name, **SPEC_BASE.get(name, {}), field: value}
+        obj = {"spec": spec, "seed": 1, "paths": 10, "horizon": 2, "lambda_grid": [0.5]}
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            check_supermartingale_mean(config_from_json(obj))
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            lil_track(config_from_json(obj))
+
+    @pytest.mark.parametrize("obj, named", MEASURE_REFUSED,
+                             ids=[json.dumps(obj) for obj, _ in MEASURE_REFUSED])
+    def test_measure_field(self, obj, named):
+        gaussian = obj["type"] == "gaussian"
+        cfg = ExperimentConfig(spec=MV_GRID if gaussian else Rademacher(), seed=1, paths=10,
+                               horizon=40)
+        with pytest.raises(DomainError, match=named):
+            crossing_frequency(cfg, mixture=measure_from_json(obj), c=10.0)
 
 
 class TestScalarSpecRejection:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from selfnorm import mixture
 from selfnorm.constants import DomainError
 from selfnorm.mixture import (BracketError, Density, GaussianMixture, PointMasses,
                               RobbinsSiegmund, boundary, crossing_bound,
@@ -345,6 +346,21 @@ class TestSerialization:
         with pytest.raises(DomainError):
             measure_from_json({"type": "nope"})
 
+    EXAMPLES = {"point_masses": {"type": "point_masses", "atoms": [[0.1, 1.0], [0.4, 0.5]]},
+                "density_rs": {"type": "density_rs", "delta": 1.5},
+                "gaussian": {"type": "gaussian", "precision": [[2.0, 0.3], [0.3, 1.0]]}}
+
+    @pytest.mark.parametrize("kind", sorted(EXAMPLES))
+    def test_json_round_trip(self, kind):
+        # every type in the measure table is read and written back key for
+        # key by the table-driven pair
+        obj = self.EXAMPLES[kind]
+        assert set(self.EXAMPLES) == set(mixture._MEASURES)
+        m = measure_from_json(json.dumps(obj))
+        assert type(m) is mixture._MEASURES[kind]
+        assert measure_to_json(m) == obj
+        assert json.loads(json.dumps(measure_to_json(m))) == obj
+
 
 class TestValidation:
     def test_point_masses_invariants(self):
@@ -375,10 +391,16 @@ class TestValidation:
     lambda: boundary(np.array([10.0]), math.nan, RobbinsSiegmund(1.0)),
     lambda: crossing_bound(math.nan, RobbinsSiegmund(1.0)),
     lambda: rs_asymptotic(math.nan, 10.0, 1.0),
+    lambda: rs_asymptotic(1e6, 10.0, math.nan),
+    lambda: rs_asymptotic(1e6, 10.0, math.inf),
+    lambda: rs_asymptotic(1e6, 10.0, -5.0),
+    lambda: rs_asymptotic(1e6, math.inf, 1.0),
     lambda: general_r_asymptotic(math.nan, 2.0),
     lambda: mv_boundary_test(np.zeros(1), np.eye(1), GaussianMixture(np.eye(1)), math.nan),
 ], ids=["rs_delta", "rs_delta_json", "atom_position", "atom_weight", "boundary_c",
-        "crossing_bound_c", "rs_asymptotic_v", "general_asymptotic_v", "mv_test_c"])
+        "crossing_bound_c", "rs_asymptotic_v", "rs_asymptotic_delta", "rs_asymptotic_delta_inf",
+        "rs_asymptotic_delta_negative", "rs_asymptotic_c_inf", "general_asymptotic_v",
+        "mv_test_c"])
 def test_nan_refused(call):
     # a NaN passed each `x <= 0.0` guard: density_rs with delta NaN ended in
     # BracketError
