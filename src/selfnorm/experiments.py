@@ -55,6 +55,26 @@ the same order as the running sums, which are never built. The tile's own
 row count decides, not the nominal tile's: a chunk's last tile may have one
 row, which numpy would sum pairwise.
 
+A reducer that declares a `screen` (`_LilMax`, the lil running maximum,
+and `_BetaCrossings` on a shared beta row) takes a third path on a spec
+with `unit_steps` and a shared B^r row. Its steps are +-1.0, so every
+partial sum of A is an integer, and integers below 2^53 add exactly in any
+order. `_segment_edges` sums each tile piece's draws over `_SCREEN_STEPS`
+-step segments in one reduce and carries A from those sums, and the
+reducer gets the draws and the exact A before each segment in place of the
+running sums. Since A rises by at most `_SCREEN_STEPS` in a segment, one
+whose bound cannot reach the least beta there, or cannot pass the path's
+running max before the piece over the least or greatest guarded lil
+denominator there (correctly rounded division is monotone), is skipped;
+so is a path that has crossed. The rest get exact running sums
+(`_segment_runs`), or, where more than `_SCREEN_DENSE` of a piece's
+segments are left, as at short horizons, where a 64-step bound rules out
+few, the piece's running sums (`_piece_runs`). Every comparison, quotient
+and max so sees the integer A of the per-cell path, and nothing is assumed
+of the computed beta or denominator: `screen` takes their per-segment
+least and greatest values from the computed row, once per piece, for
+every chunk.
+
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
 table's interpolant is the module-level `PchipInterpolator`, a numpy PCHIP
@@ -92,6 +112,15 @@ _TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V
 # copy reads each long row a cell at a time). It must stay >= 2, as numpy
 # sums one lane pairwise.
 _ENDS_ROWS = 12
+# Steps of a screen segment. Both screens decide a segment from a bound at its
+# start: the crossing lookups on a random normalizer (`_hit_cells`), and the
+# lil and crossing scans on a unit-step walk (`_segment_edges`).
+_SCREEN_STEPS = 64
+# Most of a piece's segments, as a share, that a unit-step screen sums one by
+# one (`_segment_runs`); above it, the piece's running sums cost less. On a
+# 2-CPU Xeon, exact sums over every segment took 2.0-3.6 times a piece's
+# cumsum and statistic (tiles of 2 x 32768 to 327 x 200 cells).
+_SCREEN_DENSE = 0.25
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
 
@@ -203,6 +232,60 @@ def _piece_ends(x, end, stops, t):
     return out
 
 
+def _segment_edges(d, end):
+    """The exact A at the edges of the `_SCREEN_STEPS`-step segments of d
+    (rows, L), a walk of +-1.0 steps whose last segment may be shorter, from
+    `end`, the A a step before d, which is advanced to the last: (rows,
+    segments + 1), the A before each segment, then after the last. Each
+    segment's steps are added in one reduce, in numpy's order; sums of
+    integers below 2^53 are exact in any order, so each is the bits of the
+    running sum at that step."""
+    S = _SCREEN_STEPS
+    rows, L = d.shape
+    full = L - L % S
+    a = np.empty((rows, -(-L // S) + 1))
+    a[:, 0] = end
+    np.add.reduce(d[:, :full].reshape(rows, -1, S), axis=2, out=a[:, 1:full // S + 1])
+    if full < L:
+        np.add.reduce(d[:, full:], axis=1, out=a[:, -1])
+    np.cumsum(a, axis=1, out=a)
+    end[...] = a[:, -1]
+    return a
+
+
+def _segment_runs(d, a, p, s):
+    """The running A over segment s[i] of row p[i] of d, for each i, from a,
+    `_segment_edges` of d: (len(p), _SCREEN_STEPS), the bits of the running
+    sums of the whole row at those steps. A short last segment is padded
+    with zero steps, on which A holds."""
+    S = _SCREEN_STEPS
+    L = d.shape[1]
+    full = L - L % S
+    x = np.zeros((p.size, S))
+    whole = s < full // S
+    x[whole] = d[:, :full].reshape(d.shape[0], -1, S)[p[whole], s[whole]]
+    x[~whole, :L - full] = d[p[~whole], full:]
+    np.cumsum(x, axis=1, out=x)
+    x += a[p, s][:, None]
+    return x
+
+
+def _piece_runs(d, a):
+    """The running A over the unit steps d of a piece from a[:, 0], the A
+    before it, in place of d: the bits of the per-cell running sums."""
+    np.cumsum(d, axis=1, out=d)
+    d += a[:, :1]
+    return d
+
+
+def _by_segment(x, pad):
+    """x, one piece's values per step, as rows of `_SCREEN_STEPS` steps, the
+    last padded with `pad`."""
+    out = np.full(-(-x.size // _SCREEN_STEPS) * _SCREEN_STEPS, pad)
+    out[:x.size] = x
+    return out.reshape(-1, _SCREEN_STEPS)
+
+
 def _chunk_layout(paths: int, cells: int) -> list[int]:
     """Fixed chunk sizes; a pure function of (paths, cells per path) so
     results do not depend on the worker count."""
@@ -267,7 +350,18 @@ class _Scan:
         `spec.increments`, the bits of the running sums' last column; no
         running sum is built. Narrower tiles run as above. Every spec the scan
         runs sums its increments by the default `accumulate`: it refuses
-        WeightedIID's factorial weights, the one recursion that does not."""
+        WeightedIID's factorial weights, the one recursion that does not.
+
+        A reducer whose class sets `screen` takes, on a spec with
+        `unit_steps` and the shared row, a third path on every tile: each
+        shared piece is `screen(of_b(piece))`, built once per piece, and
+        reducer.screened(rows, n_idx, d, a, shared, k) receives the piece's
+        +-1.0 draws d and a, `_segment_edges` of d, the exact A before each
+        `_SCREEN_STEPS`-step segment and after the last. No running sum is
+        built; the reducer builds exact ones for the segments it cannot rule
+        out (`_segment_runs`), or, past `_SCREEN_DENSE` of them, for the
+        whole piece in place of d (`_piece_runs`), and keeps neither d nor
+        a."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -276,6 +370,8 @@ class _Scan:
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
         ends = getattr(reds[0], "ends_only", False)
+        # the unit-step screen: the reducer's per-segment bounds of each shared piece
+        screen = row and spec.unit_steps and getattr(reds[0], "screen", None)
         carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
                    for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
         width = min(self.block, self.horizon)
@@ -296,6 +392,12 @@ class _Scan:
                 d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components),
                               None if codes is None else codes[rows])
                 carry_rows = tuple(c[rows] for c in carry)
+                if screen:
+                    for j, (cut, n_piece, k) in enumerate(pieces):
+                        x = d[:, cut]
+                        red.screened(rows, n_piece, x, _segment_edges(x, carry_rows[0]),
+                                     shared[j], k)
+                    continue
                 out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
                 cuts = pieces
                 # the tile's own rows decide: a chunk's last tile may have one
@@ -335,6 +437,8 @@ class _Scan:
                     cb = spec.accumulate(d, n_idx, row_carry, True, False,
                                          (b_row[:, :hi - lo], None))[1]
                     shared = [of_b(cb[0, cut]) for cut, _, _ in pieces]
+                    if screen:
+                        shared = [screen(x) for x in shared]
                 block = (lo, hi, n_idx, pieces, shared, at_ends)
                 list(fan(advance, range(n), [block] * n))
         return reds
@@ -595,7 +699,6 @@ def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
 # twice over when G >= 8 RESIDUAL_TOL/1e-6 (c >= 1.016 m), and below that the
 # screen is off. A larger slack only adds candidates: each one still gets
 # the same beta value as without the screen.
-_SCREEN_STEPS = 64
 _SCREEN_SLACK = 1e-6
 
 
@@ -643,6 +746,38 @@ class _Crossings:
     def segment(self, rows, n_idx, ca, cb, cv, k):
         crossed = self.crossed[rows]  # a view
         crossed[self.rule(ca, cb, crossed)] = True
+        if k is not None:
+            self.counts[k] += np.count_nonzero(crossed)
+
+
+class _BetaCrossings(_Crossings):
+    """Crossings of A >= beta, cb being beta on the piece (of_b's, per cell
+    or on a shared row). On a unit-step walk with a shared row it declares a
+    `screen`: A never exceeds the A before a segment plus `_SCREEN_STEPS`,
+    so a segment whose least beta lies above that bound is skipped, as is a
+    path that has crossed; the rest get exact running sums."""
+
+    def __init__(self, P, n_stops):
+        super().__init__(P, lambda ca, cb, crossed: (ca >= cb).any(axis=1), n_stops)
+
+    @staticmethod
+    def screen(beta):
+        """A piece's beta row, and per segment its beta, +inf on the pad,
+        and the least, ignoring NaN (which no A reaches)."""
+        seg = _by_segment(beta, np.inf)
+        return beta, seg, np.fmin.reduce(seg, axis=1)
+
+    def screened(self, rows, n_idx, d, a, bounds, k):
+        """segment on the unit steps d of a piece and a, their
+        `_segment_edges`, with bounds from `screen`."""
+        beta, seg, least = bounds
+        crossed = self.crossed[rows]  # a view
+        live = (a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None]
+        p, s = np.nonzero(live)
+        if p.size > _SCREEN_DENSE * live.size:
+            return self.segment(rows, n_idx, _piece_runs(d, a), beta, None, k)
+        if p.size:
+            crossed[p[(_segment_runs(d, a, p, s) >= seg[s]).any(axis=1)]] = True
         if k is not None:
             self.counts[k] += np.count_nonzero(crossed)
 
@@ -716,11 +851,11 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
                 and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK):
             rule, of_b = lambda ca, cb, crossed: _hit_cells(ca, cb, beta, crossed)[0], None
         else:
-            rule, of_b = (lambda ca, cb, crossed: (ca >= cb).any(axis=1),
-                          lambda cb: beta(np.maximum(cb, 1e-4)))
+            rule, of_b = None, lambda cb: beta(np.maximum(cb, 1e-4))
         label, bound = "crossing n<={} c={:g}", crossing_bound(c, mixture)
     stops, at = np.unique(steps, return_inverse=True)
-    parts = scan(lambda P: _Crossings(P, rule, len(stops)), stops.tolist(), of_b=of_b)
+    parts = scan(lambda P: _Crossings(P, rule, len(stops)) if rule else
+                 _BetaCrossings(P, len(stops)), stops.tolist(), of_b=of_b)
     totals = np.sum([p.counts for p in parts], axis=0)
     return [_frequency_report(label.format(n, c), bound, totals[at[k]], cfg)
             for k, n in enumerate(cks)]
@@ -757,6 +892,52 @@ class _RunningMax:
             self.values[rows, k] = val[:, -1]
 
 
+class _LilMax(_RunningMax):
+    """The running maximum of the lil statistic A / den where B_n >= e^2, cb
+    being `_lil_normalizer`'s (den, guard). On a unit-step walk with a
+    shared row it declares a `screen`: A never exceeds the A before a
+    segment plus `_SCREEN_STEPS`, and correctly rounded division is
+    monotone, so a segment whose bound, over the least or greatest guarded
+    den, is at most the path's running max before the piece cannot raise it
+    and is skipped; the rest get exact running sums."""
+
+    def __init__(self, P, n_stops):
+        super().__init__(P, self.quotient, n_stops)
+
+    @staticmethod
+    def quotient(n_idx, ca, cb, cv):
+        den, guard = cb
+        # in place: a fresh (P, L) quotient per piece made glibc give the
+        # heap top back and fault it in again on every block
+        val = np.divide(ca, den, out=ca)
+        return val if guard.all() else np.where(guard, val, -np.inf)
+
+    @staticmethod
+    def screen(cb):
+        """A piece's (den, guard) and, per segment, its den (NaN off the
+        guard and on the pad) and their least and greatest, NaN where none
+        is guarded."""
+        den, guard = cb
+        seg = _by_segment(np.where(guard, den, np.nan), np.nan)
+        return den, guard, seg, np.fmin.reduce(seg, axis=1), np.fmax.reduce(seg, axis=1)
+
+    def screened(self, rows, n_idx, d, a, bounds, k):
+        """segment on the unit steps d of a piece and a, their
+        `_segment_edges`, with bounds from `screen`."""
+        den, guard, seg, least, most = bounds
+        run = self.run[rows]  # a view
+        top = a[:, :-1] + _SCREEN_STEPS
+        live = np.where(top >= 0.0, top / least, top / most) > run[:, None]
+        p, s = np.nonzero(live)
+        if p.size > _SCREEN_DENSE * live.size:
+            return self.segment(rows, n_idx, _piece_runs(d, a), (den, guard), None, k)
+        if p.size:  # fmax: NaN, off the guard, is no value
+            np.fmax.at(run, p, np.fmax.reduce(_segment_runs(d, a, p, s) / seg[s], axis=1))
+        if k is not None:
+            self.maxima[rows, k] = run
+            self.values[rows, k] = a[:, -1] / den[-1] if guard[-1] else -np.inf
+
+
 def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
               workers: int | None = None) -> dict:
     """Running maxima of the selected normalized statistic.
@@ -791,12 +972,6 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
              if kind == "conditional_variance" else None)
 
     def stat(n_idx, ca, cb, cv):
-        if kind == "lil":  # cb is `_lil_normalizer` of B^r
-            den, guard = cb
-            # in place: a fresh (P, L) quotient per piece made glibc give the
-            # heap top back and fault it in again on every block
-            val = np.divide(ca, den, out=ca)
-            return val if guard.all() else np.where(guard, val, -np.inf)
         if kind == "conditional_variance":
             s = s_det[n_idx - 1]
             return np.where(s >= floor, v_normalized(ca, 0.0, s), -np.inf)
@@ -806,7 +981,8 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
         return np.where(vn >= floor, v_normalized(ca, spec.centering(n_idx, vn), vn),
                         -np.inf)
 
-    parts = scan(lambda P: _RunningMax(P, stat, len(cks)), cks, b=kind == "lil",
+    parts = scan(lambda P: _LilMax(P, len(cks)) if kind == "lil" else
+                 _RunningMax(P, stat, len(cks)), cks, b=kind == "lil",
                  v=kind in ("uncentered", "universal"), of_b=lambda cb: _lil_normalizer(cb, r))
     maxima = np.concatenate([p.maxima for p in parts])
     values = np.concatenate([p.values for p in parts])

@@ -49,6 +49,12 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   builds B^r once per block, as one row shared
                                   by all paths, by `accumulate` on a row of
                                   ones. Default False.
+  unit_steps                      True if every draw is +-1.0 and `accumulate`
+                                  is the default, so every partial sum of A
+                                  is an exact integer; the engine then
+                                  decides most steps of a lil or crossing
+                                  scan from 64-step segment sums. Default
+                                  False.
   log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
@@ -246,6 +252,7 @@ class _Variant(_Checked):
     components = ()
     statistic = "lil"
     steps = math.inf
+    unit_steps = False
 
     def accumulate(self, d, n_idx, carry, b, v, out):
         """(ca, cb, cv): running A, B^r, V^2 after each step of block d (which
@@ -293,6 +300,7 @@ class Rademacher(_Variant):
     rules = {"r": _order}
     certification = ("all", math.inf)
     b_deterministic = True  # d^2 = 1
+    unit_steps = True
 
     def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         return fair_signs(rng, out)
@@ -505,12 +513,33 @@ class BrownianGrid(_Grid):
         return s * (_norm_pdf(c / s) - _norm_pdf(d / s))
 
 
-def geometric_grid(t0: float = 1e-4, rho: float = 1.05, horizon: float = 1e6) -> tuple[float, ...]:
-    """t_k = t0 * rho^k clipped at the horizon (the horizon itself is appended)."""
+# The most cells (steps times components) a geometric grid may ask for: 2^20,
+# 8 MB a float row. A vector spec runs its whole grid as one block, so one row
+# of every workspace role holds a path's whole grid; the times tuple alone
+# costs about 50 bytes a step at construction.
+GRID_CELLS = 1 << 20
+
+
+def _grid_powers(t0: float, rho: float, horizon: float, dim: int = 1) -> int:
+    """n, the last power k of t0 * rho^k on `geometric_grid(t0, rho, horizon)`,
+    in closed form. Before any time is built, a malformed grid, or one whose
+    steps (n + 1, and the appended horizon) times `dim` exceed `GRID_CELLS`,
+    is a DomainError."""
     if not (t0 > 0.0 and rho > 1.0 and horizon > t0):
         raise DomainError("need t0 > 0, rho > 1, horizon > t0")
     n = int(math.floor(math.log(horizon / t0) / math.log(rho)))
-    ts = [t0 * rho**k for k in range(n + 1)]
+    steps = n + 1 + (t0 * rho**n < horizon)  # the last time as the grid computes it
+    if steps * dim > GRID_CELLS:
+        raise DomainError(f"rho={rho!r} from t0={t0!r} to horizon={horizon!r} asks for "
+                          f"{steps} steps x dim {dim} = {steps * dim} cells, above the "
+                          f"limit of {GRID_CELLS}")
+    return n
+
+
+def geometric_grid(t0: float = 1e-4, rho: float = 1.05, horizon: float = 1e6) -> tuple[float, ...]:
+    """t_k = t0 * rho^k clipped at the horizon (the horizon itself is appended);
+    a grid of more than `GRID_CELLS` steps is refused before it is built."""
+    ts = [t0 * rho**k for k in range(_grid_powers(t0, rho, horizon) + 1)]
     if ts[-1] < horizon:
         ts.append(horizon)
     return tuple(ts)
@@ -527,6 +556,10 @@ class MvBrownianGrid(_Grid):
     r: float = 2.0
     rules = {"dim": _count, "t0": _positive, "rho": _positive, "horizon": _positive,
              "r": _order}
+
+    def _check(self):
+        _grid_powers(self.t0, self.rho, self.horizon, self.dim)  # before `times` builds the grid
+        super()._check()
 
     @property
     def components(self):
@@ -717,6 +750,11 @@ class WeightedIID(_Variant):
     def b_deterministic(self) -> bool:
         # one unit-weight B^r row serves only unit weights; the engine
         # refuses factorial ones
+        return self.weights == "ones"
+
+    @property
+    def unit_steps(self) -> bool:
+        # the signs are A's steps only at unit weights
         return self.weights == "ones"
 
     def draw(self, rng, n_lo, n_hi, n_paths, out, codes):

@@ -4,8 +4,9 @@ Each case runs one experiment with blocks of 7 steps and chunks of a few
 paths, so state, running maxima and crossing flags are carried across many
 block and chunk edges, and across row-tile edges at a budget of 2 rows. The
 checkpoints sit at step 1, at a block edge (7, 8), inside a 64-step
-crossing-screen segment (100, with the screen case's blocks of 130 steps)
-and at the horizon. A digest moves only if a seeded number, a
+crossing-screen segment (100, with the screen cases' blocks of 130 steps,
+which on unit-weight WeightedIID steps also run the unit-step screen) and
+at the horizon. A digest moves only if a seeded number, a
 label or the shape of an output moves."""
 import hashlib
 import json
@@ -23,7 +24,7 @@ from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
 from selfnorm.mixture import GaussianMixture, PointMasses, RobbinsSiegmund
 from selfnorm.processes import (BoundedBelow, Counterexample56, Counterexample65,
                                 MvBrownianGrid, Rademacher, ScaledSymmetric,
-                                TruncatedCentering)
+                                TruncatedCentering, WeightedIID)
 
 HORIZON = 160
 CHECKPOINTS = (1, 7, 8, 100, HORIZON)
@@ -37,6 +38,7 @@ SPECS = {
     "counterexample56": Counterexample56(),
     "counterexample65": Counterexample65(),
     "truncated_normal": TruncatedCentering(base="normal", lam=1.0),
+    "weighted_iid_ones": WeightedIID(weights="ones"),
 }
 
 
@@ -56,6 +58,8 @@ CASES = {
     "tail_bound-rademacher": (7, lambda: validate_tail_bound(cfg("rademacher"), 1.0)),
     "tail_bound-lognormal": (7, lambda: validate_tail_bound(cfg("lognormal"), 2.0)),
     "moment_bound-rademacher": (7, lambda: validate_moment_bound(cfg("rademacher"))),
+    "lil_track-weighted_iid_ones":
+        "a977d2f3d05e261461714cd279c3d44f989119be06d8d71c1257f5d96535b8b6",
     "moment_bound-lognormal": (7, lambda: validate_moment_bound(
         cfg("lognormal"), p_list=(1.0, 3.0))),
     "crossing-rademacher": (7, lambda: crossing_frequency(
@@ -64,6 +68,8 @@ CASES = {
         cfg("lognormal"), mixture=TWO_ATOMS, c=1.5)),
     "crossing-lognormal-screen_segments": (130, lambda: crossing_frequency(
         cfg("lognormal"), mixture=RobbinsSiegmund(1.0), c=2.0)),
+    "crossing-weighted_iid_ones": (130, lambda: crossing_frequency(
+        cfg("weighted_iid_ones"), mixture=TWO_ATOMS, c=1.5)),
     "crossing-bounded_below_r15": (7, lambda: crossing_frequency(
         cfg("bounded_below_r15"), mixture=PointMasses(atoms=((0.2, 0.5), (0.4, 0.5))),
         c=1.5)),
@@ -75,6 +81,8 @@ CASES = {
     "lil_track-truncated_normal": (7, lambda: lil_track(cfg("truncated_normal"))),
     "lil_track-truncated_normal-lil": (7, lambda: lil_track(
         cfg("truncated_normal", statistic="lil"))),
+    "lil_track-weighted_iid_ones": (130, lambda: lil_track(
+        cfg("weighted_iid_ones", statistic="lil"))),
     "cluster_set-rademacher": (7, lambda: cluster_set_diagnostic(cfg("rademacher"))),
     "cluster_set-bounded_below_r15": (7, lambda: cluster_set_diagnostic(
         cfg("bounded_below_r15"), bins=9)),
@@ -106,6 +114,8 @@ DIGESTS = {
         "0765756468c1f6be3305cdeff31081dd94bacb5e81baaf5a1b0089da4c895946",
     "crossing-lognormal-screen_segments":
         "ea8af664e624496bcf284d1310ee8c5bd6c2e8e87df386d9c546e7be17624600",
+    "crossing-weighted_iid_ones":
+        "2b1e5e66601f1b46e9b9c55c16a77e9c87d93d58ae4ca718a6e2a791a225420e",
     "crossing-rademacher":
         "a45d1740cecf9786a98d57023120512ef121380a97947e7b19111c808b38eed2",
     "growth_rate-counterexample65":
@@ -124,6 +134,8 @@ DIGESTS = {
         "42a9e02df187d7f33b8939d468faeb35403705c47c9c8ed2bee4e223e6d3a6f5",
     "lil_track-truncated_normal-lil":
         "38d8e381213603dacf5e0efe91b4f53f9c16afb75eee052847292514713b29c9",
+    "lil_track-weighted_iid_ones":
+        "a977d2f3d05e261461714cd279c3d44f989119be06d8d71c1257f5d96535b8b6",
     "moment_bound-lognormal":
         "5268b54523b1b4f2d67d75397026efe79a19b5f4a6e346eed0a7e2af2821af14",
     "moment_bound-rademacher":

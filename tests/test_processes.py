@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from selfnorm import constants, experiments, processes
@@ -228,6 +230,43 @@ def test_block_drawn_in_row_tiles(name, rows):
 
 def test_every_variant_is_drawn_in_tiles():
     assert {type(spec) for spec, _ in TILED.values()} == set(processes._VARIANTS.values())
+
+
+UNIT_CANDIDATES = [spec for spec, _ in TILED.values()] + [WeightedIID(weights="factorial")]
+UNIT = [spec for spec in UNIT_CANDIDATES if spec.unit_steps]
+
+
+def test_unit_steps_declared_where_every_step_is_plus_or_minus_one():
+    assert {type(s) for s in UNIT_CANDIDATES} == set(processes._VARIANTS.values())
+    assert [type(s) for s in UNIT] == [Rademacher, WeightedIID]
+    assert not WeightedIID(weights="factorial").unit_steps
+    assert not processes._Variant.unit_steps
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(UNIT), seed=st.integers(0, 2**32), paths=st.integers(1, 9),
+       lo=st.integers(0, 50), steps=st.integers(1, 150), rows=st.integers(1, 9))
+def test_unit_steps_draw_only_signs_and_sum_them_plainly(spec, seed, paths, lo, steps, rows):
+    # the engine's unit-step screen reads A's partial sums as exact
+    # integers: every draw, in any row tiles, is +-1.0, and `accumulate` is
+    # the default one, the plain running sums
+    rng = chunk_rng(seed, 0)
+    d = np.empty((paths, steps))
+    for t in range(0, paths, rows):
+        tile = slice(t, min(t + rows, paths))
+        spec.draw(rng, lo, lo + steps, tile.stop - t, d[tile], None)
+    assert np.all((d == 1.0) | (d == -1.0))
+    n_idx = np.arange(lo + 1, lo + steps + 1)
+    start = np.arange(paths) - paths // 2.0
+
+    def summed(accumulate):
+        carry = (start.copy(), np.zeros(paths), np.zeros(paths))
+        sums = accumulate(d.copy(), n_idx, carry, True, True,
+                          (np.empty_like(d), np.empty_like(d)))
+        return [x.tobytes() for x in (*sums, *carry)]
+
+    assert summed(spec.accumulate) == summed(
+        lambda *a: processes._Variant.accumulate(spec, *a))
 
 
 def test_counterexample_steps_built_once_per_block():
@@ -670,6 +709,44 @@ class TestGrids:
         for kw in ({"t0": 0.0}, {"rho": 1.0}, {"horizon": 1e-5}):
             with pytest.raises(DomainError):
                 geometric_grid(**kw)
+
+    @pytest.mark.parametrize("t0, rho, horizon", [
+        (1e-2, 2.0, 10.0), (1e-4, 1.005, 1e6), (0.5, 1.5, 40.0), (1.0, 1.1, 1.1 ** 7),
+        (1e-3, 1.0001, 1e3)])
+    def test_grid_steps_in_closed_form(self, t0, rho, horizon):
+        n = processes._grid_powers(t0, rho, horizon)
+        assert len(geometric_grid(t0, rho, horizon)) == n + 1 + (t0 * rho**n < horizon)
+
+    @pytest.mark.parametrize("rho, dim, steps", [
+        (1.00001, 2, 2302598), (1.0000001, 1, 230258522), (1.00003, 7, 767541)])
+    def test_oversized_grid_refused_before_it_is_built(self, rho, dim, steps, monkeypatch):
+        # sized in closed form: geometric_grid never runs, and the refusal
+        # names rho and the steps x dim asked for
+        def built(*args):
+            raise AssertionError("the grid was built")
+        monkeypatch.setattr(processes, "geometric_grid", built)
+        assert steps * dim > processes.GRID_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"rho={rho!r} .* {steps} steps x dim {dim} "):
+                MvBrownianGrid(dim=dim, t0=1e-4, rho=rho, horizon=1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_geometric_grid_refuses_beyond_the_limit_unbuilt(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"rho=1.0000001 .* 230258522 steps x dim 1 "):
+                geometric_grid(t0=1e-4, rho=1.0000001, horizon=1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the largest grid below the limit is built
+        rho = math.exp(math.log(1e6 / 1e-4) / (processes.GRID_CELLS - 3))
+        assert len(geometric_grid(1e-4, rho, 1e6)) <= processes.GRID_CELLS
 
     def test_mv_increment_variance(self):
         spec = MvBrownianGrid(dim=2, t0=0.5, rho=2.0, horizon=8.0)

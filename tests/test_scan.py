@@ -17,7 +17,7 @@ from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   growth_rate_diagnostic, lil_track,
                                   sup_moment_estimate, validate_moment_bound,
                                   validate_tail_bound)
-from selfnorm.mixture import GaussianMixture, PointMasses
+from selfnorm.mixture import GaussianMixture, PointMasses, RobbinsSiegmund
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow, BrownianGrid,
                                 Counterexample56, Counterexample65, MvBrownianGrid,
                                 Rademacher, ScaledSymmetric, TruncatedCentering,
@@ -477,3 +477,125 @@ def test_ends_path_at_two_rows(variant, tiles_with_one_row_last, monkeypatch):
     assert any(not isinstance(o, tuple) for o in ends)  # some report ran to the end
     with mock.patch.object(experiments, "_ENDS_ROWS", 10**9):
         assert [outcome(RUNS[e], cfg) for e in STOP_ONLY_RUNS] == ends
+
+
+# ---------------------------------------------------------------------------
+# the unit-step screen: lil and crossing scans on a +-1 walk decide 64-step
+# segments from their exact starting A
+# ---------------------------------------------------------------------------
+
+UNIT = {
+    "rademacher": Rademacher(),
+    "rademacher_r15": Rademacher(r=1.5),
+    "weighted_iid_ones": WeightedIID(weights="ones"),
+}
+# a low boundary, which most uncrossed segments may reach and most paths
+# cross (a crossed path's segments are skipped), and the Robbins-Siegmund
+# one, which fewer reach and cross
+SCREENED = {
+    "lil_track": lambda cfg: lil_track(cfg),
+    "crossing_low": lambda cfg: crossing_frequency(cfg, mixture=MIXTURE, c=1.2),
+    "crossing_rs": lambda cfg: crossing_frequency(
+        cfg, mixture=RobbinsSiegmund(1.0), c=2.0),
+}
+
+
+@pytest.mark.parametrize("dense", ["default", "never"])
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("experiment", sorted(SCREENED))
+@pytest.mark.parametrize("variant", sorted(UNIT))
+def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, dense,
+                                                  monkeypatch):
+    # blocks of 100 steps in tiles of 1 or 2 rows, chunks of 5 paths; stops
+    # at the first step, at B_n >= e^2 (n = 55 at r = 2), on both sides of
+    # and on a segment edge, in the second block and at the horizon: each
+    # report equals the per-cell path's, which `unit_steps` off selects. At
+    # the default `_SCREEN_DENSE` a piece with many open segments takes its
+    # running sums whole; with that off, every open segment is summed alone
+    horizon = 260
+    monkeypatch.setattr(experiments, "_BLOCK", 100)
+    monkeypatch.setattr(experiments, "_TILE", 100 * rows)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * horizon)
+    if dense == "never":
+        monkeypatch.setattr(experiments, "_SCREEN_DENSE", 1.0)
+    spec = UNIT[variant]
+    cfg = ExperimentConfig(spec=spec, seed=11, paths=23, horizon=horizon,
+                           checkpoints=(1, 55, 63, 64, 65, 130, horizon))
+    counted = {"segments": 0, "alone": 0, "whole": 0}
+
+    def count(name, key, cells):
+        inner = getattr(experiments, name)
+
+        def spy(*args):
+            counted[key] += cells(*args)
+            return inner(*args)
+        monkeypatch.setattr(experiments, name, spy)
+
+    count("_segment_edges", "segments", lambda d, end: d.shape[0] * -(-d.shape[1] // 64))
+    count("_segment_runs", "alone", lambda d, a, p, s: p.size)
+    count("_piece_runs", "whole", lambda d, a: a.size - a.shape[0])
+    screened = outcome(SCREENED[experiment], cfg)
+    assert not isinstance(screened, tuple), screened
+    # some segments were never summed; at this short horizon most pieces
+    # with an open segment are dense, and take their running sums whole
+    # unless that is off
+    assert counted["alone"] + counted["whole"] < counted["segments"], counted
+    if dense == "never":
+        assert counted["alone"] > 0 and counted["whole"] == 0, counted
+    else:
+        assert counted["whole"] > 0, counted
+    counted.update(segments=0)
+    monkeypatch.setattr(type(spec), "unit_steps", False)
+    assert outcome(SCREENED[experiment], cfg) == screened
+    assert counted["segments"] == 0
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32), rows=st.integers(1, 4), steps=st.integers(1, 200),
+       start=st.integers(-250, 250))
+def test_screened_reducers_match_segment_on_any_row(seed, rows, steps, start):
+    # one piece of +-1 walks from scattered starts against rows that are neither monotone nor
+    # smooth: den, the guard and beta (with NaN and infinities) drawn per
+    # step, and running maxima and crossing flags from before the piece
+    # drawn too. The screen assumes nothing of the row, so it gives
+    # segment's bits. Path 0 walks straight up, so at a segment's last step,
+    # j, it meets the segment's bound: there den is least and beta equals
+    # A (and is least unless a -inf falls in), and the path's running max
+    # is a ulp below its lil maximum.
+    rng = np.random.default_rng(seed)
+    d = rng.choice([-1.0, 1.0], (rows, steps))
+    d[0] = 1.0
+    end = start + rng.integers(-60, 60, rows).astype(float)
+    end[0] = start
+    n_idx = np.arange(1, steps + 1)
+    ca = np.cumsum(d, axis=1) + end[:, None]
+    j = min(steps, 64 * int(rng.integers(1, 4))) - 1
+    den = rng.uniform(0.5, 40.0, steps)
+    guard = rng.random(steps) < 0.8
+    den[j], guard[j] = den.min() / 4.0, True
+    beta = ca[0, -1] + rng.uniform(0.5, 30.0, steps)
+    odd = rng.random(steps) < 0.1
+    beta[odd] = rng.choice([np.nan, np.inf], np.count_nonzero(odd))
+    if rng.random() < 0.2:
+        beta[rng.integers(steps)] = -np.inf
+    beta[j] = ca[0, j]
+    run = np.where(rng.random(rows) < 0.2, -np.inf, rng.uniform(-6.0, 6.0, rows))
+    run[0] = np.nextafter(np.max(np.where(guard, ca[0] / den, -np.inf)), -np.inf)
+    crossed = rng.random(rows) < 0.3
+    crossed[0] = False
+    reducers = []
+    for screen in (False, True):
+        lil, cross = experiments._LilMax(rows, 1), experiments._BetaCrossings(rows, 1)
+        lil.run[:], cross.crossed[:] = run, crossed
+        if screen:
+            a = experiments._segment_edges(d, end.copy())
+            assert a[:, -1].tobytes() == ca[:, -1].tobytes()
+            # each on its own draws, which a dense piece overwrites
+            lil.screened(slice(0, rows), n_idx, d.copy(), a, lil.screen((den, guard)), 0)
+            cross.screened(slice(0, rows), n_idx, d.copy(), a, cross.screen(beta), 0)
+        else:
+            lil.segment(slice(0, rows), n_idx, ca.copy(), (den, guard), None, 0)
+            cross.segment(slice(0, rows), n_idx, ca.copy(), beta, None, 0)
+        reducers.append([x.tobytes() for x in (lil.run, lil.maxima, lil.values,
+                                                cross.crossed, cross.counts)])
+    assert reducers[0] == reducers[1]
