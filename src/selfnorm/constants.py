@@ -62,6 +62,19 @@ _reals = _rule("a list of finite numbers",
                lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
 
 
+def _at_most(limit: int):
+    """rule(v, name): a count (`_count`) of at most `limit` items, each a
+    float64 of the array it sizes; a larger one is a DomainError naming
+    `name` and the bytes asked for, before anything of that size is made."""
+    def rule(v, name):
+        n = _count(v, name)
+        if n > limit:
+            raise DomainError(f"{name} {n} asks for {8 * n} bytes, a float64 an item, "
+                              f"above the limit of {limit} items")
+        return n
+    return rule
+
+
 class _Checked:
     """Base of a frozen dataclass read from outside (a process spec, a mixture
     measure, a sample (A, B)): each init field is kept as its rule in the

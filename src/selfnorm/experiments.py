@@ -57,23 +57,26 @@ row, which numpy would sum pairwise.
 
 A reducer that declares a `screen` (`_LilMax`, the lil running maximum,
 and `_BetaCrossings` on a shared beta row) takes a third path on a spec
-with `unit_steps` and a shared B^r row. Its steps are +-1.0, so every
+with `unit_steps` and a shared B^r row. Its steps are +-1, so every
 partial sum of A is an integer, and integers below 2^53 add exactly in any
-order. `_segment_edges` sums each tile piece's draws over `_SCREEN_STEPS`
--step segments in one reduce and carries A from those sums, and the
-reducer gets the draws and the exact A before each segment in place of the
-running sums. Since A rises by at most `_SCREEN_STEPS` in a segment, one
-whose bound cannot reach the least beta there, or cannot pass the path's
-running max before the piece over the least or greatest guarded lil
-denominator there (correctly rounded division is monotone), is skipped;
-so is a path that has crossed. The rest get exact running sums
-(`_segment_runs`), or, where more than `_SCREEN_DENSE` of a piece's
-segments are left, as at short horizons, where a 64-step bound rules out
-few, the piece's running sums (`_piece_runs`). Every comparison, quotient
-and max so sees the integer A of the per-cell path, and nothing is assumed
-of the computed beta or denominator: `screen` takes their per-segment
-least and greatest values from the computed row, once per piece, for
-every chunk.
+order. They are drawn into int8, one byte a cell: the variant's draw
+writes the signs of a float64 draw and leaves the stream as that would.
+`_segment_edges` sums each tile piece's steps over `_SCREEN_STEPS`-step
+segments in int8 (a sum of at most 64 steps fits) and carries A from those
+sums in float64, and the reducer gets the int8 steps and the
+exact A before each segment in place of the running sums. Since A rises
+by at most `_SCREEN_STEPS` in a segment, one whose bound cannot reach the
+least beta there, or cannot pass the path's running max before the piece
+over the least or greatest guarded lil denominator there (correctly
+rounded division is monotone), is skipped; so is a path that has crossed.
+Only the rest get float64 running sums: per segment (`_segment_runs`),
+or, where more than `_SCREEN_DENSE` of a piece's segments are left, as at
+short horizons, where a 64-step bound rules out few, over the whole piece
+(`_piece_runs`), cast into the worker's idle B^r role. Every comparison,
+quotient and max so sees the integer A of the per-cell path, and nothing
+is assumed of the computed beta or denominator: `screen` takes their
+per-segment least and greatest values from the computed row, once per
+piece, for every chunk.
 
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
@@ -91,8 +94,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .constants import (DomainError, _count, _finite, _integer, _one_of, _positive, _reals,
-                        _rule, fields_to_json, lil_constants)
+from .constants import (DomainError, _at_most, _count, _finite, _integer, _one_of, _positive,
+                        _reals, _rule, fields_to_json, lil_constants)
 from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
                      lil_denominator, moment_bound_cor22, moment_bound_thm21,
                      tail_bound_cor22, thm21_normalized, v_normalized)
@@ -123,6 +126,11 @@ _SCREEN_STEPS = 64
 _SCREEN_DENSE = 0.25
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
+# The most points of a boundary table (`boundary --v-points`) and bins of a
+# cluster-set histogram (`bins`). Each point is a float64 in every array of
+# the table and a root solve; 2^16 points took 43 s and raised the peak RSS
+# by 30 MB on a 2-CPU Xeon.
+_MAX_POINTS = 1 << 16
 
 
 def _checkpoints(v, name, horizon=math.inf, spec=None):
@@ -155,7 +163,8 @@ INPUT_RULES = {
     "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,
     "margin": _rule("a finite number > -1", lambda v: _finite(v) and v > -1),
     "alpha": _rule("a number in (0, 1/2)", lambda v: _finite(v) and 0 < v < 0.5),
-    "bins": _count, "v_points": _count, "v_min": _positive, "v_max": _positive,
+    "bins": _at_most(_MAX_POINTS), "v_points": _at_most(_MAX_POINTS),
+    "v_min": _positive, "v_max": _positive,
 }
 
 
@@ -234,20 +243,22 @@ def _piece_ends(x, end, stops, t):
 
 def _segment_edges(d, end):
     """The exact A at the edges of the `_SCREEN_STEPS`-step segments of d
-    (rows, L), a walk of +-1.0 steps whose last segment may be shorter, from
-    `end`, the A a step before d, which is advanced to the last: (rows,
-    segments + 1), the A before each segment, then after the last. Each
-    segment's steps are added in one reduce, in numpy's order; sums of
-    integers below 2^53 are exact in any order, so each is the bits of the
-    running sum at that step."""
+    (rows, L), a walk of +-1 steps (int8 on the scan's screen path, or
+    float64) whose last segment may be shorter, from `end`, the float64 A a
+    step before d, which is advanced to the last: (rows, segments + 1), the
+    A before each segment, then after the last. Each segment's steps are
+    summed in d's own dtype by einsum (on a 2-CPU Xeon, 0.27 ns a cell in
+    int8, against 0.5-0.6 for a reduce); any partial sum of at most 64
+    steps is exact in int8. The float64 edges then add integers below 2^53, exact in any
+    order, so each is the bits of the running sum at that step."""
     S = _SCREEN_STEPS
     rows, L = d.shape
     full = L - L % S
     a = np.empty((rows, -(-L // S) + 1))
     a[:, 0] = end
-    np.add.reduce(d[:, :full].reshape(rows, -1, S), axis=2, out=a[:, 1:full // S + 1])
+    a[:, 1:full // S + 1] = np.einsum("...k->...", d[:, :full].reshape(rows, -1, S))
     if full < L:
-        np.add.reduce(d[:, full:], axis=1, out=a[:, -1])
+        a[:, -1] = np.einsum("...k->...", d[:, full:])
     np.cumsum(a, axis=1, out=a)
     end[...] = a[:, -1]
     return a
@@ -255,9 +266,10 @@ def _segment_edges(d, end):
 
 def _segment_runs(d, a, p, s):
     """The running A over segment s[i] of row p[i] of d, for each i, from a,
-    `_segment_edges` of d: (len(p), _SCREEN_STEPS), the bits of the running
-    sums of the whole row at those steps. A short last segment is padded
-    with zero steps, on which A holds."""
+    `_segment_edges` of d: a fresh float64 (len(p), _SCREEN_STEPS), the bits
+    of the running sums of the whole row at those steps; only these
+    segments' steps are cast. A short last segment is padded with zero
+    steps, on which A holds."""
     S = _SCREEN_STEPS
     L = d.shape[1]
     full = L - L % S
@@ -265,17 +277,27 @@ def _segment_runs(d, a, p, s):
     whole = s < full // S
     x[whole] = d[:, :full].reshape(d.shape[0], -1, S)[p[whole], s[whole]]
     x[~whole, :L - full] = d[p[~whole], full:]
-    np.cumsum(x, axis=1, out=x)
-    x += a[p, s][:, None]
-    return x
+    x[:, 0] += a[p, s]  # integers: A may start the sums, as in `_piece_runs`
+    return np.cumsum(x, axis=1, out=x)
 
 
 def _piece_runs(d, a):
-    """The running A over the unit steps d of a piece from a[:, 0], the A
-    before it, in place of d: the bits of the per-cell running sums."""
-    np.cumsum(d, axis=1, out=d)
-    d += a[:, :1]
-    return d
+    """The running A over the unit steps d of a piece, a float64 array
+    (`_float_steps`), from a[:, 0], the A before it, in place of d: the bits
+    of the per-cell running sums, which add integers below 2^53, so that A
+    may start the sums instead of being added to each."""
+    d[:, 0] += a[:, 0]
+    return np.cumsum(d, axis=1, out=d)
+
+
+def _float_steps(d, out):
+    """A piece's unit steps d as float64 for `_piece_runs`: cast into `out`,
+    a float64 array of d's shape that the scan lends from an idle workspace
+    role, or d itself if out is None (d is then float64)."""
+    if out is None:
+        return d
+    out[...] = d
+    return out
 
 
 def _by_segment(x, pad):
@@ -353,15 +375,17 @@ class _Scan:
         WeightedIID's factorial weights, the one recursion that does not.
 
         A reducer whose class sets `screen` takes, on a spec with
-        `unit_steps` and the shared row, a third path on every tile: each
-        shared piece is `screen(of_b(piece))`, built once per piece, and
-        reducer.screened(rows, n_idx, d, a, shared, k) receives the piece's
-        +-1.0 draws d and a, `_segment_edges` of d, the exact A before each
-        `_SCREEN_STEPS`-step segment and after the last. No running sum is
-        built; the reducer builds exact ones for the segments it cannot rule
-        out (`_segment_runs`), or, past `_SCREEN_DENSE` of them, for the
-        whole piece in place of d (`_piece_runs`), and keeps neither d nor
-        a."""
+        `unit_steps` and the shared row, a third path on every tile: the
+        tile is drawn into an int8 role 0, each shared piece is
+        `screen(of_b(piece))`, built once per piece, and
+        reducer.screened(rows, n_idx, d, a, shared, k, out) receives the
+        piece's int8 +-1 draws d, a, `_segment_edges` of d, the exact A
+        before each `_SCREEN_STEPS`-step segment and after the last, and
+        out, the piece's float64 view of the idle role 1. No running sum
+        is built; the reducer builds exact ones for the segments it cannot
+        rule out (`_segment_runs`), or, past `_SCREEN_DENSE` of them, for
+        the whole piece in out (`_float_steps`, `_piece_runs`), and keeps
+        none of d, a and out."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -372,6 +396,7 @@ class _Scan:
         ends = getattr(reds[0], "ends_only", False)
         # the unit-step screen: the reducer's per-segment bounds of each shared piece
         screen = row and spec.unit_steps and getattr(reds[0], "screen", None)
+        draws = np.int8 if screen else np.float64  # screened signs are only summed
         carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
                    for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
         width = min(self.block, self.horizon)
@@ -389,14 +414,15 @@ class _Scan:
             for t in range(0, P, tile):
                 rows = slice(t, min(t + tile, P))
                 shape = (rows.stop - t, hi - lo)
-                d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components),
+                d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components, draws),
                               None if codes is None else codes[rows])
                 carry_rows = tuple(c[rows] for c in carry)
                 if screen:
+                    runs = ws.view(1, shape)  # idle B^r role: a dense piece's running A
                     for j, (cut, n_piece, k) in enumerate(pieces):
                         x = d[:, cut]
                         red.screened(rows, n_piece, x, _segment_edges(x, carry_rows[0]),
-                                     shared[j], k)
+                                     shared[j], k, runs[:, cut])
                     continue
                 out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
                 cuts = pieces
@@ -767,15 +793,17 @@ class _BetaCrossings(_Crossings):
         seg = _by_segment(beta, np.inf)
         return beta, seg, np.fmin.reduce(seg, axis=1)
 
-    def screened(self, rows, n_idx, d, a, bounds, k):
+    def screened(self, rows, n_idx, d, a, bounds, k, out=None):
         """segment on the unit steps d of a piece and a, their
-        `_segment_edges`, with bounds from `screen`."""
+        `_segment_edges`, with bounds from `screen`; a dense piece is cast
+        into out (`_float_steps`)."""
         beta, seg, least = bounds
         crossed = self.crossed[rows]  # a view
         live = (a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None]
         p, s = np.nonzero(live)
         if p.size > _SCREEN_DENSE * live.size:
-            return self.segment(rows, n_idx, _piece_runs(d, a), beta, None, k)
+            return self.segment(rows, n_idx, _piece_runs(_float_steps(d, out), a), beta,
+                                None, k)
         if p.size:
             crossed[p[(_segment_runs(d, a, p, s) >= seg[s]).any(axis=1)]] = True
         if k is not None:
@@ -921,16 +949,18 @@ class _LilMax(_RunningMax):
         seg = _by_segment(np.where(guard, den, np.nan), np.nan)
         return den, guard, seg, np.fmin.reduce(seg, axis=1), np.fmax.reduce(seg, axis=1)
 
-    def screened(self, rows, n_idx, d, a, bounds, k):
+    def screened(self, rows, n_idx, d, a, bounds, k, out=None):
         """segment on the unit steps d of a piece and a, their
-        `_segment_edges`, with bounds from `screen`."""
+        `_segment_edges`, with bounds from `screen`; a dense piece is cast
+        into out (`_float_steps`)."""
         den, guard, seg, least, most = bounds
         run = self.run[rows]  # a view
         top = a[:, :-1] + _SCREEN_STEPS
         live = np.where(top >= 0.0, top / least, top / most) > run[:, None]
         p, s = np.nonzero(live)
         if p.size > _SCREEN_DENSE * live.size:
-            return self.segment(rows, n_idx, _piece_runs(d, a), (den, guard), None, k)
+            return self.segment(rows, n_idx, _piece_runs(_float_steps(d, out), a),
+                                (den, guard), None, k)
         if p.size:  # fmax: NaN, off the guard, is no value
             np.fmax.at(run, p, np.fmax.reduce(_segment_runs(d, a, p, s) / seg[s], axis=1))
         if k is not None:

@@ -22,6 +22,10 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   are those of one call on the whole block. A
                                   coded variant takes in `codes` the tile's
                                   rows of the block's codes; any other, None.
+                                  A `unit_steps` variant's `out` may also be
+                                  int8: it takes the same signs, at one byte
+                                  a cell, and leaves the stream in the same
+                                  state.
   coded                           True if the draw reads part of the stream
                                   for the whole block before the rest (all
                                   signs before any scale, say); default False.
@@ -49,12 +53,12 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   builds B^r once per block, as one row shared
                                   by all paths, by `accumulate` on a row of
                                   ones. Default False.
-  unit_steps                      True if every draw is +-1.0 and `accumulate`
+  unit_steps                      True if every draw is +-1 and `accumulate`
                                   is the default, so every partial sum of A
-                                  is an exact integer; the engine then
-                                  decides most steps of a lil or crossing
-                                  scan from 64-step segment sums. Default
-                                  False.
+                                  is an exact integer; the engine then draws
+                                  a lil or crossing scan's steps into int8
+                                  and decides most of them from 64-step
+                                  segment sums. Default False.
   log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
@@ -117,8 +121,9 @@ class _Workspace:
     """Tile buffers: one flat array per role, made on first use (and made
     anew only when a larger one or another dtype is asked for) and viewed as
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
-    (then A), 1 its B^r increments (then B^r), 2 its V^2, 3 a block's int8
-    draw codes, and 4 a time-major copy of a tile's terms."""
+    (then A; int8 signs on the engine's unit-step screen), 1 its B^r
+    increments (then B^r; on the screen, a piece's running A), 2 its V^2, 3
+    a block's int8 draw codes, and 4 a time-major copy of a tile's terms."""
 
     def __init__(self):
         self.bufs = {}

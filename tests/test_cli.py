@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,26 @@ class TestBoundaryCommand:
         cfg = write_json(tmp_path, "m.json",
                          {"type": "gaussian", "precision": [[1.0]]})
         assert main(["boundary", "--config", cfg, "--c", "2"]) == 2
+
+    @pytest.mark.parametrize("points", [65537, 10**9])
+    def test_oversized_table_refused_before_any_array(self, tmp_path, capsys, monkeypatch,
+                                                      points):
+        # 1e9 points went straight to np.geomspace, 8 GB, and a boundary
+        # solve of as many rows; sized in closed form, nothing is made
+        monkeypatch.setattr(cli, "boundary", lambda *a: pytest.fail("boundary called"))
+        cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
+        out = tmp_path / "b.csv"
+        tracemalloc.start()
+        try:
+            assert main(["boundary", "--config", cfg, "--c", "5", "--v-points", str(points),
+                         "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert f"DomainError: --v-points {points} asks for {8 * points} bytes" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

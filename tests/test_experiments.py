@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -829,3 +830,33 @@ class TestScalarSpecRejection:
     def test_factorial_weights_never_deterministic(self):
         assert WeightedIID(weights="ones").b_deterministic
         assert not WeightedIID(weights="factorial").b_deterministic
+
+
+# ---------------------------------------------------------------------------
+# counts refused before the arrays they size
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bins", [experiments._MAX_POINTS + 1, 10**9, 2**62])
+def test_oversized_histogram_refused_before_any_array(bins, monkeypatch):
+    # sized in closed form, a float64 a bin: no edge, no chunk stream and no
+    # reducer is made, and the huge case never runs
+    def opened(*args):
+        raise AssertionError("a chunk stream was opened")
+    monkeypatch.setattr(experiments, "chunk_rng", opened)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^bins {bins} asks for {8 * bins} bytes"):
+            cluster_set_diagnostic(rad_cfg(), bins=bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_point_limit_is_inclusive():
+    top = experiments._MAX_POINTS
+    for name in ("bins", "v_points"):
+        assert INPUT_RULES[name](top, name) == top
+        assert INPUT_RULES[name](float(top), name) == top
+        with pytest.raises(DomainError, match=rf"{8 * (top + 1)} bytes"):
+            INPUT_RULES[name](top + 1, name)

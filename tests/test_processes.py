@@ -269,6 +269,24 @@ def test_unit_steps_draw_only_signs_and_sum_them_plainly(spec, seed, paths, lo, 
         lambda *a: processes._Variant.accumulate(spec, *a))
 
 
+@pytest.mark.parametrize("spec", UNIT + [Rademacher(r=1.5)], ids=repr)
+def test_unit_steps_draw_into_int8_on_the_same_stream(spec):
+    # the engine's unit-step screen draws into int8: tile by tile from twin
+    # streams, in odd tiles (each leaves or takes a held half-word) and one
+    # past a slab, the int8 signs are the float64 ones and the streams stay
+    # in step after every tile
+    a, b = chunk_rng(4, 1), chunk_rng(4, 1)
+    lo = 0
+    for rows, steps in [(1, 1), (3, 7), (2, 5), (1, 65), (5, 99), (1, processes._SLAB + 1),
+                        (3, 131)]:
+        signs = spec.draw(a, lo, lo + steps, rows, np.empty((rows, steps), np.int8), None)
+        floats = spec.draw(b, lo, lo + steps, rows, np.empty((rows, steps)), None)
+        assert signs.dtype == np.int8 and floats.dtype == np.float64
+        assert np.array_equal(signs, floats) and np.all(np.abs(signs) == 1)
+        assert plain_state(a) == plain_state(b), (rows, steps)
+        lo += steps
+
+
 def test_counterexample_steps_built_once_per_block():
     # the probabilities and values a draw reads depend on its steps alone:
     # every tile and chunk of a block reads one read-only set

@@ -599,3 +599,106 @@ def test_screened_reducers_match_segment_on_any_row(seed, rows, steps, start):
         reducers.append([x.tobytes() for x in (lil.run, lil.maxima, lil.values,
                                                 cross.crossed, cross.counts)])
     assert reducers[0] == reducers[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment", sorted(SCREENED))
+@pytest.mark.parametrize("variant", sorted(UNIT))
+def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monkeypatch):
+    # blocks of 99 steps in tiles of 3 rows, 297 cells: each tile leaves
+    # half a word held for the next, in the same block and across blocks;
+    # chunks of 7 paths end on a tile of 1 row, and 23 paths on a chunk of
+    # 2. Stops at 60 and 130 cut pieces of 60, 39, 31 and 68 steps, and the
+    # last block has 52, so pieces end on segments shorter than 64. The
+    # screen draws into int8 and sums int8, and a dense piece's running sums
+    # are float64; with `unit_steps` off every draw is float64 and nothing
+    # is summed by segment, and the reports are the same bits. The
+    # experiments take their worker count from SELFNORM_WORKERS
+    horizon = 250
+    monkeypatch.setenv("SELFNORM_WORKERS", str(workers))
+    monkeypatch.setattr(experiments, "_BLOCK", 99)
+    monkeypatch.setattr(experiments, "_TILE", 3 * 99)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 7 * horizon)
+    spec = UNIT[variant]
+    cfg = ExperimentConfig(spec=spec, seed=5, paths=23, horizon=horizon,
+                           checkpoints=(1, 60, 99, 130, horizon))
+    seen = {"draw": set(), "edges": set(), "runs": set()}
+    cls = type(spec)
+    draw = cls.draw
+
+    def spy_draw(self, rng, n_lo, n_hi, n_paths, out, codes):
+        seen["draw"].add(out.dtype.name)
+        return draw(self, rng, n_lo, n_hi, n_paths, out, codes)
+
+    def spy(name, key):
+        inner = getattr(experiments, name)
+
+        def spied(d, *args):
+            seen[key].add(d.dtype.name)
+            return inner(d, *args)
+        monkeypatch.setattr(experiments, name, spied)
+
+    monkeypatch.setattr(cls, "draw", spy_draw)
+    spy("_segment_edges", "edges")
+    spy("_piece_runs", "runs")
+    screened = outcome(SCREENED[experiment], cfg)
+    assert not isinstance(screened, tuple), screened
+    assert seen == {"draw": {"int8"}, "edges": {"int8"}, "runs": {"float64"}}, seen
+    for key in seen:
+        seen[key].clear()
+    monkeypatch.setattr(cls, "unit_steps", False)
+    assert outcome(SCREENED[experiment], cfg) == screened
+    assert seen == {"draw": {"float64"}, "edges": set(), "runs": set()}, seen
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32), rows=st.integers(1, 4), steps=st.integers(64, 260),
+       start=st.integers(-250, 250))
+def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start):
+    # the sibling above on the scan's own input: int8 steps, summed in int8
+    # a segment at a time, and a dense piece's running sums cast into a lent
+    # float64 buffer. Path 0 rises its first 64 steps straight, so its first
+    # segment sums to +64, and path 1 falls them, to -64: the int8 reduce
+    # holds both. At j, path 0's first segment end, den is least and beta
+    # equals A, and path 0's running max is a ulp below its lil maximum.
+    rng = np.random.default_rng(seed)
+    d = rng.choice(np.array([-1, 1], np.int8), (rows, steps))
+    d[0, :64] = 1
+    d[1:2, :64] = -1
+    end = start + rng.integers(-60, 60, rows).astype(float)
+    end[0] = start
+    n_idx = np.arange(1, steps + 1)
+    ca = np.cumsum(d.astype(float), axis=1) + end[:, None]
+    j = 63
+    den = rng.uniform(0.5, 40.0, steps)
+    guard = rng.random(steps) < 0.8
+    den[j], guard[j] = den.min() / 4.0, True
+    beta = ca[0, -1] + rng.uniform(0.5, 30.0, steps)
+    odd = rng.random(steps) < 0.1
+    beta[odd] = rng.choice([np.nan, np.inf], np.count_nonzero(odd))
+    beta[j] = ca[0, j]
+    run = np.where(rng.random(rows) < 0.2, -np.inf, rng.uniform(-6.0, 6.0, rows))
+    run[0] = np.nextafter(np.max(np.where(guard, ca[0] / den, -np.inf)), -np.inf)
+    crossed = rng.random(rows) < 0.3
+    crossed[0] = False
+    a = experiments._segment_edges(d, end.copy())
+    assert a[0, 1] - a[0, 0] == 64.0 and (rows == 1 or a[1, 1] - a[1, 0] == -64.0)
+    assert a.tobytes() == experiments._segment_edges(d.astype(float), end.copy()).tobytes()
+    assert a[:, -1].tobytes() == ca[:, -1].tobytes()
+    steps_before = d.copy()
+    reducers = []
+    for screen in (False, True):
+        lil, cross = experiments._LilMax(rows, 1), experiments._BetaCrossings(rows, 1)
+        lil.run[:], cross.crossed[:] = run, crossed
+        if screen:
+            lil.screened(slice(0, rows), n_idx, d, a, lil.screen((den, guard)), 0,
+                         np.empty(d.shape))
+            cross.screened(slice(0, rows), n_idx, d, a, cross.screen(beta), 0,
+                           np.empty(d.shape))
+        else:
+            lil.segment(slice(0, rows), n_idx, ca.copy(), (den, guard), None, 0)
+            cross.segment(slice(0, rows), n_idx, ca.copy(), beta, None, 0)
+        reducers.append([x.tobytes() for x in (lil.run, lil.maxima, lil.values,
+                                                cross.crossed, cross.counts)])
+    assert reducers[0] == reducers[1]
+    assert np.array_equal(d, steps_before)  # the int8 steps are only read
