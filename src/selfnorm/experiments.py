@@ -17,10 +17,12 @@ every chunk's stream, carry and reducer first, then draws and accumulates
 each block of `_BLOCK` steps in every chunk, on one thread pool per call,
 and cuts the block, as views, after the steps the experiment names (its
 checkpoints, or the half horizon). Each chunk-block runs as consecutive
-row tiles of at most `_TILE` cells (one row, if a row is wider): a tile's
-rows are drawn, advance their slice of the chunk's carry in place and are
-cut into pieces before the next tile is drawn. Cells come off a chunk's stream
-path-major, so the tiles draw what one draw of the whole block would; a
+row tiles, sized in bytes: a tile's draws take at most those of a float64
+tile of `_TILE` cells (one row, if a row is wider), so int8 draws take
+eight times its rows. A tile's rows are drawn, advance their slice of the
+chunk's carry in place and are cut into pieces before the next tile is
+drawn. Cells come off a chunk's stream path-major, so the tiles draw what
+one draw of the whole block would; a
 variant that reads part of the stream for the whole block first (signs
 before scales) stores one byte a cell of it per block (`codes`). A per-chunk
 reducer, built from the chunk's path count, sees the pieces in order
@@ -38,12 +40,12 @@ runs its whole grid as one block.
 
 Each worker thread of a call has one `_Workspace`: flat buffers, made in the
 call and dropped with it, that every tile the worker runs is drawn into and
-accumulated in, as views of that tile's shape. It holds one tile per role,
-whatever the chunk size, so every pass after the draw runs in cache; only
-the block's codes, at one byte a cell, grow with the chunk. The pieces
-segment receives are views of them, overwritten by the worker's next tile,
-so segment must not keep a piece, or a view of one, past its return: a
-reducer copies what it keeps.
+accumulated in, as views of that tile's shape. No role holds more bytes
+than a float64 tile of `_TILE` cells, whatever the chunk size, so every
+pass after the draw runs in cache; only the block's codes, at one byte a
+cell, grow with the chunk. The pieces segment receives are views of them,
+overwritten by the worker's next tile, so segment must not keep a piece,
+or a view of one, past its return: a reducer copies what it keeps.
 
 A reducer that reads only each piece's last step (`_StateAtStops`, behind
 the supermartingale mean, the tail and moment bounds and the growth-rate
@@ -72,8 +74,9 @@ rounded division is monotone), is skipped; so is a path that has crossed.
 Only the rest get float64 running sums: per segment (`_segment_runs`),
 or, where more than `_SCREEN_DENSE` of a piece's segments are left, as at
 short horizons, where a 64-step bound rules out few, over the whole piece
-(`_piece_runs`), cast into the worker's idle B^r role. Every comparison,
-quotient and max so sees the integer A of the per-cell path, and nothing
+(`_piece_runs`), cast into the worker's idle B^r role a float tile's rows
+at a time (`_dense_segments`). Every comparison, quotient and max so sees
+the integer A of the per-cell path, and nothing
 is assumed of the computed beta or denominator: `screen` takes their
 per-segment least and greatest values from the computed row, once per
 piece, for every chunk.
@@ -106,7 +109,9 @@ from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedI
                         spec_from_json, spec_to_json)
 
 _BLOCK = 32768
-_TILE = 1 << 16  # cells of a row tile: 512 KB a float role, so draws, B^r and V^2 fit in L2
+# Cells of a float64 row tile, 512 KB, so a tile's draws, B^r and V^2 fit in
+# L2. It is a byte budget per role: int8 draws take eight times its rows.
+_TILE = 1 << 16
 # Fewest rows of a tile whose sums at the piece ends are reduced time-major
 # (`_piece_ends`). Over tiles of _TILE cells on a 2-CPU Xeon (2 MB L2), cumsum
 # plus the carry costs 3.6-5.3 ns a cell at any row count, while the
@@ -131,6 +136,11 @@ _TARGET_CELLS = 4_194_304
 # the table and a root solve; 2^16 points took 43 s and raised the peak RSS
 # by 30 MB on a 2-CPU Xeon.
 _MAX_POINTS = 1 << 16
+# The most paths x checkpoints of a scan, counted as one checkpoint where the
+# experiment keeps no value per path and stop. `_StateAtStops` keeps three
+# float64s a path and stop and `lil_track` returns two arrays of them, and
+# every scan carries three float64s a path; 2^24 is 134 MB a float64 array.
+_MAX_RECORDS = 1 << 24
 
 
 def _checkpoints(v, name, horizon=math.inf, spec=None):
@@ -283,21 +293,29 @@ def _segment_runs(d, a, p, s):
 
 def _piece_runs(d, a):
     """The running A over the unit steps d of a piece, a float64 array
-    (`_float_steps`), from a[:, 0], the A before it, in place of d: the bits
+    (`_dense_segments`), from a[:, 0], the A before it, in place of d: the bits
     of the per-cell running sums, which add integers below 2^53, so that A
     may start the sums instead of being added to each."""
     d[:, 0] += a[:, 0]
     return np.cumsum(d, axis=1, out=d)
 
 
-def _float_steps(d, out):
-    """A piece's unit steps d as float64 for `_piece_runs`: cast into `out`,
-    a float64 array of d's shape that the scan lends from an idle workspace
-    role, or d itself if out is None (d is then float64)."""
-    if out is None:
-        return d
-    out[...] = d
-    return out
+def _dense_segments(red, rows, n_idx, d, a, cb, k, out):
+    """red.segment on the running A of a dense screen piece: its unit steps
+    d, with a, their `_segment_edges`, go through `_piece_runs` in groups of
+    out's rows, each cast into out, the float64 rows the scan lends from an
+    idle workspace role (one float tile, fewer rows than an int8 tile may
+    have), and each group is segment's piece for its slice of `rows`. If
+    out is None, d is float64 and the piece is one group."""
+    g = d.shape[0] if out is None else out.shape[0]
+    for lo in range(0, d.shape[0], g):
+        hi = min(lo + g, d.shape[0])
+        x = d[lo:hi]
+        if out is not None:
+            x = out[:hi - lo]
+            x[...] = d[lo:hi]
+        red.segment(slice(rows.start + lo, rows.start + hi), n_idx, _piece_runs(x, a[lo:hi]),
+                    cb, None, k)
 
 
 def _by_segment(x, pad):
@@ -324,9 +342,12 @@ class _Scan:
     specs the experiment cannot run, and fixes the chunk layout and the
     worker count. Only the Gaussian crossing asks for the `vector` state,
     and only an MvBrownianGrid has one; its whole grid runs as one block,
-    since blocks would draw (P, L, dim) in another order."""
+    since blocks would draw (P, L, dim) in another order. `kept` is the
+    number of stops at which the experiment keeps a value per path; paths
+    times that (or 1) above `_MAX_RECORDS` is refused before any chunk is
+    laid out."""
 
-    def __init__(self, cfg, workers, vector=False):
+    def __init__(self, cfg, workers, vector=False, kept=1):
         self.workers = resolve_workers(workers)
         spec = cfg.spec
         if isinstance(spec, MvBrownianGrid) != vector:
@@ -336,15 +357,20 @@ class _Scan:
             raise DomainError("WeightedIID factorial weights carry S_n/n!, and neither the lil "
                               "statistic nor the mixture boundary is scale-invariant")
         self.horizon = spec.steps if vector else _horizon(cfg.horizon, "horizon", spec)
+        if cfg.paths * kept > _MAX_RECORDS:
+            raise DomainError(f"paths {cfg.paths} x checkpoints {kept} asks for "
+                              f"{8 * cfg.paths * kept} bytes, a float64 an item, above the "
+                              f"limit of {_MAX_RECORDS} items")
         self.block = self.horizon if vector else _BLOCK
         self.cfg = cfg
         self.layout = _chunk_layout(cfg.paths, self.horizon * math.prod(spec.components))
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block and returned
-        in chunk order. Each chunk-block runs as row tiles of at most `_TILE`
-        cells (one row, if a row is wider), in row order: a tile's rows are
-        drawn (a coded spec's from the block's codes, drawn first), advance
+        in chunk order. Each chunk-block runs as row tiles in row order,
+        whose draws take at most the bytes of a float64 tile of `_TILE`
+        cells (one row, if a row is wider): a tile's rows are drawn (a
+        coded spec's from the block's codes, drawn first), advance
         their slice of the chunk's carry, made before the first block, and
         are cut into pieces, all before the next tile is drawn.
         reducer.segment(rows, n_idx, ca, cb, cv, k) receives the slice of the
@@ -381,11 +407,12 @@ class _Scan:
         reducer.screened(rows, n_idx, d, a, shared, k, out) receives the
         piece's int8 +-1 draws d, a, `_segment_edges` of d, the exact A
         before each `_SCREEN_STEPS`-step segment and after the last, and
-        out, the piece's float64 view of the idle role 1. No running sum
-        is built; the reducer builds exact ones for the segments it cannot
+        out, the piece's float64 view of the idle role 1, which holds a
+        float tile's rows, at most the int8 tile's. No running sum is
+        built; the reducer builds exact ones for the segments it cannot
         rule out (`_segment_runs`), or, past `_SCREEN_DENSE` of them, for
-        the whole piece in out (`_float_steps`, `_piece_runs`), and keeps
-        none of d, a and out."""
+        the whole piece, cast into out a row group at a time
+        (`_dense_segments`), and keeps none of d, a and out."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -400,7 +427,10 @@ class _Scan:
         carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
                    for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
         width = min(self.block, self.horizon)
-        tile = max(1, _TILE // (width * math.prod(spec.components)))  # rows
+        # rows of a tile, whose draws take at most the bytes of a float64 tile
+        tile = max(1, _TILE * 8 // (width * math.prod(spec.components)
+                                    * np.dtype(draws).itemsize))
+        float_rows = max(1, _TILE // width)  # of the screen's role 1
         local = threading.local()  # one workspace per worker thread, for this call only
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
@@ -418,7 +448,8 @@ class _Scan:
                               None if codes is None else codes[rows])
                 carry_rows = tuple(c[rows] for c in carry)
                 if screen:
-                    runs = ws.view(1, shape)  # idle B^r role: a dense piece's running A
+                    # idle B^r role: a dense piece's running A, a row group at a time
+                    runs = ws.view(1, (min(shape[0], float_rows), shape[1]))
                     for j, (cut, n_piece, k) in enumerate(pieces):
                         x = d[:, cut]
                         red.screened(rows, n_piece, x, _segment_edges(x, carry_rows[0]),
@@ -510,9 +541,9 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
                                workers: int | None = None) -> list[BoundReport]:
     """Empirical mean of the certified exponential supermartingale at each
     (lambda, checkpoint); pass iff mean - k*SE <= 1."""
-    scan = _Scan(cfg, workers)
-    lams = cfg.lambda_grid or (0.5,)
     cks = cfg.checkpoints or (cfg.horizon,)
+    scan = _Scan(cfg, workers, kept=len(cks))
+    lams = cfg.lambda_grid or (0.5,)
     for lam in lams:  # certify each lambda, and its weight, before any draw
         log_supermartingale(cfg.spec, lam, 0.0, 0.0)
     parts = scan(lambda P: _StateAtStops(P, len(cks)), cks)
@@ -796,14 +827,13 @@ class _BetaCrossings(_Crossings):
     def screened(self, rows, n_idx, d, a, bounds, k, out=None):
         """segment on the unit steps d of a piece and a, their
         `_segment_edges`, with bounds from `screen`; a dense piece is cast
-        into out (`_float_steps`)."""
+        into out a row group at a time (`_dense_segments`)."""
         beta, seg, least = bounds
         crossed = self.crossed[rows]  # a view
         live = (a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None]
         p, s = np.nonzero(live)
         if p.size > _SCREEN_DENSE * live.size:
-            return self.segment(rows, n_idx, _piece_runs(_float_steps(d, out), a), beta,
-                                None, k)
+            return _dense_segments(self, rows, n_idx, d, a, beta, k, out)
         if p.size:
             crossed[p[(_segment_runs(d, a, p, s) >= seg[s]).any(axis=1)]] = True
         if k is not None:
@@ -952,15 +982,14 @@ class _LilMax(_RunningMax):
     def screened(self, rows, n_idx, d, a, bounds, k, out=None):
         """segment on the unit steps d of a piece and a, their
         `_segment_edges`, with bounds from `screen`; a dense piece is cast
-        into out (`_float_steps`)."""
+        into out a row group at a time (`_dense_segments`)."""
         den, guard, seg, least, most = bounds
         run = self.run[rows]  # a view
         top = a[:, :-1] + _SCREEN_STEPS
         live = np.where(top >= 0.0, top / least, top / most) > run[:, None]
         p, s = np.nonzero(live)
         if p.size > _SCREEN_DENSE * live.size:
-            return self.segment(rows, n_idx, _piece_runs(_float_steps(d, out), a),
-                                (den, guard), None, k)
+            return _dense_segments(self, rows, n_idx, d, a, (den, guard), k, out)
         if p.size:  # fmax: NaN, off the guard, is no value
             np.fmax.at(run, p, np.fmax.reduce(_segment_runs(d, a, p, s) / seg[s], axis=1))
         if k is not None:
@@ -987,13 +1016,13 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
     and the fraction of paths ever exceeding the limsup bound * (1+margin).
     """
     INPUT_RULES["margin"](margin, "margin")
-    scan = _Scan(cfg, workers)
+    cks = cfg.checkpoints or (cfg.horizon,)
+    scan = _Scan(cfg, workers, kept=len(cks))
     spec = cfg.spec
     kind = spec.statistic if cfg.statistic == "auto" else cfg.statistic
     if kind not in ("lil", "uncentered", spec.statistic):
         kinds = ", ".join(map(repr, dict.fromkeys(("auto", "lil", "uncentered", spec.statistic))))
         raise DomainError(f"{type(spec).__name__} has no {kind!r} statistic; choose one of {kinds}")
-    cks = cfg.checkpoints or (cfg.horizon,)
     r = spec.r
     floor = DEFAULT_LOG_FLOOR
     limsup_bound = ((r / (r - 1.0)) ** ((r - 1.0) / r) if kind == "lil" else
@@ -1117,8 +1146,8 @@ def growth_rate_diagnostic(cfg: ExperimentConfig,
     conditional-variance root s_n (which vanishes), per checkpoint."""
     if not isinstance(cfg.spec, Counterexample65):
         raise DomainError("growth_rate_diagnostic requires a Counterexample65 spec")
-    scan = _Scan(cfg, workers)
     cks = cfg.checkpoints or (cfg.horizon,)
+    scan = _Scan(cfg, workers, kept=len(cks))
     s_det = np.sqrt(np.maximum(cfg.spec.s_n_sq(cfg.horizon), 0.0))
     parts = scan(lambda P: _StateAtStops(P, len(cks)), cks, b=False, v=True)
     a = np.concatenate([p.a for p in parts])

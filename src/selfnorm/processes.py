@@ -122,8 +122,12 @@ class _Workspace:
     anew only when a larger one or another dtype is asked for) and viewed as
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
     (then A; int8 signs on the engine's unit-step screen), 1 its B^r
-    increments (then B^r; on the screen, a piece's running A), 2 its V^2, 3
-    a block's int8 draw codes, and 4 a time-major copy of a tile's terms."""
+    increments (then B^r; on the screen, a dense piece's running A, a row
+    group at a time), 2 its V^2, 3 a block's int8 draw codes, and 4 a
+    time-major copy of a tile's terms. The engine sizes a tile in bytes: no
+    role but the codes holds more than a float64 tile, so an int8 tile has
+    eight times a float64 tile's rows, and role 1 lends the screen a float
+    tile's rows of it."""
 
     def __init__(self):
         self.bufs = {}

@@ -618,6 +618,24 @@ class TestLilCommand:
         err = capsys.readouterr().err
         assert "DomainError" in err and "margin" in err
 
+    def test_oversized_records_refused_before_any_array(self, tmp_path, capsys, no_draws):
+        # 1e7 paths x 100 checkpoints asked the reducers for two 8 GB arrays
+        # and the output for two more; sized in closed form, nothing is made
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 4, "paths": 10**7,
+                          "horizon": 100, "checkpoints": list(range(1, 101))})
+        out = tmp_path / "o.json"
+        tracemalloc.start()
+        try:
+            assert main(["lil", "--config", cfg, "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert f"DomainError: paths {10**7} x checkpoints 100 asks for {8 * 10**9} bytes" in err
+        assert not out.exists()
+
     def test_vector_spec_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "lil.json",
                          {"spec": {"variant": "mv_brownian_grid", "dim": 2,

@@ -853,6 +853,72 @@ def test_oversized_histogram_refused_before_any_array(bins, monkeypatch):
     assert peak < 1 << 20
 
 
+# each entry point, by the stops at which it keeps a value per path: the
+# supermartingale mean, lil_track and the growth-rate diagnostic keep one at
+# every checkpoint, the rest at most one a path (the carries)
+KEPT = {
+    "supermartingale_mean": (True, check_supermartingale_mean),
+    "lil_track": (True, lil_track),
+    "growth_rate": (True, growth_rate_diagnostic),
+    "tail_bound": (False, lambda cfg: validate_tail_bound(cfg, 1.0)),
+    "moment_bound": (False, validate_moment_bound),
+    "sup_moment": (False, lambda cfg: sup_moment_estimate(cfg, p=2.0)),
+    "cluster_set": (False, cluster_set_diagnostic),
+    "crossing": (False, lambda cfg: crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=2.0)),
+}
+
+
+def kept_cfg(entry, paths, checkpoints):
+    spec = Counterexample65() if entry == "growth_rate" else Rademacher()
+    return ExperimentConfig(spec=spec, seed=123, paths=paths, horizon=max(checkpoints),
+                            checkpoints=checkpoints)
+
+
+# paths and checkpoint counts above the limit: paths alone, or paths x
+# checkpoints on the entries that keep a value per path and stop
+RECORDS_REFUSED = [(e, paths, n) for e in sorted(KEPT) for paths, n in (
+    [(experiments._MAX_RECORDS + 1, 1), (10**12, 1)]
+    + ([(experiments._MAX_RECORDS // 3 + 1, 3), (10**5, 10**5)] if KEPT[e][0] else []))]
+
+
+@pytest.mark.parametrize("entry, paths, n_checkpoints", RECORDS_REFUSED)
+def test_oversized_records_refused_before_any_array(entry, paths, n_checkpoints, monkeypatch):
+    # sized in closed form: no chunk is laid out, no stream opened and no
+    # reducer made. 1e5 paths x 1e5 checkpoints asked _StateAtStops for 240
+    # GB; none of these cases runs
+    per_stop, run = KEPT[entry]
+    checkpoints = tuple(range(1, n_checkpoints + 1))
+    kept = n_checkpoints if per_stop else 1
+
+    def opened(*args):
+        raise AssertionError("a chunk stream was opened")
+    monkeypatch.setattr(experiments, "chunk_rng", opened)
+    monkeypatch.setattr(experiments, "_chunk_layout", opened)
+    cfg = kept_cfg(entry, paths, checkpoints)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^paths {paths} x checkpoints {kept} asks "
+                                              rf"for {8 * paths * kept} bytes"):
+            run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("entry", sorted(KEPT))
+def test_record_limit_is_inclusive(entry, monkeypatch):
+    # at a limit of 60 values, 20 paths x 3 checkpoints run and 21 do not
+    # where the entry keeps a value per path and stop; elsewhere 60 paths
+    # run at any checkpoint count, and 61 do not
+    monkeypatch.setattr(experiments, "_MAX_RECORDS", 60)
+    per_stop, run = KEPT[entry]
+    top = 20 if per_stop else 60
+    run(kept_cfg(entry, top, (10, 20, 30)))
+    with pytest.raises(DomainError, match=rf"^paths {top + 1} x checkpoints "):
+        run(kept_cfg(entry, top + 1, (10, 20, 30)))
+
+
 def test_point_limit_is_inclusive():
     top = experiments._MAX_POINTS
     for name in ("bins", "v_points"):

@@ -59,7 +59,7 @@ def clopper_pearson(hits, n, alpha):
     return lo, hi
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 16])
 @pytest.mark.parametrize("c_over_mass", [1.0001, 1.01, 1.1, 10.0])
 def test_recursion_matches_enumeration(n, c_over_mass):
     # every probability is a multiple of 2^-n, so both are exact

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_golden
 from selfnorm import experiments, processes
 from selfnorm.constants import DomainError
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
@@ -337,9 +338,10 @@ def test_reused_workspace_gives_the_reports_of_fresh_buffers(variant, small_bloc
 @pytest.mark.parametrize("budget, widest", [(20, 14), (5, 7)], ids=["two_rows", "one_row"])
 def test_workspace_holds_one_tile_per_role(budget, widest, small_blocks, monkeypatch):
     # a chunk of 11 paths of 7-step blocks is 77 cells, and the grid's rows
-    # are wider than either budget: every float buffer holds one tile of at
-    # most the budget's cells, or one row where a row is wider, whatever
-    # the variant and entry point
+    # are wider than either budget: every buffer holds at most the bytes of
+    # one float64 tile of at most the budget's cells, or of one row where a
+    # row is wider, whatever the variant and entry point; the unit-step
+    # screen's int8 draws take more rows in those bytes
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 11 * HORIZON)
     monkeypatch.setattr(experiments, "_TILE", budget)
     made = recorded_workspaces(monkeypatch)
@@ -354,8 +356,8 @@ def test_workspace_holds_one_tile_per_role(budget, widest, small_blocks, monkeyp
                     RUNS[experiment](cfg, workers)
                 except (DomainError, CertificationError):
                     break
-                sizes = [buf.size for ws in made for role, buf in ws.bufs.items() if role < 3]
-                assert sizes and max(sizes) <= limit, (experiment, spec)
+                sizes = [buf.nbytes for ws in made for role, buf in ws.bufs.items() if role != 3]
+                assert sizes and max(sizes) <= 8 * limit, (experiment, spec)
 
 
 def test_workspace_stays_at_the_budget_on_a_large_chunk(monkeypatch):
@@ -484,6 +486,13 @@ def test_ends_path_at_two_rows(variant, tiles_with_one_row_last, monkeypatch):
 # segments from their exact starting A
 # ---------------------------------------------------------------------------
 
+def int8_tile(rows, width):
+    """The least `_TILE` whose byte budget gives the unit-step screen int8
+    tiles of at least `rows` rows of `width` steps; exactly `rows` where
+    width >= 8, and the callers check the rows they get."""
+    return -(-rows * width // 8)
+
+
 UNIT = {
     "rademacher": Rademacher(),
     "rademacher_r15": Rademacher(r=1.5),
@@ -506,7 +515,7 @@ SCREENED = {
 @pytest.mark.parametrize("variant", sorted(UNIT))
 def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, dense,
                                                   monkeypatch):
-    # blocks of 100 steps in tiles of 1 or 2 rows, chunks of 5 paths; stops
+    # blocks of 100 steps in int8 tiles of 1 or 2 rows, chunks of 5 paths; stops
     # at the first step, at B_n >= e^2 (n = 55 at r = 2), on both sides of
     # and on a segment edge, in the second block and at the horizon: each
     # report equals the per-cell path's, which `unit_steps` off selects. At
@@ -514,7 +523,7 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, den
     # running sums whole; with that off, every open segment is summed alone
     horizon = 260
     monkeypatch.setattr(experiments, "_BLOCK", 100)
-    monkeypatch.setattr(experiments, "_TILE", 100 * rows)
+    monkeypatch.setattr(experiments, "_TILE", int8_tile(rows, 100))
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * horizon)
     if dense == "never":
         monkeypatch.setattr(experiments, "_SCREEN_DENSE", 1.0)
@@ -522,6 +531,7 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, den
     cfg = ExperimentConfig(spec=spec, seed=11, paths=23, horizon=horizon,
                            checkpoints=(1, 55, 63, 64, 65, 130, horizon))
     counted = {"segments": 0, "alone": 0, "whole": 0}
+    tiles = set()
 
     def count(name, key, cells):
         inner = getattr(experiments, name)
@@ -531,11 +541,13 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, den
             return inner(*args)
         monkeypatch.setattr(experiments, name, spy)
 
-    count("_segment_edges", "segments", lambda d, end: d.shape[0] * -(-d.shape[1] // 64))
+    count("_segment_edges", "segments",
+          lambda d, end: tiles.add(d.shape[0]) or d.shape[0] * -(-d.shape[1] // 64))
     count("_segment_runs", "alone", lambda d, a, p, s: p.size)
     count("_piece_runs", "whole", lambda d, a: a.size - a.shape[0])
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
+    assert max(tiles) == rows, tiles
     # some segments were never summed; at this short horizon most pieces
     # with an open segment are dense, and take their running sums whole
     # unless that is off
@@ -605,7 +617,7 @@ def test_screened_reducers_match_segment_on_any_row(seed, rows, steps, start):
 @pytest.mark.parametrize("experiment", sorted(SCREENED))
 @pytest.mark.parametrize("variant", sorted(UNIT))
 def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monkeypatch):
-    # blocks of 99 steps in tiles of 3 rows, 297 cells: each tile leaves
+    # blocks of 99 steps in int8 tiles of 3 rows, 297 cells: each tile leaves
     # half a word held for the next, in the same block and across blocks;
     # chunks of 7 paths end on a tile of 1 row, and 23 paths on a chunk of
     # 2. Stops at 60 and 130 cut pieces of 60, 39, 31 and 68 steps, and the
@@ -617,7 +629,7 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
     horizon = 250
     monkeypatch.setenv("SELFNORM_WORKERS", str(workers))
     monkeypatch.setattr(experiments, "_BLOCK", 99)
-    monkeypatch.setattr(experiments, "_TILE", 3 * 99)
+    monkeypatch.setattr(experiments, "_TILE", int8_tile(3, 99))
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 7 * horizon)
     spec = UNIT[variant]
     cfg = ExperimentConfig(spec=spec, seed=5, paths=23, horizon=horizon,
@@ -625,9 +637,11 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
     seen = {"draw": set(), "edges": set(), "runs": set()}
     cls = type(spec)
     draw = cls.draw
+    tiles = set()
 
     def spy_draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         seen["draw"].add(out.dtype.name)
+        tiles.add(n_paths)
         return draw(self, rng, n_lo, n_hi, n_paths, out, codes)
 
     def spy(name, key):
@@ -644,11 +658,68 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
     assert seen == {"draw": {"int8"}, "edges": {"int8"}, "runs": {"float64"}}, seen
+    assert tiles == {3, 2, 1}, tiles
     for key in seen:
         seen[key].clear()
     monkeypatch.setattr(cls, "unit_steps", False)
     assert outcome(SCREENED[experiment], cfg) == screened
     assert seen == {"draw": {"float64"}, "edges": set(), "runs": set()}, seen
+
+
+# the test_golden cases on which the unit-step screen runs
+GOLDEN_SCREEN = ["crossing-rademacher", "crossing-weighted_iid_ones", "lil_track-rademacher",
+                 "lil_track-weighted_iid_ones"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_SCREEN)
+def test_seeded_screen_digest_in_two_row_int8_tiles(case, monkeypatch):
+    # test_golden's two-row budget gives the screen's int8 draws a whole
+    # chunk of 5 paths a tile; here they take tiles of 2, 2 and 1 rows, and
+    # the digests are the same
+    block, run = test_golden.CASES[case]
+    monkeypatch.setattr(experiments, "_BLOCK", block)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * test_golden.HORIZON)
+    monkeypatch.setattr(experiments, "_TILE", int8_tile(2, block))
+    tiles, edges = set(), experiments._segment_edges
+    monkeypatch.setattr(experiments, "_segment_edges",
+                        lambda d, end: tiles.add((d.dtype.name, d.shape[0])) or edges(d, end))
+    assert test_golden.digest(run()) == test_golden.DIGESTS[case]
+    assert tiles == {("int8", 2), ("int8", 1)}, tiles
+
+
+@pytest.mark.parametrize("experiment", ["lil_track", "crossing_rs"])
+def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
+    # a chunk of 40 paths of 32768-step blocks: the screen's int8 draws take
+    # 16 rows, the bytes of one float tile, and role 1 lends a float tile's
+    # 2 rows, so the dense piece before the stop at step 100 is cast in row
+    # groups of 2; the reports equal those of the per-cell path
+    made = recorded_workspaces(monkeypatch)
+    calls = []
+
+    def spy(name, at):  # records the rows of the steps, argument `at`
+        inner = getattr(experiments, name)
+
+        def spied(*args):
+            calls.append((name, args[at].shape[0]))
+            return inner(*args)
+        monkeypatch.setattr(experiments, name, spied)
+    spy("_dense_segments", 3)
+    spy("_piece_runs", 0)
+    cfg = ExperimentConfig(spec=Rademacher(), seed=1, paths=40,
+                           horizon=experiments._BLOCK + 5, checkpoints=(100,))
+    assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [40]
+    screened = outcome(SCREENED[experiment], cfg)
+    assert not isinstance(screened, tuple), screened
+    [ws] = made
+    tile = experiments._TILE
+    assert {role: (buf.dtype.name, buf.size) for role, buf in ws.bufs.items()} == {
+        0: ("int8", 8 * tile), 1: ("float64", tile)}
+    assert ("_dense_segments", 16) in calls
+    assert {rows for name, rows in calls if name == "_piece_runs"} == {2}
+    calls.clear()
+    with mock.patch.object(Rademacher, "unit_steps", False):
+        assert outcome(SCREENED[experiment], cfg) == screened
+    assert not calls
 
 
 @settings(max_examples=200)
