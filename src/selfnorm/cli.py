@@ -150,7 +150,7 @@ def cmd_tailbound(args) -> int:
     rows = []
     for x in INPUT_RULES["x_grid"](args.x or [], "--x"):
         rows.append({"kind": "tail", "arg": x, "bound": bounds.tail_bound_cor22(x)})
-    for p in args.p or []:
+    for p in INPUT_RULES["p_list"](args.p or [], "--p"):
         rows.append({"kind": "moment", "arg": p,
                      "ratio_moment_bound": bounds.moment_bound_thm21(p),
                      "normalized_moment_bound": bounds.moment_bound_cor22(p)})

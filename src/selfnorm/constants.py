@@ -62,17 +62,20 @@ _reals = _rule("a list of finite numbers",
                lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
 
 
-def _at_most(limit: int):
-    """rule(v, name): a count (`_count`) of at most `limit` items, each a
-    float64 of the array it sizes; a larger one is a DomainError naming
-    `name` and the bytes asked for, before anything of that size is made."""
-    def rule(v, name):
-        n = _count(v, name)
+def _at_most(limit: int, rule=_count):
+    """rule(v, name): `rule`'s value, a count or a list, of at most `limit`
+    items, each a float64 of the array it sizes; a larger one is a
+    DomainError naming `name` and the bytes asked for, before anything of
+    that size is made."""
+    def checked(v, name):
+        out = rule(v, name)
+        n, what = (out, f"{name} {out}") if isinstance(out, int) else (
+            len(out), f"{name} of {len(out)} items")
         if n > limit:
-            raise DomainError(f"{name} {n} asks for {8 * n} bytes, a float64 an item, "
+            raise DomainError(f"{what} asks for {8 * n} bytes, a float64 an item, "
                               f"above the limit of {limit} items")
-        return n
-    return rule
+        return out
+    return checked
 
 
 class _Checked:

@@ -131,10 +131,10 @@ _SCREEN_STEPS = 64
 _SCREEN_DENSE = 0.25
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
-# The most points of a boundary table (`boundary --v-points`) and bins of a
-# cluster-set histogram (`bins`). Each point is a float64 in every array of
-# the table and a root solve; 2^16 points took 43 s and raised the peak RSS
-# by 30 MB on a 2-CPU Xeon.
+# The most points of a boundary table (`boundary --v-points`), bins of a
+# cluster-set histogram (`bins`) and items of a lambda, x or p list. Each
+# point is a float64 in every array of the table and a root solve; 2^16
+# points took 43 s and raised the peak RSS by 30 MB on a 2-CPU Xeon.
 _MAX_POINTS = 1 << 16
 # The most paths x checkpoints of a scan, counted as one checkpoint where the
 # experiment keeps no value per path and stop. `_StateAtStops` keeps three
@@ -165,9 +165,10 @@ def _horizon(v, name, spec=None):
 # rule(value, name) of each experiment input (horizon also takes a spec, and
 # checkpoints the horizon and spec): the value, an int for an integer and a tuple
 # for a list, or a DomainError naming it; paper domains (x >= sqrt(2)) stay in their formulas.
+_items = _at_most(_MAX_POINTS, _reals)
 INPUT_RULES = {
     "seed": _integer(0), "paths": _count, "horizon": _horizon, "checkpoints": _checkpoints,
-    "lambda_grid": _reals, "x_grid": _reals, "p_list": _reals,
+    "lambda_grid": _items, "x_grid": _items, "p_list": _items,
     "statistic": _one_of("auto", "lil", "uncentered", "conditional_variance", "universal"),
     "se_slack": _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0, float),
     "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,

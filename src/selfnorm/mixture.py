@@ -21,12 +21,18 @@ QUAD_REL_TOL = 1e-9
 RESIDUAL_TOL = 2e-9
 NEWTON_MAX_STEPS = 100
 
-# Robbins-Siegmund rule: 20-node Gauss-Legendre panels of width 1/4 in
-# w = log(1/lambda). The first panel is split geometrically into _GRADED + 1
-# panels, down to width 1/1024, for the layer of width about 1/(lambda0 u)
-# at lambda0 = e^-2 when u is large. Rows run in slabs of _SLAB_ROWS to bound
-# the (rows, nodes, panels) arrays.
+# Robbins-Siegmund rule (`RobbinsSiegmund.log_psi`): 20-node Gauss-Legendre
+# panels on two fixed lattices in w = log(1/lambda), both starting at w = 2.
+# Fine panels are _PANEL = 1/4 wide, the first split geometrically into
+# _GRADED + 1 panels, down to width 1/1024, for the layer of width about
+# 1/(lambda0 u) at lambda0 = e^-2 when u is large; a row uses them up to its
+# w_s. Coarse panels are _COARSE = 4 wide, each over the w of _PER_COARSE
+# fine ones, and a row uses them from w_s, where its exponent is flat, up to
+# its W. Rows run in slabs of _SLAB_ROWS to bound the (rows, nodes, panels)
+# arrays.
 _PANEL = 0.25
+_COARSE = 4.0
+_PER_COARSE = int(_COARSE / _PANEL)
 _GRADED = 8
 _SLAB_ROWS = 16
 
@@ -146,13 +152,27 @@ class RobbinsSiegmund(_Checked):
     def log_psi(self, u: np.ndarray, v: np.ndarray, r: float):
         """One fixed composite rule: w = log(1/lambda) turns the measure into
         dw / (w (log w)^(1+delta)) on (2, inf), integrated by 20-node
-        Gauss-Legendre panels of width 1/4 (the first one graded towards
-        w = 2) from 2 to W, the first panel edge at or past
-        50 + log max(v, |u|, 1). Past W, exp(lambda u - lambda^r v/r) is 1 to
-        machine precision, so the tail mass (log W)^(-delta)/delta enters in
-        closed form, as an atom at lambda = 0. Exponents are shifted by their
-        largest value over the nodes and that atom, and the sums run in one
-        fixed order, so each element is the same bits in any batch."""
+        Gauss-Legendre panels on two fixed lattices. Panels of width 1/4, the
+        first one graded towards w = 2, run up to w_s, the first point of the
+        lattice 2 + 4k at or past max(log max(|u|, 1), log max(v, 1)/r) + 4.
+        Panels of width 4 run from w_s to W, the first point of that lattice
+        at or past 50 + log max(v, |u|, 1).
+
+        The 4-wide panels are exact to rounding: past w_s, lambda |u| and
+        lambda^r v/r are at most e^-4, so for complex w with Re w >= w_s - 4
+        the exponent is at most 1 + 1/r in size, and 1/(w (log w)^(1+delta))
+        is analytic there (its singularities are at w = 0 and 1, and
+        w_s >= 6). The integrand is then analytic and bounded on the
+        Bernstein ellipse of each such panel with rho = 3 + 2 sqrt 2, and the
+        20-node error is of order rho^-40, about 1e-31 of that bound. Past W,
+        exp(lambda u - lambda^r v/r) is 1 to machine precision, so the tail
+        mass (log W)^(-delta)/delta enters in closed form, as an atom at
+        lambda = 0.
+
+        A row's panels are a subset of the two lattices, which do not depend
+        on the batch; exponents are shifted by their largest value over the
+        row's nodes and that atom, and the sums run in one fixed order, so
+        each element is the same bits in any batch."""
         u1, v1 = u.reshape(-1), v.reshape(-1)
         lp, slope = np.empty(u1.shape), np.empty(u1.shape)
         for s in range(0, u1.size, _SLAB_ROWS):
@@ -161,24 +181,34 @@ class RobbinsSiegmund(_Checked):
         return lp.reshape(u.shape), slope.reshape(u.shape)
 
     def _log_psi_rows(self, u: np.ndarray, v: np.ndarray, r: float):
-        panels = np.ceil((48.0 + np.log(np.maximum(np.maximum(v, np.abs(u)), 1.0)))
-                         / _PANEL) + _GRADED
-        edges = 2.0 + _PANEL * np.concatenate(
-            ([0.0], 0.5 ** np.arange(_GRADED, 0, -1), np.arange(1.0, panels.max() - _GRADED + 1)))
-        half = 0.5 * np.diff(edges)
-        gl_x, gl_w = _gauss_legendre()
-        w = edges[:-1] + half * (1.0 + gl_x)                  # (nodes, panels)
-        lam = np.exp(-w)
-        t = lam * u[:, None, None]                            # (rows, nodes, panels)
-        t -= np.exp(-r * w) * v[:, None, None] / r
-        np.copyto(t, -np.inf, where=np.arange(len(half)) >= panels[:, None, None])
-        m = np.maximum(t.max(axis=(1, 2)), 0.0)              # 0: the tail atom
-        t -= m[:, None, None]
-        np.exp(t, out=t)
-        t *= half * gl_w / (w * np.log(w) ** (1.0 + self.delta))
-        tail = np.log(edges[panels.astype(int)]) ** (-self.delta) / self.delta
-        total = _ordered_sum(t) + tail * np.exp(-m)
-        return m + np.log(total), _ordered_sum(t * lam) / total
+        # per row, w_s = 2 + 4 split and W = 2 + 4 end; the slab lays out the
+        # fine panels below its largest w_s, then the coarse panels from its
+        # smallest w_s to its largest W, and masks those a row does not own
+        log_u, log_v = np.log(np.maximum(np.abs(u), 1.0)), np.log(np.maximum(v, 1.0))
+        split = np.ceil((np.maximum(log_u, log_v / r) + 2.0) / _COARSE)
+        end = np.ceil((np.maximum(log_u, log_v) + 48.0) / _COARSE)
+        lo, top, hi = int(split.min()), int(split.max()), int(end.max())
+        nf = _PER_COARSE * top + _GRADED
+        lam, lam_r, weight = (np.concatenate((f[:, :nf], c[:, lo:hi]), axis=1) for f, c in zip(
+            _rs_nodes(r, self.delta, False, (top - 1).bit_length()),
+            _rs_nodes(r, self.delta, True, (hi - 1).bit_length())))
+        t = np.empty((2, u.size) + lam.shape)  # (psi, its u-derivative) x (rows, nodes, panels)
+        e = t[0]
+        np.multiply(lam, u[:, None, None], out=e)
+        e -= np.multiply(lam_r, v[:, None, None], out=t[1])
+        if lo < top or end.min() < hi:
+            k = np.arange(lo, hi)
+            own = np.concatenate((np.arange(nf) < _PER_COARSE * split[:, None] + _GRADED,
+                                  (k >= split[:, None]) & (k < end[:, None])), axis=1)
+            np.copyto(e, -np.inf, where=~own[:, None, :])
+        m = np.maximum(e.max(axis=(1, 2)), 0.0)              # 0: the tail atom
+        e -= m[:, None, None]
+        np.exp(e, out=e)
+        e *= weight
+        np.multiply(e, lam, out=t[1])
+        total, moment = _ordered_sum(t)
+        total += np.log(2.0 + _COARSE * end) ** (-self.delta) / self.delta * np.exp(-m)
+        return m + np.log(total), moment / total
 
 
 MixtureMeasure = PointMasses | Density | RobbinsSiegmund
@@ -233,6 +263,30 @@ def _gauss_legendre():
     imports selfnorm 0.7 MB of memory."""
     x, w = np.polynomial.legendre.leggauss(20)
     return x[:, None], w[:, None]
+
+
+@functools.lru_cache(maxsize=32)
+def _rs_nodes(r: float, delta: float, coarse: bool, size: int):
+    """lambda, lambda^r/r and the measure weight at the nodes of one
+    Robbins-Siegmund lattice, as (nodes, panels) arrays over its first 2^size
+    coarse steps [2 + 4k, 6 + 4k]: one panel a step on the coarse lattice,
+    _PER_COARSE on the fine one, the first split into _GRADED + 1. Each
+    element is a function of (r, delta, its index) alone, so a slab's slice is
+    the same bits whichever size was built (numpy's exp and log give an
+    element the same bits at any position in a contiguous array)."""
+    steps = 1 << size
+    if coarse:
+        edges = 2.0 + _COARSE * np.arange(steps + 1.0)
+    else:
+        edges = 2.0 + _PANEL * np.concatenate(
+            ([0.0], 0.5 ** np.arange(_GRADED, 0, -1), np.arange(1.0, _PER_COARSE * steps + 1)))
+    half = 0.5 * np.diff(edges)
+    gl_x, gl_w = _gauss_legendre()
+    w = edges[:-1] + half * (1.0 + gl_x)
+    nodes = np.exp(-w), np.exp(-r * w) / r, half * gl_w / (w * np.log(w) ** (1.0 + delta))
+    for a in nodes:
+        a.flags.writeable = False  # shared by every later call
+    return nodes
 
 
 def _ordered_sum(t: np.ndarray) -> np.ndarray:

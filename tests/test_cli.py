@@ -86,6 +86,14 @@ class TestTailboundCommand:
     def test_empty_is_usage_error(self):
         assert main(["tailbound"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--x", "--p"])
+    def test_oversized_list_refused(self, tmp_path, capsys, flag):
+        out = tmp_path / "t.csv"
+        n = 65537
+        assert main(["tailbound", flag, *["2"] * n, "--out", str(out)]) == 2
+        assert f"DomainError: {flag} of {n} items asks for {8 * n} bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_x_not_finite(self, tmp_path, capsys, x):
         # --x nan printed a bound nan and exited 0
@@ -293,6 +301,16 @@ class TestVerifyCommand:
         if seed:
             suite["seed"] = 99
         return write_json(tmp_path, "suite.json", suite)
+
+    def test_oversized_lambda_grid_refused_before_any_draw(self, tmp_path, capsys, no_draws):
+        suite = json.loads(open(self.make_suite(tmp_path)).read())
+        suite["experiments"][0]["config"]["lambda_grid"] = [0.5] * 65537
+        cfg = write_json(tmp_path, "big.json", suite)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "DomainError: lambda_grid of 65537 items asks for 524296 bytes" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_passing_suite(self, tmp_path):
         cfg = self.make_suite(tmp_path)

@@ -926,3 +926,31 @@ def test_point_limit_is_inclusive():
         assert INPUT_RULES[name](float(top), name) == top
         with pytest.raises(DomainError, match=rf"{8 * (top + 1)} bytes"):
             INPUT_RULES[name](top + 1, name)
+    for name in ("lambda_grid", "x_grid", "p_list"):
+        assert INPUT_RULES[name]([2.0] * top, name) == (2.0,) * top
+        with pytest.raises(DomainError, match=rf"^{name} of {top + 1} items asks for "
+                                              rf"{8 * (top + 1)} bytes"):
+            INPUT_RULES[name]([2.0] * (top + 1), name)
+
+
+# each list input, on the entry point that reads it: a config field or, for
+# p_list, validate_moment_bound's keyword too
+LISTS_REFUSED = {
+    "lambda_grid": lambda items: check_supermartingale_mean(rad_cfg(lambda_grid=items)),
+    "x_grid": lambda items: validate_tail_bound(rad_cfg(x_grid=items), 1.0),
+    "p_list": lambda items: validate_moment_bound(rad_cfg(p_list=items)),
+    "p_list keyword": lambda items: validate_moment_bound(rad_cfg(), p_list=items),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LISTS_REFUSED))
+def test_oversized_list_refused_before_any_draw(entry, monkeypatch):
+    # a lambda, x or p list of 2^16 + 1 items is refused by its length, with
+    # its name, before a chunk stream is opened
+    def opened(*args):
+        raise AssertionError("a chunk stream was opened")
+    monkeypatch.setattr(experiments, "chunk_rng", opened)
+    n = experiments._MAX_POINTS + 1
+    with pytest.raises(DomainError, match=rf"^{entry.split()[0]} of {n} items asks for "
+                                          rf"{8 * n} bytes"):
+        LISTS_REFUSED[entry]([2.0] * n)

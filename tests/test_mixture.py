@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from selfnorm import mixture
@@ -143,25 +144,27 @@ class TestBoundary:
         assert got_r == pytest.approx(1.2231034869333133, rel=1e-9)
 
 
-def reference_log_psi_rs(u, v, delta, r):
-    """log psi for the Robbins-Siegmund density by adaptive quadrature in
-    w = log(1/lambda), split around the peak of the integrand, plus the tail
-    mass past W, where the exponential factor is 1 to machine precision."""
+def reference_rs(u, v, delta, r):
+    """log psi and its u-derivative for the Robbins-Siegmund density by
+    adaptive quadrature in w = log(1/lambda), split around the peak of the
+    integrand, plus the tail mass past 40 + log max(|u|, v, 1), where the
+    exponential factor is 1 to machine precision."""
     lam_star = min((u / v) ** (1.0 / (r - 1.0)), math.exp(-2.0)) if u > 0 else 0.0
-    m = lam_star * u - lam_star**r * v / r
-    big_w = 60.0 + math.log(max(v, abs(u), 1.0))
+    m = max(lam_star * u - lam_star**r * v / r, 0.0)
+    big_w = 40.0 + math.log(max(abs(u), v, 1.0))
     w_star = -math.log(lam_star) if lam_star > 0 else big_w
 
-    def g(w):
+    def g(w, power):
         lam = math.exp(-w)
-        return math.exp(lam * u - lam**r * v / r - m) / (w * math.log(w) ** (1.0 + delta))
+        return lam**power * math.exp(lam * u - lam**r * v / r - m) / (w * math.log(w) ** (1.0 + delta))
 
     pts = sorted({2.0, big_w} | {w_star + k for k in (-4.0, -1.0, 0.0, 1.0, 4.0)
                                   if 2.0 < w_star + k < big_w})
-    total = math.fsum(integrate.quad(g, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-                      for a, b in zip(pts, pts[1:]))
+    total, moment = (math.fsum(integrate.quad(g, a, b, args=(power,), epsabs=0.0, epsrel=1e-13,
+                                              limit=500)[0] for a, b in zip(pts, pts[1:]))
+                     for power in (0, 1))
     total += math.exp(-m) * math.log(big_w) ** -delta / delta
-    return m + math.log(total)
+    return m + math.log(total), moment / total
 
 
 def reference_log_psi_atoms(u, v, atoms, r):
@@ -176,6 +179,45 @@ def reference_root(f, near):
     half = 1e-6 * (1.0 + abs(near))
     return optimize.brentq(f, near - half, near + half, xtol=1e-13, rtol=1e-15,
                            maxiter=200)
+
+
+class TestRobbinsSiegmundRule:
+    """The fixed rule of `RobbinsSiegmund.log_psi`: 1/4-wide panels up to w_s,
+    4-wide panels from w_s to W, and the closed-form tail past W."""
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    @pytest.mark.parametrize("r", [2.0, 1.5])
+    @pytest.mark.parametrize("v", [1e-3, 1.0, 30.0, 1e3, 1e5, 1.6e6, 1e8])
+    def test_matches_adaptive_quadrature(self, v, r, delta):
+        # on both sides of the root beta, where the peak of the integrand
+        # moves across the fine panels and the 4-wide ones start past it, and
+        # at u = 0, where Newton starts and w_s is 6 for v < e^(2r)
+        F = RobbinsSiegmund(delta)
+        beta = boundary(v, 10.0 * F.total_mass, F, r)
+        for u in (-beta, 0.0, beta / 2.0, beta, 2.0 * beta):
+            lp, slope = log_psi(u, v, F, r)
+            want_lp, want_slope = reference_rs(u, v, delta, r)
+            assert abs(lp - want_lp) <= 1e-12 * max(1.0, abs(want_lp)), (u, lp, want_lp)
+            assert slope == pytest.approx(want_slope, rel=1e-12), (u, slope, want_slope)
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.sampled_from([0.5, 1.0, 2.0]), r=st.sampled_from([2.0, 1.5, 1.1]),
+           log_v=st.lists(st.floats(-4.0, 8.0), min_size=14, max_size=14),
+           z=st.lists(st.floats(-4.0, 4.0), min_size=16, max_size=16),
+           order=st.permutations(range(16)))
+    def test_row_alone_is_the_row_in_a_batch(self, delta, r, log_v, z, order):
+        # v spans 1e-4..1e8 and u takes both signs, so the slab mixes rows
+        # whose fine and coarse panels split at different w_s and end at
+        # different W; alone, a row also reads node constants built to a
+        # shorter length
+        F = RobbinsSiegmund(delta)
+        v = 10.0 ** np.array([-4.0, 8.0] + log_v)[list(order)]
+        z = np.array([-abs(z[0]) - 0.1, abs(z[1]) + 0.1] + z[2:])
+        u = z * np.sqrt(v + 1.0) * 3.0
+        lp, slope = log_psi(u, v, F, r)
+        for i in range(16):
+            one_lp, one_slope = log_psi(u[i], v[i], F, r)
+            assert (one_lp, one_slope) == (lp[i], slope[i]), (u[i], v[i])
 
 
 class TestBoundaryArray:
@@ -212,7 +254,7 @@ class TestBoundaryArray:
             got = boundary(vs, c, F, r)
             for v, u in zip(vs, got):
                 want = reference_root(
-                    lambda x: reference_log_psi_rs(x, v, delta, r) - math.log(c), u)
+                    lambda x: reference_rs(x, v, delta, r)[0] - math.log(c), u)
                 assert u == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_point_masses_match_reference(self):

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from selfnorm.experiments import ExperimentConfig, _boundary_interpolant, crossing_frequency
-from selfnorm.mixture import RobbinsSiegmund
+from selfnorm.mixture import RobbinsSiegmund, boundary
 from selfnorm.processes import Rademacher
 
 RS = RobbinsSiegmund(1.0)
@@ -91,3 +91,18 @@ def test_engine_inside_exact_interval():
         hits = round(rep.estimate * paths)
         lo, hi = clopper_pearson(hits, paths, 1e-4)
         assert lo <= exact[n - 1] <= hi, (n, hits, exact[n - 1], lo, hi)
+
+
+def test_table_moves_no_exact_crossing():
+    # the 160-node PCHIP table against beta solved at every n = 1..1000: the
+    # two differ by up to about 1e-5 relative, but no beta(n) crosses a
+    # lattice point between them, so every exact crossing probability is the
+    # same bits; this bounds what the table may change on this walk
+    c, horizon = 10.0 * RS.total_mass, 1000
+    table = engine_beta(c, horizon, horizon)
+    solved = boundary(np.arange(1.0, horizon + 1.0), c, RS)
+    assert np.max(np.abs(table / solved - 1.0)) > 0.0
+    exact = exact_crossing(table)
+    assert np.array_equal(exact, exact_crossing(solved))
+    assert exact[99] == pytest.approx(2.143565504338148e-4, rel=1e-12)
+    assert exact[999] == pytest.approx(0.029360166487952664, rel=1e-12)
