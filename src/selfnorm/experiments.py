@@ -47,6 +47,17 @@ cell, grow with the chunk. The pieces segment receives are views of them,
 overwritten by the worker's next tile, so segment must not keep a piece,
 or a view of one, past its return: a reducer copies what it keeps.
 
+Where a tile's running sums are built, A and B^r (else V^2) are one
+complex128 running sum, A the real part (`accumulate`'s `pair`): a complex
+add adds the parts apart by the same IEEE adds, so numpy's `cumsum`, one
+dependent add a cell, gives the bits of both sums from one chain instead of
+two. The pair lives in the B^r role, which holds a float64 tile's bytes
+and so half the tile's rows complex: the tile is summed and reduced in row
+groups of those rows, each group's pieces all before the next group is
+summed (two groups of one row on a `_BLOCK`-step block; the tests' small
+`_TILE` may give more). A one-row tile, and a vector state, keep float
+sums.
+
 A reducer that reads only each piece's last step (`_StateAtStops`, behind
 the supermartingale mean, the tail and moment bounds and the growth-rate
 diagnostic) declares so with `ends_only`, and on a tile of at least
@@ -80,6 +91,12 @@ the integer A of the per-cell path, and nothing
 is assumed of the computed beta or denominator: `screen` takes their
 per-segment least and greatest values from the computed row, once per
 piece, for every chunk.
+
+On a random normalizer the crossing rule (`_hit_cells`) first drops each
+row whose greatest A on the piece is below beta at the greatest table node
+at or below its first B^r, less a slack: beta at the table's own nodes,
+read once per call, bounds every lookup on the piece (see `_SCREEN_SLACK`).
+Only the rows left get the per-segment screen and its lookups.
 
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
@@ -141,6 +158,8 @@ _MAX_POINTS = 1 << 16
 # float64s a path and stop and `lil_track` returns two arrays of them, and
 # every scan carries three float64s a path; 2^24 is 134 MB a float64 array.
 _MAX_RECORDS = 1 << 24
+# Nodes of a crossing call's boundary table, geometric in v.
+_TABLE_NODES = 160
 
 
 def _checkpoints(v, name, horizon=math.inf, spec=None):
@@ -379,7 +398,14 @@ class _Scan:
         block and the tile's running sums over it from `spec.accumulate(...,
         b, v)`: A always, B^r and V^2 where b and v ask for them (else None).
         Blocks are cut after each step in the sorted `stops`; k is the index
-        of the stop a piece ends on, else None.
+        of the stop a piece ends on, else None. Where b or v is asked for on
+        a scalar state, A and its partner (B^r, else V^2) are summed as one
+        complex chain in role 1 (`_Workspace.pair`), whose float64 tile
+        holds half the tile's rows: the tile's rows are then summed and cut
+        into pieces in groups of those rows, each group's pieces reaching
+        segment, with the group's slice of rows, before the next group is
+        summed. ca and the partner are then strided views of the pair. A
+        tile of one nominal row, or a vector state, keeps float sums.
 
         of_b, a function of a piece of B^r alone, is what segment receives in
         place of that piece (default: the piece itself). With b True and
@@ -432,7 +458,17 @@ class _Scan:
         tile = max(1, _TILE * 8 // (width * math.prod(spec.components)
                                     * np.dtype(draws).itemsize))
         float_rows = max(1, _TILE // width)  # of the screen's role 1
+        # rows of the per-cell path's complex pair of A with B^r or V^2 in
+        # role 1, half a float tile's; none on component axes, where the
+        # tile's sums stay float ones
+        pair_rows = 0 if spec.components else tile // 2
         local = threading.local()  # one workspace per worker thread, for this call only
+
+        def feed(red, rows, cuts, shared, ca, cb, cv):  # segment on each piece of rows' sums
+            for j, (cut, n_piece, k) in enumerate(cuts):
+                red.segment(rows, n_piece, ca[:, cut],
+                            shared[j] if row else None if cb is None else of_b(cb[:, cut]),
+                            None if cv is None else cv[:, cut], k)
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
             lo, hi, n_idx, pieces, shared, at_ends = block
@@ -456,21 +492,31 @@ class _Scan:
                         red.screened(rows, n_piece, x, _segment_edges(x, carry_rows[0]),
                                      shared[j], k, runs[:, cut])
                     continue
-                out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
-                cuts = pieces
                 # the tile's own rows decide: a chunk's last tile may have one
                 if ends and shape[0] >= _ENDS_ROWS:
                     stops_at, cuts = at_ends
+                    out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
                     terms = (d, *spec.increments(d, n_idx, b, v, out))
-                    ca, cb, cv = (None if x is None else _piece_ends(
+                    feed(red, rows, cuts, shared, *(None if x is None else _piece_ends(
                         x, c, stops_at, ws.view(4, x.shape[1::-1] + x.shape[2:]))
-                        for x, c in zip(terms, carry_rows))
-                else:
-                    ca, cb, cv = spec.accumulate(d, n_idx, carry_rows, b, v, out)
-                for j, (cut, n_piece, k) in enumerate(cuts):
-                    red.segment(rows, n_piece, ca[:, cut],
-                                shared[j] if row else None if cb is None else of_b(cb[:, cut]),
-                                None if cv is None else cv[:, cut], k)
+                        for x, c in zip(terms, carry_rows)))
+                    continue
+                # A and B^r (else V^2) as one complex chain in role 1, which
+                # holds half the tile's rows: the tile is summed and reduced
+                # in row groups
+                paired = pair_rows and (b or v)
+                g = pair_rows if paired else shape[0]
+                for r0 in range(0, shape[0], g):
+                    part = slice(r0, min(r0 + g, shape[0]))
+                    gs = (part.stop - r0, shape[1])
+                    if paired:  # role 2 holds only V^2 beside the pair of A and B^r
+                        out, pair = (None, ws.view(2, gs) if b and v else None), ws.pair(*gs)
+                    else:
+                        out, pair = (ws.view(1, gs) if b else None,
+                                     ws.view(2, gs) if v else None), None
+                    sums = spec.accumulate(d[part], n_idx, tuple(c[part] for c in carry_rows),
+                                           b, v, out, pair)
+                    feed(red, slice(t + r0, t + part.stop), pieces, shared, *sums)
 
         ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), np.zeros((3, 1))
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -722,7 +768,7 @@ class PchipInterpolator:
 
 
 def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
-                          v_lo: float, v_hi: float, nodes: int = 160):
+                          v_lo: float, v_hi: float, nodes: int = _TABLE_NODES):
     """beta_F(v, c) by PCHIP in log v over a geometric table of `nodes` points
     on [v_lo, v_hi], built in one `boundary` call; a v outside the table is
     solved exactly, so every value is a function of its own v alone."""
@@ -742,8 +788,15 @@ def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
 # Screen of the per-cell lookups on a random normalizer. psi(u, v) increases
 # in u and decreases in v, so beta(v) increases in v; B^r increments are
 # >= 0, so v never falls along a path; PCHIP on increasing data is increasing
-# (Fritsch & Carlson 1980). On a segment of _SCREEN_STEPS steps, every cell's
-# beta is therefore at least (1 - _SCREEN_SLACK) beta at the segment's first
+# and stays between its node values (Fritsch & Carlson 1980). So every beta a
+# piece of a row can look up is at least (1 - _SCREEN_SLACK) times the value
+# at any v at or below the piece's first B^r, in particular at the greatest
+# table node there: a PCHIP value past that node lies above it, and an exact
+# solve past the table above the last node. That node value, read once per
+# call from beta at its own nodes, screens whole rows: a row whose greatest A
+# on the piece lies below it cannot cross there and is dropped before any
+# lookup. On a segment of _SCREEN_STEPS steps of a row left, every cell's
+# beta is likewise at least (1 - _SCREEN_SLACK) beta at the segment's first
 # cell, and only cells with A at or above that bound are looked up.
 #
 # The slack covers what makes the computed beta less than monotone. With
@@ -760,12 +813,21 @@ def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
 _SCREEN_SLACK = 1e-6
 
 
-def _hit_cells(ca, cb, beta, skip):
+def _hit_cells(ca, cb, beta, skip, floor=None):
     """Rows and columns of the cells with ca >= beta(max(cb, 1e-4)) in the
     rows not in `skip`, for a per-cell B^r that never falls along a row; beta
     is evaluated on each segment's first cell and on the cells at or above
-    its screen bound only."""
+    its screen bound only. floor, if given, is (nodes, values): the table's
+    sorted nodes and, at index i, beta at node i - 1 less the slack (-inf at
+    0); a row whose greatest A is below the value of the greatest node at or
+    below its first max(cb, 1e-4) is skipped too, before any lookup."""
     P, L = ca.shape
+    if floor is not None:
+        nodes, values = floor
+        at = np.searchsorted(nodes, np.maximum(cb[:, 0], 1e-4), side="right")
+        skip = skip | (ca.max(axis=1) < values[at])
+    if skip.all():  # no row can cross: no lookup
+        return np.empty(0, np.intp), np.empty(0, np.intp)
     S = _SCREEN_STEPS
     bound = np.full((P, -(-L // S)), np.inf)
     first = beta(np.maximum(cb[~skip, ::S], 1e-4))
@@ -874,8 +936,8 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     Scalar mixtures test {A_n >= beta_F(B_n^r, c)}; pass iff freq - k*SE <=
     total_mass/c. The boundary assumes the canonical weight exp(lam*A -
     lam^r B^r / r), so a spec certifying another weight is refused. On a
-    random normalizer most cells are screened out by monotonicity (see
-    `_SCREEN_STEPS`); the hits are those of a lookup on every cell. A Gaussian
+    random normalizer most rows and cells are screened out by monotonicity
+    (see `_SCREEN_SLACK`); the hits are those of a lookup on every cell. A Gaussian
     mixture (with an MvBrownianGrid spec) tests the quadratic-form crossing
     rule, whose limit frequency for the continuous process is exactly 1/c;
     here the checkpoints are time values on the grid, and the run covers the
@@ -903,12 +965,17 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         if type(cfg.spec).log_weight is not _Variant.log_weight:
             raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "
                               "exp(lam*A - lam^r B^r / r), which the mixture boundary assumes")
-        beta = _boundary_interpolant(mixture, c, cfg.spec.r,
-                                     1e-4, 16.0 * cfg.horizon)
+        v_lo, v_hi = 1e-4, 16.0 * cfg.horizon
+        beta = _boundary_interpolant(mixture, c, cfg.spec.r, v_lo, v_hi)
         # a deterministic B^r is one row, whose beta the scan looks up once per step
         if (not cfg.spec.b_deterministic
                 and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK):
-            rule, of_b = lambda ca, cb, crossed: _hit_cells(ca, cb, beta, crossed)[0], None
+            # beta at its own table nodes, once per call: the row screen's
+            # floor (see _SCREEN_SLACK)
+            nodes = np.geomspace(v_lo, v_hi, _TABLE_NODES)
+            low = beta(nodes)
+            floor = nodes, np.concatenate(([-np.inf], low - _SCREEN_SLACK * np.abs(low)))
+            rule, of_b = lambda ca, cb, crossed: _hit_cells(ca, cb, beta, crossed, floor)[0], None
         else:
             rule, of_b = None, lambda cb: beta(np.maximum(cb, 1e-4))
         label, bound = "crossing n<={} c={:g}", crossing_bound(c, mixture)

@@ -33,7 +33,7 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   code a cell, into `out` of the block's
                                   shape, before its first tile is drawn.
   steps                           how many steps it can draw; default inf.
-  accumulate(d, n_idx, carry, b, v, out)
+  accumulate(d, n_idx, carry, b, v, out, pair=None)
                                   (ca, cb, cv): the running A, B^r, V^2 of a
                                   block of draws, from the caller's `carry`
                                   (their values a step before, zeros at
@@ -41,7 +41,17 @@ mode: every draw, code and running sum goes into arrays the caller owns
                                   the cumsums of d and of `increments`. A
                                   overwrites d; B^r and V^2 go into the
                                   (n_paths, L) pair `out`, whose entry is None
-                                  where b or v asks for no such sum.
+                                  where b or v asks for no such sum. Given
+                                  `pair`, a complex128 (n_paths, L) array, on
+                                  a d without component axes A and B^r (else
+                                  V^2) are one complex running sum in it, A
+                                  the real part and its partner the imaginary
+                                  part: a complex add adds the two parts by
+                                  the same IEEE adds as two float sums, so
+                                  the bits are theirs, from one dependent
+                                  chain instead of two. d is then left as
+                                  drawn, the partner's `out` entry is not
+                                  read, and a third sum stays a float one.
   increments(d, n_idx, b, v, out) the B^r increments and V^2 terms the
                                   default `accumulate` sums, into `out`; the
                                   engine sums them time-major where it needs
@@ -121,13 +131,15 @@ class _Workspace:
     """Tile buffers: one flat array per role, made on first use (and made
     anew only when a larger one or another dtype is asked for) and viewed as
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
-    (then A; int8 signs on the engine's unit-step screen), 1 its B^r
-    increments (then B^r; on the screen, a dense piece's running A, a row
-    group at a time), 2 its V^2, 3 a block's int8 draw codes, and 4 a
-    time-major copy of a tile's terms. The engine sizes a tile in bytes: no
-    role but the codes holds more than a float64 tile, so an int8 tile has
-    eight times a float64 tile's rows, and role 1 lends the screen a float
-    tile's rows of it."""
+    (then A, unless paired; int8 signs on the engine's unit-step screen),
+    1 its B^r increments (then B^r), or, as the `pair`, A with B^r (else
+    V^2) as one complex sum over half the tile's rows (on the scan's
+    per-cell path, and in the stepping handle), or, on the screen, a dense
+    piece's running A, a row group at a time; 2 its V^2, 3 a block's int8
+    draw codes, and 4 a time-major copy of a tile's terms. The engine sizes
+    a tile in bytes: no role but the codes holds more than a float64 tile,
+    so an int8 tile has eight times a float64 tile's rows, and role 1 lends
+    the screen a float tile's rows of it, and the pair half of them."""
 
     def __init__(self):
         self.bufs = {}
@@ -137,6 +149,12 @@ class _Workspace:
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self.bufs[role] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    def pair(self, rows, L):
+        """Role 1 viewed as a C-contiguous complex128 (rows, L) array, the
+        `pair` of `accumulate`: a float64 role of 2 rows L cells, so a float
+        tile's bytes hold half its rows."""
+        return self.view(1, (rows, 2 * L)).view(np.complex128)
 
 
 def _slabs(size):
@@ -263,12 +281,28 @@ class _Variant(_Checked):
     steps = math.inf
     unit_steps = False
 
-    def accumulate(self, d, n_idx, carry, b, v, out):
-        """(ca, cb, cv): running A, B^r, V^2 after each step of block d (which
-        becomes ca), from `carry`, arrays of shapes (P,) + components, (P,)
-        and (P,), advanced in place: the cumsums of d and of `increments`."""
-        return tuple(None if x is None else _running(x, end)
-                     for x, end in zip((d, *self.increments(d, n_idx, b, v, out)), carry))
+    def accumulate(self, d, n_idx, carry, b, v, out, pair=None):
+        """(ca, cb, cv): running A, B^r, V^2 after each step of block d, from
+        `carry`, arrays of shapes (P,) + components, (P,) and (P,), advanced
+        in place: the cumsums of d and of `increments`. A overwrites d, or,
+        given a complex `pair` and no component axes, A and B^r (else V^2)
+        are pair's real and imaginary parts, summed as one complex chain."""
+        j = 1 if b else 2 if v else 0  # A's partner in (A, B^r, V^2)
+        if pair is None or d.ndim > 2 or not j:
+            return tuple(None if x is None else _running(x, end)
+                         for x, end in zip((d, *self.increments(d, n_idx, b, v, out)), carry))
+        out = (pair.imag, out[1]) if j == 1 else (None, pair.imag)
+        sums = [pair.real, *self.increments(d, n_idx, b, v, out)]
+        pair.real[...] = d
+        # the carry's parts are assigned: arithmetic such as a + 1j*b can
+        # turn -0.0 into +0.0
+        end = np.empty(len(d), np.complex128)
+        end.real, end.imag = carry[0], carry[j]
+        _running(pair, end)
+        carry[0][...], carry[j][...] = end.real, end.imag
+        if j == 1 and v:  # the third sum, alone
+            sums[2] = _running(sums[2], carry[2])
+        return tuple(sums)
 
     def increments(self, d, n_idx, b, v, out):
         """(ib, iv): the B^r increments and V^2 terms of block d, written into
@@ -769,12 +803,12 @@ class WeightedIID(_Variant):
     def draw(self, rng, n_lo, n_hi, n_paths, out, codes):
         return fair_signs(rng, out)  # weights applied by `accumulate`
 
-    def accumulate(self, d, n_idx, carry, b, v, out):
+    def accumulate(self, d, n_idx, carry, b, v, out, pair=None):
         """Factorial weights: A = S_n / n! and B^2 = V^2 = V_n^2 / (n!)^2 step by
         step, by x_n = x_{n-1} / n + d_n and y_n = y_{n-1} / n^2 + d_n^2; A
-        overwrites d, and B^2 and V^2 are out's V^2 array."""
+        overwrites d, and B^2 and V^2 are out's V^2 array (no pair)."""
         if self.weights == "ones":
-            return super().accumulate(d, n_idx, carry, b, v, out)
+            return super().accumulate(d, n_idx, carry, b, v, out, pair)
         # path by path on Python floats: the same IEEE operations as on numpy
         # columns, without an array call per step
         s_end, b_end, v_end = carry
@@ -852,9 +886,11 @@ class ProcessHandle:
         spec, ws, shape = self.spec, self._ws, (1, hi - lo) + self.spec.components
         codes = spec.codes(self.rng, ws.view(3, shape, np.int8)) if spec.coded else None
         d = spec.draw(self.rng, lo, hi, 1, ws.view(0, shape), codes)
-        inc = d[0].tolist()  # before `accumulate` overwrites d
+        inc = d[0].tolist()  # before `accumulate` may overwrite d
+        pair = None if spec.components else ws.pair(1, hi - lo)
         ca, cb, cv = spec.accumulate(d, np.arange(lo + 1, hi + 1), self._carry, True, True,
-                                     (ws.view(1, shape[:2]), ws.view(2, shape[:2])))
+                                     (ws.view(1, shape[:2]) if pair is None else None,
+                                      ws.view(2, shape[:2])), pair)
         self._cols = list(zip(inc, ca[0].tolist(), np.ravel(cb).tolist(), cv[0].tolist()))
         self._pos = 0
 

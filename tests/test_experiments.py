@@ -382,6 +382,11 @@ class ScreenedBlocks:
         self.hits.append(len(rows))
 
 
+# beta lookup cells of TestCrossingScreen's long lognormal cases: with the
+# row screen, and with the segment screen alone (the same cases run on the
+# code before the row screen, which had no node lookups)
+LONG_LOOKUPS = {"late_atom": (5079, 6361), "robbins_siegmund": (1557, 3639)}
+
 HEAVY_LAWS = {
     "lognormal_sigma2": ScaledSymmetric(law="lognormal", sigma=2.0),
     "pareto_1.5": ScaledSymmetric(law="pareto", shape=1.5),
@@ -437,6 +442,71 @@ class TestCrossingScreen:
         got = crossing_frequency(cfg, mixture=F, c=c)
         assert [r.estimate for r in got] == [k / cfg.paths for k in want]
         assert want[-1] > 0
+
+    # (mixture, c, seed) of each long case below: an atom at lambda = 0.01,
+    # whose boundary paths cross at every checkpoint from 64 on, and the
+    # benchmark's mixture, whose crossings come early
+    LONG = {"late_atom": (PointMasses(atoms=((0.01, 1.0),)), 1.5, 6),
+            "robbins_siegmund": (RobbinsSiegmund(1.0), 3.0, 7)}
+
+    @pytest.mark.parametrize("case", sorted(LONG))
+    def test_row_screen_on_a_long_lognormal_walk(self, case, monkeypatch):
+        # five blocks of 700 steps and checkpoints inside them: B^r grows by
+        # about e^2 a step, far past the table's first nodes, and a piece's
+        # rows whose A stays below beta at the node under their first B^r
+        # are dropped before any lookup; the counts are those of every-cell
+        # lookup, from fewer lookups than the segment screen alone makes
+        monkeypatch.setattr(experiments, "_BLOCK", 700)
+        F, c, seed = self.LONG[case]
+        cfg = ExperimentConfig(spec=ScaledSymmetric(), seed=seed, paths=60, horizon=3000,
+                               checkpoints=(1, 30, 64, 100, 650, 701, 1000, 1401, 1500,
+                                            2222, 2900, 3000))
+        want = unscreened_counts(cfg, F, c)
+        looked_up = []
+        real = _boundary_interpolant
+
+        def counted(*args):
+            beta = real(*args)
+            return lambda v: looked_up.append(np.size(v)) or beta(v)
+
+        monkeypatch.setattr(experiments, "_boundary_interpolant", counted)
+        got = crossing_frequency(cfg, mixture=F, c=c)
+        assert [r.estimate for r in got] == [k / cfg.paths for k in want]
+        assert 0 < want[3] < want[-1]
+        # the 160 node values once, then each piece's lookups
+        assert looked_up[0] == experiments._TABLE_NODES
+        pinned, segment_screen_alone = LONG_LOOKUPS[case]
+        assert sum(looked_up) == pinned < segment_screen_alone
+
+    def test_row_screen_bound(self):
+        # beta(v) = v on nodes 1, 2, 4, ..., 64 and rows of 70 cells: a row
+        # is dropped iff its greatest A is below beta at the greatest node at
+        # or below its first B^r, less the slack
+        nodes = 2.0 ** np.arange(7)
+        floor = nodes, np.concatenate(([-np.inf], nodes - _SCREEN_SLACK * nodes))
+        looked_up = []
+
+        def beta(v):
+            looked_up.append(np.size(v))
+            return v.copy()
+
+        L = 70
+        cb = np.full((5, L), 2.5)  # between nodes 2 and 4
+        cb[1] = np.linspace(2.5, 9.0, L)  # rising past nodes 4 and 8
+        ca = np.zeros((5, L))
+        ca[0, 40] = 2.6  # crosses beta = 2.5 past the node at 2, below the node at 4
+        ca[1, 0] = 2.6  # crosses at its first cell, below its last cell's node
+        ca[2, 3] = floor[1][2]  # exactly the bound: kept, no hit
+        ca[3, 5] = np.nextafter(floor[1][2], 0.0)  # a ulp below it: dropped
+        ca[4, :] = 2.0  # the node's own value, above the bound, no hit
+        rows, cols = experiments._hit_cells(ca, cb, beta, np.zeros(5, bool), floor)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 40), (1, 0)]
+        # the segment starts of rows 0, 1, 2 and 4 (two segments each), then
+        # the two cells at their segment's bound, (0, 40) and (1, 0)
+        assert looked_up == [8, 2]
+        looked_up.clear()
+        rows, cols = experiments._hit_cells(ca[3:4], cb[3:4], beta, np.zeros(1, bool), floor)
+        assert rows.size == 0 and looked_up == []  # no row left: no lookup
 
     def test_most_cells_are_not_looked_up(self, monkeypatch):
         looked_up = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+import test_differential
 from selfnorm import constants, experiments, processes
 from selfnorm.constants import DomainError, c_gamma, c_gamma_r
 from selfnorm.processes import (Bernstein, BoundedAbove, BoundedBelow,
@@ -369,6 +370,109 @@ class TestAccumulators:
         for n in (0, 3):
             with pytest.raises(DomainError):
                 spec.truncated_mean(n, 0.0, 1.0)
+
+
+def hexes(x):
+    return [v.hex() for v in np.ravel(x).tolist()]
+
+
+def abs_pow(d, n_idx, out):
+    """sup_moment_estimate's plain |d|^r rule, r = 1.5, in place of B^r."""
+    return processes._abs_pow(d, 1.5, out)
+
+
+def negated_squares(d, n_idx, out):
+    """-d^2: increments of -0.0 where d is +-0.0."""
+    return np.negative(np.multiply(d, d, out=out), out=out)
+
+
+# (b, v) of the sums a scan asks for: B^r or V^2 beside A, both, and the
+# |d|^r rule alone and beside V^2
+PAIRINGS = {"b": (True, False), "v": (False, True), "bv": (True, True),
+            "abs_pow": (abs_pow, False), "abs_pow_v": (abs_pow, True)}
+
+
+def plain_sums(spec, d, n_idx, carry, b, v):
+    """(A, B^r, V^2) as separate float cumsums of d and its terms, plus the
+    carry, and the carries a step after the block; None where not asked."""
+    rule = spec.b_increments if b is True else b
+    terms = (d, rule(d, n_idx, np.empty_like(d)) if b else None, d * d if v else None)
+    sums = tuple(None if x is None else np.cumsum(x, axis=1) + c[:, None]
+                 for x, c in zip(terms, carry))
+    return sums, tuple(c if x is None else x[:, -1] for x, c in zip(sums, carry))
+
+
+def paired_sums(spec, d, n_idx, carry, b, v):
+    """`accumulate` on a copy of d with a complex pair, carries advanced in
+    place; the out entries the pair replaces are NaN, so a read of one shows."""
+    P, L = d.shape
+    pair = np.full((P, L), np.nan, np.complex128)
+    out = (np.full((P, L), np.nan), np.full((P, L), np.nan))
+    x = d.copy()
+    sums = spec.accumulate(x, n_idx, carry, b, v, out, pair)
+    assert np.shares_memory(sums[0], pair) and x.tobytes() == d.tobytes()  # d left as drawn
+    partner = sums[1] if b else sums[2]
+    assert np.shares_memory(partner, pair)
+    return sums
+
+
+class TestPairedSums:
+    """`accumulate` with a complex `pair`: A and B^r (else V^2) as one
+    complex running sum must give, bit for bit, the separate float cumsums
+    plus the carry."""
+
+    @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+    @pytest.mark.parametrize("name", sorted(test_differential.VARIANTS))
+    def test_pair_gives_the_float_sums(self, name, pairing):
+        # three consecutive blocks, one of a short last segment, from nonzero
+        # carries of both signs and several decades
+        spec, (b, v) = test_differential.VARIANTS[name], PAIRINGS[pairing]
+        rng, lo = chunk_rng(9, 0), 0
+        carry = (np.array([-2.5e3, 0.75, 3e-7]), np.array([1e4, 2.5, 1e-9]),
+                 np.array([7.0, 3e5, 0.125]))
+        want_carry = tuple(c.copy() for c in carry)
+        for L in (50, 64, 17):
+            n_idx = np.arange(lo + 1, lo + L + 1)
+            d = drawn(spec, rng, lo, lo + L, (3, L))
+            want, want_carry = plain_sums(spec, d, n_idx, want_carry, b, v)
+            got = paired_sums(spec, d, n_idx, carry, b, v)
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert hexes(g) == hexes(w), (name, pairing, lo)
+            for c, w in zip(carry, want_carry):
+                assert hexes(c) == hexes(w)
+            lo += L
+
+    @pytest.mark.parametrize("b, v", [(True, False), (negated_squares, False), (False, True),
+                                      (negated_squares, True)])
+    def test_negative_zero_carry_keeps_its_sign(self, b, v):
+        # a -0.0 carry plus a -0.0 sum stays -0.0; a complex carry made by
+        # arithmetic, such as a + 1j*b, gives +0.0 in one part or the other
+        spec = Rademacher()
+        d = np.array([[-0.0, -0.0, 0.0, 2.0], [-0.0, 1.0, -1.0, -0.0], [0.0, -0.0, -0.0, -0.0]])
+        n_idx = np.arange(1, 5)
+        carry = (np.array([-0.0, -0.0, 0.0]), np.array([0.0, -0.0, -0.0]),
+                 np.array([-0.0, 0.0, -0.0]))
+        want, want_carry = plain_sums(spec, d, n_idx, tuple(c.copy() for c in carry), b, v)
+        assert "-0x0.0p+0" in hexes(want[0]) + hexes(want[1] if b else want[2])
+        got = paired_sums(spec, d, n_idx, carry, b, v)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert hexes(g) == hexes(w)
+        for c, w in zip(carry, want_carry):
+            assert hexes(c) == hexes(w)
+
+    def test_component_axes_get_no_pair(self):
+        # a vector state sums in place of its draws, whatever pair is given
+        spec = MvBrownianGrid(dim=2, t0=0.5, rho=1.5, horizon=40.0)
+        d = drawn(spec, chunk_rng(4, 0), 0, 5, (2, 5, 2))
+        n_idx, carry = np.arange(1, 6), (np.ones((2, 2)), np.ones(2), np.ones(2))
+        want = np.cumsum(d, axis=1) + 1.0
+        pair = np.full((2, 5), np.nan, np.complex128)
+        ca, cb, cv = spec.accumulate(d, n_idx, carry, True, True,
+                                     (np.empty((2, 5)), np.empty((2, 5))), pair)
+        assert ca is d and hexes(ca) == hexes(want) and np.isnan(pair).all()
 
 
 class TestBoundedBelowConstant:

@@ -482,6 +482,86 @@ def test_ends_path_at_two_rows(variant, tiles_with_one_row_last, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the per-cell path: A and B^r (else V^2) as one complex running sum, in row
+# groups of half a tile
+# ---------------------------------------------------------------------------
+
+class EverySum:
+    """A reducer that copies every cell's A, B^r and V^2 of its chunk (NaN
+    where the scan sums none), from whole blocks (it is given no stops)."""
+
+    def __init__(self, P, horizon):
+        self.sums = np.full((3, P, horizon), np.nan)
+
+    def segment(self, rows, n_idx, ca, cb, cv, k):
+        assert k is None
+        for x, out in zip((ca, cb, cv), self.sums):
+            if x is not None:
+                out[rows, n_idx[0] - 1:n_idx[-1]] = x
+
+
+def plain_chunk_sums(spec, seed, P, horizon, block, b, v):
+    """EverySum's sums of chunk 0 of P paths: each block drawn in one call on
+    the chunk's stream, and A, B^r and V^2 summed by separate float cumsums
+    plus the carry."""
+    rng, sums = processes.chunk_rng(seed, 0), np.full((3, P, horizon), np.nan)
+    carry = [np.zeros(P) for _ in range(3)]
+    rule = spec.b_increments if b is True else b
+    for lo in range(0, horizon, block):
+        hi = min(lo + block, horizon)
+        n_idx, shape = np.arange(lo + 1, hi + 1), (P, hi - lo)
+        codes = spec.codes(rng, np.empty(shape, np.int8)) if spec.coded else None
+        d = spec.draw(rng, lo, hi, P, np.empty(shape), codes)
+        terms = (d, rule(d, n_idx, np.empty_like(d)) if b else None, d * d if v else None)
+        for j, x in enumerate(terms):
+            if x is not None:
+                sums[j, :, lo:hi] = np.cumsum(x, axis=1) + carry[j][:, None]
+                carry[j] = sums[j, :, hi - 1].copy()
+    return sums
+
+
+def abs_pow(d, n_idx, out):
+    """sup_moment_estimate's plain |d|^r rule at r = 1.5."""
+    return processes._abs_pow(d, 1.5, out)
+
+
+PAIRED = {"scaled_lognormal": ScaledSymmetric(),
+          "bounded_below_r15": BoundedBelow(m_bound=1.0, gamma=0.5, r=1.5),
+          "truncated_heavy": TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=1.0)}
+
+
+@pytest.mark.parametrize("tile_rows, groups", [(5, [2, 2, 1, 2, 2, 1, 1]),
+                                               (4, [2, 2, 2, 2, 2, 1]),
+                                               (1, [None] * 11)])
+@pytest.mark.parametrize("b, v", [(True, False), (False, True), (True, True), (abs_pow, False)],
+                         ids=["b", "v", "bv", "abs_pow"])
+@pytest.mark.parametrize("variant", sorted(PAIRED))
+def test_per_cell_sums_in_row_groups(variant, b, v, tile_rows, groups, monkeypatch):
+    # 11 paths of four blocks, the last short, in tiles of tile_rows rows: a
+    # float tile's bytes hold half its rows complex, so each tile is summed
+    # in row groups of tile_rows // 2 rows, each from its own rows' carries,
+    # and a one-row tile keeps float sums; every cell's sums are those of
+    # separate float cumsums
+    monkeypatch.setattr(experiments, "_BLOCK", 40)
+    monkeypatch.setattr(experiments, "_TILE", 40 * tile_rows)
+    spec = PAIRED[variant]
+    cfg = ExperimentConfig(spec=spec, seed=6, paths=11, horizon=130)
+    assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [11]
+    pairs, accumulate = [], processes._Variant.accumulate
+
+    def spied(self, d, n_idx, carry, b, v, out, pair=None):
+        pairs.append(None if pair is None else pair.shape[0])
+        return accumulate(self, d, n_idx, carry, b, v, out, pair)
+
+    monkeypatch.setattr(processes._Variant, "accumulate", spied)
+    [chunk] = experiments._Scan(cfg, 1)(lambda P: EverySum(P, cfg.horizon), b=b, v=v)
+    assert pairs == groups * 4
+    want = plain_chunk_sums(spec, cfg.seed, cfg.paths, cfg.horizon, 40, b, v)
+    assert chunk.sums.tobytes() == want.tobytes()
+    assert np.isnan(chunk.sums[1]).all() != bool(b) and np.isnan(chunk.sums[2]).all() != v
+
+
+# ---------------------------------------------------------------------------
 # the unit-step screen: lil and crossing scans on a +-1 walk decide 64-step
 # segments from their exact starting A
 # ---------------------------------------------------------------------------
