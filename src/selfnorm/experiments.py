@@ -11,92 +11,44 @@ SeedSequence(seed, spawn_key=(1, i)) and partial results are combined in
 chunk order with exact (fsum) accumulation. Reports are therefore identical
 for any worker count.
 
-Every experiment, the Gaussian crossing on an MvBrownianGrid's vector state
-included, runs on one chunk driver, `_Scan`. It runs block-major: it opens
-every chunk's stream, carry and reducer first, then draws and accumulates
-each block of `_BLOCK` steps in every chunk, on one thread pool per call,
-and cuts the block, as views, after the steps the experiment names (its
-checkpoints, or the half horizon). Each chunk-block runs as consecutive
-row tiles, sized in bytes: a tile's draws take at most those of a float64
-tile of `_TILE` cells (one row, if a row is wider), so int8 draws take
-eight times its rows. A tile's rows are drawn, advance their slice of the
-chunk's carry in place and are cut into pieces before the next tile is
-drawn. Cells come off a chunk's stream path-major, so the tiles draw what
-one draw of the whole block would; a
-variant that reads part of the stream for the whole block first (signs
-before scales) stores one byte a cell of it per block (`codes`). A per-chunk
-reducer, built from the chunk's path count, sees the pieces in order
-through `segment(rows, ...)`, each with the slice of the chunk's rows its
-tile covers and tagged with the index of the stop it ends on; a tile sees
-all of a block's pieces before the next tile's first, and the reducer's
-attributes are the chunk's partial result. A chunk draws its blocks in order
-from its own stream and only views are cut, so the stream and the chunk
-layout depend neither on the stops, nor on the tiles, nor on the worker
-count. Where B^r is a function of n alone
-(`spec.b_deterministic`), the driver builds it once per block as one row for
-all paths, and the statistic's work on B^r alone (the lil denominator and
-guard, the crossing boundary) once per piece, for every chunk. A vector spec
-runs its whole grid as one block.
+Every experiment runs on one chunk driver, `_Scan`. It opens every chunk's
+stream, carry and reducer first, then draws and accumulates each block of
+`_BLOCK` steps in every chunk, on one thread pool per call, and cuts the
+block, as views, after the steps the experiment names (its checkpoints, or
+the half horizon). A vector spec runs its whole grid as one block. Each
+chunk-block runs as consecutive row tiles, sized in bytes: a tile's draws
+take at most those of a float64 tile of `_TILE` cells (one row, if a row is
+wider), so int8 draws take eight times its rows. A tile is drawn and goes
+through one tile path, chosen once per call, before the next tile is drawn.
+Cells come off a chunk's stream path-major, so the tiles draw what one draw
+of the whole block would; a variant that reads part of the stream for the
+whole block first (signs before scales) keeps one byte a cell of it per
+block (`codes`). Only views are cut, so the stream and the chunk layout
+depend neither on the stops, nor on the tiles, nor on the worker count.
+Where B^r is a function of n alone (`spec.b_deterministic`), it is built
+once per block as one row shared by all paths, and the statistic's work on
+B^r alone (of_b) runs once per piece, for every chunk.
 
-Each worker thread of a call has one `_Workspace`: flat buffers, made in the
-call and dropped with it, that every tile the worker runs is drawn into and
-accumulated in, as views of that tile's shape. No role holds more bytes
-than a float64 tile of `_TILE` cells, whatever the chunk size, so every
-pass after the draw runs in cache; only the block's codes, at one byte a
-cell, grow with the chunk. The pieces segment receives are views of them,
-overwritten by the worker's next tile, so segment must not keep a piece,
-or a view of one, past its return: a reducer copies what it keeps.
+Each worker thread of a call has one `_Workspace`: flat buffers, made in
+the call and dropped with it, that its tiles are drawn into and summed in.
+No role holds more bytes than a float64 tile of `_TILE` cells, whatever the
+chunk size, so every pass after the draw runs in cache; only a block's
+codes, at one byte a cell, grow with the chunk. The pieces a reducer
+receives are views of them, overwritten by the worker's next tile: a
+reducer copies what it keeps.
 
-Where a tile's running sums are built, A and B^r (else V^2) are one
-complex128 running sum, A the real part (`accumulate`'s `pair`): a complex
-add adds the parts apart by the same IEEE adds, so numpy's `cumsum`, one
-dependent add a cell, gives the bits of both sums from one chain instead of
-two. The pair lives in the B^r role, which holds a float64 tile's bytes
-and so half the tile's rows complex: the tile is summed and reduced in row
-groups of those rows, each group's pieces all before the next group is
-summed (two groups of one row on a `_BLOCK`-step block; the tests' small
-`_TILE` may give more). A one-row tile, and a vector state, keep float
-sums.
+The tile paths, functions in `_Scan.__call__`, each with its contract:
 
-A reducer that reads only each piece's last step (`_StateAtStops`, behind
-the supermartingale mean, the tail and moment bounds and the growth-rate
-diagnostic) declares so with `ends_only`, and on a tile of at least
-`_ENDS_ROWS` rows gets only the sums at its pieces' ends: `_piece_ends`
-copies the draws, then the B^r increments and V^2 terms, into one
-time-major workspace buffer and reduces it piece by piece, the same adds in
-the same order as the running sums, which are never built. The tile's own
-row count decides, not the nominal tile's: a chunk's last tile may have one
-row, which numpy would sum pairwise.
+  path      reducer declares     spec and tile                  builds
+  screened  `screen` (`_LilMax`, `unit_steps`, shared B^r row   int8 signs, 64-step
+            `_BetaCrossings`)                                   sums, few running A
+  at_ends   `ends_only`          any, on tiles of `_ENDS_ROWS`  sums at piece ends
+            (`_StateAtStops`)    rows or more                   only (`_piece_ends`)
+  per_cell  every other reducer, spec and tile                  every running sum
 
-A reducer that declares a `screen` (`_LilMax`, the lil running maximum,
-and `_BetaCrossings` on a shared beta row) takes a third path on a spec
-with `unit_steps` and a shared B^r row. Its steps are +-1, so every
-partial sum of A is an integer, and integers below 2^53 add exactly in any
-order. They are drawn into int8, one byte a cell: the variant's draw
-writes the signs of a float64 draw and leaves the stream as that would.
-`_segment_edges` sums each tile piece's steps over `_SCREEN_STEPS`-step
-segments in int8 (a sum of at most 64 steps fits) and carries A from those
-sums in float64, and the reducer gets the int8 steps and the
-exact A before each segment in place of the running sums. Since A rises
-by at most `_SCREEN_STEPS` in a segment, one whose bound cannot reach the
-least beta there, or cannot pass the path's running max before the piece
-over the least or greatest guarded lil denominator there (correctly
-rounded division is monotone), is skipped; so is a path that has crossed.
-Only the rest get float64 running sums: per segment (`_segment_runs`),
-or, where more than `_SCREEN_DENSE` of a piece's segments are left, as at
-short horizons, where a 64-step bound rules out few, over the whole piece
-(`_piece_runs`), cast into the worker's idle B^r role a float tile's rows
-at a time (`_dense_segments`). Every comparison, quotient and max so sees
-the integer A of the per-cell path, and nothing
-is assumed of the computed beta or denominator: `screen` takes their
-per-segment least and greatest values from the computed row, once per
-piece, for every chunk.
-
-On a random normalizer the crossing rule (`_hit_cells`) first drops each
-row whose greatest A on the piece is below beta at the greatest table node
-at or below its first B^r, less a slack: beta at the table's own nodes,
-read once per call, bounds every lookup on the piece (see `_SCREEN_SLACK`).
-Only the rows left get the per-segment screen and its lookups.
+Every path gives each reducer the bits the per-cell path would. On a random
+normalizer the crossing rule (`_hit_cells`) drops rows and cells that cannot
+cross before any boundary lookup (see `_SCREEN_SLACK`).
 
 Neither importing this module nor a crossing run loads a scipy module,
 unless the mixture is a `Density`, whose psi is a quadrature: the boundary
@@ -122,7 +74,7 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
-                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
+                        _Variant, _Workspace, _abs_pow, _running, chunk_rng, log_supermartingale,
                         spec_from_json, spec_to_json)
 
 _BLOCK = 32768
@@ -307,35 +259,25 @@ def _segment_runs(d, a, p, s):
     whole = s < full // S
     x[whole] = d[:, :full].reshape(d.shape[0], -1, S)[p[whole], s[whole]]
     x[~whole, :L - full] = d[p[~whole], full:]
-    x[:, 0] += a[p, s]  # integers: A may start the sums, as in `_piece_runs`
+    x[:, 0] += a[p, s]  # integers below 2^53: A may start the sums
     return np.cumsum(x, axis=1, out=x)
 
 
-def _piece_runs(d, a):
-    """The running A over the unit steps d of a piece, a float64 array
-    (`_dense_segments`), from a[:, 0], the A before it, in place of d: the bits
-    of the per-cell running sums, which add integers below 2^53, so that A
-    may start the sums instead of being added to each."""
-    d[:, 0] += a[:, 0]
-    return np.cumsum(d, axis=1, out=d)
-
-
-def _dense_segments(red, rows, n_idx, d, a, cb, k, out):
+def _dense_segments(red, rows, n_idx, d, a, cb, k, out=None):
     """red.segment on the running A of a dense screen piece: its unit steps
-    d, with a, their `_segment_edges`, go through `_piece_runs` in groups of
-    out's rows, each cast into out, the float64 rows the scan lends from an
-    idle workspace role (one float tile, fewer rows than an int8 tile may
-    have), and each group is segment's piece for its slice of `rows`. If
-    out is None, d is float64 and the piece is one group."""
-    g = d.shape[0] if out is None else out.shape[0]
-    for lo in range(0, d.shape[0], g):
-        hi = min(lo + g, d.shape[0])
-        x = d[lo:hi]
-        if out is not None:
-            x = out[:hi - lo]
-            x[...] = d[lo:hi]
-        red.segment(slice(rows.start + lo, rows.start + hi), n_idx, _piece_runs(x, a[lo:hi]),
-                    cb, None, k)
+    d are cast into out, the float64 rows the scan lends from an idle
+    workspace role (one float tile, fewer rows than an int8 tile may have;
+    if None, a fresh array of d's shape), in groups of out's rows, summed
+    from a[:, 0], the A before the piece (`_segment_edges`), by the
+    per-cell path's `_running`; each group is segment's piece for its slice
+    of `rows`. d and a are only read."""
+    out = np.empty(d.shape) if out is None else out
+    for lo in range(0, len(d), len(out)):
+        part = slice(lo, min(lo + len(out), len(d)))
+        x = out[:part.stop - lo]
+        x[...] = d[part]
+        red.segment(slice(rows.start + lo, rows.start + part.stop), n_idx,
+                    _running(x, a[part, 0].copy()), cb, None, k)
 
 
 def _by_segment(x, pad):
@@ -386,60 +328,27 @@ class _Scan:
         self.layout = _chunk_layout(cfg.paths, self.horizon * math.prod(spec.components))
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
-        """One reducer(P) per chunk of P paths, fed every block and returned
-        in chunk order. Each chunk-block runs as row tiles in row order,
-        whose draws take at most the bytes of a float64 tile of `_TILE`
-        cells (one row, if a row is wider): a tile's rows are drawn (a
-        coded spec's from the block's codes, drawn first), advance
-        their slice of the chunk's carry, made before the first block, and
-        are cut into pieces, all before the next tile is drawn.
-        reducer.segment(rows, n_idx, ca, cb, cv, k) receives the slice of the
-        chunk's rows a tile covers, the global step indices of a piece of a
-        block and the tile's running sums over it from `spec.accumulate(...,
-        b, v)`: A always, B^r and V^2 where b and v ask for them (else None).
-        Blocks are cut after each step in the sorted `stops`; k is the index
-        of the stop a piece ends on, else None. Where b or v is asked for on
-        a scalar state, A and its partner (B^r, else V^2) are summed as one
-        complex chain in role 1 (`_Workspace.pair`), whose float64 tile
-        holds half the tile's rows: the tile's rows are then summed and cut
-        into pieces in groups of those rows, each group's pieces reaching
-        segment, with the group's slice of rows, before the next group is
-        summed. ca and the partner are then strided views of the pair. A
-        tile of one nominal row, or a vector state, keeps float sums.
+        """One reducer(P) per chunk of P paths, fed every block in row tiles
+        and returned in chunk order. The tile path is chosen here, once.
 
-        of_b, a function of a piece of B^r alone, is what segment receives in
+        reducer.segment(rows, n_idx, ca, cb, cv, k) receives, piece by
+        piece, the slice of the chunk's rows its sums cover, the global step
+        indices of a piece of a block and the running sums over it from
+        `spec.accumulate(..., b, v)`: A always, B^r and V^2 where b and v ask
+        for them (else None). Blocks are cut after each step in the sorted
+        `stops`; k is the index of the stop a piece ends on, else None. of_b,
+        a function of a piece of B^r alone, gives what segment receives in
         place of that piece (default: the piece itself). With b True and
-        `spec.b_deterministic`, B^r is one row for all paths, built here once
-        per block by `spec.accumulate` on a row of ones; of_b then runs once
-        per piece, and every chunk receives the same object, which segment
-        must not write to. ca is the chunk's own, and segment may overwrite
-        it. ca, a per-cell cb and cv are views of the worker's `_Workspace`,
-        which its next tile overwrites, and the row is overwritten by the
-        next block: segment keeps none of them.
+        `spec.b_deterministic`, B^r is one row for all paths, built once per
+        block; of_b then runs once per piece, and every chunk receives the
+        same object, which segment must not write to. segment may overwrite
+        ca and keeps no piece: the worker's next tile overwrites them.
 
-        A reducer whose class sets `ends_only` reads only each piece's last
-        step. On a tile of at least `_ENDS_ROWS` rows (the tile's own count),
-        segment then receives in place of each piece its last step alone: n_idx
-        of one step, and ca and a per-cell cb and cv of shape (rows, 1), the
-        sums `_piece_ends` reduces time-major from the draws and
-        `spec.increments`, the bits of the running sums' last column; no
-        running sum is built. Narrower tiles run as above. Every spec the scan
-        runs sums its increments by the default `accumulate`: it refuses
-        WeightedIID's factorial weights, the one recursion that does not.
-
-        A reducer whose class sets `screen` takes, on a spec with
-        `unit_steps` and the shared row, a third path on every tile: the
-        tile is drawn into an int8 role 0, each shared piece is
-        `screen(of_b(piece))`, built once per piece, and
-        reducer.screened(rows, n_idx, d, a, shared, k, out) receives the
-        piece's int8 +-1 draws d, a, `_segment_edges` of d, the exact A
-        before each `_SCREEN_STEPS`-step segment and after the last, and
-        out, the piece's float64 view of the idle role 1, which holds a
-        float tile's rows, at most the int8 tile's. No running sum is
-        built; the reducer builds exact ones for the segments it cannot
-        rule out (`_segment_runs`), or, past `_SCREEN_DENSE` of them, for
-        the whole piece, cast into out a row group at a time
-        (`_dense_segments`), and keeps none of d, a and out."""
+        A reducer class may declare `ends_only`, if it reads only each
+        piece's last step (the `at_ends` path), and `screen(x)`, per-segment
+        bounds of a shared piece x from of_b, with `screened(rows, n_idx, d,
+        a, bounds, k, out)`, which the `screened` path calls in place of
+        segment on a unit-step spec with a shared row."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -447,9 +356,9 @@ class _Scan:
         n = len(self.layout)
         rngs = [chunk_rng(cfg.seed, ci) for ci in range(n)]
         reds = [reducer(P) for P in self.layout]
-        ends = getattr(reds[0], "ends_only", False)
-        # the unit-step screen: the reducer's per-segment bounds of each shared piece
         screen = row and spec.unit_steps and getattr(reds[0], "screen", None)
+        # what a reducer receives of each piece of the shared row
+        of_row = (lambda x: screen(of_b(x))) if screen else of_b
         draws = np.int8 if screen else np.float64  # screened signs are only summed
         carries = [(np.zeros((P,) + spec.components), np.zeros(P), np.zeros(P))
                    for P in self.layout]  # each chunk's A, B^r, V^2, advanced in place
@@ -457,21 +366,85 @@ class _Scan:
         # rows of a tile, whose draws take at most the bytes of a float64 tile
         tile = max(1, _TILE * 8 // (width * math.prod(spec.components)
                                     * np.dtype(draws).itemsize))
-        float_rows = max(1, _TILE // width)  # of the screen's role 1
-        # rows of the per-cell path's complex pair of A with B^r or V^2 in
-        # role 1, half a float tile's; none on component axes, where the
-        # tile's sums stay float ones
-        pair_rows = 0 if spec.components else tile // 2
+        # rows of a complex pair of A and its partner in role 1, half a
+        # float tile's; none without a partner or on component axes
+        pair_rows = 0 if spec.components or not (b or v) else tile // 2
         local = threading.local()  # one workspace per worker thread, for this call only
 
-        def feed(red, rows, cuts, shared, ca, cb, cv):  # segment on each piece of rows' sums
-            for j, (cut, n_piece, k) in enumerate(cuts):
+        def feed(red, rows, pieces, shared, ca, cb, cv):  # segment on each piece of rows' sums
+            for j, (cut, n_piece, k) in enumerate(pieces):
                 red.segment(rows, n_piece, ca[:, cut],
                             shared[j] if row else None if cb is None else of_b(cb[:, cut]),
                             None if cv is None else cv[:, cut], k)
 
+        def per_cell(red, rows, d, carry, ws, n_idx, pieces, shared):
+            """Every cell's running sums, from `spec.accumulate` on the tile
+            and its carry. Where A has a partner (B^r, else V^2) on a scalar
+            state, the two are one complex128 chain in role 1
+            (`_Workspace.pair`): a complex add adds the parts apart by the
+            same IEEE adds, so one cumsum gives the bits of both sums. Role 1
+            holds a float tile's bytes and so half its rows (`pair_rows`):
+            the tile is summed and fed in groups of those rows, each group's
+            pieces before the next group is summed. A tile of one nominal
+            row, and a vector state, keep float sums."""
+            g = pair_rows or d.shape[0]
+            for r0 in range(0, d.shape[0], g):
+                part = slice(r0, min(r0 + g, d.shape[0]))
+                gs = (part.stop - r0, d.shape[1])
+                if pair_rows:  # role 2 holds only V^2 beside the pair of A and B^r
+                    out, pair = (None, ws.view(2, gs) if b and v else None), ws.pair(*gs)
+                else:
+                    out, pair = (ws.view(1, gs) if b else None,
+                                 ws.view(2, gs) if v else None), None
+                sums = spec.accumulate(d[part], n_idx, tuple(c[part] for c in carry),
+                                       b, v, out, pair)
+                feed(red, slice(rows.start + r0, rows.start + part.stop), pieces, shared, *sums)
+
+        def at_ends(red, rows, d, carry, ws, n_idx, pieces, shared):
+            """For an `ends_only` reducer, which reads only each piece's last
+            step: segment receives, in place of each piece, its last step
+            alone, n_idx of one step and sums of shape (rows, 1) that
+            `_piece_ends` reduces time-major from the draws and
+            `spec.increments`, the same adds in the same order as the running
+            sums, which are never built. Every spec the scan runs sums its
+            increments by the default `accumulate` (it refuses WeightedIID's
+            factorial weights). A tile of fewer than `_ENDS_ROWS` rows goes
+            per cell; its own count decides, as a chunk's last tile may have
+            one row, which numpy would sum pairwise."""
+            if d.shape[0] < _ENDS_ROWS:
+                return per_cell(red, rows, d, carry, ws, n_idx, pieces, shared)
+            out = (ws.view(1, d.shape) if b else None, ws.view(2, d.shape) if v else None)
+            stops_at = [cut.stop for cut, _, _ in pieces]
+            feed(red, rows, [(slice(j, j + 1), n_piece[-1:], k)
+                             for j, (_, n_piece, k) in enumerate(pieces)], shared,
+                 *(None if x is None else _piece_ends(
+                     x, c, stops_at, ws.view(4, x.shape[1::-1] + x.shape[2:]))
+                   for x, c in zip((d, *spec.increments(d, n_idx, b, v, out)), carry)))
+
+        def screened(red, rows, d, carry, ws, n_idx, pieces, shared):
+            """For a reducer with a `screen`, on a `unit_steps` spec with a
+            shared row, each of whose pieces x is given as `screen(of_b(x))`:
+            d holds the tile's +-1 steps in int8 (the variant writes the signs
+            of a float64 draw and leaves the stream as that would), so every
+            partial sum of A is an integer, exact in any order below 2^53.
+            reducer.screened(rows, n_idx, d, a, bounds, k, out) receives each
+            piece's steps, a, their `_segment_edges` (the exact A before each
+            `_SCREEN_STEPS`-step segment and after the last), the piece's
+            bounds and out, its float64 view of the idle role 1. No running
+            sum is built here: the reducer skips the segments its bounds rule
+            out and sums the rest (`_segment_runs`; past `_SCREEN_DENSE` of
+            them, the whole piece through out, `_dense_segments`)."""
+            # role 1 holds a float tile's rows, an eighth of the int8 tile's
+            runs = ws.view(1, (min(len(d), max(1, tile // 8)), d.shape[1]))
+            for (cut, n_piece, k), bounds in zip(pieces, shared):
+                x = d[:, cut]
+                red.screened(rows, n_piece, x, _segment_edges(x, carry[0]), bounds, k,
+                             runs[:, cut])
+
+        path = screened if screen else at_ends if getattr(reds[0], "ends_only", False) else per_cell
+
         def advance(ci, block):  # chunk ci through one block, on its own stream
-            lo, hi, n_idx, pieces, shared, at_ends = block
+            lo, hi, n_idx, pieces, shared = block
             ws = getattr(local, "ws", None)
             if ws is None:
                 ws = local.ws = _Workspace()
@@ -480,43 +453,10 @@ class _Scan:
                      if spec.coded else None)
             for t in range(0, P, tile):
                 rows = slice(t, min(t + tile, P))
-                shape = (rows.stop - t, hi - lo)
-                d = spec.draw(rng, lo, hi, shape[0], ws.view(0, shape + spec.components, draws),
+                d = spec.draw(rng, lo, hi, rows.stop - t,
+                              ws.view(0, (rows.stop - t, hi - lo) + spec.components, draws),
                               None if codes is None else codes[rows])
-                carry_rows = tuple(c[rows] for c in carry)
-                if screen:
-                    # idle B^r role: a dense piece's running A, a row group at a time
-                    runs = ws.view(1, (min(shape[0], float_rows), shape[1]))
-                    for j, (cut, n_piece, k) in enumerate(pieces):
-                        x = d[:, cut]
-                        red.screened(rows, n_piece, x, _segment_edges(x, carry_rows[0]),
-                                     shared[j], k, runs[:, cut])
-                    continue
-                # the tile's own rows decide: a chunk's last tile may have one
-                if ends and shape[0] >= _ENDS_ROWS:
-                    stops_at, cuts = at_ends
-                    out = (ws.view(1, shape) if b else None, ws.view(2, shape) if v else None)
-                    terms = (d, *spec.increments(d, n_idx, b, v, out))
-                    feed(red, rows, cuts, shared, *(None if x is None else _piece_ends(
-                        x, c, stops_at, ws.view(4, x.shape[1::-1] + x.shape[2:]))
-                        for x, c in zip(terms, carry_rows)))
-                    continue
-                # A and B^r (else V^2) as one complex chain in role 1, which
-                # holds half the tile's rows: the tile is summed and reduced
-                # in row groups
-                paired = pair_rows and (b or v)
-                g = pair_rows if paired else shape[0]
-                for r0 in range(0, shape[0], g):
-                    part = slice(r0, min(r0 + g, shape[0]))
-                    gs = (part.stop - r0, shape[1])
-                    if paired:  # role 2 holds only V^2 beside the pair of A and B^r
-                        out, pair = (None, ws.view(2, gs) if b and v else None), ws.pair(*gs)
-                    else:
-                        out, pair = (ws.view(1, gs) if b else None,
-                                     ws.view(2, gs) if v else None), None
-                    sums = spec.accumulate(d[part], n_idx, tuple(c[part] for c in carry_rows),
-                                           b, v, out, pair)
-                    feed(red, slice(t + r0, t + part.stop), pieces, shared, *sums)
+                path(red, rows, d, tuple(c[rows] for c in carry), ws, n_idx, pieces, shared)
 
         ones, b_row, row_carry = np.empty((1, width)), np.empty((1, width)), np.zeros((3, 1))
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -530,20 +470,14 @@ class _Scan:
                     if e > s:
                         pieces.append((slice(s, e), n_idx[s:e], k))
                     s = e
-                # on the ends path, piece j is column j of the sums at the piece ends
-                at_ends = ([cut.stop for cut, _, _ in pieces],
-                           [(slice(j, j + 1), n_piece[-1:], k)
-                            for j, (_, n_piece, k) in enumerate(pieces)])
                 shared = None
                 if row:  # B^r increments are a function of n alone: any draws give them
                     d = ones[:, :hi - lo]
                     d.fill(1.0)
                     cb = spec.accumulate(d, n_idx, row_carry, True, False,
                                          (b_row[:, :hi - lo], None))[1]
-                    shared = [of_b(cb[0, cut]) for cut, _, _ in pieces]
-                    if screen:
-                        shared = [screen(x) for x in shared]
-                block = (lo, hi, n_idx, pieces, shared, at_ends)
+                    shared = [of_row(cb[0, cut]) for cut, _, _ in pieces]
+                block = (lo, hi, n_idx, pieces, shared)
                 list(fan(advance, range(n), [block] * n))
         return reds
 
@@ -1139,9 +1073,8 @@ class _Histograms:
         self.late_counts = np.zeros(len(edges) - 1, dtype=np.int64)
 
     def segment(self, rows, n_idx, ca, cb, cv, k):
-        den, ok = cb
-        val = np.divide(ca, den, out=ca)
-        counts = np.histogram(val[np.broadcast_to(ok, val.shape)], bins=self.edges)[0]
+        # off the guard the quotient is -inf, outside every bin
+        counts = np.histogram(_LilMax.quotient(n_idx, ca, cb, cv), bins=self.edges)[0]
         self.counts += counts
         if n_idx[0] > self.half:  # the scan cuts its blocks after step `half`
             self.late_counts += counts

@@ -8,6 +8,8 @@ import tracemalloc
 import pytest
 
 from selfnorm import cli, processes
+from selfnorm import constants as konst
+from selfnorm.mixture import general_r_asymptotic
 from selfnorm.cli import build_parser, main
 
 SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm",
@@ -45,6 +47,13 @@ class TestConstantsCommand:
         out = str(tmp_path / "t.csv")
         assert main(["constants", "--gamma", "0", "--out", out]) == 0
         assert float(read_csv(out)[0]["c_gamma"]) == 0.5
+
+    def test_order_r_column(self, tmp_path):
+        out = str(tmp_path / "t.json")
+        assert main(["constants", "--gamma", "0.5", "--r", "1.5", "--format", "json",
+                     "--out", out]) == 0
+        [row] = json.loads(open(out).read())["rows"]
+        assert row["c_gamma_r"] == konst.c_gamma_r(0.5, 1.5)
 
     def test_l_normalization_row(self, tmp_path):
         out = str(tmp_path / "t.json")
@@ -124,6 +133,18 @@ class TestBoundaryCommand:
                      "--asymptotic", "rs", "--out", out]) == 0
         ratios = [float(r["ratio"]) for r in read_csv(out)]
         assert ratios == sorted(ratios)  # approaching 1 from below
+
+    def test_general_r_ratio_column(self, tmp_path):
+        cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
+        out = str(tmp_path / "b.json")
+        assert main(["boundary", "--config", cfg, "--c", "3", "--r", "1.5", "--v-min", "1e6",
+                     "--v-max", "1e8", "--v-points", "3", "--asymptotic", "general",
+                     "--format", "json", "--out", out]) == 0
+        rows = json.loads(open(out).read())["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["asymptotic"] == general_r_asymptotic(row["v"], 1.5)
+            assert row["ratio"] == row["beta"] / row["asymptotic"]
 
     def test_c_validation(self, tmp_path):
         cfg = write_json(tmp_path, "m.json",
@@ -596,6 +617,20 @@ class TestLilCommand:
         assert doc["statistic"] == "lil"
         assert doc["limsup_bound"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert len(doc["median_running_max"]) == 2
+
+    @pytest.mark.parametrize("variant, statistic", [("rademacher", "uncentered"),
+                                                    ("counterexample65", "conditional_variance")])
+    def test_unbounded_limsup_is_null(self, tmp_path, variant, statistic):
+        # the uncentered and conditional-variance statistics have no limsup
+        # bound: an infinite one is written as null
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": variant}, "seed": 4, "paths": 10,
+                          "horizon": 100, "statistic": statistic})
+        out = str(tmp_path / "lil.out.json")
+        assert main(["lil", "--config", cfg, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["statistic"] == statistic
+        assert doc["limsup_bound"] is None
 
     def test_seed_precedence(self, tmp_path):
         # --seed beats the config's seed: the flag used to be ignored

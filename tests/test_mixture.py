@@ -323,6 +323,11 @@ class TestCrossingBound:
         assert crossing_bound(2.0 * F.total_mass, F) == pytest.approx(0.5, rel=1e-15)
         assert crossing_bound(0.01, F) == 1.0  # capped at a probability
 
+    def test_density_mass(self):
+        # f = 1 on (0, 1) has mass 1, by quadrature
+        F = Density(f=lambda lam: 1.0 + 0.0 * lam, lambda0=1.0)
+        assert crossing_bound(4.0, F) == pytest.approx(0.25, rel=1e-12)
+
 
 class TestMultivariate:
     def test_empty_state(self):

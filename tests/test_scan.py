@@ -4,6 +4,8 @@ invariance with B^r, V^2 and the running statistics carried across many
 small blocks and chunks, and the per-worker workspace: it holds one row
 tile per role, reused buffers give the reports of fresh ones, and no result
 keeps a view of them."""
+import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_golden
-from selfnorm import experiments, processes
+from selfnorm import cli, experiments, processes
 from selfnorm.constants import DomainError
 from selfnorm.experiments import (ExperimentConfig, check_supermartingale_mean,
                                   cluster_set_diagnostic, crossing_frequency,
@@ -624,7 +626,7 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, den
     count("_segment_edges", "segments",
           lambda d, end: tiles.add(d.shape[0]) or d.shape[0] * -(-d.shape[1] // 64))
     count("_segment_runs", "alone", lambda d, a, p, s: p.size)
-    count("_piece_runs", "whole", lambda d, a: a.size - a.shape[0])
+    count("_running", "whole", lambda x, end: x.shape[0] * -(-x.shape[1] // 64))
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
     assert max(tiles) == rows, tiles
@@ -734,7 +736,7 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
 
     monkeypatch.setattr(cls, "draw", spy_draw)
     spy("_segment_edges", "edges")
-    spy("_piece_runs", "runs")
+    spy("_running", "runs")
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
     assert seen == {"draw": {"int8"}, "edges": {"int8"}, "runs": {"float64"}}, seen
@@ -784,7 +786,7 @@ def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
             return inner(*args)
         monkeypatch.setattr(experiments, name, spied)
     spy("_dense_segments", 3)
-    spy("_piece_runs", 0)
+    spy("_running", 0)
     cfg = ExperimentConfig(spec=Rademacher(), seed=1, paths=40,
                            horizon=experiments._BLOCK + 5, checkpoints=(100,))
     assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [40]
@@ -795,7 +797,7 @@ def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
     assert {role: (buf.dtype.name, buf.size) for role, buf in ws.bufs.items()} == {
         0: ("int8", 8 * tile), 1: ("float64", tile)}
     assert ("_dense_segments", 16) in calls
-    assert {rows for name, rows in calls if name == "_piece_runs"} == {2}
+    assert {rows for name, rows in calls if name == "_running"} == {2}
     calls.clear()
     with mock.patch.object(Rademacher, "unit_steps", False):
         assert outcome(SCREENED[experiment], cfg) == screened
@@ -853,3 +855,85 @@ def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start)
                                                 cross.crossed, cross.counts)])
     assert reducers[0] == reducers[1]
     assert np.array_equal(d, steps_before)  # the int8 steps are only read
+
+
+# ---------------------------------------------------------------------------
+# the tile path each benchmark-shaped input takes at the production `_TILE`
+# and `_BLOCK`: a path change moves no digest, so it is pinned here
+# ---------------------------------------------------------------------------
+
+SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm", "suites",
+                     "suite_supermartingales.json")
+RS_C = 10.0  # times the mixture's mass, as in the benchmark's crossings
+
+
+def suite_rows(paths):
+    """The bundled suite's supermartingale rows, each run at `paths` paths,
+    and the classes of their specs."""
+    with open(SUITE) as f:
+        suite = json.load(f)
+    for entry in suite["experiments"]:
+        entry["config"]["paths"] = paths
+    classes = {type(processes.spec_from_json(e["config"]["spec"])) for e in suite["experiments"]}
+    return classes, lambda: cli.run_suite(suite, None, 1)
+
+
+def long_walk(spec, paths):
+    """A config of `paths` paths over one block and 5 steps."""
+    return ExperimentConfig(spec=spec, seed=3, paths=paths, horizon=experiments._BLOCK + 5)
+
+
+def rs_crossing(spec, paths):
+    F = RobbinsSiegmund(1.0)
+    return lambda: crossing_frequency(long_walk(spec, paths), mixture=F, c=RS_C * F.total_mass)
+
+
+LOGNORMAL = ScaledSymmetric(law="lognormal", mu=0.0, sigma=1.0)
+BENCHMARK_SHAPED = {
+    "crossing_rademacher": ({Rademacher}, rs_crossing(Rademacher(), 40)),
+    "lil_rademacher": ({Rademacher}, lambda: lil_track(long_walk(Rademacher(), 40))),
+    "crossing_lognormal": ({ScaledSymmetric}, rs_crossing(LOGNORMAL, 20)),
+    "verify_suite": suite_rows(40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_SHAPED))
+def test_benchmark_shaped_inputs_take_their_tile_paths(case, monkeypatch):
+    # the unit-step screen runs every tile of a Rademacher crossing and lil
+    # scan (one piece a block, so one `_segment_edges` call a draw, in int8);
+    # a lognormal crossing sums A and B^r as a complex pair in row groups of
+    # half a float tile's rows and gives `_hit_cells` the row screen's floor;
+    # the suite's supermartingale rows, one tile of every path, are reduced
+    # at the piece ends. Only the shared B^r row is summed apart from these
+    classes, run = BENCHMARK_SHAPED[case]
+    seen = {"draws": 0, "edges": [], "ends": [], "pairs": [], "floors": []}
+
+    def spy(obj, name, record):
+        inner = getattr(obj, name)
+
+        def spied(*args):
+            record(*args)
+            return inner(*args)
+        monkeypatch.setattr(obj, name, spied)
+
+    spy(experiments, "_segment_edges", lambda d, end: seen["edges"].append(d.dtype.name))
+    spy(experiments, "_piece_ends", lambda x, *a: seen["ends"].append(x.shape[0]))
+    spy(experiments, "_hit_cells",
+        lambda ca, cb, beta, skip, floor=None: seen["floors"].append(floor is not None))
+    for c in classes:
+        spy(c, "draw", lambda *a: seen.update(draws=seen["draws"] + 1))
+        # the chunks' sums, whose carry is a tuple of arrays; the shared
+        # row's carry is one array
+        spy(c, "accumulate", lambda self, d, n_idx, carry, b, v, out, pair=None:
+            isinstance(carry, tuple) and seen["pairs"].append(0 if pair is None else len(pair)))
+    run()
+    draws, edges, ends, pairs, floors = seen.values()
+    assert draws > 0 and not any(issubclass(a, b) for a in classes for b in classes - {a})
+    if case in ("crossing_rademacher", "lil_rademacher"):
+        assert edges == ["int8"] * draws and not ends and not pairs, seen
+    elif case == "crossing_lognormal":
+        half = experiments._TILE // experiments._BLOCK // 2
+        assert half >= 1 and pairs == [half] * (2 * draws), seen
+        assert floors and all(floors) and not edges and not ends, seen
+    else:
+        assert ends and set(ends) == {40} and not edges and not pairs, seen
