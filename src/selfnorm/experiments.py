@@ -32,16 +32,17 @@ B^r alone (of_b) runs once per piece, for every chunk.
 Each worker thread of a call has one `_Workspace`: flat buffers, made in
 the call and dropped with it, that its tiles are drawn into and summed in.
 No role holds more bytes than a float64 tile of `_TILE` cells, whatever the
-chunk size, so every pass after the draw runs in cache; only a block's
-codes, at one byte a cell, grow with the chunk. The pieces a reducer
-receives are views of them, overwritten by the worker's next tile: a
-reducer copies what it keeps.
+chunk size, nor does a group of the screen's segment sums, so every pass
+after the draw runs in cache; only a block's codes, at one byte a cell, grow
+with the chunk. The pieces a reducer receives are views of them, overwritten
+by the worker's next tile: a reducer copies what it keeps.
 
 The tile paths, functions in `_Scan.__call__`, each with its contract:
 
   path      reducer declares     spec and tile                  builds
   screened  `screen` (`_LilMax`, `unit_steps`, shared B^r row   int8 signs, 64-step
-            `_BetaCrossings`)                                   sums, few running A
+            `_BetaCrossings`)                                   sums, running A on
+                                                                open segments only
   at_ends   `ends_only`          any, on tiles of `_ENDS_ROWS`  sums at piece ends
             (`_StateAtStops`)    rows or more                   only (`_piece_ends`)
   per_cell  every other reducer, spec and tile                  every running sum
@@ -74,7 +75,7 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
-                        _Variant, _Workspace, _abs_pow, _running, chunk_rng, log_supermartingale,
+                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
                         spec_from_json, spec_to_json)
 
 _BLOCK = 32768
@@ -93,13 +94,12 @@ _ENDS_ROWS = 12
 # start: the crossing lookups on a random normalizer (`_hit_cells`), and the
 # lil and crossing scans on a unit-step walk (`_segment_edges`).
 _SCREEN_STEPS = 64
-# Most of a piece's segments, as a share, that a unit-step screen sums one by
-# one (`_segment_runs`); above it, the piece's running sums cost less. On a
-# 2-CPU Xeon, exact sums over every segment took 2.0-3.6 times a piece's
-# cumsum and statistic (tiles of 2 x 32768 to 327 x 200 cells).
-_SCREEN_DENSE = 0.25
 _MAX_CHUNK_PATHS = 16384
 _TARGET_CELLS = 4_194_304
+# The most chunks of a scan. Each chunk's stream, reducer and carry are made
+# before the first draw, about 35 us and 1.9 KB a chunk on a 2-CPU Xeon: 10^6
+# paths of 10^7 cells, one a chunk, would spend 35 s and 1.9 GB on them.
+_MAX_CHUNKS = 1 << 16
 # The most points of a boundary table (`boundary --v-points`), bins of a
 # cluster-set histogram (`bins`) and items of a lambda, x or p list. Each
 # point is a float64 in every array of the table and a root solve; 2^16
@@ -248,36 +248,25 @@ def _segment_edges(d, end):
 
 def _segment_runs(d, a, p, s):
     """The running A over segment s[i] of row p[i] of d, for each i, from a,
-    `_segment_edges` of d: a fresh float64 (len(p), _SCREEN_STEPS), the bits
-    of the running sums of the whole row at those steps; only these
-    segments' steps are cast. A short last segment is padded with zero
-    steps, on which A holds."""
+    `_segment_edges` of d, in groups of at most `_TILE // _SCREEN_STEPS`
+    segments: (g, x) for each group, g its slice of p and s and x a fresh
+    float64 (group, _SCREEN_STEPS), at most one float tile, the bits of the
+    running sums of the whole row at those steps; only these segments' steps
+    are cast. A short last segment is padded with zero steps, on which A
+    holds."""
     S = _SCREEN_STEPS
     L = d.shape[1]
     full = L - L % S
-    x = np.zeros((p.size, S))
-    whole = s < full // S
-    x[whole] = d[:, :full].reshape(d.shape[0], -1, S)[p[whole], s[whole]]
-    x[~whole, :L - full] = d[p[~whole], full:]
-    x[:, 0] += a[p, s]  # integers below 2^53: A may start the sums
-    return np.cumsum(x, axis=1, out=x)
-
-
-def _dense_segments(red, rows, n_idx, d, a, cb, k, out=None):
-    """red.segment on the running A of a dense screen piece: its unit steps
-    d are cast into out, the float64 rows the scan lends from an idle
-    workspace role (one float tile, fewer rows than an int8 tile may have;
-    if None, a fresh array of d's shape), in groups of out's rows, summed
-    from a[:, 0], the A before the piece (`_segment_edges`), by the
-    per-cell path's `_running`; each group is segment's piece for its slice
-    of `rows`. d and a are only read."""
-    out = np.empty(d.shape) if out is None else out
-    for lo in range(0, len(d), len(out)):
-        part = slice(lo, min(lo + len(out), len(d)))
-        x = out[:part.stop - lo]
-        x[...] = d[part]
-        red.segment(slice(rows.start + lo, rows.start + part.stop), n_idx,
-                    _running(x, a[part, 0].copy()), cb, None, k)
+    step = max(1, _TILE // S)
+    for lo in range(0, p.size, step):
+        g = slice(lo, lo + step)
+        pg, sg = p[g], s[g]
+        x = np.zeros((pg.size, S))
+        whole = sg < full // S
+        x[whole] = d[:, :full].reshape(d.shape[0], -1, S)[pg[whole], sg[whole]]
+        x[~whole, :L - full] = d[pg[~whole], full:]
+        x[:, 0] += a[pg, sg]  # integers below 2^53: A may start the sums
+        yield g, np.cumsum(x, axis=1, out=x)
 
 
 def _by_segment(x, pad):
@@ -288,10 +277,15 @@ def _by_segment(x, pad):
     return out.reshape(-1, _SCREEN_STEPS)
 
 
+def _chunk_paths(paths: int, cells: int) -> int:
+    """Paths of every chunk but the last, which takes the rest."""
+    return min(paths, max(1, _TARGET_CELLS // max(cells, 1)), _MAX_CHUNK_PATHS)
+
+
 def _chunk_layout(paths: int, cells: int) -> list[int]:
     """Fixed chunk sizes; a pure function of (paths, cells per path) so
     results do not depend on the worker count."""
-    size = min(paths, max(1, _TARGET_CELLS // max(cells, 1)), _MAX_CHUNK_PATHS)
+    size = _chunk_paths(paths, cells)
     out = [size] * (paths // size)
     if paths % size:
         out.append(paths % size)
@@ -306,8 +300,8 @@ class _Scan:
     and only an MvBrownianGrid has one; its whole grid runs as one block,
     since blocks would draw (P, L, dim) in another order. `kept` is the
     number of stops at which the experiment keeps a value per path; paths
-    times that (or 1) above `_MAX_RECORDS` is refused before any chunk is
-    laid out."""
+    times that (or 1) above `_MAX_RECORDS`, and more than `_MAX_CHUNKS`
+    chunks, are refused before any chunk is laid out."""
 
     def __init__(self, cfg, workers, vector=False, kept=1):
         self.workers = resolve_workers(workers)
@@ -323,9 +317,14 @@ class _Scan:
             raise DomainError(f"paths {cfg.paths} x checkpoints {kept} asks for "
                               f"{8 * cfg.paths * kept} bytes, a float64 an item, above the "
                               f"limit of {_MAX_RECORDS} items")
+        cells = self.horizon * math.prod(spec.components)
+        chunks = -(-cfg.paths // _chunk_paths(cfg.paths, cells))
+        if chunks > _MAX_CHUNKS:
+            raise DomainError(f"paths {cfg.paths} of {cells} cells each take {chunks} chunks, "
+                              f"above the limit of {_MAX_CHUNKS}")
         self.block = self.horizon if vector else _BLOCK
         self.cfg = cfg
-        self.layout = _chunk_layout(cfg.paths, self.horizon * math.prod(spec.components))
+        self.layout = _chunk_layout(cfg.paths, cells)
 
     def __call__(self, reducer, stops=(), b=True, v=False, of_b=None) -> list:
         """One reducer(P) per chunk of P paths, fed every block in row tiles
@@ -347,8 +346,8 @@ class _Scan:
         A reducer class may declare `ends_only`, if it reads only each
         piece's last step (the `at_ends` path), and `screen(x)`, per-segment
         bounds of a shared piece x from of_b, with `screened(rows, n_idx, d,
-        a, bounds, k, out)`, which the `screened` path calls in place of
-        segment on a unit-step spec with a shared row."""
+        a, bounds, k)`, which the `screened` path calls in place of segment
+        on a unit-step spec with a shared row."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -427,19 +426,15 @@ class _Scan:
             d holds the tile's +-1 steps in int8 (the variant writes the signs
             of a float64 draw and leaves the stream as that would), so every
             partial sum of A is an integer, exact in any order below 2^53.
-            reducer.screened(rows, n_idx, d, a, bounds, k, out) receives each
+            reducer.screened(rows, n_idx, d, a, bounds, k) receives each
             piece's steps, a, their `_segment_edges` (the exact A before each
-            `_SCREEN_STEPS`-step segment and after the last), the piece's
-            bounds and out, its float64 view of the idle role 1. No running
-            sum is built here: the reducer skips the segments its bounds rule
-            out and sums the rest (`_segment_runs`; past `_SCREEN_DENSE` of
-            them, the whole piece through out, `_dense_segments`)."""
-            # role 1 holds a float tile's rows, an eighth of the int8 tile's
-            runs = ws.view(1, (min(len(d), max(1, tile // 8)), d.shape[1]))
+            `_SCREEN_STEPS`-step segment and after the last), and the piece's
+            bounds. No running sum is built here: the reducer skips the
+            segments its bounds rule out and sums the rest, a float tile at a
+            time (`_segment_runs`)."""
             for (cut, n_piece, k), bounds in zip(pieces, shared):
                 x = d[:, cut]
-                red.screened(rows, n_piece, x, _segment_edges(x, carry[0]), bounds, k,
-                             runs[:, cut])
+                red.screened(rows, n_piece, x, _segment_edges(x, carry[0]), bounds, k)
 
         path = screened if screen else at_ends if getattr(reds[0], "ends_only", False) else per_cell
 
@@ -654,41 +649,21 @@ class PchipInterpolator:
             d[-1] = _pchip_edge(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2.0 * m) / h
         self.x = x
-        # the right end of each interval; the last is closed, and a point
-        # beyond it is outside the table
-        self._hi = np.append(x[1:-1], np.inf)
-        self._per_step = (x.size - 1) / (x[-1] - x[0])
         # coefficients of s^0 .. s^3 on each interval, s = x - x[i]; the
         # constant term is scipy's `0.0 + y`, which turns -0.0 into 0.0
         self._c = (0.0 + y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h)
-
-    def _interval(self, xv):
-        """i with x[i] <= xv < x[i+1] (the last interval closed) and x[i],
-        for a 1-d xv. The index is guessed as if the nodes were evenly spaced
-        (a geometric table is, in log v) and a binary search finds the points
-        the guess misses; a point outside the table gets some valid i."""
-        x, last = self.x, self.x.size - 2
-        g = xv - x[0]
-        g *= self._per_step
-        np.fmax(g, 0.0, out=g)  # NaN goes to 0 here
-        np.fmin(g, last, out=g)
-        i = g.astype(np.intp)
-        lo = x[i]
-        miss = (xv < lo) | (xv >= self._hi[i])
-        if miss.any():
-            i[miss] = np.clip(np.searchsorted(x, xv[miss], side="right") - 1, 0, last)
-            lo[miss] = x[i[miss]]
-        return i, lo
 
     def __call__(self, xv):
         xv = np.asarray(xv, dtype=float)
         flat = xv.ravel()
         x = self.x
-        i, lo = self._interval(flat)
+        # i with x[i] <= point < x[i+1] (the last interval closed); a point
+        # outside the table, or NaN, gets some valid i
+        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
         # a point outside is clipped into the table first, so that an
         # infinite one makes no inf * 0; its value is NaN below
         s = np.clip(flat, x[0], x[-1])
-        s -= lo
+        s -= x[i]
         c0, c1, c2, c3 = self._c
         # scipy's evaluate_poly1 order
         res = c0[i]
@@ -816,23 +791,19 @@ class _BetaCrossings(_Crossings):
 
     @staticmethod
     def screen(beta):
-        """A piece's beta row, and per segment its beta, +inf on the pad,
-        and the least, ignoring NaN (which no A reaches)."""
+        """Per segment of a piece's beta row, its beta, +inf on the pad, and
+        the least, ignoring NaN (which no A reaches)."""
         seg = _by_segment(beta, np.inf)
-        return beta, seg, np.fmin.reduce(seg, axis=1)
+        return seg, np.fmin.reduce(seg, axis=1)
 
-    def screened(self, rows, n_idx, d, a, bounds, k, out=None):
+    def screened(self, rows, n_idx, d, a, bounds, k):
         """segment on the unit steps d of a piece and a, their
-        `_segment_edges`, with bounds from `screen`; a dense piece is cast
-        into out a row group at a time (`_dense_segments`)."""
-        beta, seg, least = bounds
+        `_segment_edges`, with bounds from `screen`."""
+        seg, least = bounds
         crossed = self.crossed[rows]  # a view
-        live = (a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None]
-        p, s = np.nonzero(live)
-        if p.size > _SCREEN_DENSE * live.size:
-            return _dense_segments(self, rows, n_idx, d, a, beta, k, out)
-        if p.size:
-            crossed[p[(_segment_runs(d, a, p, s) >= seg[s]).any(axis=1)]] = True
+        p, s = np.nonzero((a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None])
+        for g, x in _segment_runs(d, a, p, s):
+            crossed[p[g][(x >= seg[s[g]]).any(axis=1)]] = True
         if k is not None:
             self.counts[k] += np.count_nonzero(crossed)
 
@@ -981,19 +952,15 @@ class _LilMax(_RunningMax):
         seg = _by_segment(np.where(guard, den, np.nan), np.nan)
         return den, guard, seg, np.fmin.reduce(seg, axis=1), np.fmax.reduce(seg, axis=1)
 
-    def screened(self, rows, n_idx, d, a, bounds, k, out=None):
+    def screened(self, rows, n_idx, d, a, bounds, k):
         """segment on the unit steps d of a piece and a, their
-        `_segment_edges`, with bounds from `screen`; a dense piece is cast
-        into out a row group at a time (`_dense_segments`)."""
+        `_segment_edges`, with bounds from `screen`."""
         den, guard, seg, least, most = bounds
         run = self.run[rows]  # a view
         top = a[:, :-1] + _SCREEN_STEPS
-        live = np.where(top >= 0.0, top / least, top / most) > run[:, None]
-        p, s = np.nonzero(live)
-        if p.size > _SCREEN_DENSE * live.size:
-            return _dense_segments(self, rows, n_idx, d, a, (den, guard), k, out)
-        if p.size:  # fmax: NaN, off the guard, is no value
-            np.fmax.at(run, p, np.fmax.reduce(_segment_runs(d, a, p, s) / seg[s], axis=1))
+        p, s = np.nonzero(np.where(top >= 0.0, top / least, top / most) > run[:, None])
+        for g, x in _segment_runs(d, a, p, s):  # fmax: NaN, off the guard, is no value
+            np.fmax.at(run, p[g], np.fmax.reduce(x / seg[s[g]], axis=1))
         if k is not None:
             self.maxima[rows, k] = run
             self.values[rows, k] = a[:, -1] / den[-1] if guard[-1] else -np.inf

@@ -131,15 +131,14 @@ class _Workspace:
     """Tile buffers: one flat array per role, made on first use (and made
     anew only when a larger one or another dtype is asked for) and viewed as
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
-    (then A, unless paired; int8 signs on the engine's unit-step screen),
-    1 its B^r increments (then B^r), or, as the `pair`, A with B^r (else
-    V^2) as one complex sum over half the tile's rows (on the scan's
-    per-cell path, and in the stepping handle), or, on the screen, a dense
-    piece's running A, a row group at a time; 2 its V^2, 3 a block's int8
-    draw codes, and 4 a time-major copy of a tile's terms. The engine sizes
-    a tile in bytes: no role but the codes holds more than a float64 tile,
-    so an int8 tile has eight times a float64 tile's rows, and role 1 lends
-    the screen a float tile's rows of it, and the pair half of them."""
+    (then A, unless paired; int8 signs on the engine's unit-step screen,
+    which uses no other role), 1 its B^r increments (then B^r), or, as the
+    `pair`, A with B^r (else V^2) as one complex sum over half the tile's
+    rows (on the scan's per-cell path, and in the stepping handle); 2 its
+    V^2, 3 a block's int8 draw codes, and 4 a time-major copy of a tile's
+    terms. The engine sizes a tile in bytes: no role but the codes holds
+    more than a float64 tile, so an int8 tile has eight times a float64
+    tile's rows, and the pair half of them."""
 
     def __init__(self):
         self.bufs = {}

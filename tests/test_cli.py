@@ -689,6 +689,17 @@ class TestLilCommand:
         assert f"DomainError: paths {10**7} x checkpoints 100 asks for {8 * 10**9} bytes" in err
         assert not out.exists()
 
+    def test_chunk_count_refused_before_any_stream(self, tmp_path, capsys, no_draws):
+        # 10^6 paths of 10^7 steps are 10^6 one-path chunks, a stream each
+        cfg = write_json(tmp_path, "lil.json",
+                         {"spec": {"variant": "rademacher"}, "seed": 4, "paths": 10**6,
+                          "horizon": 10**7})
+        out = tmp_path / "o.json"
+        assert main(["lil", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"DomainError: paths {10**6} of {10**7} cells each take {10**6} chunks" in err
+        assert not out.exists()
+
     def test_vector_spec_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "lil.json",
                          {"spec": {"variant": "mv_brownian_grid", "dim": 2,

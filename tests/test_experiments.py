@@ -989,6 +989,38 @@ def test_record_limit_is_inclusive(entry, monkeypatch):
         run(kept_cfg(entry, top + 1, (10, 20, 30)))
 
 
+@pytest.mark.parametrize("entry", sorted(KEPT))
+def test_chunk_count_refused_before_any_stream(entry, monkeypatch):
+    # 10^6 paths of 10^7 cells are 10^6 one-path chunks, each opening a
+    # stream before the first draw; sized in closed form, no chunk is laid
+    # out, no stream opened and no reducer made
+    def opened(*args):
+        raise AssertionError("a chunk stream was opened")
+    monkeypatch.setattr(experiments, "chunk_rng", opened)
+    monkeypatch.setattr(experiments, "_chunk_layout", opened)
+    cfg = kept_cfg(entry, 10**6, (10**7,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^paths {10**6} of {10**7} cells each take "
+                                              rf"{10**6} chunks, above the limit of 65536$"):
+            KEPT[entry][1](cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("entry", sorted(KEPT))
+def test_chunk_limit_is_inclusive(entry, monkeypatch):
+    # chunks of 10 paths at a limit of 3 chunks: 30 paths run, 31 do not
+    monkeypatch.setattr(experiments, "_MAX_CHUNKS", 3)
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 10 * 30)
+    run = KEPT[entry][1]
+    run(kept_cfg(entry, 30, (10, 20, 30)))
+    with pytest.raises(DomainError, match=r"^paths 31 of 30 cells each take 4 chunks"):
+        run(kept_cfg(entry, 31, (10, 20, 30)))
+
+
 def test_point_limit_is_inclusive():
     top = experiments._MAX_POINTS
     for name in ("bins", "v_points"):

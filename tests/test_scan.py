@@ -591,28 +591,40 @@ SCREENED = {
 }
 
 
-@pytest.mark.parametrize("dense", ["default", "never"])
+@pytest.mark.parametrize("skip", ["default", "never"])
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("experiment", sorted(SCREENED))
 @pytest.mark.parametrize("variant", sorted(UNIT))
-def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, dense,
+def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, skip,
                                                   monkeypatch):
     # blocks of 100 steps in int8 tiles of 1 or 2 rows, chunks of 5 paths; stops
     # at the first step, at B_n >= e^2 (n = 55 at r = 2), on both sides of
     # and on a segment edge, in the second block and at the horizon: each
-    # report equals the per-cell path's, which `unit_steps` off selects. At
-    # the default `_SCREEN_DENSE` a piece with many open segments takes its
-    # running sums whole; with that off, every open segment is summed alone
+    # report equals the per-cell path's, which `unit_steps` off selects. The
+    # open segments are summed by `_segment_runs`, here a segment a group (a
+    # float tile holds fewer than 64 cells). With the reducers' own bounds
+    # some segments are never summed; with bounds that rule none out
+    # ("never": beta's least -inf, den's least and greatest +-1e-300, so
+    # only a crossed path, or a lil segment that stays at or below 0 against
+    # a running max >= 0, is skipped), whole pieces of open segments go
+    # through `_segment_runs`
     horizon = 260
     monkeypatch.setattr(experiments, "_BLOCK", 100)
     monkeypatch.setattr(experiments, "_TILE", int8_tile(rows, 100))
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * horizon)
-    if dense == "never":
-        monkeypatch.setattr(experiments, "_SCREEN_DENSE", 1.0)
+    if skip == "never":
+        for cls, opened in ((experiments._BetaCrossings,
+                             lambda seg, least: (seg, np.full_like(least, -np.inf))),
+                            (experiments._LilMax,
+                             lambda den, guard, seg, least, most: (
+                                 den, guard, seg, np.full_like(least, 1e-300),
+                                 np.full_like(most, -1e-300)))):
+            monkeypatch.setattr(cls, "screen", staticmethod(
+                lambda cb, bounds=cls.screen, opened=opened: opened(*bounds(cb))))
     spec = UNIT[variant]
     cfg = ExperimentConfig(spec=spec, seed=11, paths=23, horizon=horizon,
                            checkpoints=(1, 55, 63, 64, 65, 130, horizon))
-    counted = {"segments": 0, "alone": 0, "whole": 0}
+    counted = {"segments": 0, "alone": 0}
     tiles = set()
 
     def count(name, key, cells):
@@ -626,18 +638,12 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, den
     count("_segment_edges", "segments",
           lambda d, end: tiles.add(d.shape[0]) or d.shape[0] * -(-d.shape[1] // 64))
     count("_segment_runs", "alone", lambda d, a, p, s: p.size)
-    count("_running", "whole", lambda x, end: x.shape[0] * -(-x.shape[1] // 64))
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
     assert max(tiles) == rows, tiles
-    # some segments were never summed; at this short horizon most pieces
-    # with an open segment are dense, and take their running sums whole
-    # unless that is off
-    assert counted["alone"] + counted["whole"] < counted["segments"], counted
-    if dense == "never":
-        assert counted["alone"] > 0 and counted["whole"] == 0, counted
-    else:
-        assert counted["whole"] > 0, counted
+    assert 0 < counted["alone"] <= counted["segments"], counted
+    if skip == "default":  # some segments were never summed
+        assert counted["alone"] < counted["segments"], counted
     counted.update(segments=0)
     monkeypatch.setattr(type(spec), "unit_steps", False)
     assert outcome(SCREENED[experiment], cfg) == screened
@@ -704,9 +710,9 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
     # chunks of 7 paths end on a tile of 1 row, and 23 paths on a chunk of
     # 2. Stops at 60 and 130 cut pieces of 60, 39, 31 and 68 steps, and the
     # last block has 52, so pieces end on segments shorter than 64. The
-    # screen draws into int8 and sums int8, and a dense piece's running sums
-    # are float64; with `unit_steps` off every draw is float64 and nothing
-    # is summed by segment, and the reports are the same bits. The
+    # screen draws into int8 and sums int8, and the running sums of its open
+    # segments are float64; with `unit_steps` off every draw is float64 and
+    # nothing is summed by segment, and the reports are the same bits. The
     # experiments take their worker count from SELFNORM_WORKERS
     horizon = 250
     monkeypatch.setenv("SELFNORM_WORKERS", str(workers))
@@ -734,9 +740,14 @@ def test_screen_draws_and_sums_one_byte_signs(variant, experiment, workers, monk
             return inner(d, *args)
         monkeypatch.setattr(experiments, name, spied)
 
+    def spy_runs(*args, runs=experiments._segment_runs):
+        for g, x in runs(*args):
+            seen["runs"].add(x.dtype.name)
+            yield g, x
+
     monkeypatch.setattr(cls, "draw", spy_draw)
     spy("_segment_edges", "edges")
-    spy("_running", "runs")
+    monkeypatch.setattr(experiments, "_segment_runs", spy_runs)
     screened = outcome(SCREENED[experiment], cfg)
     assert not isinstance(screened, tuple), screened
     assert seen == {"draw": {"int8"}, "edges": {"int8"}, "runs": {"float64"}}, seen
@@ -772,21 +783,22 @@ def test_seeded_screen_digest_in_two_row_int8_tiles(case, monkeypatch):
 @pytest.mark.parametrize("experiment", ["lil_track", "crossing_rs"])
 def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
     # a chunk of 40 paths of 32768-step blocks: the screen's int8 draws take
-    # 16 rows, the bytes of one float tile, and role 1 lends a float tile's
-    # 2 rows, so the dense piece before the stop at step 100 is cast in row
-    # groups of 2; the reports equal those of the per-cell path
+    # 16 rows, the bytes of one float tile, its workspace holds nothing
+    # else, and `_segment_runs` sums a piece's open segments in groups of a
+    # float tile, _TILE // 64 segments, the last group taking the rest (on
+    # lil_track, whose running max starts at -inf, some piece has more
+    # open segments than one group holds); the reports equal those of the
+    # per-cell path
     made = recorded_workspaces(monkeypatch)
-    calls = []
+    groups = []
 
-    def spy(name, at):  # records the rows of the steps, argument `at`
-        inner = getattr(experiments, name)
-
-        def spied(*args):
-            calls.append((name, args[at].shape[0]))
-            return inner(*args)
-        monkeypatch.setattr(experiments, name, spied)
-    spy("_dense_segments", 3)
-    spy("_running", 0)
+    def spy_runs(d, a, p, s, runs=experiments._segment_runs):
+        groups.append((p.size, []))
+        for g, x in runs(d, a, p, s):
+            assert x.shape[1] == experiments._SCREEN_STEPS
+            groups[-1][1].append(x.shape[0])
+            yield g, x
+    monkeypatch.setattr(experiments, "_segment_runs", spy_runs)
     cfg = ExperimentConfig(spec=Rademacher(), seed=1, paths=40,
                            horizon=experiments._BLOCK + 5, checkpoints=(100,))
     assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [40]
@@ -795,13 +807,15 @@ def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
     [ws] = made
     tile = experiments._TILE
     assert {role: (buf.dtype.name, buf.size) for role, buf in ws.bufs.items()} == {
-        0: ("int8", 8 * tile), 1: ("float64", tile)}
-    assert ("_dense_segments", 16) in calls
-    assert {rows for name, rows in calls if name == "_running"} == {2}
-    calls.clear()
+        0: ("int8", 8 * tile)}
+    most = tile // experiments._SCREEN_STEPS
+    assert groups and all(sizes == [min(most, n - lo) for lo in range(0, n, most)]
+                          for n, sizes in groups), groups
+    assert experiment != "lil_track" or any(n > most for n, _ in groups), groups
+    groups.clear()
     with mock.patch.object(Rademacher, "unit_steps", False):
         assert outcome(SCREENED[experiment], cfg) == screened
-    assert not calls
+    assert not groups
 
 
 @settings(max_examples=200)
@@ -809,11 +823,12 @@ def test_screen_stays_at_the_budget_on_a_large_chunk(experiment, monkeypatch):
        start=st.integers(-250, 250))
 def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start):
     # the sibling above on the scan's own input: int8 steps, summed in int8
-    # a segment at a time, and a dense piece's running sums cast into a lent
-    # float64 buffer. Path 0 rises its first 64 steps straight, so its first
-    # segment sums to +64, and path 1 falls them, to -64: the int8 reduce
-    # holds both. At j, path 0's first segment end, den is least and beta
-    # equals A, and path 0's running max is a ulp below its lil maximum.
+    # a segment at a time, and the open segments' running sums cast to
+    # float64 by `_segment_runs`. Path 0 rises its first 64 steps straight,
+    # so its first segment sums to +64, and path 1 falls them, to -64: the
+    # int8 reduce holds both. At j, path 0's first segment end, den is least
+    # and beta equals A, and path 0's running max is a ulp below its lil
+    # maximum.
     rng = np.random.default_rng(seed)
     d = rng.choice(np.array([-1, 1], np.int8), (rows, steps))
     d[0, :64] = 1
@@ -844,10 +859,8 @@ def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start)
         lil, cross = experiments._LilMax(rows, 1), experiments._BetaCrossings(rows, 1)
         lil.run[:], cross.crossed[:] = run, crossed
         if screen:
-            lil.screened(slice(0, rows), n_idx, d, a, lil.screen((den, guard)), 0,
-                         np.empty(d.shape))
-            cross.screened(slice(0, rows), n_idx, d, a, cross.screen(beta), 0,
-                           np.empty(d.shape))
+            lil.screened(slice(0, rows), n_idx, d, a, lil.screen((den, guard)), 0)
+            cross.screened(slice(0, rows), n_idx, d, a, cross.screen(beta), 0)
         else:
             lil.segment(slice(0, rows), n_idx, ca.copy(), (den, guard), None, 0)
             cross.segment(slice(0, rows), n_idx, ca.copy(), beta, None, 0)
