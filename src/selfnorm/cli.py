@@ -203,13 +203,16 @@ _VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
 
 def _check_suite(suite: dict) -> list[tuple]:
     """Each entry's (name, entry point, config object, op_args), after every
-    suite and entry key, op, config and op_args has been checked: a fault
-    anywhere in the suite is named before any seed is resolved or any entry
-    draws. The config is checked with a stand-in seed, and each op_arg by its
-    rule: `bind` checks names only, and a string c would pass it."""
+    suite and entry key, op, config and op_args, and the suite's seed where
+    one is given, has been checked: a fault anywhere in the suite is named
+    before any seed is resolved or any entry draws. The config is checked
+    with a stand-in seed, and each op_arg by its rule: `bind` checks names
+    only, and a string c would pass it."""
     _known_keys("suite", suite, ("schema", "seed", "experiments"))
     if suite.get("schema") != SCHEMA_VERSION:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
+    if suite.get("seed") is not None:  # entries with their own seeds may never read it
+        INPUT_RULES["seed"](suite["seed"], "seed")
     plan = []
     for entry in suite["experiments"]:
         _known_keys("experiment", entry, ("name", "op", "config", "op_args"))
@@ -253,11 +256,12 @@ def run_suite(suite: dict, seed: int | None,
 
 def cmd_verify(args) -> int:
     suite = _load_json(args.config)
-    _check_suite(suite)  # a bad key is named before a missing seed
-    seed = _resolve_seed(args.seed, suite)
     results = run_suite(suite, args.seed, args.workers)
     out_dir = args.out or "."  # `_write_text` makes it
     all_pass = True
+    # the flag, else the suite's seed, by its rule, else none: each entry's
+    # config echoes the seed it ran with
+    seed = next((_resolve_seed(s) for s in (args.seed, suite.get("seed")) if s is not None), None)
     doc = {"schema": SCHEMA_VERSION, "seed": seed, "experiments": []}
     for name, reports, echo in results:
         rows = report_rows(reports)

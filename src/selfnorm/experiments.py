@@ -40,9 +40,12 @@ by the worker's next tile: a reducer copies what it keeps.
 The tile paths, functions in `_Scan.__call__`, each with its contract:
 
   path      reducer declares     spec and tile                  builds
-  screened  `screen` (`_LilMax`, `unit_steps`, shared B^r row   int8 signs, 64-step
-            `_BetaCrossings`)                                   sums, running A on
-                                                                open segments only
+  screened  `screen` (the        `unit_steps`, shared B^r row   int8 signs, 64-step
+            defaults only:                                      sums, running A on
+            `_Crossings` of                                     open segments only
+            A >= beta,
+            `_RunningMax` of
+            the lil quotient)
   at_ends   `ends_only`          any, on tiles of `_ENDS_ROWS`  sums at piece ends
             (`_StateAtStops`)    rows or more                   only (`_piece_ends`)
   per_cell  every other reducer, spec and tile                  every running sum
@@ -343,11 +346,11 @@ class _Scan:
         same object, which segment must not write to. segment may overwrite
         ca and keeps no piece: the worker's next tile overwrites them.
 
-        A reducer class may declare `ends_only`, if it reads only each
-        piece's last step (the `at_ends` path), and `screen(x)`, per-segment
-        bounds of a shared piece x from of_b, with `screened(rows, n_idx, d,
-        a, bounds, k)`, which the `screened` path calls in place of segment
-        on a unit-step spec with a shared row."""
+        A reducer may declare `ends_only`, if it reads only each piece's
+        last step (the `at_ends` path), and `screen(x)` (unless None),
+        per-segment bounds of a shared piece x from of_b, with
+        `screened(rows, n_idx, d, a, bounds, k)`, which the `screened` path
+        calls in place of segment on a unit-step spec with a shared row."""
         cfg, spec = self.cfg, self.cfg.spec
         row = b is True and spec.b_deterministic
         b = False if row else b  # the chunks then accumulate no B^r of their own
@@ -764,11 +767,23 @@ class _Crossings:
     """Which paths have crossed so far, and how many had by each stop.
     rule(ca, cb, crossed) gives the paths that cross in a piece: cb is what
     the scan's of_b made of the B^r piece, and crossed the piece's rows'
-    flags so far. A tile runs all of a block's pieces before the next tile,
-    so a stop's count is summed over the tiles, each adding its own rows."""
+    flags so far. Without a rule it is the crossing A >= beta, cb being beta
+    on the piece (of_b's, per cell or on a shared row). A tile runs all of a
+    block's pieces before the next tile, so a stop's count is summed over the
+    tiles, each adding its own rows.
 
-    def __init__(self, P, rule, n_stops):
-        self.rule = rule
+    Only that default declares a `screen`, as the bound it rests on is of A
+    against beta: on a unit-step walk A never exceeds the A before a segment
+    plus `_SCREEN_STEPS`, so a segment whose least beta lies above that bound
+    is skipped, as is a path that has crossed; the rest get exact running
+    sums. A given rule may read A otherwise (the Gaussian quadratic form) or
+    do its own lookups (`_hit_cells`), so its reducer sets `screen` to None
+    and runs per cell."""
+
+    def __init__(self, P, n_stops, rule=None):
+        self.rule = rule or (lambda ca, cb, crossed: (ca >= cb).any(axis=1))
+        if rule is not None:
+            self.screen = None
         self.crossed = np.zeros(P, dtype=bool)
         self.counts = np.zeros(n_stops, dtype=np.int64)
 
@@ -777,17 +792,6 @@ class _Crossings:
         crossed[self.rule(ca, cb, crossed)] = True
         if k is not None:
             self.counts[k] += np.count_nonzero(crossed)
-
-
-class _BetaCrossings(_Crossings):
-    """Crossings of A >= beta, cb being beta on the piece (of_b's, per cell
-    or on a shared row). On a unit-step walk with a shared row it declares a
-    `screen`: A never exceeds the A before a segment plus `_SCREEN_STEPS`,
-    so a segment whose least beta lies above that bound is skipped, as is a
-    path that has crossed; the rest get exact running sums."""
-
-    def __init__(self, P, n_stops):
-        super().__init__(P, lambda ca, cb, crossed: (ca >= cb).any(axis=1), n_stops)
 
     @staticmethod
     def screen(beta):
@@ -885,8 +889,7 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
             rule, of_b = None, lambda cb: beta(np.maximum(cb, 1e-4))
         label, bound = "crossing n<={} c={:g}", crossing_bound(c, mixture)
     stops, at = np.unique(steps, return_inverse=True)
-    parts = scan(lambda P: _Crossings(P, rule, len(stops)) if rule else
-                 _BetaCrossings(P, len(stops)), stops.tolist(), of_b=of_b)
+    parts = scan(lambda P: _Crossings(P, len(stops), rule), stops.tolist(), of_b=of_b)
     totals = np.sum([p.counts for p in parts], axis=0)
     return [_frequency_report(label.format(n, c), bound, totals[at[k]], cfg)
             for k, n in enumerate(cks)]
@@ -906,10 +909,23 @@ def _lil_normalizer(cb, r):
 
 class _RunningMax:
     """Each path's running maximum of stat(n_idx, ca, cb, cv), and its running
-    maximum and value at each stop."""
+    maximum and value at each stop. Without a stat it is the lil statistic
+    A / den where B_n >= e^2 (`quotient`), cb being `_lil_normalizer`'s
+    (den, guard).
 
-    def __init__(self, P, stat, n_stops):
-        self.stat = stat
+    Only that default declares a `screen`, as the bound it rests on is of A
+    over a den row: on a unit-step walk A never exceeds the A before a
+    segment plus `_SCREEN_STEPS`, and correctly rounded division is
+    monotone, so a segment whose bound, over the least or greatest guarded
+    den, is at most the path's running max before the piece cannot raise it
+    and is skipped; the rest get exact running sums. A given stat may read
+    A otherwise, or V^2, so its reducer sets `screen` to None and runs per
+    cell."""
+
+    def __init__(self, P, n_stops, stat=None):
+        self.stat = stat or self.quotient
+        if stat is not None:
+            self.screen = None
         self.run = np.full(P, -np.inf)
         self.maxima = np.full((P, n_stops), -np.inf)
         self.values = np.full((P, n_stops), np.nan)
@@ -921,19 +937,6 @@ class _RunningMax:
         if k is not None:
             self.maxima[rows, k] = run
             self.values[rows, k] = val[:, -1]
-
-
-class _LilMax(_RunningMax):
-    """The running maximum of the lil statistic A / den where B_n >= e^2, cb
-    being `_lil_normalizer`'s (den, guard). On a unit-step walk with a
-    shared row it declares a `screen`: A never exceeds the A before a
-    segment plus `_SCREEN_STEPS`, and correctly rounded division is
-    monotone, so a segment whose bound, over the least or greatest guarded
-    den, is at most the path's running max before the piece cannot raise it
-    and is skipped; the rest get exact running sums."""
-
-    def __init__(self, P, n_stops):
-        super().__init__(P, self.quotient, n_stops)
 
     @staticmethod
     def quotient(n_idx, ca, cb, cv):
@@ -1009,9 +1012,9 @@ def lil_track(cfg: ExperimentConfig, margin: float = 0.15,
         return np.where(vn >= floor, v_normalized(ca, spec.centering(n_idx, vn), vn),
                         -np.inf)
 
-    parts = scan(lambda P: _LilMax(P, len(cks)) if kind == "lil" else
-                 _RunningMax(P, stat, len(cks)), cks, b=kind == "lil",
-                 v=kind in ("uncentered", "universal"), of_b=lambda cb: _lil_normalizer(cb, r))
+    parts = scan(lambda P: _RunningMax(P, len(cks), None if kind == "lil" else stat), cks,
+                 b=kind == "lil", v=kind in ("uncentered", "universal"),
+                 of_b=lambda cb: _lil_normalizer(cb, r))
     maxima = np.concatenate([p.maxima for p in parts])
     values = np.concatenate([p.values for p in parts])
     # running maxima never fall: a path ever exceeded iff its last one does
@@ -1041,7 +1044,7 @@ class _Histograms:
 
     def segment(self, rows, n_idx, ca, cb, cv, k):
         # off the guard the quotient is -inf, outside every bin
-        counts = np.histogram(_LilMax.quotient(n_idx, ca, cb, cv), bins=self.edges)[0]
+        counts = np.histogram(_RunningMax.quotient(n_idx, ca, cb, cv), bins=self.edges)[0]
         self.counts += counts
         if n_idx[0] > self.half:  # the scan cuts its blocks after step `half`
             self.late_counts += counts
@@ -1092,7 +1095,7 @@ def sup_moment_estimate(cfg: ExperimentConfig, p: float | None = None,
             return np.exp(np.minimum(alpha * core * core, 709.0))
         return np.maximum(core, 0.0)
 
-    parts = scan(lambda P: _RunningMax(P, stat, 1), (half,), b=b_rule, v=r == 2.0)
+    parts = scan(lambda P: _RunningMax(P, 1, stat), (half,), b=b_rule, v=r == 2.0)
     at_half = np.concatenate([p_.maxima[:, 0] for p_ in parts])
     at_end = np.concatenate([p_.run for p_ in parts])
     if alpha is None:

@@ -494,6 +494,32 @@ class TestVerifyCommand:
         assert "sede" in err and "no seed" not in err
         assert not out.exists()
 
+    def self_seeded_suite(self, tmp_path, **top):
+        """A suite whose one entry gives its own seed, 5, with `top` added."""
+        suite = json.loads(open(self.make_suite(tmp_path, seed=False)).read())
+        suite["experiments"][0]["config"]["seed"] = 5
+        return write_json(tmp_path, "own.json", {**suite, **top})
+
+    def test_entries_with_their_own_seeds_need_no_suite_seed(self, tmp_path):
+        # no --seed and no suite "seed": each entry's seed stands, and the
+        # report's top-level seed is null
+        out = tmp_path / "o"
+        assert main(["verify", "--config", self.self_seeded_suite(tmp_path),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] is None
+        assert [e["config"]["seed"] for e in report["experiments"]] == [5]
+
+    def test_bad_suite_seed_is_refused_over_self_seeded_entries(self, tmp_path, capsys,
+                                                                no_draws):
+        # the entries never read the suite's seed, and it is still checked
+        # by its rule before any draw
+        out = tmp_path / "o"
+        assert main(["verify", "--config", self.self_seeded_suite(tmp_path, seed=-1),
+                     "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault, named", [
         ({"op_arg": {}}, "op_arg"),
         ({"op": "momentbound"}, "momentbound"),

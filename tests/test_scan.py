@@ -613,9 +613,9 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, ski
     monkeypatch.setattr(experiments, "_TILE", int8_tile(rows, 100))
     monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * horizon)
     if skip == "never":
-        for cls, opened in ((experiments._BetaCrossings,
+        for cls, opened in ((experiments._Crossings,
                              lambda seg, least: (seg, np.full_like(least, -np.inf))),
-                            (experiments._LilMax,
+                            (experiments._RunningMax,
                              lambda den, guard, seg, least, most: (
                                  den, guard, seg, np.full_like(least, 1e-300),
                                  np.full_like(most, -1e-300)))):
@@ -648,6 +648,48 @@ def test_unit_step_screen_gives_the_per_cell_bits(variant, experiment, rows, ski
     monkeypatch.setattr(type(spec), "unit_steps", False)
     assert outcome(SCREENED[experiment], cfg) == screened
     assert counted["segments"] == 0
+
+
+@pytest.mark.parametrize("statistic", ["crossing", "lil"])
+def test_only_the_default_statistics_take_the_screen(statistic, monkeypatch):
+    # a _Crossings given a rule and a _RunningMax given a stat declare no
+    # screen, even where the rule or stat is the default's own formula: on a
+    # Rademacher walk with a shared B^r row they run per cell (no
+    # `_segment_edges` call), and their reports are the bits of the
+    # defaults', which the screen runs. So the Gaussian rule, `_hit_cells`
+    # and the non-lil statistics never meet a bound made for A >= beta or
+    # the lil quotient
+    horizon = 260
+    monkeypatch.setattr(experiments, "_BLOCK", 100)
+    monkeypatch.setattr(experiments, "_TILE", int8_tile(2, 100))
+    monkeypatch.setattr(experiments, "_TARGET_CELLS", 5 * horizon)
+    cfg = ExperimentConfig(spec=Rademacher(), seed=11, paths=23, horizon=horizon,
+                           checkpoints=(1, 55, 64, 130, horizon))
+    stops = len(cfg.checkpoints)
+    if statistic == "crossing":
+        beta = experiments._boundary_interpolant(MIXTURE, 1.2, 2.0, 1e-4, 16.0 * horizon)
+        of_b = lambda cb: beta(np.maximum(cb, 1e-4))
+        make = lambda given: lambda P: experiments._Crossings(P, stops, given)
+        given, kept = lambda ca, cb, crossed: (ca >= cb).any(axis=1), ("crossed", "counts")
+    else:
+        of_b = lambda cb: experiments._lil_normalizer(cb, 2.0)
+        make = lambda given: lambda P: experiments._RunningMax(P, stops, given)
+        given, kept = experiments._RunningMax.quotient, ("run", "maxima", "values")
+    edges, inner = [], experiments._segment_edges
+    monkeypatch.setattr(experiments, "_segment_edges",
+                        lambda d, end: edges.append(d.shape) or inner(d, end))
+    scan = experiments._Scan(cfg, 1)
+
+    def reports(rule_or_stat):
+        edges.clear()
+        reds = scan(make(rule_or_stat), list(cfg.checkpoints), of_b=of_b)
+        assert all((red.screen is None) == (rule_or_stat is not None) for red in reds)
+        return [getattr(red, key).tobytes() for red in reds for key in kept], len(edges)
+
+    default, screened = reports(None)
+    own, per_cell = reports(given)
+    assert screened > 0 and per_cell == 0, (screened, per_cell)
+    assert own == default
 
 
 @settings(max_examples=200)
@@ -685,14 +727,15 @@ def test_screened_reducers_match_segment_on_any_row(seed, rows, steps, start):
     crossed[0] = False
     reducers = []
     for screen in (False, True):
-        lil, cross = experiments._LilMax(rows, 1), experiments._BetaCrossings(rows, 1)
+        lil, cross = experiments._RunningMax(rows, 1), experiments._Crossings(rows, 1)
         lil.run[:], cross.crossed[:] = run, crossed
         if screen:
             a = experiments._segment_edges(d, end.copy())
             assert a[:, -1].tobytes() == ca[:, -1].tobytes()
-            # each on its own draws, which a dense piece overwrites
-            lil.screened(slice(0, rows), n_idx, d.copy(), a, lil.screen((den, guard)), 0)
-            cross.screened(slice(0, rows), n_idx, d.copy(), a, cross.screen(beta), 0)
+            steps_before = d.copy()
+            lil.screened(slice(0, rows), n_idx, d, a, lil.screen((den, guard)), 0)
+            cross.screened(slice(0, rows), n_idx, d, a, cross.screen(beta), 0)
+            assert np.array_equal(d, steps_before)  # the steps are only read
         else:
             lil.segment(slice(0, rows), n_idx, ca.copy(), (den, guard), None, 0)
             cross.segment(slice(0, rows), n_idx, ca.copy(), beta, None, 0)
@@ -856,7 +899,7 @@ def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start)
     steps_before = d.copy()
     reducers = []
     for screen in (False, True):
-        lil, cross = experiments._LilMax(rows, 1), experiments._BetaCrossings(rows, 1)
+        lil, cross = experiments._RunningMax(rows, 1), experiments._Crossings(rows, 1)
         lil.run[:], cross.crossed[:] = run, crossed
         if screen:
             lil.screened(slice(0, rows), n_idx, d, a, lil.screen((den, guard)), 0)
