@@ -17,11 +17,12 @@ builds the workload with `workloads.build`, makes one untimed call, then
 time in seconds, minor page faults per timed call (getrusage), its peak RSS
 in MB (ru_maxrss) and the digest of its last output. At the end the script
 prints each side's median and quartiles of the per-process medians, the
-pairs in which the change's median was lower, and whether every digest
-agrees. Unlike `bench/run.py`, no reference kernel runs between the calls,
-so the heap the workload leaves behind is the one its next call finds, and a
-call that faults its heap in again shows in both the time and the fault
-count. The output of a workload that writes files goes to a temporary
+pairs in which the change's median call time was lower (`change_wins`) and
+those in which its peak RSS was (`change_lower_maxrss`), and whether every
+digest agrees. Unlike `bench/run.py`, no reference kernel runs between the
+calls, so the heap the workload leaves behind is the one its next call
+finds, and a call that faults its heap in again shows in both the time and
+the fault count. The output of a workload that writes files goes to a temporary
 directory, removed at exit.
 
 Bench mode: a process is `<dir>/bench/run.py --workload all --trace 0 --seed
@@ -208,8 +209,9 @@ def main(argv=None):
     for side, rs in runs.items():
         summary[side] = {key: _quartiles([r[key] for r in rs])
                          for key in ("call_s", "minflt_per_call", "maxrss_mb")}
-    summary["change_wins"] = sum(c["call_s"] < p["call_s"]
-                                 for p, c in zip(runs["parent"], runs["change"]))
+    pairs = list(zip(runs["parent"], runs["change"]))
+    summary["change_wins"] = sum(c["call_s"] < p["call_s"] for p, c in pairs)
+    summary["change_lower_maxrss"] = sum(c["maxrss_mb"] < p["maxrss_mb"] for p, c in pairs)
     summary["digests_agree"] = len({r["digest"] for rs in runs.values() for r in rs}) == 1
     print(json.dumps(summary))
     return 0

@@ -48,7 +48,9 @@ The tile paths, functions in `_Scan.__call__`, each with its contract:
             the lil quotient)
   at_ends   `ends_only`          any, on tiles of `_ENDS_ROWS`  sums at piece ends
             (`_StateAtStops`)    rows or more                   only (`_piece_ends`)
-  per_cell  every other reducer, spec and tile                  every running sum
+  per_cell  every other reducer  any; tiles half as tall        every running sum, A
+                                 where A has a partner (B^r,    and its partner as
+                                 else V^2)                      one complex pair
 
 Every path gives each reducer the bits the per-cell path would. On a random
 normalizer the crossing rule (`_hit_cells`) drops rows and cells that cannot
@@ -93,8 +95,8 @@ _TILE = 1 << 16
 # copy reads each long row a cell at a time). It must stay >= 2, as numpy
 # sums one lane pairwise.
 _ENDS_ROWS = 12
-# Steps of a screen segment. Both screens decide a segment from a bound at its
-# start: the crossing lookups on a random normalizer (`_hit_cells`), and the
+# Steps of a screen segment. Both screens decide a segment from a bound read at
+# its edges: the crossing lookups on a random normalizer (`_hit_cells`), and the
 # lil and crossing scans on a unit-step walk (`_segment_edges`).
 _SCREEN_STEPS = 64
 _MAX_CHUNK_PATHS = 16384
@@ -249,6 +251,15 @@ def _segment_edges(d, end):
     return a
 
 
+def _segment_top(a):
+    """A bound on the A of each segment of a +-1 walk, from a, its
+    `_segment_edges`: m <= `_SCREEN_STEPS` steps from a0 to a1 hold (m + a1
+    - a0) / 2 up-steps, so on the segment A stays at or below (a0 + a1 + m)
+    / 2 <= (a0 + a1 + _SCREEN_STEPS) / 2, a peak it may reach; a short last
+    segment's zero pad holds A. Sums of integers below 2^53: exact."""
+    return (a[:, :-1] + a[:, 1:] + _SCREEN_STEPS) / 2
+
+
 def _segment_runs(d, a, p, s):
     """The running A over segment s[i] of row p[i] of d, for each i, from a,
     `_segment_edges` of d, in groups of at most `_TILE // _SCREEN_STEPS`
@@ -368,9 +379,12 @@ class _Scan:
         # rows of a tile, whose draws take at most the bytes of a float64 tile
         tile = max(1, _TILE * 8 // (width * math.prod(spec.components)
                                     * np.dtype(draws).itemsize))
-        # rows of a complex pair of A and its partner in role 1, half a
-        # float tile's; none without a partner or on component axes
-        pair_rows = 0 if spec.components or not (b or v) else tile // 2
+        ends = getattr(reds[0], "ends_only", False)
+        # A has a partner (B^r, else V^2) for per_cell's complex pair, which
+        # takes two floats a cell: tiles that all go per cell are half as tall
+        paired = not (screen or spec.components) and (b or v)
+        if paired and (not ends or tile < _ENDS_ROWS):
+            tile = max(1, tile // 2)
         local = threading.local()  # one workspace per worker thread, for this call only
 
         def feed(red, rows, pieces, shared, ca, cb, cv):  # segment on each piece of rows' sums
@@ -385,22 +399,15 @@ class _Scan:
             state, the two are one complex128 chain in role 1
             (`_Workspace.pair`): a complex add adds the parts apart by the
             same IEEE adds, so one cumsum gives the bits of both sums. Role 1
-            holds a float tile's bytes and so half its rows (`pair_rows`):
-            the tile is summed and fed in groups of those rows, each group's
-            pieces before the next group is summed. A tile of one nominal
-            row, and a vector state, keep float sums."""
-            g = pair_rows or d.shape[0]
-            for r0 in range(0, d.shape[0], g):
-                part = slice(r0, min(r0 + g, d.shape[0]))
-                gs = (part.stop - r0, d.shape[1])
-                if pair_rows:  # role 2 holds only V^2 beside the pair of A and B^r
-                    out, pair = (None, ws.view(2, gs) if b and v else None), ws.pair(*gs)
-                else:
-                    out, pair = (ws.view(1, gs) if b else None,
-                                 ws.view(2, gs) if v else None), None
-                sums = spec.accumulate(d[part], n_idx, tuple(c[part] for c in carry),
-                                       b, v, out, pair)
-                feed(red, slice(rows.start + r0, rows.start + part.stop), pieces, shared, *sums)
+            holds a float tile's bytes, so the scan makes these tiles half
+            as tall; a tile the pair cannot hold (one row wider than half a
+            float tile, or an ends path's short last tile) keeps float sums,
+            which give the same bits, as does a vector state."""
+            pair = ws.pair(*d.shape) if paired and 2 * d.size <= _TILE else None
+            # with the pair, role 2 holds V^2 only as a third sum, beside A and B^r
+            out = (ws.view(1, d.shape) if b and pair is None else None,
+                   ws.view(2, d.shape) if v and (b or pair is None) else None)
+            feed(red, rows, pieces, shared, *spec.accumulate(d, n_idx, carry, b, v, out, pair))
 
         def at_ends(red, rows, d, carry, ws, n_idx, pieces, shared):
             """For an `ends_only` reducer, which reads only each piece's last
@@ -439,7 +446,7 @@ class _Scan:
                 x = d[:, cut]
                 red.screened(rows, n_piece, x, _segment_edges(x, carry[0]), bounds, k)
 
-        path = screened if screen else at_ends if getattr(reds[0], "ends_only", False) else per_cell
+        path = screened if screen else at_ends if ends else per_cell
 
         def advance(ci, block):  # chunk ci through one block, on its own stream
             lo, hi, n_idx, pieces, shared = block
@@ -530,14 +537,15 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
     reports = []
     for lam in lams:
         for k, n in enumerate(cks):
-            # sums over each chunk, added exactly in chunk order; the mean
-            # stays an np.float64, the type this report has always returned
-            w = [np.exp(np.minimum(cfg.spec.log_weight(lam, p.a[:, k], p.b[:, k]), 709.0))
-                 for p in parts]
-            mean, se = _mean_se(np.float64(math.fsum(float(np.sum(x)) for x in w)),
-                                math.fsum(float(np.sum(x * x)) for x in w), cfg.paths)
-            if lam == 0.0:
+            if lam == 0.0:  # the weight is 1 on every path
                 mean, se = 1.0, 0.0
+            else:
+                # sums over each chunk, added exactly in chunk order; the mean
+                # stays an np.float64, the type this report has always returned
+                w = [np.exp(np.minimum(cfg.spec.log_weight(lam, p.a[:, k], p.b[:, k]), 709.0))
+                     for p in parts]
+                mean, se = _mean_se(np.float64(math.fsum(float(np.sum(x)) for x in w)),
+                                    math.fsum(float(np.sum(x * x)) for x in w), cfg.paths)
             reports.append(_one_sided(f"supermg_mean {name} lambda={lam} n={n}",
                                       1.0, mean, se, cfg.paths, cfg.se_slack))
     return reports
@@ -773,9 +781,9 @@ class _Crossings:
     tiles, each adding its own rows.
 
     Only that default declares a `screen`, as the bound it rests on is of A
-    against beta: on a unit-step walk A never exceeds the A before a segment
-    plus `_SCREEN_STEPS`, so a segment whose least beta lies above that bound
-    is skipped, as is a path that has crossed; the rest get exact running
+    against beta: on a unit-step walk A never exceeds a segment's
+    `_segment_top`, so a segment whose least beta lies above that bound is
+    skipped, as is a path that has crossed; the rest get exact running
     sums. A given rule may read A otherwise (the Gaussian quadratic form) or
     do its own lookups (`_hit_cells`), so its reducer sets `screen` to None
     and runs per cell."""
@@ -805,7 +813,7 @@ class _Crossings:
         `_segment_edges`, with bounds from `screen`."""
         seg, least = bounds
         crossed = self.crossed[rows]  # a view
-        p, s = np.nonzero((a[:, :-1] + _SCREEN_STEPS >= least) & ~crossed[:, None])
+        p, s = np.nonzero((_segment_top(a) >= least) & ~crossed[:, None])
         for g, x in _segment_runs(d, a, p, s):
             crossed[p[g][(x >= seg[s[g]]).any(axis=1)]] = True
         if k is not None:
@@ -914,13 +922,12 @@ class _RunningMax:
     (den, guard).
 
     Only that default declares a `screen`, as the bound it rests on is of A
-    over a den row: on a unit-step walk A never exceeds the A before a
-    segment plus `_SCREEN_STEPS`, and correctly rounded division is
-    monotone, so a segment whose bound, over the least or greatest guarded
-    den, is at most the path's running max before the piece cannot raise it
-    and is skipped; the rest get exact running sums. A given stat may read
-    A otherwise, or V^2, so its reducer sets `screen` to None and runs per
-    cell."""
+    over a den row: on a unit-step walk A never exceeds a segment's
+    `_segment_top`, and correctly rounded division is monotone, so a segment
+    whose bound, over the least or greatest guarded den, is at most the
+    path's running max before the piece cannot raise it and is skipped; the
+    rest get exact running sums. A given stat may read A otherwise, or V^2,
+    so its reducer sets `screen` to None and runs per cell."""
 
     def __init__(self, P, n_stops, stat=None):
         self.stat = stat or self.quotient
@@ -960,7 +967,7 @@ class _RunningMax:
         `_segment_edges`, with bounds from `screen`."""
         den, guard, seg, least, most = bounds
         run = self.run[rows]  # a view
-        top = a[:, :-1] + _SCREEN_STEPS
+        top = _segment_top(a)
         p, s = np.nonzero(np.where(top >= 0.0, top / least, top / most) > run[:, None])
         for g, x in _segment_runs(d, a, p, s):  # fmax: NaN, off the guard, is no value
             np.fmax.at(run, p[g], np.fmax.reduce(x / seg[s[g]], axis=1))

@@ -133,12 +133,12 @@ class _Workspace:
     a C-contiguous array of the asked shape. Role 0 takes a tile's draws
     (then A, unless paired; int8 signs on the engine's unit-step screen,
     which uses no other role), 1 its B^r increments (then B^r), or, as the
-    `pair`, A with B^r (else V^2) as one complex sum over half the tile's
-    rows (on the scan's per-cell path, and in the stepping handle); 2 its
-    V^2, 3 a block's int8 draw codes, and 4 a time-major copy of a tile's
-    terms. The engine sizes a tile in bytes: no role but the codes holds
-    more than a float64 tile, so an int8 tile has eight times a float64
-    tile's rows, and the pair half of them."""
+    `pair`, A with B^r (else V^2) as one complex sum (on the scan's
+    per-cell path, and in the stepping handle); 2 its V^2, 3 a block's int8
+    draw codes, and 4 a time-major copy of a tile's terms. The engine sizes
+    a tile in bytes: no role but the codes holds more than a float64 tile,
+    so an int8 tile has eight times a float64 tile's rows, and a per-cell
+    tile whose A has a partner half of them, which the pair holds whole."""
 
     def __init__(self):
         self.bufs = {}

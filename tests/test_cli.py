@@ -216,6 +216,18 @@ class TestSimulateCommand:
         assert len(rows) == 10
         assert [r["n"] for r in rows] == [str(i) for i in range(1, 11)]
 
+    def test_checkpoints_write_only_their_rows(self, tmp_path):
+        # steps between the checkpoints are taken but not written: each row
+        # is the full dump's row at its step
+        cfg = write_json(tmp_path, "p.json", {"variant": "scaled_symmetric"})
+        full, some = str(tmp_path / "full.csv"), str(tmp_path / "some.csv")
+        assert main(["simulate", "--config", cfg, "--horizon", "12", "--seed", "7",
+                     "--out", full]) == 0
+        assert main(["simulate", "--config", cfg, "--horizon", "12", "--seed", "7",
+                     "--checkpoints", "2", "5", "12", "--out", some]) == 0
+        rows = read_csv(full)
+        assert read_csv(some) == [rows[1], rows[4], rows[11]]
+
     def test_missing_seed(self, tmp_path):
         cfg = write_json(tmp_path, "p.json", {"variant": "rademacher"})
         assert main(["simulate", "--config", cfg, "--horizon", "10"]) == 2
@@ -602,6 +614,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert named in err and "chunk stream" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "cannot read config"), ("{\"schema\": 1,", "cannot read config"),
+        ('{"schema": 2, "seed": 99, "experiments": []}', "unsupported suite schema 2")],
+        ids=["unreadable", "malformed", "wrong_schema"])
+    def test_bad_suite_file_is_config_error(self, tmp_path, capsys, no_draws, text, named):
+        cfg = tmp_path / "suite.json"  # absent where text is None
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys, no_draws):

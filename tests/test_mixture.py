@@ -364,6 +364,11 @@ class TestMultivariate:
         with pytest.raises(DomainError):
             GaussianMixture(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
+    def test_non_symmetric_precision(self):
+        # positive definite in its symmetric part, but not symmetric
+        with pytest.raises(DomainError, match="precision must be symmetric"):
+            GaussianMixture(np.array([[2.0, 0.5], [0.0, 2.0]]))
+
     def test_c_must_exceed_one(self):
         G = GaussianMixture(np.eye(2))
         with pytest.raises(DomainError):

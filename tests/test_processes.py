@@ -556,6 +556,31 @@ class TestTruncatedMeans:
             want = self.quad_mean(pdf, c, d, -1e4, 1e4)
             assert spec.truncated_mean(1, c, d) == pytest.approx(want, abs=1e-6)
 
+    def test_pareto_shape_one(self):
+        # P(Z > z) = xm / z on z >= xm: E[Z 1(a < Z <= b)] = xm log(b / a),
+        # and half of it on each side; the tail mean diverges
+        spec = ScaledSymmetric(law="pareto", shape=1.0, xm=2.0)
+        assert spec.truncated_mean(1, -3.0, 5.0) == pytest.approx(
+            0.5 * 2.0 * (math.log(5.0 / 2.0) - math.log(3.0 / 2.0)), rel=1e-14)
+        assert spec.truncated_mean(1, 4.0, 8.0) == pytest.approx(math.log(2.0), rel=1e-14)
+        assert spec.truncated_mean(1, 0.0, math.inf) == math.inf
+
+    def test_counterexample56_atom(self):
+        # X_n is +-1/sqrt(n) or the atom -m_n, whose mass p_big and value
+        # give E X_n = 0: an interval holding only the atom has mean
+        # -p_big m_n = -(p_plus - p_minus) / sqrt(n), and one holding all
+        # three points mean 0
+        n = 100
+        spec = Counterexample56()
+        log_n = math.log(n)
+        p_big, drift = 1.0 / (n * log_n**2), math.sqrt(log_n / n)
+        m_n = (2.0 * drift + p_big) / (math.sqrt(n) * p_big)
+        atom = -(2.0 * drift + p_big) / math.sqrt(n)
+        assert spec.truncated_mean(n, -m_n - 1.0, -m_n + 1.0) == pytest.approx(atom, rel=1e-12)
+        assert spec.truncated_mean(n, -m_n - 1.0, -0.5) == pytest.approx(atom, rel=1e-12)
+        assert spec.truncated_mean(n, -m_n - 1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert spec.truncated_mean(n, -m_n + 1.0, 1.0) == pytest.approx(-atom, rel=1e-12)
+
     def test_symmetric_window_is_zero(self):
         for spec in (Rademacher(), ScaledSymmetric()):
             assert spec.truncated_mean(1, -3.0, 3.0 + 1e-12) == pytest.approx(0.0, abs=1e-12)

@@ -364,7 +364,8 @@ def test_workspace_holds_one_tile_per_role(budget, widest, small_blocks, monkeyp
 
 def test_workspace_stays_at_the_budget_on_a_large_chunk(monkeypatch):
     # a chunk of 40 paths of 32768-step blocks is ten times the default
-    # budget: the float buffers hold one tile each, the codes one block
+    # budget: on the paired per-cell path the draws hold half a float tile
+    # and the complex pair of A and B^r one, and the codes one block
     assert experiments._BLOCK * 40 >= 10 * experiments._TILE
     made = recorded_workspaces(monkeypatch)
     cfg = ExperimentConfig(spec=ScaledSymmetric(), seed=1, paths=40,
@@ -373,7 +374,7 @@ def test_workspace_stays_at_the_budget_on_a_large_chunk(monkeypatch):
     lil_track(cfg, workers=1)
     [ws] = made
     assert {role: buf.size for role, buf in ws.bufs.items()} == {
-        0: experiments._TILE, 1: experiments._TILE, 3: 40 * experiments._BLOCK}
+        0: experiments._TILE // 2, 1: experiments._TILE, 3: 40 * experiments._BLOCK}
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +485,8 @@ def test_ends_path_at_two_rows(variant, tiles_with_one_row_last, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-cell path: A and B^r (else V^2) as one complex running sum, in row
-# groups of half a tile
+# the per-cell path: A and B^r (else V^2) as one complex running sum, over
+# tiles half as tall
 # ---------------------------------------------------------------------------
 
 class EverySum:
@@ -532,18 +533,20 @@ PAIRED = {"scaled_lognormal": ScaledSymmetric(),
           "truncated_heavy": TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=1.0)}
 
 
-@pytest.mark.parametrize("tile_rows, groups", [(5, [2, 2, 1, 2, 2, 1, 1]),
-                                               (4, [2, 2, 2, 2, 2, 1]),
-                                               (1, [None] * 11)])
+@pytest.mark.parametrize("tile_rows, groups", [(5, [2, 2, 2, 2, 2, 1] * 4),
+                                               (4, [2, 2, 2, 2, 2, 1] * 4),
+                                               (1, [None] * 33 + [1] * 11)])
 @pytest.mark.parametrize("b, v", [(True, False), (False, True), (True, True), (abs_pow, False)],
                          ids=["b", "v", "bv", "abs_pow"])
 @pytest.mark.parametrize("variant", sorted(PAIRED))
 def test_per_cell_sums_in_row_groups(variant, b, v, tile_rows, groups, monkeypatch):
-    # 11 paths of four blocks, the last short, in tiles of tile_rows rows: a
-    # float tile's bytes hold half its rows complex, so each tile is summed
-    # in row groups of tile_rows // 2 rows, each from its own rows' carries,
-    # and a one-row tile keeps float sums; every cell's sums are those of
-    # separate float cumsums
+    # 11 paths of four blocks, the last short, at a float tile of tile_rows
+    # rows: a float tile's bytes hold half its rows complex, so the per-cell
+    # tiles are tile_rows // 2 rows tall and each `accumulate` call gets a
+    # pair covering its whole tile (the chunk's last tile has one row); at a
+    # float tile of one row, the pair cannot hold a 40-step row, which keeps
+    # float sums, but holds the last block's 10 steps; every cell's sums are
+    # those of separate float cumsums
     monkeypatch.setattr(experiments, "_BLOCK", 40)
     monkeypatch.setattr(experiments, "_TILE", 40 * tile_rows)
     spec = PAIRED[variant]
@@ -552,20 +555,75 @@ def test_per_cell_sums_in_row_groups(variant, b, v, tile_rows, groups, monkeypat
     pairs, accumulate = [], processes._Variant.accumulate
 
     def spied(self, d, n_idx, carry, b, v, out, pair=None):
+        assert pair is None or pair.shape == d.shape  # the pair covers the whole tile
         pairs.append(None if pair is None else pair.shape[0])
         return accumulate(self, d, n_idx, carry, b, v, out, pair)
 
     monkeypatch.setattr(processes._Variant, "accumulate", spied)
     [chunk] = experiments._Scan(cfg, 1)(lambda P: EverySum(P, cfg.horizon), b=b, v=v)
-    assert pairs == groups * 4
+    assert pairs == groups
     want = plain_chunk_sums(spec, cfg.seed, cfg.paths, cfg.horizon, 40, b, v)
     assert chunk.sums.tobytes() == want.tobytes()
     assert np.isnan(chunk.sums[1]).all() != bool(b) and np.isnan(chunk.sums[2]).all() != v
 
 
+def stops_and_pairs(spec, paths, horizon, stops, monkeypatch):
+    """A one-chunk `_StateAtStops` scan at the production `_TILE` and
+    `_BLOCK`, with B^r and V^2: its state, the rows of each tile the chunk's
+    `accumulate` gets and each one's pair rows (None for float sums), after
+    checking that each is one whole tile drawn, and the rows of each tile
+    `_piece_ends` reduces; and the state's want, from separate float cumsums
+    of each block drawn whole."""
+    cfg = ExperimentConfig(spec=spec, seed=8, paths=paths, horizon=horizon, checkpoints=stops)
+    assert experiments._chunk_layout(cfg.paths, cfg.horizon) == [paths]
+    calls, accumulate, drawn, draw = [], processes._Variant.accumulate, [], type(spec).draw
+
+    def spied(self, d, n_idx, carry, b, v, out, pair=None):
+        assert pair is None or pair.shape == d.shape
+        calls.append((d.shape[0], None if pair is None else pair.shape[0]))
+        return accumulate(self, d, n_idx, carry, b, v, out, pair)
+
+    monkeypatch.setattr(processes._Variant, "accumulate", spied)
+    monkeypatch.setattr(type(spec), "draw", lambda self, rng, lo, hi, rows, *a:
+                        drawn.append(rows) or draw(self, rng, lo, hi, rows, *a))
+    ends = ends_calls(monkeypatch)
+    [red] = experiments._Scan(cfg, 1)(lambda P: experiments._StateAtStops(P, len(stops)),
+                                      stops, v=True)
+    assert [rows for rows, _ in calls] == [rows for rows in drawn if rows < experiments._ENDS_ROWS]
+    sums = plain_chunk_sums(spec, cfg.seed, paths, horizon, experiments._BLOCK, True, True)
+    at = np.subtract(stops, 1)
+    got = [x.tobytes() for x in (red.a, red.b, red.v)]
+    return got, [x[:, at].tobytes() for x in sums], calls, ends
+
+
+def test_ends_scan_below_the_ends_rows_sums_one_pair_a_tile(monkeypatch):
+    # a supermartingale-mean scan over 6000 steps: a float tile holds 10 rows,
+    # under `_ENDS_ROWS`, so every tile goes per cell, and the tiles are half
+    # as tall, 5 rows, each summed as one complex pair of A and B^r; the
+    # state at each stop is the bits of separate float cumsums
+    assert experiments._TILE // 6000 < experiments._ENDS_ROWS
+    got, want, calls, ends = stops_and_pairs(ScaledSymmetric(), 7, 6000, (1, 3000, 6000),
+                                             monkeypatch)
+    assert calls == [(5, 5), (2, 2)] and not ends
+    assert got == want
+
+
+@pytest.mark.parametrize("paths, last", [(25, (9, None)), (23, (7, 7))])
+def test_ends_path_last_tile_keeps_float_sums_the_pair_cannot_hold(paths, last, monkeypatch):
+    # over 4096 steps a float tile holds 16 rows, which go the ends path
+    # whole; the chunk's short last tile goes per cell, as a pair where its
+    # two floats a cell fit a float tile (7 rows) and as float sums where
+    # they do not (9 rows); both give the bits of separate float cumsums
+    assert experiments._TILE // 4096 == 16 >= experiments._ENDS_ROWS
+    got, want, calls, ends = stops_and_pairs(ScaledSymmetric(), paths, 4096, (100, 4096),
+                                             monkeypatch)
+    assert calls == [last] and ends == [16] * 3  # A, B^r and V^2
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # the unit-step screen: lil and crossing scans on a +-1 walk decide 64-step
-# segments from their exact starting A
+# segments from their exact A at the segment edges
 # ---------------------------------------------------------------------------
 
 def int8_tile(rows, width):
@@ -913,6 +971,28 @@ def test_screened_reducers_match_segment_on_int8_steps(seed, rows, steps, start)
     assert np.array_equal(d, steps_before)  # the int8 steps are only read
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_screens_count_a_segment_peak_at_their_bound(dtype):
+    # one 64-step segment of 32 up-steps then 32 down-steps from A = 5 ends
+    # where it began and peaks at 37, which is `_segment_top`'s bound (5 + 5
+    # + 64) / 2: a beta that A meets only at the peak is a crossing, and a
+    # running max a ulp below the peak's quotient rises to it. A bound a
+    # step lower would skip the segment, and so miss both
+    d = np.array([[1] * 32 + [-1] * 32], dtype)
+    a = experiments._segment_edges(d, np.array([5.0]))
+    assert a.tolist() == [[5.0, 5.0]] and experiments._segment_top(a).tolist() == [[37.0]]
+    n_idx = np.arange(1, 65)
+    beta = np.full(64, 40.0)
+    beta[31] = 37.0  # A after the 32nd step
+    cross = experiments._Crossings(1, 1)
+    cross.screened(slice(0, 1), n_idx, d, a, cross.screen(beta), 0)
+    assert cross.crossed.tolist() == [True] and cross.counts.tolist() == [1]
+    lil = experiments._RunningMax(1, 1)
+    lil.run[:] = np.nextafter(37.0 / 2.0, -np.inf)
+    lil.screened(slice(0, 1), n_idx, d, a, lil.screen((np.full(64, 2.0), np.ones(64, bool))), 0)
+    assert lil.run.tolist() == [18.5] and lil.maxima.tolist() == [[18.5]]
+
+
 # ---------------------------------------------------------------------------
 # the tile path each benchmark-shaped input takes at the production `_TILE`
 # and `_BLOCK`: a path change moves no digest, so it is pinned here
@@ -957,8 +1037,9 @@ BENCHMARK_SHAPED = {
 def test_benchmark_shaped_inputs_take_their_tile_paths(case, monkeypatch):
     # the unit-step screen runs every tile of a Rademacher crossing and lil
     # scan (one piece a block, so one `_segment_edges` call a draw, in int8);
-    # a lognormal crossing sums A and B^r as a complex pair in row groups of
-    # half a float tile's rows and gives `_hit_cells` the row screen's floor;
+    # a lognormal crossing sums A and B^r as a complex pair over tiles of
+    # half a float tile's rows, one row here, one paired call a tile, and
+    # gives `_hit_cells` the row screen's floor;
     # the suite's supermartingale rows, one tile of every path, are reduced
     # at the piece ends. Only the shared B^r row is summed apart from these
     classes, run = BENCHMARK_SHAPED[case]
@@ -989,7 +1070,7 @@ def test_benchmark_shaped_inputs_take_their_tile_paths(case, monkeypatch):
         assert edges == ["int8"] * draws and not ends and not pairs, seen
     elif case == "crossing_lognormal":
         half = experiments._TILE // experiments._BLOCK // 2
-        assert half >= 1 and pairs == [half] * (2 * draws), seen
+        assert half == 1 and pairs == [half] * draws, seen
         assert floors and all(floors) and not edges and not ends, seen
     else:
         assert ends and set(ends) == {40} and not edges and not pairs, seen
