@@ -33,7 +33,11 @@ end-to-end metric (BENCHMARK.json's `end_to_end`, read from CHANGE_DIR), and
 with --out writes a JSON file whose `workloads` block holds, for each
 workload: both sides' distinct digests; the calls attempted and failed; and
 for each metric both sides' runs in pair order, their medians and quartiles
-and the pairs in which the change was better.
+and the pairs in which the change was better. Each side's `provenance` adds
+to its first workload's line what the tree held before the first run
+(`_src_state`): `src_sha256`, a hash of its src/ files, and `src_clean`,
+whether git sees no change under src/ (null outside a git checkout), as
+`bench/run.py` records `git rev-parse HEAD` however dirty the tree is.
 
 The script itself starts no threads and writes nothing under bench/;
 `bench/run.py` makes and removes its scratch directories under
@@ -42,6 +46,7 @@ The script itself starts no threads and writes nothing under bench/;
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -117,11 +122,33 @@ def _bench_run(tree, seed, seconds):
     return runs
 
 
+def _src_state(tree):
+    """`src_sha256`: the sha256 of tree's src/ files, over their sorted
+    relative paths and bytes, bytecode caches aside; `src_clean`: whether
+    `git status --porcelain -- src` is empty, or None if tree is not a git
+    checkout."""
+    src, h, files = os.path.join(tree, "src"), hashlib.sha256(), []
+    for d, dirs, fs in os.walk(src):
+        dirs[:] = [x for x in dirs if x != "__pycache__"]
+        files += [os.path.relpath(os.path.join(d, f), src) for f in fs]
+    for rel in sorted(files):
+        with open(os.path.join(src, rel), "rb") as fh:
+            data = fh.read()
+        h.update(f"{rel}\0{len(data)}\0".encode() + data)
+    clean = None
+    if os.path.exists(os.path.join(tree, ".git")):
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=tree,
+                                check=True, capture_output=True, text=True).stdout
+        clean = status == ""
+    return {"src_sha256": h.hexdigest(), "src_clean": clean}
+
+
 def _bench(sides, args):
     """Alternating pairs of whole benchmark runs; prints and returns the
     summary, whose `workloads` block is a BENCH file's."""
     with open(os.path.join(sides["change"], "BENCHMARK.json")) as fh:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    state = {side: _src_state(tree) for side, tree in sides.items()}
     runs = {side: [] for side in sides}
     for i, order in _order(args.pairs):
         for side in order:
@@ -158,7 +185,7 @@ def _bench(sides, args):
                + (f" --seconds {args.seconds:g}" if args.seconds is not None else ""))
     summary = {"command": command, "seed": args.seed, "pairs": args.pairs,
                "order": "odd pairs run the parent first, even pairs the change first",
-               "provenance": {side: rs[0][next(iter(rs[0]))]["provenance"]
+               "provenance": {side: {**rs[0][next(iter(rs[0]))]["provenance"], **state[side]}
                               for side, rs in runs.items()},
                "workloads": block, "summary": lines}
     print("\n".join(lines))

@@ -7,6 +7,8 @@ error (no silent default). Unknown keys are refused in experiment configs
 (read by `experiments.config_from_json`), simulate configs, suites and suite
 entries. Each value, the seed in use included, is checked by its rule in
 `experiments.INPUT_RULES`; a suite's, before its first entry runs.
+Every JSON document written carries REPORT_SCHEMA (`_write_json`); `verify`
+reads suites of SUITE_SCHEMA, a number of its own.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from .experiments import (INPUT_RULES, BoundReport, REPORT_COLUMNS,
                           crossing_frequency, lil_track, report_rows,
                           validate_moment_bound, validate_tail_bound)
 
-SCHEMA_VERSION = 1
+SUITE_SCHEMA = 1  # the suite format `verify` reads
+REPORT_SCHEMA = 1  # stamped on every JSON document the CLI writes
 
 
 class CliError(Exception):
@@ -55,6 +58,11 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(path: str | None, doc: dict) -> None:
+    """doc, stamped with REPORT_SCHEMA, as sorted, indented JSON and a newline."""
+    _write_text(path, json.dumps({**doc, "schema": REPORT_SCHEMA}, indent=2, sort_keys=True) + "\n")
+
+
 def _rows_to_csv(rows: list[dict], columns) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n",
@@ -66,12 +74,12 @@ def _rows_to_csv(rows: list[dict], columns) -> str:
     return buf.getvalue()
 
 
-def _emit(rows: list[dict], columns, fmt: str, out: str | None, meta: dict) -> None:
+def _emit(rows: list[dict], fmt: str, out: str | None, meta: dict, columns=None) -> None:
+    """A table as CSV, its columns every row key sorted unless given, or as JSON."""
     if fmt == "csv":
-        _write_text(out, _rows_to_csv(rows, columns))
+        _write_text(out, _rows_to_csv(rows, columns or sorted({k for r in rows for k in r})))
     else:
-        doc = {"schema": SCHEMA_VERSION, "meta": meta, "rows": rows}
-        _write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_json(out, {"meta": meta, "rows": rows})
 
 
 def _known_keys(what: str, obj: dict, allowed: tuple) -> None:
@@ -113,8 +121,7 @@ def cmd_constants(args) -> int:
                      "growth_violations": len(konst.l_growth_violations(cfg))})
     if not rows:
         raise CliError("nothing requested: use --gamma, --lambda or --l-normalization")
-    cols = sorted({k for r in rows for k in r})
-    _emit(rows, cols, args.format, args.out, {"command": "constants"})
+    _emit(rows, args.format, args.out, {"command": "constants"})
     return 0
 
 
@@ -140,8 +147,7 @@ def cmd_boundary(args) -> int:
                    else general_r_asymptotic(v, args.r))
             row.update({"asymptotic": asy, "ratio": beta / asy})
         rows.append(row)
-    cols = sorted({k for r in rows for k in r})
-    _emit(rows, cols, args.format, args.out,
+    _emit(rows, args.format, args.out,
           {"command": "boundary", "c": args.c, "r": args.r, "mixture": spec})
     return 0
 
@@ -156,8 +162,7 @@ def cmd_tailbound(args) -> int:
                      "normalized_moment_bound": bounds.moment_bound_cor22(p)})
     if not rows:
         raise CliError("nothing requested: use --x or --p")
-    cols = sorted({k for r in rows for k in r})
-    _emit(rows, cols, args.format, args.out, {"command": "tailbound"})
+    _emit(rows, args.format, args.out, {"command": "tailbound"})
     return 0
 
 
@@ -189,8 +194,8 @@ def cmd_simulate(args) -> int:
             mv_mix = mv_mix or GaussianMixture(eye)
             row["mv_stat"] = mv_statistic(st.extras["m_vec"], st.extras["t"] * eye, mv_mix)
         rows.append(row)
-    _emit(rows, list(rows[0]), args.format, args.out,
-          {"command": "simulate", "seed": seed, "spec": cfg})
+    _emit(rows, args.format, args.out, {"command": "simulate", "seed": seed, "spec": cfg},
+          list(rows[0]))
     return 0
 
 
@@ -209,7 +214,7 @@ def _check_suite(suite: dict) -> list[tuple]:
     with a stand-in seed, and each op_arg by its rule: `bind` checks names
     only, and a string c would pass it."""
     _known_keys("suite", suite, ("schema", "seed", "experiments"))
-    if suite.get("schema") != SCHEMA_VERSION:
+    if suite.get("schema") != SUITE_SCHEMA:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")
     if suite.get("seed") is not None:  # entries with their own seeds may never read it
         INPUT_RULES["seed"](suite["seed"], "seed")
@@ -262,7 +267,7 @@ def cmd_verify(args) -> int:
     # the flag, else the suite's seed, by its rule, else none: each entry's
     # config echoes the seed it ran with
     seed = next((_resolve_seed(s) for s in (args.seed, suite.get("seed")) if s is not None), None)
-    doc = {"schema": SCHEMA_VERSION, "seed": seed, "experiments": []}
+    doc = {"seed": seed, "experiments": []}
     for name, reports, echo in results:
         rows = report_rows(reports)
         all_pass &= all(r["pass"] for r in rows)
@@ -270,8 +275,7 @@ def cmd_verify(args) -> int:
                     _rows_to_csv(rows, REPORT_COLUMNS))
         doc["experiments"].append({"name": name, "config": echo, "reports": rows})
     doc["all_pass"] = bool(all_pass)
-    _write_text(os.path.join(out_dir, "report.json"),
-                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), doc)
     return 0 if all_pass else 1
 
 
@@ -283,8 +287,7 @@ def cmd_lil(args) -> int:
     doc = {k: v for k, v in summary.items() if not isinstance(v, np.ndarray)}
     if math.isinf(doc["limsup_bound"]):
         doc["limsup_bound"] = None
-    doc.update(schema=SCHEMA_VERSION, config=config_echo(cfg))
-    _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, {**doc, "config": config_echo(cfg)})
     return 0
 
 

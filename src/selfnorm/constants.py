@@ -140,9 +140,12 @@ def c_gamma(gamma: float) -> float:
 
 
 def c_r_gamma_part(gamma: float, r: float) -> float:
-    """c_r^(gamma) = -(gamma + log(1-gamma))/gamma^r for 0 < gamma < 1, 1 < r <= 2."""
+    """c_r^(gamma) = -(gamma + log(1-gamma))/gamma^r for 0 < gamma < 1, 1 < r <= 2;
+    below gamma = 1e-4, gamma^(2-r) C_gamma, whose series loses no digits."""
     _unit(gamma, "gamma")
     _order(r, "r")
+    if gamma < 1e-4:
+        return c_gamma(gamma) * gamma ** (2.0 - r)
     return -(gamma + math.log1p(-gamma)) / gamma**r
 
 

@@ -169,6 +169,8 @@ class ExperimentConfig:
     se_slack: float = 3.0
 
     def __post_init__(self):
+        if not isinstance(self.spec, _Variant):
+            raise DomainError(f"spec must be a process variant, got {self.spec!r}")
         for f in fields(self)[1:]:  # each field after spec, by its rule; horizon before checkpoints
             extra = (self.horizon, self.spec) if f.name == "checkpoints" else ()
             object.__setattr__(self, f.name,

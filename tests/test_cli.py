@@ -650,10 +650,51 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert calls == [{"workers": None}]
 
+    def test_extra_row_keys_never_reach_the_csv(self, tmp_path, monkeypatch):
+        # a report row that gains a key (a later `checks` object) writes it
+        # to report.json only: the CSV keeps REPORT_COLUMNS, byte for byte
+        cfg = self.make_suite(tmp_path)
+        plain, extra = tmp_path / "plain", tmp_path / "extra"
+        assert main(["verify", "--config", cfg, "--out", str(plain)]) == 0
+        rows = cli.report_rows
+        monkeypatch.setattr(cli, "report_rows", lambda reports: [
+            {**row, "checks": {"exact": 1.0}} for row in rows(reports)])
+        assert main(["verify", "--config", cfg, "--out", str(extra)]) == 0
+        assert (extra / "tiny.csv").read_bytes() == (plain / "tiny.csv").read_bytes()
+        [row] = json.loads((extra / "report.json").read_text())["experiments"][0]["reports"]
+        assert row["checks"] == {"exact": 1.0}
+
     def test_bundled_suite_schema_is_current(self):
         suite = json.loads(open(SUITE).read())
         assert suite["schema"] == 1
         assert "seed" in suite
+
+
+class TestSchemas:
+    """Every JSON document the CLI writes carries REPORT_SCHEMA; `verify`
+    reads suites of SUITE_SCHEMA. The two move apart."""
+
+    def test_report_schema_moves_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "REPORT_SCHEMA", 2)
+        assert cli.SUITE_SCHEMA == 1
+        out = tmp_path / "verify"
+        assert main(["verify", "--config", SUITE, "--out", str(out)]) == 0
+        lil = write_json(tmp_path, "lil.json", {"spec": {"variant": "rademacher"}, "seed": 4,
+                                                "paths": 10, "horizon": 100})
+        spec = write_json(tmp_path, "spec.json", {"variant": "rademacher"})
+        docs = [out / "report.json"]
+        for argv in (["lil", "--config", lil], ["tailbound", "--x", "2", "--format", "json"],
+                     ["simulate", "--config", spec, "--seed", "1", "--horizon", "5",
+                      "--format", "json"]):
+            docs.append(tmp_path / f"{argv[0]}.out.json")
+            assert main(argv + ["--out", str(docs[-1])]) == 0
+        assert [json.loads(doc.read_text())["schema"] for doc in docs] == [2] * 4
+        suite = json.loads(open(SUITE).read()) | {"schema": 2}
+        refused = tmp_path / "refused"
+        assert main(["verify", "--config", write_json(tmp_path, "suite2.json", suite),
+                     "--out", str(refused)]) == 2
+        assert "unsupported suite schema 2" in capsys.readouterr().err
+        assert not refused.exists()
 
 
 class TestLilCommand:

@@ -55,6 +55,14 @@ class TestConfig:
         with pytest.raises(DomainError, match=field):
             rad_cfg(**{field: value})
 
+    @pytest.mark.parametrize("spec", ["rademacher", {"type": "rademacher"}, None,
+                                      GaussianMixture(np.eye(2))],
+                             ids=["str", "dict", "none", "gaussian_mixture"])
+    def test_spec_not_a_variant_refused(self, spec):
+        # a string used to build, and die later on `spec.steps` in the scan
+        with pytest.raises(DomainError, match="spec"):
+            ExperimentConfig(spec=spec, seed=1, paths=10, horizon=10)
+
     def test_integral_floats_are_ints(self):
         # JSON's 1e5 is a float
         cfg = rad_cfg(seed=123.0, paths=2e3, horizon=2e2, checkpoints=[1e2, 2e2])
@@ -267,6 +275,33 @@ class TestCrossing:
         assert np.searchsorted(spec.times, cfg.checkpoints, "right").tolist() == [53, 53, 90]
         reps = crossing_frequency(cfg, mixture=GaussianMixture(np.eye(2)), c=2.0)
         assert [r.estimate for r in reps] == [0.18, 0.18, 0.365]
+
+    @pytest.mark.parametrize("precision", [
+        np.eye(2), np.array([[2.0, 0.8], [0.8, 1.0]]), np.eye(3),
+        np.array([[1.5, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.8]])],
+        ids=["dim2-identity", "dim2-coupled", "dim3-identity", "dim3-coupled"])
+    def test_gaussian_rule_decides_as_mv_statistic(self, precision):
+        # the scan's rule works in V's eigenbasis, mv_statistic by Cholesky:
+        # on one-step pieces of drawn walks, each cell's decision is
+        # mv_statistic(A, t I, G) >= log c, away from ties
+        dim, paths, c = len(precision), 60, 2.0
+        spec = MvBrownianGrid(dim=dim, t0=0.01, rho=1.2, horizon=100.0)
+        G = GaussianMixture(precision)
+        cfg = ExperimentConfig(spec=spec, seed=5, paths=paths, horizon=spec.steps)
+        rule, of_t = experiments._gaussian_rule(cfg, G, c)
+        d = spec.draw(np.random.default_rng(17), 0, spec.steps, paths,
+                      np.empty((paths, spec.steps, dim)), None)
+        a = np.cumsum(d, axis=1)
+        decided = []
+        for j, t in enumerate(spec.times):
+            got = rule(a[:, j:j + 1], of_t(np.array([t])), np.zeros(paths, dtype=bool))
+            stat = np.array([mixture.mv_statistic(a[p, j], t * np.eye(dim), G)
+                             for p in range(paths)])
+            clear = np.abs(stat - math.log(c)) > 1e-12
+            assert (got[clear] == (stat >= math.log(c))[clear]).all()
+            decided.append(got[clear])
+        decided = np.concatenate(decided)
+        assert decided.size > 0.99 * paths * spec.steps and 0 < decided.mean() < 1
 
     def test_gaussian_needs_matching_dim(self):
         spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=100.0)

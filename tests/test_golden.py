@@ -58,8 +58,6 @@ CASES = {
     "tail_bound-rademacher": (7, lambda: validate_tail_bound(cfg("rademacher"), 1.0)),
     "tail_bound-lognormal": (7, lambda: validate_tail_bound(cfg("lognormal"), 2.0)),
     "moment_bound-rademacher": (7, lambda: validate_moment_bound(cfg("rademacher"))),
-    "lil_track-weighted_iid_ones":
-        "a977d2f3d05e261461714cd279c3d44f989119be06d8d71c1257f5d96535b8b6",
     "moment_bound-lognormal": (7, lambda: validate_moment_bound(
         cfg("lognormal"), p_list=(1.0, 3.0))),
     "crossing-rademacher": (7, lambda: crossing_frequency(

@@ -539,7 +539,7 @@ PAIRED = {"scaled_lognormal": ScaledSymmetric(),
 @pytest.mark.parametrize("b, v", [(True, False), (False, True), (True, True), (abs_pow, False)],
                          ids=["b", "v", "bv", "abs_pow"])
 @pytest.mark.parametrize("variant", sorted(PAIRED))
-def test_per_cell_sums_in_row_groups(variant, b, v, tile_rows, groups, monkeypatch):
+def test_per_cell_sums_one_pair_a_tile(variant, b, v, tile_rows, groups, monkeypatch):
     # 11 paths of four blocks, the last short, at a float tile of tile_rows
     # rows: a float tile's bytes hold half its rows complex, so the per-cell
     # tiles are tile_rows // 2 rows tall and each `accumulate` call gets a
