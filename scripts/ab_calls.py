@@ -39,6 +39,9 @@ to its first workload's line what the tree held before the first run
 whether git sees no change under src/ (null outside a git checkout), as
 `bench/run.py` records `git rev-parse HEAD` however dirty the tree is.
 
+A run of either mode that exits non-zero ends the script with exit code 1: it
+prints the run's side, pair and exit code and the end of its stderr.
+
 The script itself starts no threads and writes nothing under bench/;
 `bench/run.py` makes and removes its scratch directories under
 <dir>/bench/out/.
@@ -56,6 +59,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+_TAIL = 20  # lines of a failed run's stderr that the script prints
 
 
 def _child(tree, name, seed, calls):
@@ -101,14 +106,27 @@ def _order(pairs):
         yield i, ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
-def _bench_run(tree, seed, seconds):
+def _stdout(cmd, what, cwd=None):
+    """cmd's stdout. A run that exits non-zero ends the script with exit code
+    1, after printing `what` (its side and pair), its exit code and the last
+    `_TAIL` lines of its stderr, without a traceback; the pairs already run
+    are on stdout."""
+    res = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if res.returncode:
+        tail = "\n".join(res.stderr.splitlines()[-_TAIL:])
+        sys.exit(f"{what} failed with exit code {res.returncode}; "
+                 f"the end of its stderr:\n{tail}")
+    return res.stdout
+
+
+def _bench_run(tree, seed, seconds, what):
     """One `bench/run.py --workload all --trace 0` run in `tree`: for each
     workload, its provenance, output digest and last JSON line."""
     cmd = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", "all",
            "--trace", "0", "--seed", str(seed)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
+    out = _stdout(cmd, what, cwd=tree)
     runs, current = {}, None
     for line in out.splitlines():
         if line.startswith("provenance "):
@@ -152,7 +170,8 @@ def _bench(sides, args):
     runs = {side: [] for side in sides}
     for i, order in _order(args.pairs):
         for side in order:
-            runs[side].append(_bench_run(sides[side], args.seed, args.seconds))
+            runs[side].append(_bench_run(sides[side], args.seed, args.seconds,
+                                         f"pair {i + 1} {side}"))
             print(f"pair {i + 1} {side} done", flush=True)
     block, lines = {}, []
     for name in runs["parent"][0]:
@@ -222,13 +241,12 @@ def main(argv=None):
                 fh.write("\n")
         return 0
     runs = {side: [] for side in sides}
-    for _, order in _order(args.pairs):
+    for i, order in _order(args.pairs):
         for side in order:
-            line = subprocess.run(
+            line = _stdout(
                 [sys.executable, os.path.abspath(__file__), "--child", sides[side],
                  "--workload", args.workload, "--seed", str(args.seed),
-                 "--calls", str(args.calls)],
-                check=True, capture_output=True, text=True).stdout.splitlines()[-1]
+                 "--calls", str(args.calls)], f"pair {i + 1} {side}").splitlines()[-1]
             runs[side].append(json.loads(line))
             print(side, line, flush=True)
     summary = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,

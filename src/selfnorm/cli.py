@@ -25,8 +25,8 @@ import numpy as np
 
 from . import constants as konst
 from . import bounds
-from .mixture import (GaussianMixture, boundary, measure_from_json, mv_statistic,
-                      psi, rs_asymptotic, general_r_asymptotic)
+from .mixture import (GaussianMixture, RobbinsSiegmund, boundary, measure_from_json,
+                      mv_statistic, psi, rs_asymptotic, general_r_asymptotic)
 from .processes import make_process, spec_from_json
 from .experiments import (INPUT_RULES, BoundReport, REPORT_COLUMNS,
                           check_supermartingale_mean, config_echo, config_from_json,
@@ -131,7 +131,13 @@ def cmd_boundary(args) -> int:
     if isinstance(F, GaussianMixture):
         raise CliError("boundary tables need a scalar mixture, not a Gaussian one")
     INPUT_RULES["c"](args.c, "--c")
-    konst._positive(args.delta, "--delta")
+    # the asymptotics are of the Robbins-Siegmund boundary, rs at order 2 and
+    # at its own delta
+    if args.asymptotic != "none" and not isinstance(F, RobbinsSiegmund):
+        raise konst.DomainError(f"--asymptotic {args.asymptotic} needs a density_rs mixture, "
+                                f"not {spec.get('type')!r}")
+    if args.asymptotic == "rs" and args.r != 2.0:
+        raise konst.DomainError(f"--asymptotic rs is of order 2, not --r {args.r!r}")
     v_min, v_max = (INPUT_RULES[k](getattr(args, k), "--" + k.replace("_", "-"))
                     for k in ("v_min", "v_max"))
     if v_min > v_max:
@@ -143,7 +149,7 @@ def cmd_boundary(args) -> int:
                              psi(betas, vg, F, args.r).tolist()):
         row = {"v": v, "beta": beta, "psi_roundtrip": back}
         if args.asymptotic != "none":
-            asy = (rs_asymptotic(v, args.c, args.delta) if args.asymptotic == "rs"
+            asy = (rs_asymptotic(v, args.c, F.delta) if args.asymptotic == "rs"
                    else general_r_asymptotic(v, args.r))
             row.update({"asymptotic": asy, "ratio": beta / asy})
         rows.append(row)
@@ -327,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-max", type=float, default=1e6)
     sp.add_argument("--v-points", type=int, default=25)
     sp.add_argument("--asymptotic", choices=("none", "rs", "general"), default="none")
-    sp.add_argument("--delta", type=float, default=1.0)
     common(sp, "--format")
     sp.set_defaults(fn=cmd_boundary)
 

@@ -57,6 +57,7 @@ _count = _integer(1)
 _number = _rule("a finite number", _finite)
 _positive = _rule("positive and finite (a finite number > 0)", lambda v: _finite(v) and v > 0)
 _unit = _rule("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
+_unit0 = _rule("a number in [0, 1)", lambda v: _finite(v) and 0 <= v < 1)
 _order = _rule("a number in (1, 2]", lambda v: _finite(v) and 1 < v <= 2)
 _reals = _rule("a list of finite numbers",
                lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
@@ -140,9 +141,10 @@ def c_gamma(gamma: float) -> float:
 
 
 def c_r_gamma_part(gamma: float, r: float) -> float:
-    """c_r^(gamma) = -(gamma + log(1-gamma))/gamma^r for 0 < gamma < 1, 1 < r <= 2;
-    below gamma = 1e-4, gamma^(2-r) C_gamma, whose series loses no digits."""
-    _unit(gamma, "gamma")
+    """c_r^(gamma) = -(gamma + log(1-gamma))/gamma^r for 0 <= gamma < 1, 1 < r <= 2;
+    below gamma = 1e-4, gamma^(2-r) C_gamma, whose series loses no digits:
+    at gamma = 0 it is 0 for r < 2 and 1/2 at r = 2."""
+    _unit0(gamma, "gamma")
     _order(r, "r")
     if gamma < 1e-4:
         return c_gamma(gamma) * gamma ** (2.0 - r)

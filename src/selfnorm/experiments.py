@@ -711,38 +711,40 @@ def _boundary_interpolant(F: MixtureMeasure, c: float, r: float,
 # in u and decreases in v, so beta(v) increases in v; B^r increments are
 # >= 0, so v never falls along a path; PCHIP on increasing data is increasing
 # and stays between its node values (Fritsch & Carlson 1980). So every beta a
-# piece of a row can look up is at least (1 - _SCREEN_SLACK) times the value
-# at any v at or below the piece's first B^r, in particular at the greatest
-# table node there: a PCHIP value past that node lies above it, and an exact
-# solve past the table above the last node. That node value, read once per
-# call from beta at its own nodes, screens whole rows: a row whose greatest A
-# on the piece lies below it cannot cross there and is dropped before any
-# lookup. On a segment of _SCREEN_STEPS steps of a row left, every cell's
-# beta is likewise at least (1 - _SCREEN_SLACK) beta at the segment's first
-# cell, and only cells with A at or above that bound are looked up.
+# piece of a row can look up is at least (1 - slack) times the value at any v
+# at or below the piece's first B^r, in particular at the greatest table node
+# there: a PCHIP value past that node lies above it, and an exact solve past
+# the table above the last node. That node value, read once per call from
+# beta at its own nodes, screens whole rows: a row whose greatest A on the
+# piece lies below it cannot cross there and is dropped before any lookup. On
+# a segment of _SCREEN_STEPS steps of a row left, every cell's beta is
+# likewise at least (1 - slack) beta at the segment's first cell, and only
+# cells with A at or above that bound are looked up.
 #
 # The slack covers what makes the computed beta less than monotone. With
-# c > F's mass m, beta > 0 and g(u) = log psi(u, v) - log c has g(0) <= -G,
-# G = log(c/m). `boundary` stops at |g| <= RESIDUAL_TOL + 4 eps |u| g'; g is
-# convex, so g' >= G/u at the root, and an exact solve outside the table lies
-# within u (RESIDUAL_TOL/G + 4 eps) of the root of the computed g, which
-# falls in v up to rounding. PCHIP values lie between their table nodes, up
-# to a few ulp. Two such errors, at the first cell and at a later one, need a
-# relative slack of 2 RESIDUAL_TOL/G + 8 eps plus rounding; 1e-6 covers that
-# twice over when G >= 8 RESIDUAL_TOL/1e-6 (c >= 1.016 m), and below that the
-# screen is off. A larger slack only adds candidates: each one still gets
-# the same beta value as without the screen.
+# c > F's mass m (a crossing refuses any other c), beta > 0 and g(u) = log
+# psi(u, v) - log c has g(0) <= -G, G = log(c/m). `boundary` stops at |g| <=
+# RESIDUAL_TOL + 4 eps |u| g'; g is convex, so g' >= G/u at the root, and an
+# exact solve outside the table lies within u (RESIDUAL_TOL/G + 4 eps) of the
+# root of the computed g, which falls in v up to rounding. PCHIP values lie
+# between their table nodes, up to a few ulp. Two such errors, at the first
+# cell and at a later one, need a relative slack of 2 RESIDUAL_TOL/G + 8 eps
+# plus rounding. The slack is max(_SCREEN_SLACK, 8 RESIDUAL_TOL/G), which
+# covers that twice over for any G up to about 1e6 (past 0.016, c >= 1.016 m,
+# it is _SCREEN_SLACK), and wider as c nears m. A larger slack only adds
+# candidates: each one still gets the same beta value as without the screen.
 _SCREEN_SLACK = 1e-6
 
 
-def _hit_cells(ca, cb, beta, skip, floor=None):
+def _hit_cells(ca, cb, beta, skip, floor=None, slack=_SCREEN_SLACK):
     """Rows and columns of the cells with ca >= beta(max(cb, 1e-4)) in the
     rows not in `skip`, for a per-cell B^r that never falls along a row; beta
     is evaluated on each segment's first cell and on the cells at or above
-    its screen bound only. floor, if given, is (nodes, values): the table's
-    sorted nodes and, at index i, beta at node i - 1 less the slack (-inf at
-    0); a row whose greatest A is below the value of the greatest node at or
-    below its first max(cb, 1e-4) is skipped too, before any lookup."""
+    its screen bound, (1 - slack) times that first value, only (see
+    `_SCREEN_SLACK`). floor, if given, is (nodes, values): the table's sorted
+    nodes and, at index i, beta at node i - 1 less the slack (-inf at 0); a
+    row whose greatest A is below the value of the greatest node at or below
+    its first max(cb, 1e-4) is skipped too, before any lookup."""
     P, L = ca.shape
     if floor is not None:
         nodes, values = floor
@@ -753,7 +755,7 @@ def _hit_cells(ca, cb, beta, skip, floor=None):
     S = _SCREEN_STEPS
     bound = np.full((P, -(-L // S)), np.inf)
     first = beta(np.maximum(cb[~skip, ::S], 1e-4))
-    bound[~skip] = first - _SCREEN_SLACK * np.abs(first)
+    bound[~skip] = first - slack * np.abs(first)
     rows, cols = [], []
     full = L - L % S
     for lo, hi in ((0, full), (full, L)):  # whole segments, then the rest
@@ -828,8 +830,6 @@ def _gaussian_rule(cfg, G, c):
     over w + t) >= log c; its work on t alone is the of_b of the B^r = t row."""
     if cfg.spec.dim != G.dim:
         raise DomainError("Gaussian crossing test needs an MvBrownianGrid of matching dim")
-    if c <= 1.0:
-        raise DomainError("c must exceed 1")
     w, U = np.linalg.eigh(G.precision)
     ld0 = float(np.sum(np.log(w)))
     log_c = math.log(c)
@@ -852,19 +852,24 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
     """Fraction of paths on which the mixture boundary is ever crossed by each
     checkpoint, with a binomial SE.
 
-    Scalar mixtures test {A_n >= beta_F(B_n^r, c)}; pass iff freq - k*SE <=
-    total_mass/c. The boundary assumes the canonical weight exp(lam*A -
-    lam^r B^r / r), so a spec certifying another weight is refused. On a
-    random normalizer most rows and cells are screened out by monotonicity
-    (see `_SCREEN_SLACK`); the hits are those of a lookup on every cell. A Gaussian
-    mixture (with an MvBrownianGrid spec) tests the quadratic-form crossing
-    rule, whose limit frequency for the continuous process is exactly 1/c;
-    here the checkpoints are time values on the grid, and the run covers the
-    spec's whole grid: the config's `horizon` is not read.
+    Each report passes iff freq - k*SE <= total_mass/c, the mixture's mass
+    over c; c must exceed that mass, as at or below it the bound is 1, which
+    no run can fail. Scalar mixtures test {A_n >= beta_F(B_n^r, c)}. The
+    boundary assumes the canonical weight exp(lam*A - lam^r B^r / r), so a
+    spec certifying another weight is refused. On a random normalizer
+    `_hit_cells` screens out most rows and cells by monotonicity, with a
+    slack derived from c/mass (see `_SCREEN_SLACK`); the hits are those of a
+    lookup on every cell. A Gaussian mixture, of mass 1 (with an
+    MvBrownianGrid spec), tests the quadratic-form crossing rule, whose limit
+    frequency for the continuous process is exactly 1/c; here the
+    checkpoints are time values on the grid, and the run covers the spec's
+    whole grid: the config's `horizon` is not read.
     """
     INPUT_RULES["c"](c, "c")
     if not isinstance(mixture, MixtureMeasure | GaussianMixture):
         raise DomainError(f"crossing_frequency needs a mixture measure, got {mixture!r}")
+    if c <= (mass := mixture.total_mass):  # the bound mass/c would be 1
+        raise DomainError(f"c {c!r} must exceed the mixture's total mass {mass!r}")
     gaussian = isinstance(mixture, GaussianMixture)
     scan = _Scan(cfg, workers, vector=gaussian)
     if gaussian:
@@ -873,7 +878,7 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         # checkpoints may end on one step
         cks = cfg.checkpoints or (cfg.spec.times[-1],)
         steps = np.searchsorted(cfg.spec.times, cks, "right")
-        label, bound = "mv_crossing t<={:g} c={:g}", 1.0 / c
+        label = "mv_crossing t<={:g} c={:g}"
     else:
         cert = cfg.spec.certification
         if cert is None:
@@ -887,20 +892,21 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         v_lo, v_hi = 1e-4, 16.0 * cfg.horizon
         beta = _boundary_interpolant(mixture, c, cfg.spec.r, v_lo, v_hi)
         # a deterministic B^r is one row, whose beta the scan looks up once per step
-        if (not cfg.spec.b_deterministic
-                and math.log(c / mixture.total_mass) >= 8.0 * RESIDUAL_TOL / _SCREEN_SLACK):
-            # beta at its own table nodes, once per call: the row screen's
-            # floor (see _SCREEN_SLACK)
+        rule, of_b = None, lambda cb: beta(np.maximum(cb, 1e-4))
+        if not cfg.spec.b_deterministic:
+            # (see _SCREEN_SLACK) G = log(c/m) by log1p, > 0 for any c > m,
+            # even one whose c/m rounds to 1
+            slack = max(_SCREEN_SLACK, 8.0 * RESIDUAL_TOL / math.log1p((c - mass) / mass))
+            # beta at its own table nodes, once per call: the row screen's floor
             nodes = np.geomspace(v_lo, v_hi, _TABLE_NODES)
             low = beta(nodes)
-            floor = nodes, np.concatenate(([-np.inf], low - _SCREEN_SLACK * np.abs(low)))
-            rule, of_b = lambda ca, cb, crossed: _hit_cells(ca, cb, beta, crossed, floor)[0], None
-        else:
-            rule, of_b = None, lambda cb: beta(np.maximum(cb, 1e-4))
-        label, bound = "crossing n<={} c={:g}", crossing_bound(c, mixture)
+            floor = nodes, np.concatenate(([-np.inf], low - slack * np.abs(low)))
+            rule, of_b = lambda ca, cb, done: _hit_cells(ca, cb, beta, done, floor, slack)[0], None
+        label = "crossing n<={} c={:g}"
     stops, at = np.unique(steps, return_inverse=True)
     parts = scan(lambda P: _Crossings(P, len(stops), rule), stops.tolist(), of_b=of_b)
     totals = np.sum([p.counts for p in parts], axis=0)
+    bound = crossing_bound(c, mixture)
     return [_frequency_report(label.format(n, c), bound, totals[at[k]], cfg)
             for k, n in enumerate(cks)]
 

@@ -219,6 +219,7 @@ class GaussianMixture(_Checked):
     """Zero-mean Gaussian mixing measure on R^m with precision matrix V."""
     precision: np.ndarray
     chol: np.ndarray = field(init=False, repr=False, compare=False)
+    total_mass = 1.0  # a probability measure
     rules = {"precision": _rule("a square matrix of finite numbers", _square,
                                 lambda v: np.asarray(v, dtype=float))}
 
@@ -390,8 +391,8 @@ def general_r_asymptotic(v: float, r: float) -> float:
     return v ** (1.0 / r) * (r * math.log(math.log(v)) / (r - 1.0)) ** ((r - 1.0) / r)
 
 
-def crossing_bound(c: float, F: MixtureMeasure) -> float:
-    """min(1, F(0, lambda0)/c): the ever-crossing probability bound."""
+def crossing_bound(c: float, F: MixtureMeasure | GaussianMixture) -> float:
+    """min(1, F's total mass / c): the ever-crossing probability bound."""
     _positive(c, "c")
     return min(1.0, F.total_mass / c)
 

@@ -102,8 +102,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import iterated_log
-from .constants import (DomainError, _Checked, _count, _number, _one_of, _order, _positive,
-                        _reals, _unit, c_gamma, c_gamma_r, from_json, lil_constants, to_json)
+from .constants import (DomainError, _Checked, _count, _finite, _number, _one_of, _order,
+                        _positive, _reals, _rule, _unit, c_gamma_r, from_json, lil_constants,
+                        to_json)
 
 _BUFFER = 1024
 _SLAB = 1 << 17  # cells per temporary in a draw; even
@@ -543,10 +544,18 @@ class _Grid(_Variant):
 
 @dataclass(frozen=True)
 class BrownianGrid(_Grid):
-    """Standard Brownian motion sampled on a fixed time grid; A = W_t, B^2 = t."""
+    """Standard Brownian motion sampled on a fixed time grid; A = W_t, B^r = t."""
     times: tuple[float, ...]
     r: float = 2.0
     rules = {"times": lambda v, name: tuple(map(float, _reals(v, name))), "r": _order}
+
+    @property
+    def certification(self):
+        """E exp(lam W_t - lam^r t / r) = exp(t (lam^2/2 - lam^r/r)), at most 1
+        for every real lam at r = 2; for r < 2 only for 0 <= lam <=
+        (2/r)^(1/(2-r)), where lam^(2-r) <= 2/r."""
+        return ("all", math.inf) if self.r == 2.0 else (
+            "nonneg", (2.0 / self.r) ** (1.0 / (2.0 - self.r)))
 
     def _truncated_mean(self, n, c, d):
         if not 1 <= n <= self.steps:
@@ -595,9 +604,9 @@ class MvBrownianGrid(_Grid):
     t0: float = 1e-4
     rho: float = 1.05
     horizon: float = 1e6
-    r: float = 2.0
+    r: float = 2.0  # <M>_t = t I is of order 2; kept as a field for the JSON form
     rules = {"dim": _count, "t0": _positive, "rho": _positive, "horizon": _positive,
-             "r": _order}
+             "r": _rule("2, the order of <M>_t = t I", lambda v: _finite(v) and v == 2.0)}
 
     def _check(self):
         _grid_powers(self.t0, self.rho, self.horizon, self.dim)  # before `times` builds the grid
@@ -958,11 +967,11 @@ def truncated_supermartingale_value(handle: ProcessHandle, gammas, lams,
         g, l = float(gam[i]), float(lamv[i])
         if not 0.0 <= g < 1.0:
             raise DomainError(f"gamma_{i+1}={g} outside [0, 1)")
-        cap = 1.0 / c_gamma(g) if r == 2.0 else 1.0 / c_gamma_r(g, r)
+        cap = 1.0 / c_gamma_r(g, r)
         if not 0.0 < l <= cap * (1.0 + 1e-12):
             raise DomainError(f"lambda_{i+1}={l} exceeds 1/c_(gamma,r)={cap}")
         y = handle.increments[i]
-        upper = l if r == 2.0 else l ** (1.0 / (r - 1.0))
+        upper = l ** (1.0 / (r - 1.0))
         mu = handle.spec.truncated_mean(i + 1, -g, upper)
         total += y - mu - abs(y) ** r / l
     return math.inf if total > 709.0 else math.exp(total)

@@ -9,7 +9,7 @@ import pytest
 
 from selfnorm import cli, processes
 from selfnorm import constants as konst
-from selfnorm.mixture import general_r_asymptotic
+from selfnorm.mixture import general_r_asymptotic, rs_asymptotic
 from selfnorm.cli import build_parser, main
 
 SUITE = os.path.join(os.path.dirname(__file__), "..", "src", "selfnorm",
@@ -47,6 +47,14 @@ class TestConstantsCommand:
         out = str(tmp_path / "t.csv")
         assert main(["constants", "--gamma", "0", "--out", out]) == 0
         assert float(read_csv(out)[0]["c_gamma"]) == 0.5
+
+    def test_gamma_zero_order_r(self, tmp_path):
+        # c_{0,r} = c_r; it exited 2 on "gamma must be a number in (0, 1)"
+        out = str(tmp_path / "t.json")
+        assert main(["constants", "--gamma", "0", "0.5", "--r", "1.5", "--format", "json",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())["rows"]
+        assert [row["c_gamma_r"] for row in rows] == [konst.c_r(1.5), konst.c_gamma_r(0.5, 1.5)]
 
     def test_order_r_column(self, tmp_path):
         out = str(tmp_path / "t.json")
@@ -112,6 +120,10 @@ class TestTailboundCommand:
         assert not out.exists()
 
 
+RS = {"type": "density_rs", "delta": 1.0}
+ATOM = {"type": "point_masses", "atoms": [[0.3, 2.0]]}
+
+
 class TestBoundaryCommand:
     def test_point_mass_roundtrip_column(self, tmp_path):
         cfg = write_json(tmp_path, "m.json",
@@ -134,6 +146,19 @@ class TestBoundaryCommand:
         ratios = [float(r["ratio"]) for r in read_csv(out)]
         assert ratios == sorted(ratios)  # approaching 1 from below
 
+    def test_rs_reads_the_mixtures_delta(self, tmp_path):
+        # a --delta flag of 1 once stood in for the mixture's 3: ratios 1.039
+        # and 1.080
+        cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 3.0})
+        out = str(tmp_path / "b.json")
+        assert main(["boundary", "--config", cfg, "--c", "5", "--v-min", "1e6", "--v-max", "1e8",
+                     "--v-points", "2", "--asymptotic", "rs", "--format", "json",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())["rows"]
+        assert [row["asymptotic"] for row in rows] == [rs_asymptotic(v, 5.0, 3.0)
+                                                       for v in (1e6, 1e8)]
+        assert [round(row["ratio"], 3) for row in rows] == [0.892, 0.926]
+
     def test_general_r_ratio_column(self, tmp_path):
         cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
         out = str(tmp_path / "b.json")
@@ -151,27 +176,31 @@ class TestBoundaryCommand:
                          {"type": "point_masses", "atoms": [[0.3, 2.0]]})
         assert main(["boundary", "--config", cfg, "--c", "-1"]) == 2
 
-    @pytest.mark.parametrize("argv, named", [
-        (["--c", "nan"], "--c"), (["--c", "inf"], "--c"),
-        (["--c", "5", "--v-points", "0"], "--v-points"),
-        (["--c", "5", "--v-min", "0"], "--v-min"), (["--c", "5", "--v-min", "-5"], "--v-min"),
-        (["--c", "5", "--v-min", "nan"], "--v-min"), (["--c", "5", "--v-max", "inf"], "--v-max"),
-        (["--c", "5", "--v-max", "nan"], "--v-max"),
-        (["--c", "5", "--v-min", "100", "--v-max", "10"], "--v-min"),
-        (["--c", "5", "--asymptotic", "rs", "--delta", "nan"], "--delta"),
-        (["--c", "5", "--asymptotic", "rs", "--delta", "inf"], "--delta"),
-        (["--c", "5", "--asymptotic", "rs", "--delta=-5"], "--delta"),
+    @pytest.mark.parametrize("argv, named, mixture", [
+        (["--c", "nan"], "--c", RS), (["--c", "inf"], "--c", RS),
+        (["--c", "5", "--v-points", "0"], "--v-points", RS),
+        (["--c", "5", "--v-min", "0"], "--v-min", RS),
+        (["--c", "5", "--v-min", "-5"], "--v-min", RS),
+        (["--c", "5", "--v-min", "nan"], "--v-min", RS),
+        (["--c", "5", "--v-max", "inf"], "--v-max", RS),
+        (["--c", "5", "--v-max", "nan"], "--v-max", RS),
+        (["--c", "5", "--v-min", "100", "--v-max", "10"], "--v-min", RS),
+        (["--c", "5", "--asymptotic", "rs"], "--asymptotic rs needs a density_rs", ATOM),
+        (["--c", "5", "--asymptotic", "general", "--r", "1.5"],
+         "--asymptotic general needs a density_rs", ATOM),
+        (["--c", "5", "--asymptotic", "rs", "--r", "1.5"], "--asymptotic rs is of order 2", RS),
     ], ids=["c_nan", "c_inf", "no_points", "v_min_zero", "v_min_negative", "v_min_nan",
-            "v_max_inf", "v_max_nan", "v_min_above_v_max", "delta_nan", "delta_inf",
-            "delta_negative"])
-    def test_bad_c_or_points(self, tmp_path, capsys, monkeypatch, argv, named):
+            "v_max_inf", "v_max_nan", "v_min_above_v_max", "rs_on_point_masses",
+            "general_on_point_masses", "rs_at_order_r"])
+    def test_bad_c_or_points(self, tmp_path, capsys, monkeypatch, argv, named, mixture):
         # --c nan and inf ended in BracketError; --v-points 0 wrote an empty
         # table and exited 0; --v-min 0 and --v-max inf ended in numpy's
-        # geomspace errors, which named no flag; --delta nan, inf and -5 wrote
-        # NaN, inf and negative-delta asymptotic rows and exited 0
+        # geomspace errors, which named no flag; the asymptotics of the
+        # Robbins-Siegmund boundary wrote ratios of 45.7 and 435.5 on point
+        # masses, and of 7.0 and 15.2 at --r 1.5, and exited 0
         monkeypatch.setattr(cli, "psi", lambda *a: pytest.fail("psi called"))
         monkeypatch.setattr(cli, "boundary", lambda *a: pytest.fail("boundary called"))
-        cfg = write_json(tmp_path, "m.json", {"type": "density_rs", "delta": 1.0})
+        cfg = write_json(tmp_path, "m.json", mixture)
         out = tmp_path / "b.csv"
         assert main(["boundary", "--config", cfg, *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -616,6 +645,21 @@ class TestVerifyCommand:
         assert named in err and "chunk stream" not in err
         assert not out.exists()
 
+    def test_crossing_at_the_mass_is_refused(self, tmp_path, capsys, no_draws):
+        # its bound mass/c is 1, which no run can fail
+        crossing = {"name": "crossing", "op": "crossing",
+                    "config": {"spec": {"variant": "scaled_symmetric"}, "paths": 100,
+                               "horizon": 10},
+                    "op_args": {"mixture": {"type": "density_rs", "delta": 1.0},
+                                "c_over_mass": 1.0}}
+        suite = {"schema": 1, "seed": 99, "experiments": [crossing]}
+        cfg = write_json(tmp_path, "suite.json", suite)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and "must exceed the mixture's total mass" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, named", [
         (None, "cannot read config"), ("{\"schema\": 1,", "cannot read config"),
         ('{"schema": 2, "seed": 99, "experiments": []}', "unsupported suite schema 2")],
@@ -865,7 +909,7 @@ class TestAcceptedOptions:
         "constants": {"--gamma", "--lambda", "--r", "--l-normalization", "--alpha",
                       "--delta", "--out", "--format"},
         "boundary": {"--config", "--c", "--r", "--v-min", "--v-max", "--v-points",
-                     "--asymptotic", "--delta", "--out", "--format"},
+                     "--asymptotic", "--out", "--format"},
         "tailbound": {"--x", "--p", "--out", "--format"},
         "simulate": {"--config", "--horizon", "--checkpoints", "--out", "--format",
                      "--seed"},

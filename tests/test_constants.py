@@ -81,10 +81,21 @@ class TestCRGamma:
         want = g ** (2.0 - r) * math.fsum(g ** (j - 2) / j for j in range(2, 8))
         assert c_r_gamma_part(g, r) == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("g,r", [(0.0, 2.0), (1.0, 2.0), (0.5, 1.0), (0.5, 2.5)])
+    @pytest.mark.parametrize("g,r", [(-0.1, 2.0), (1.0, 2.0), (0.5, 1.0), (0.5, 2.5)])
     def test_domain(self, g, r):
         with pytest.raises(DomainError):
             c_r_gamma_part(g, r)
+
+    def test_gamma_zero(self):
+        # c_r^(0) = 0 for r < 2 and C_0 = 1/2 at r = 2, so c_{0,r} = c_r; gamma = 0
+        # was refused, though c_gamma takes it
+        assert c_r_gamma_part(0.0, 1.5) == 0.0 and c_r_gamma_part(0.0, 2.0) == 0.5
+        assert c_gamma_r(0.0, 1.5) == c_r(1.5) and c_gamma_r(0.0, 2.0) == 0.5
+
+    def test_c_gamma_r_at_r2_is_c_gamma_bit_for_bit(self):
+        # so the truncated supermartingale's cap needs no r = 2 branch
+        for g in [0.0] + np.geomspace(1e-12, 0.9, 200).tolist():
+            assert c_gamma_r(g, 2.0).hex() == c_gamma(g).hex(), g
 
 
 class TestCR:

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -478,6 +479,25 @@ class TestCrossingScreen:
         assert [r.estimate for r in got] == [k / cfg.paths for k in want]
         assert want[-1] > 0
 
+    @pytest.mark.parametrize("c_over_mass", [1.0001, 1.01, 1.5, 10.0])
+    @pytest.mark.parametrize("law", sorted(HEAVY_LAWS))
+    def test_every_c_above_the_mass_is_screened(self, law, c_over_mass, monkeypatch):
+        # the screen's slack widens as c nears the mass, so `_hit_cells`
+        # decides every crossing on a random normalizer, with the hits of
+        # every-cell lookup
+        monkeypatch.setattr(experiments, "_BLOCK", 77)
+        F = self.TWO_ATOMS
+        c = c_over_mass * F.total_mass
+        cfg = ExperimentConfig(spec=HEAVY_LAWS[law], seed=5, paths=40, horizon=250,
+                               checkpoints=(1, 64, 65, 140, 250))
+        want = unscreened_counts(cfg, F, c)
+        calls = []
+        real = experiments._hit_cells
+        monkeypatch.setattr(experiments, "_hit_cells", lambda *a: calls.append(a) or real(*a))
+        got = crossing_frequency(cfg, mixture=F, c=c)
+        assert calls
+        assert [r.estimate for r in got] == [k / cfg.paths for k in want]
+
     # (mixture, c, seed) of each long case below: an atom at lambda = 0.01,
     # whose boundary paths cross at every checkpoint from 64 on, and the
     # benchmark's mixture, whose crossings come early
@@ -793,8 +813,9 @@ class TestFieldRefusal:
 
 class TestScalarSpecRejection:
     """Specs and arguments the scan cannot run are refused before any draw:
-    a vector spec on every scalar entry point, and anything but a matching
-    MvBrownianGrid and c > 1 on the Gaussian crossing."""
+    a vector spec on every scalar entry point, anything but a matching
+    MvBrownianGrid on the Gaussian crossing, and on any crossing a c at or
+    below the mixture's mass."""
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
@@ -834,6 +855,27 @@ class TestScalarSpecRejection:
         cfg = ExperimentConfig(spec=spec, seed=1, paths=10, horizon=40)
         with pytest.raises(DomainError):
             crossing_frequency(cfg, mixture=G, c=c)
+
+    @pytest.mark.parametrize("spec, F, c_over_mass", [
+        (Rademacher(), PointMasses(atoms=((0.3, 0.5), (1.0, 0.5))), 1.0),
+        (ScaledSymmetric(), PointMasses(atoms=((0.3, 2.0),)), 0.5),
+        (Rademacher(), RobbinsSiegmund(1.0), 1.0),
+        (ScaledSymmetric(), RobbinsSiegmund(2.0), 0.999),
+        (MV_GRID, GaussianMixture(np.eye(2)), 1.0),
+        (MV_GRID, GaussianMixture(np.eye(2)), 0.5),
+    ], ids=["point_masses-at", "point_masses-below", "robbins_siegmund-at",
+            "robbins_siegmund-below", "gaussian-at", "gaussian-below"])
+    def test_c_not_above_the_mass(self, spec, F, c_over_mass, monkeypatch):
+        # the bound mass/c is 1 there, which no run can fail: refused before
+        # the boundary table is built
+        for name in ("boundary", "PchipInterpolator"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *a, name=name: pytest.fail(f"{name} called"))
+        cfg = ExperimentConfig(spec=spec, seed=1, paths=10, horizon=40)
+        c = c_over_mass * F.total_mass
+        named = f"c {c!r} must exceed the mixture's total mass {F.total_mass!r}"
+        with pytest.raises(DomainError, match=re.escape(named)):
+            crossing_frequency(cfg, mixture=F, c=c)
 
     def test_bernstein_open_end(self):
         # 0 <= lambda < 1/M: at lambda = 1/M the weight's denominator is 0

@@ -66,6 +66,8 @@ CASES = {
         cfg("lognormal"), mixture=TWO_ATOMS, c=1.5)),
     "crossing-lognormal-screen_segments": (130, lambda: crossing_frequency(
         cfg("lognormal"), mixture=RobbinsSiegmund(1.0), c=2.0)),
+    "crossing-lognormal-near_mass": (130, lambda: crossing_frequency(
+        cfg("lognormal"), mixture=TWO_ATOMS, c=1.01)),
     "crossing-weighted_iid_ones": (130, lambda: crossing_frequency(
         cfg("weighted_iid_ones"), mixture=TWO_ATOMS, c=1.5)),
     "crossing-bounded_below_r15": (7, lambda: crossing_frequency(
@@ -110,6 +112,8 @@ DIGESTS = {
         "91504315df0e2cb8136ad9f6928f4f03faeb0fb57025e7c12198d1e1f115bdef",
     "crossing-lognormal":
         "0765756468c1f6be3305cdeff31081dd94bacb5e81baaf5a1b0089da4c895946",
+    "crossing-lognormal-near_mass":
+        "ceff1db4ea2c2024fa767ffcd6667f294e4235e8211fb9a5d987c0ac3036a662",
     "crossing-lognormal-screen_segments":
         "ea8af664e624496bcf284d1310ee8c5bd6c2e8e87df386d9c546e7be17624600",
     "crossing-weighted_iid_ones":

@@ -756,6 +756,32 @@ class TestCertification:
             check_lambda(spec, -5.0)
             check_lambda(spec, 5.0)
 
+    @pytest.mark.parametrize("r", [1.1, 1.5, 1.9])
+    def test_brownian_grid_order_r_range(self, r):
+        # E exp(lam W_t - lam^r t / r) = exp(t (lam^2/2 - lam^r/r)) is at most
+        # 1 up to the certified end and above it past the end; it was
+        # certified for every lam, and a mean of 2.82 at lam = 3, t = 1,
+        # r = 1.5 passed the supermartingale check
+        kind, end = BrownianGrid(times=(1.0, 2.0), r=r).certification
+        assert kind == "nonneg"
+        assert end ** 2 / 2.0 == pytest.approx(end ** r / r, rel=1e-12)
+        for lam in (0.5 * end, end * (1.0 - 1e-9)):
+            assert lam ** 2 / 2.0 - lam ** r / r <= 0.0
+        for lam in (end * (1.0 + 1e-9), 2.0 * end):
+            assert lam ** 2 / 2.0 - lam ** r / r > 0.0
+        if r == 1.5:
+            assert end == pytest.approx(16.0 / 9.0, rel=1e-15)
+            with pytest.raises(CertificationError):
+                check_lambda(BrownianGrid(times=(1.0, 2.0), r=r), 3.0)
+        assert BrownianGrid(times=(1.0, 2.0)).certification == ("all", math.inf)
+
+    def test_mv_brownian_grid_is_of_order_2(self):
+        # its r is read by no code path: <M>_t = t I
+        assert MvBrownianGrid(r=2.0).r == 2.0
+        for r in (1.5, 1.99):
+            with pytest.raises(DomainError, match="^r must be 2"):
+                MvBrownianGrid(r=r)
+
     def test_heavy_asymmetric_uncertified(self):
         assert TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=2.0).certification is None
         assert TruncatedCentering(base="heavy", alpha=0.5, d1=1.0, d2=1.0).certification == ("all", math.inf)
@@ -836,6 +862,16 @@ class TestTruncatedSupermartingale:
         assert constants.c_r.cache_info().misses == 1
         constants.c_r.cache_clear()
         assert truncated_supermartingale_value(h, 0.1, lam, r=1.5) == value
+
+    def test_gamma_zero_order_r(self):
+        # gamma = 0 was refused at r = 1.5 and taken at r = 2; the window
+        # [0, 0.5^2) holds neither Rademacher atom, so mu_i = 0
+        h = make_process(Rademacher(), 9)
+        for _ in range(5):
+            h.step()
+        got = truncated_supermartingale_value(h, 0.0, 0.5, r=1.5)
+        want = math.exp(sum(y - abs(y) ** 1.5 / 0.5 for y in h.increments))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_order_r_cap(self):
         h = make_process(Rademacher(), 9)

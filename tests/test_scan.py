@@ -1056,7 +1056,8 @@ def test_benchmark_shaped_inputs_take_their_tile_paths(case, monkeypatch):
     spy(experiments, "_segment_edges", lambda d, end: seen["edges"].append(d.dtype.name))
     spy(experiments, "_piece_ends", lambda x, *a: seen["ends"].append(x.shape[0]))
     spy(experiments, "_hit_cells",
-        lambda ca, cb, beta, skip, floor=None: seen["floors"].append(floor is not None))
+        lambda ca, cb, beta, skip, floor=None, slack=None: seen["floors"].append(
+            floor is not None))
     for c in classes:
         spy(c, "draw", lambda *a: seen.update(draws=seen["draws"] + 1))
         # the chunks' sums, whose carry is a tuple of arrays; the shared
