@@ -215,10 +215,14 @@ _VERIFY_OPS = {"supermartingale_mean": "check_supermartingale_mean",
 def _check_suite(suite: dict) -> list[tuple]:
     """Each entry's (name, entry point, config object, op_args), after every
     suite and entry key, op, config and op_args, and the suite's seed where
-    one is given, has been checked: a fault anywhere in the suite is named
-    before any seed is resolved or any entry draws. The config is checked
-    with a stand-in seed, and each op_arg by its rule: `bind` checks names
-    only, and a string c would pass it."""
+    one is given, has been checked: such a fault anywhere in the suite is
+    named before any seed is resolved or any entry draws. The config is
+    checked with a stand-in seed, and each op_arg by its rule (`bind` checks
+    names only, and a string c would pass it), c_over_mass's being > 1.
+    What spans an entry's op_args and spec surfaces only when that entry
+    runs: a direct c at or below the mixture's mass, a mixture support
+    outside the spec's certified range, and a spec whose weight is not the
+    canonical one."""
     _known_keys("suite", suite, ("schema", "seed", "experiments"))
     if suite.get("schema") != SUITE_SCHEMA:
         raise CliError(f"unsupported suite schema {suite.get('schema')!r}")

@@ -59,6 +59,8 @@ _positive = _rule("positive and finite (a finite number > 0)", lambda v: _finite
 _unit = _rule("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
 _unit0 = _rule("a number in [0, 1)", lambda v: _finite(v) and 0 <= v < 1)
 _order = _rule("a number in (1, 2]", lambda v: _finite(v) and 1 < v <= 2)
+# the order of a variant whose certified weight is of order 2 alone
+_order2 = _rule("2, the order of its certified weight", lambda v: _finite(v) and v == 2)
 _reals = _rule("a list of finite numbers",
                lambda v: isinstance(v, list | tuple) and all(map(_finite, v)), tuple)
 
@@ -160,31 +162,35 @@ def c_r_upper_bound(r: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def c_r(r: float) -> float:
-    """Smallest c with exp(x - c x^r) <= 1 + x for all x >= 0.
+    """Smallest c with exp(x - c x^r) <= 1 + x for all x >= 0: the sup over
+    x > 0 of phi(x) = (x - log(1+x))/x^r, as the smallest double at or above it.
 
-    Equivalently sup_{x>0} (x - log(1+x))/x^r, which is what we compute: a
-    log-spaced scan locates the worst x and a bounded Brent pass refines it.
-    The supremum form is the same infimum the defining inequality describes,
-    found without an outer bisection on c. Memoized, as callers ask per step.
+    At r = 2, phi falls from its limit 1/2 at 0. For r < 2, phi' has the sign
+    of x^2/(1+x) - r(x - log(1+x)), which is positive up to (2-r)/(r-1) and
+    has one root x* past it, where phi peaks; x* is bisected for, and phi(x*)
+    evaluated, in 50-digit decimal. Memoized, as callers ask per step.
     """
-    from scipy import optimize
+    import decimal  # at the call: importing it adds 0.4 MB to every process's peak RSS
     _order(r, "r")
+    if r == 2.0:
+        return 0.5
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        rr = decimal.Decimal(r)
 
-    def neg_phi(x: float) -> float:
-        return -(x - math.log1p(x)) / x**r
+        def rises(x):
+            return x * x / (1 + x) > rr * (x - (1 + x).ln())
 
-    xs = np.logspace(-9, 3, 4001)
-    vals = (xs - np.log1p(xs)) / xs**r
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    res = optimize.minimize_scalar(neg_phi, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-14})
-    best = max(float(vals[k]), -float(res.fun))
-    # the sup may be approached only as x -> 0 (r = 2 case)
-    best = max(best, -neg_phi(1e-12))
-    cap = c_r_upper_bound(r)
-    return min(best, cap)
+        lo = (2 - rr) / (rr - 1)
+        hi = 2 * lo
+        while rises(hi):
+            lo, hi = hi, 2 * hi
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rises(mid) else (lo, mid)
+        sup = (lo - (1 + lo).ln()) / lo**rr
+    c = float(sup)
+    return c if decimal.Decimal(c) >= sup else math.nextafter(c, math.inf)
 
 
 def c_gamma_r(gamma: float, r: float) -> float:

@@ -80,8 +80,8 @@ from .bounds import (DEFAULT_LOG_FLOOR, SQRT2, cor22_normalized, iterated_log,
 from .mixture import (RESIDUAL_TOL, GaussianMixture, MixtureMeasure, boundary,
                       crossing_bound)
 from .processes import (Counterexample65, MvBrownianGrid, ProcessSpec, WeightedIID,
-                        _Variant, _Workspace, _abs_pow, chunk_rng, log_supermartingale,
-                        spec_from_json, spec_to_json)
+                        _Variant, _Workspace, _abs_pow, check_lambda, chunk_rng,
+                        log_supermartingale, spec_from_json, spec_to_json)
 
 _BLOCK = 32768
 # Cells of a float64 row tile, 512 KB, so a tile's draws, B^r and V^2 fit in
@@ -147,7 +147,8 @@ INPUT_RULES = {
     "lambda_grid": _items, "x_grid": _items, "p_list": _items,
     "statistic": _one_of("auto", "lil", "uncentered", "conditional_variance", "universal"),
     "se_slack": _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0, float),
-    "c": _positive, "c_over_mass": _positive, "y": _positive, "p": _positive,
+    "c": _positive, "y": _positive, "p": _positive,
+    "c_over_mass": _rule("a finite number > 1", lambda v: _finite(v) and v > 1),
     "margin": _rule("a finite number > -1", lambda v: _finite(v) and v > -1),
     "alpha": _rule("a number in (0, 1/2)", lambda v: _finite(v) and 0 < v < 0.5),
     "bins": _at_most(_MAX_POINTS), "v_points": _at_most(_MAX_POINTS),
@@ -557,13 +558,11 @@ def check_supermartingale_mean(cfg: ExperimentConfig,
 # section-2 tail and moment bounds
 # ---------------------------------------------------------------------------
 
-def _horizon_state(cfg, workers, what):
+def _horizon_state(cfg, workers):
     """Per-path A and B^2 = (B^r)^(2/r) at the horizon, in chunk order, after
     refusing a spec not certified over all real lambda."""
     scan = _Scan(cfg, workers)
-    cert = cfg.spec.certification
-    if cert is None or cert[0] != "all":
-        raise DomainError(f"{what} certification over all real lambda")
+    check_lambda(cfg.spec, -math.inf, math.inf)
     parts = scan(lambda P: _StateAtStops(P, 1), (cfg.horizon,))
     a = np.concatenate([p.a[:, 0] for p in parts])
     b = np.concatenate([p.b[:, 0] for p in parts])
@@ -578,7 +577,7 @@ def validate_tail_bound(cfg: ExperimentConfig, y: float,
     xs = cfg.x_grid or (SQRT2, 2.0, 2.5, 3.0)
     if min(xs) < SQRT2:
         raise DomainError(f"tail grid point {min(xs)} below sqrt(2)")
-    a, b2 = _horizon_state(cfg, workers, "tail bound requires")
+    a, b2 = _horizon_state(cfg, workers)
     stat = cor22_normalized(a, b2, y)
     return [_frequency_report(f"tail x={x:g} y={y:g}", tail_bound_cor22(x),
                               np.count_nonzero(stat >= x), cfg) for x in xs]
@@ -592,7 +591,7 @@ def validate_moment_bound(cfg: ExperimentConfig, p_list=(),
     # the analytic bounds, which refuse p <= 0, before any draw
     bounds = [(p, moment_bound_thm21(p), moment_bound_cor22(p)) for p in
               INPUT_RULES["p_list"](p_list, "p_list") or cfg.p_list or (1.0, 2.0, 4.0)]
-    a, b2 = _horizon_state(cfg, workers, "moment bounds require")
+    a, b2 = _horizon_state(cfg, workers)
     eb = math.fsum(np.sqrt(b2).tolist()) / cfg.paths
     y = eb * eb
     s_thm = thm21_normalized(a, b2, y)
@@ -854,9 +853,10 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
 
     Each report passes iff freq - k*SE <= total_mass/c, the mixture's mass
     over c; c must exceed that mass, as at or below it the bound is 1, which
-    no run can fail. Scalar mixtures test {A_n >= beta_F(B_n^r, c)}. The
-    boundary assumes the canonical weight exp(lam*A - lam^r B^r / r), so a
-    spec certifying another weight is refused. On a random normalizer
+    no run can fail. Scalar mixtures test {A_n >= beta_F(B_n^r, c)}: the
+    mixture's support [0, lambda0] must lie in the spec's certified range,
+    and as the boundary assumes the canonical weight exp(lam*A - lam^r B^r / r),
+    a spec certifying another weight is refused. On a random normalizer
     `_hit_cells` screens out most rows and cells by monotonicity, with a
     slack derived from c/mass (see `_SCREEN_SLACK`); the hits are those of a
     lookup on every cell. A Gaussian mixture, of mass 1 (with an
@@ -880,11 +880,7 @@ def crossing_frequency(cfg: ExperimentConfig, mixture=None, c: float = None,
         steps = np.searchsorted(cfg.spec.times, cks, "right")
         label = "mv_crossing t<={:g} c={:g}"
     else:
-        cert = cfg.spec.certification
-        if cert is None:
-            raise DomainError("crossing test requires a certified spec")
-        if mixture.lambda0 > cert[1] * (1.0 + 1e-12):
-            raise DomainError("mixture support exceeds the certified lambda range")
+        check_lambda(cfg.spec, 0.0, mixture.lambda0)
         cks = steps = cfg.checkpoints or (cfg.horizon,)
         if type(cfg.spec).log_weight is not _Variant.log_weight:
             raise DomainError(f"{type(cfg.spec).__name__} certifies a weight other than "

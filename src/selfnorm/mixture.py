@@ -67,7 +67,7 @@ class PointMasses(_Checked):
 
     @property
     def lambda0(self) -> float:
-        return max(lam for lam, _ in self.atoms) * (1.0 + 1e-12)
+        return max(lam for lam, _ in self.atoms)
 
     @property
     def total_mass(self) -> float:

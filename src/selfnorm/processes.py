@@ -72,7 +72,8 @@ mode: every draw, code and running sum goes into arrays the caller owns
   log_weight(lam, a, b_pow_r)     log of the certified weight, broadcasting;
                                   default lam*A - lam^r B^r / r (Bernstein
                                   overrides it and refuses lam >= 1/M).
-  certification                   ("all", inf), ("nonneg", lam0) or None.
+  certification                   ("all", inf), ("nonneg", lam0) or None;
+                                  read only by `check_lambda`.
   centering(n, v)                 the running centering of the universal
                                   statistic; default 0.
   truncated_mean(n, c, d)         mu(c, d) = E[d_n 1(c <= d_n < d)] for c < d, by the
@@ -102,15 +103,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import iterated_log
-from .constants import (DomainError, _Checked, _count, _finite, _number, _one_of, _order,
-                        _positive, _reals, _rule, _unit, c_gamma_r, from_json, lil_constants,
-                        to_json)
+from .constants import (DomainError, _Checked, _count, _number, _one_of, _order, _order2,
+                        _positive, _reals, _unit, c_gamma_r, from_json, lil_constants, to_json)
 
 _BUFFER = 1024
 _SLAB = 1 << 17  # cells per temporary in a draw; even
 
 
-class CertificationError(RuntimeError):
+class CertificationError(DomainError):
     """lambda outside the range for which the variant's supermartingale holds."""
 
 
@@ -365,9 +365,9 @@ class ScaledSymmetric(_Variant):
     sigma: float = 1.0
     shape: float = 2.0
     xm: float = 1.0
-    r: float = 2.0
+    r: float = 2.0  # B^2 = sum d_i^2: the weight is of order 2
     rules = {"law": _one_of("lognormal", "pareto"), "mu": _number, "sigma": _number,
-             "shape": _number, "xm": _number, "r": _order}
+             "shape": _number, "xm": _number, "r": _order2}
     certification = ("all", math.inf)
 
     def _check(self):
@@ -410,8 +410,8 @@ class BoundedAbove(_Variant):
     B_n^2 = (1 + lambda0*M/2) * sum E(d_i^2 | F)."""
     m_bound: float = 1.0
     lambda0: float = 1.0
-    r: float = 2.0
-    rules = {"m_bound": _positive, "lambda0": _positive, "r": _order}
+    r: float = 2.0  # the inflated conditional variance is of order 2
+    rules = {"m_bound": _positive, "lambda0": _positive, "r": _order2}
     b_deterministic = True
 
     def _check(self):
@@ -448,8 +448,8 @@ class Bernstein(_Variant):
     exponential, sigma^2 = M^2. Certified for 0 <= lambda < 1/M with the
     conditional-variance weight exp{lam*A - lam^2 V^2 / (2(1 - M*lam))}."""
     m_bound: float = 1.0
-    r: float = 2.0
-    rules = {"m_bound": _positive, "r": _order}
+    r: float = 2.0  # its weight reads no r
+    rules = {"m_bound": _positive, "r": _order2}
     b_deterministic = True
 
     @property
@@ -606,7 +606,7 @@ class MvBrownianGrid(_Grid):
     horizon: float = 1e6
     r: float = 2.0  # <M>_t = t I is of order 2; kept as a field for the JSON form
     rules = {"dim": _count, "t0": _positive, "rho": _positive, "horizon": _positive,
-             "r": _rule("2, the order of <M>_t = t I", lambda v: _finite(v) and v == 2.0)}
+             "r": _order2}
 
     def _check(self):
         _grid_powers(self.t0, self.rho, self.horizon, self.dim)  # before `times` builds the grid
@@ -713,9 +713,9 @@ class TruncatedCentering(_Variant):
     alpha: float = 1.5
     d1: float = 1.0
     d2: float = 1.0
-    r: float = 2.0
+    r: float = 2.0  # B^2 = sum d_i^2: the weight is of order 2
     rules = {"base": _one_of("normal", "heavy"), "lam": _positive, "alpha": _number,
-             "d1": _number, "d2": _number, "r": _order}
+             "d1": _number, "d2": _number, "r": _order2}
     statistic = "universal"
 
     def _check(self):
@@ -929,16 +929,18 @@ def make_process(spec: ProcessSpec, seed: int, path: int = 0) -> ProcessHandle:
     return ProcessHandle(spec, seed, path)
 
 
-def check_lambda(spec: ProcessSpec, lam: float) -> None:
+def check_lambda(spec: ProcessSpec, lo: float, hi: float | None = None) -> None:
+    """Refuse unless all of [lo, hi] (hi defaults to lo) lies in the spec's
+    certified range, every real lambda or [0, lam0]; the one reader of a
+    spec's `certification`."""
+    hi = lo if hi is None else hi
     cert = spec.certification
     if cert is None:
         raise CertificationError(f"{type(spec).__name__} carries no supermartingale certification")
-    kind, lam0 = cert
-    if kind == "all":
-        return
-    if not 0.0 <= lam <= lam0:
-        raise CertificationError(
-            f"lambda={lam} outside certified range [0, {lam0}] for {type(spec).__name__}")
+    start, end = (-math.inf if cert[0] == "all" else 0.0), cert[1]
+    if not start <= lo <= hi <= end:
+        raise CertificationError(f"lambda in [{lo}, {hi}] lies outside the certified range "
+                                 f"[{start}, {end}] of {type(spec).__name__}")
 
 
 def log_supermartingale(spec: ProcessSpec, lam: float, a: float, b_pow_r: float) -> float:

@@ -626,9 +626,11 @@ class TestVerifyCommand:
                                    "c": 10.0}),
         ("'c_over_mass'", {}, "crossing", {"mixture": {"type": "density_rs", "delta": 1.0},
                                            "c_over_mass": -1.0}),
+        ("'c_over_mass'", {}, "crossing", {"mixture": {"type": "density_rs", "delta": 1.0},
+                                           "c_over_mass": 1.0}),
     ], ids=["x_grid_string", "x_grid_nan", "x_grid_inf", "lambda_grid_nan", "se_slack_string",
             "negative_seed", "checkpoint_bool", "spec_sigma_nan", "spec_mu_inf",
-            "mixture_delta_nan", "c_over_mass_negative"])
+            "mixture_delta_nan", "c_over_mass_negative", "c_over_mass_at_the_mass"])
     def test_bad_value_in_a_later_entry_is_refused_before_any_draw(
             self, tmp_path, capsys, no_draws, named, config, op, op_args):
         # x_grid ["2"] ran the first entry and then exited on a TypeError;
@@ -646,12 +648,13 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_crossing_at_the_mass_is_refused(self, tmp_path, capsys, no_draws):
-        # its bound mass/c is 1, which no run can fail
+        # its bound mass/c is 1, which no run can fail; a c_over_mass of 1
+        # is refused by its rule, so c is given directly
         crossing = {"name": "crossing", "op": "crossing",
                     "config": {"spec": {"variant": "scaled_symmetric"}, "paths": 100,
                                "horizon": 10},
-                    "op_args": {"mixture": {"type": "density_rs", "delta": 1.0},
-                                "c_over_mass": 1.0}}
+                    "op_args": {"mixture": {"type": "point_masses", "atoms": [[0.5, 2.0]]},
+                                "c": 2.0}}
         suite = {"schema": 1, "seed": 99, "experiments": [crossing]}
         cfg = write_json(tmp_path, "suite.json", suite)
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -98,7 +99,44 @@ class TestCRGamma:
             assert c_gamma_r(g, 2.0).hex() == c_gamma(g).hex(), g
 
 
+def reference_sup(r):
+    """sup over x > 0 of (x - log(1+x))/x^r, by a golden-section search on
+    t = log x in [-20, 25] in 60-digit decimal; at r = 2 the limit 1/2 at 0."""
+    if r == 2.0:
+        return decimal.Decimal("0.5")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        rr = decimal.Decimal(r)
+
+        def phi(t):
+            x = t.exp()
+            return (x - (1 + x).ln()) / (rr * t).exp()
+
+        shrink = (decimal.Decimal(5).sqrt() - 1) / 2
+        a, b = decimal.Decimal(-20), decimal.Decimal(25)
+        c, d = b - shrink * (b - a), a + shrink * (b - a)
+        fc, fd = phi(c), phi(d)
+        for _ in range(200):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - shrink * (b - a)
+                fc = phi(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + shrink * (b - a)
+                fd = phi(d)
+        return max(fc, fd)
+
+
 class TestCR:
+    @pytest.mark.parametrize("r", [1 + 1e-6, 1.0001, 1.001, 1.005, 1.1, 1.5, 1.9, 1.9999, 2.0])
+    def test_smallest_double_at_or_above_the_sup(self, r):
+        # the sup's maximiser is past 1e3 for r below about 1.006 (7996 at
+        # r = 1.001), where a scan on [1e-9, 1e3] put c_r 0.63 % under it
+        # at r = 1.0001
+        sup, c = reference_sup(r), c_r(r)
+        assert decimal.Decimal(c) >= sup > decimal.Decimal(math.nextafter(c, -math.inf))
+
     def test_r2_is_half(self):
         assert c_r(2.0) == pytest.approx(0.5, abs=1e-6)
 

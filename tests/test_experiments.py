@@ -232,6 +232,25 @@ class TestCrossing:
         with pytest.raises(DomainError):
             crossing_frequency(cfg, mixture=RobbinsSiegmund(1.0), c=2.0)
 
+    @pytest.mark.parametrize("measure", [
+        lambda lam: PointMasses(atoms=((0.1, 0.5), (lam, 0.5))),
+        lambda lam: Density(f=lambda x: np.ones_like(x), lambda0=lam),
+    ], ids=["point_masses", "density"])
+    def test_support_up_to_the_certified_end(self, measure):
+        # BoundedAbove(lambda0=0.5) is certified on [0, 0.5]: a support
+        # ending there runs, and one ending an ulp past it is refused. The
+        # density was accepted within a tolerance of 1e-12; the atoms were
+        # refused, as lambda0 and the end each carried that tolerance
+        cfg = ExperimentConfig(spec=BoundedAbove(m_bound=1.0, lambda0=0.5), seed=5,
+                               paths=10, horizon=10)
+        assert crossing_frequency(cfg, mixture=measure(0.5), c=2.0)
+        past = measure(math.nextafter(0.5, 1.0))
+        with pytest.raises(DomainError, match="certified range"):
+            crossing_frequency(cfg, mixture=past, c=2.0)
+
+    def test_point_masses_end_at_their_largest_atom(self):
+        assert PointMasses(atoms=((0.3, 1.0), (0.7, 2.0), (0.5, 1.0))).lambda0 == 0.7
+
     def test_gaussian_crossing_small_grid(self):
         spec = MvBrownianGrid(dim=2, t0=0.01, rho=1.2, horizon=100.0)
         cfg = ExperimentConfig(spec=spec, seed=5, paths=4000, horizon=100,
@@ -800,6 +819,33 @@ class TestFieldRefusal:
             check_supermartingale_mean(config_from_json(obj))
         with pytest.raises(DomainError, match=f"^{field} must be"):
             lil_track(config_from_json(obj))
+
+    # their certified weights are of order 2: B^2 = sum d_i^2 (scaled
+    # symmetric, truncated centering), the inflated conditional variance
+    # (bounded above), a weight that reads no r (bernstein). At r = 1.5 the
+    # lognormal scaled symmetric's one-step mean is 14.3 at lambda = 1e3,
+    # and a supermartingale check passed it
+    ORDER_2 = ["bernstein", "bounded_above", "scaled_symmetric", "truncated_centering"]
+
+    @pytest.mark.parametrize("r", [1.5, 1.9])
+    @pytest.mark.parametrize("name", ORDER_2)
+    def test_order_2_variants_take_only_r_2(self, name, r):
+        with pytest.raises(DomainError, match="^r must be 2"):
+            processes._VARIANTS[name](r=r)
+        with pytest.raises(DomainError, match="^r must be 2"):
+            processes.spec_from_json({"variant": name, "r": r})
+        obj = {"spec": {"variant": name, "r": r}, "seed": 1, "paths": 10, "horizon": 2,
+               "lambda_grid": [0.5]}
+        with pytest.raises(DomainError, match="^r must be 2"):
+            check_supermartingale_mean(config_from_json(obj))
+        assert processes._VARIANTS[name](r=2.0).r == 2.0
+
+    @pytest.mark.parametrize("r", [1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("name", sorted(set(processes._VARIANTS) - set(ORDER_2)
+                                            - {"mv_brownian_grid"}))
+    def test_order_r_variants_take_r_in_1_2(self, name, r):
+        spec = processes.spec_from_json({"variant": name, **SPEC_BASE.get(name, {}), "r": r})
+        assert spec.r == r
 
     @pytest.mark.parametrize("obj, named", MEASURE_REFUSED,
                              ids=[json.dumps(obj) for obj, _ in MEASURE_REFUSED])

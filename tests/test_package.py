@@ -66,6 +66,16 @@ def test_verify_loads_no_scipy_submodule(tmp_path):
     assert not [m for m in loaded if m.split(".")[:2] in heavy]
 
 
+@pytest.mark.parametrize("code", [
+    "from selfnorm import constants\nconstants.c_r(1.3)",
+    "from selfnorm import cli\n"
+    "assert cli.main(['constants', '--gamma', '0.01', '--r', '1.5', '--out', OUT]) == 0"],
+    ids=["c_r", "constants_command"])
+def test_c_r_loads_no_scipy(tmp_path, code):
+    # c_r bisects in decimal; its scipy.optimize pass loaded 321 scipy modules
+    assert _fresh(code.replace("OUT", repr(str(tmp_path / "c.csv")))) == []
+
+
 @pytest.mark.parametrize("mixture", ["RobbinsSiegmund(1.0)",
                                      "PointMasses(((0.5, 0.5), (0.1, 0.5)))"])
 def test_crossing_loads_no_scipy(mixture):

@@ -751,6 +751,36 @@ class TestCertification:
         with pytest.raises(CertificationError):
             check_lambda(spec, math.nan)
 
+    def test_interval(self):
+        spec = BoundedAbove(m_bound=1.0, lambda0=0.5)
+        check_lambda(spec, 0.0, 0.5)
+        check_lambda(spec, 0.2, 0.3)
+        for lo, hi in ((-0.1, 0.5), (0.0, 0.6), (0.0, math.inf), (-math.inf, math.inf),
+                       (0.4, 0.3), (0.0, math.nan)):
+            with pytest.raises(CertificationError, match="certified range"):
+                check_lambda(spec, lo, hi)
+        check_lambda(Rademacher(), -math.inf, math.inf)
+        check_lambda(Rademacher(), -5.0, 5.0)
+        with pytest.raises(CertificationError):
+            check_lambda(Counterexample56(), 0.0, 0.0)
+
+    def test_refusal_is_a_domain_error(self):
+        # so every refusal exits 2 as a DomainError
+        assert issubclass(CertificationError, DomainError)
+
+    @pytest.mark.parametrize("r", [1.1, 1.5, 1.9, 2.0])
+    def test_rademacher_weight_is_of_order_r(self, r):
+        # log cosh lam <= lam^r / r for every r in (1, 2], so the weight of
+        # fair signs (and of unit-weight sums) stays certified at any order:
+        # below 1, cosh y <= e^(y^2/2) and |y|^r/r >= y^2/2; past it, the
+        # slope tanh y < 1 <= y^(r-1), from log cosh 1 = 0.434 < 1/2 <= 1/r
+        lam = np.geomspace(1e-6, 1e3, 20001)
+        # log1p(2 sinh^2(y/2)) keeps its digits near 0, y + log1p(e^-2y) - log 2 far out
+        half = np.sinh(np.minimum(lam, 1.0) / 2.0)
+        log_cosh = np.where(lam < 1.0, np.log1p(2.0 * half * half),
+                            lam + np.log1p(np.exp(-2.0 * lam)) - math.log(2.0))
+        assert np.all(log_cosh <= lam ** r / r)
+
     def test_all_lambda_variants(self):
         for spec in (Rademacher(), ScaledSymmetric(), BrownianGrid(times=(1.0,))):
             check_lambda(spec, -5.0)
